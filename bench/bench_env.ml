@@ -12,16 +12,13 @@ let int_env name default =
 let samples = int_env "REDF_SAMPLES" 300
 
 (* worker domains for the parallelised passes; 0 means one per core.
-   (stdlib [Domain] rather than the parallel library: inside this
-   executable the name [Parallel] is the benchmark module below.) *)
+   A malformed value stops the harness the way it stops the CLI. *)
 let jobs =
-  match Sys.getenv_opt "REDF_JOBS" with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some 0 -> Domain.recommended_domain_count ()
-    | Some n when n > 0 -> n
-    | _ -> 1)
-  | None -> 1
+  match Parallel.jobs_of_env () with
+  | Ok n -> Parallel.resolve_jobs n
+  | Error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
 (* simulation horizon in time units; the paper simulates "to the
    hyper-period", which is astronomically large for random periods, so
    any practical run truncates (see EXPERIMENTS.md) *)

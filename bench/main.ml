@@ -17,7 +17,7 @@ let sections =
     ("tables", Tables.run);
     ("figures", Figures.run);
     ("ablations", Ablations.run);
-    ("parallel", Parallel.run);
+    ("parallel", Scaling.run);
     ("micro", Micro.run);
     ("obs", Obs_bench.run);
   ]

@@ -4,10 +4,8 @@
    release-offset search.
 
    This module deliberately goes through the public [?jobs] entry points
-   rather than the pool primitives: within this executable the module
-   name [Parallel] is this file, shadowing the library wrapper, and the
-   end-to-end paths are what the revised EXPERIMENTS.md runtime
-   estimates are based on anyway. *)
+   rather than the pool primitives: the end-to-end paths are what the
+   revised EXPERIMENTS.md runtime estimates are based on. *)
 
 let cores = Domain.recommended_domain_count ()
 

@@ -827,67 +827,16 @@ let parse_host_port s =
     | Some p when p >= 0 && p <= 65535 -> Ok (host, p)
     | _ -> Error (Printf.sprintf "invalid --listen %s: port must be an integer in 0..65535" s))
 
-let idle_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "idle-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Close a connection that stayed completely idle — nothing received, nothing owed — \
-           for $(docv) seconds (granularity: one loop tick, up to 0.5s). Off by default: idle \
-           connections are free to linger.")
+(* --- the transport flags and loop runner serve and admit share --- *)
 
-let serve_cmd =
-  let run socket listen cache_size shards max_pending max_inflight timeout idle_timeout jobs
-      metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_cache_size cache_size @@ fun () ->
-    require_positive "--cache-shards" shards @@ fun () ->
-    require_positive "--max-pending" max_pending @@ fun () ->
-    require_positive "--max-inflight" max_inflight @@ fun () ->
-    let listen =
-      match listen with
-      | None -> Ok None
-      | Some s -> Result.map Option.some (parse_host_port s)
-    in
-    match listen with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-    | Ok listen -> (
-      with_metrics metrics @@ fun () ->
-      Server.Engine.with_engine ~cache_size ~shards ~jobs @@ fun engine ->
-      Server.Engine.install_stop_signals engine;
-      match (socket, listen) with
-      | None, None ->
-        Server.Engine.serve engine ?timeout ~input:Unix.stdin ~output:Unix.stdout ();
-        0
-      | _ -> (
-        let limits =
-          { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight }
-        in
-        match
-          let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
-          let tcp_l =
-            Option.map
-              (fun (host, port) ->
-                let l = Server.Loop.tcp_listener ~host ~port in
-                Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
-                l)
-              listen
-          in
-          List.filter_map Fun.id [ unix_l; tcp_l ]
-        with
-        | exception Failure msg ->
-          Printf.eprintf "error: %s\n" msg;
-          1
-        | exception Unix.Unix_error (e, fn, arg) ->
-          Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
-          1
-        | listeners ->
-          Server.Loop.serve engine ?timeout ?idle_timeout ~limits listeners;
-          0))
-  in
+type transport = {
+  socket : string option;
+  listen : (string * int) option;
+  timeout : float option;
+  idle_timeout : float option;
+}
+
+let transport_term =
   let socket_arg =
     Arg.(
       value
@@ -906,6 +855,96 @@ let serve_cmd =
             "Listen on TCP $(docv) (numeric address or $(b,localhost); port 0 picks an \
              ephemeral port, announced on stderr). Combinable with $(b,--socket).")
   in
+  let timeout_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Drop a partially received request line after $(docv) seconds with an error \
+             response, measured from when the partial started (trickling bytes does not extend \
+             it). Idle connections never time out. Applies to stdin/stdout as to every socket \
+             connection.")
+  in
+  let idle_timeout_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "idle-timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Close a connection (stdin/stdout included) that stayed completely idle — nothing \
+             received, nothing owed — for $(docv) seconds (granularity: one loop tick, up to \
+             0.5s). Off by default: idle connections are free to linger.")
+  in
+  let make socket listen timeout idle_timeout =
+    Result.map
+      (fun listen -> { socket; listen; timeout; idle_timeout })
+      (match listen with None -> Ok None | Some s -> Result.map Option.some (parse_host_port s))
+  in
+  Term.(const make $ socket_arg $ listen_arg $ timeout_arg $ idle_timeout_arg)
+
+(* Serve [handle_lines] over the endpoints [tr] names — a Unix socket
+   and/or a TCP listener, or stdin/stdout when it names neither — until
+   SIGINT/SIGTERM or the end of stdin.  Exit 0 once the loop is done,
+   1 when an endpoint cannot be bound.  The stop signals are routed
+   before any endpoint exists, so a supervisor that sees the socket can
+   already TERM it. *)
+let run_transport tr ?limits ?(is_mutation = fun _ -> false) handle_lines =
+  let stop = Atomic.make false in
+  let on_stop = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  Sys.set_signal Sys.sigint on_stop;
+  Sys.set_signal Sys.sigterm on_stop;
+  match
+    match (tr.socket, tr.listen) with
+    | None, None -> [ Server.Loop.stdio_listener ~input:Unix.stdin ~output:Unix.stdout ]
+    | socket, listen ->
+      let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
+      let tcp_l =
+        Option.map
+          (fun (host, port) ->
+            let l = Server.Loop.tcp_listener ~host ~port in
+            Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
+            l)
+          listen
+      in
+      List.filter_map Fun.id [ unix_l; tcp_l ]
+  with
+  | exception Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    1
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
+    1
+  | listeners ->
+    let service =
+      {
+        Server.Loop.handle_lines;
+        stop_requested = (fun () -> Atomic.get stop);
+        shed_response = Server.Protocol.shed_response;
+        is_mutation;
+      }
+    in
+    Server.Loop.serve_service service ?timeout:tr.timeout ?idle_timeout:tr.idle_timeout ?limits
+      listeners;
+    0
+
+let serve_cmd =
+  let run transport cache_size shards max_pending max_inflight jobs metrics =
+    with_jobs jobs @@ fun ~jobs ->
+    require_cache_size cache_size @@ fun () ->
+    require_positive "--cache-shards" shards @@ fun () ->
+    require_positive "--max-pending" max_pending @@ fun () ->
+    require_positive "--max-inflight" max_inflight @@ fun () ->
+    match transport with
+    | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      2
+    | Ok transport ->
+      with_metrics metrics @@ fun () ->
+      Server.Engine.with_engine ~cache_size ~shards ~jobs @@ fun engine ->
+      let limits = { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight } in
+      run_transport transport ~limits (Server.Engine.handle_lines engine)
+  in
   let max_pending_arg =
     Arg.(
       value & opt int Server.Loop.default_limits.Server.Loop.max_pending
@@ -923,20 +962,10 @@ let serve_cmd =
              further requests are answered immediately with a well-formed \
              $(b,server overloaded) error (load shedding) instead of queueing.")
   in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Drop a partially received request line after $(docv) seconds with an error \
-             response, measured from when the partial started (trickling bytes does not extend \
-             it). Idle connections never time out.")
-  in
   let term =
     Term.(
-      const run $ socket_arg $ listen_arg $ cache_size_arg $ cache_shards_arg $ max_pending_arg
-      $ max_inflight_arg $ timeout_arg $ idle_timeout_arg $ jobs_arg $ metrics_arg)
+      const run $ transport_term $ cache_size_arg $ cache_shards_arg $ max_pending_arg
+      $ max_inflight_arg $ jobs_arg $ metrics_arg)
   in
   let info =
     Cmd.info "serve"
@@ -948,10 +977,11 @@ let serve_cmd =
             "Reads one JSON request per line — \
              {\"analyzer\":\"GN2\",\"fpga_area\":10,\"tasks\":[{\"C\":\"1.26\",\"D\":\"7\",\"T\":\"7\",\"A\":9},...]} \
              — and writes one JSON verdict line per request, in request order, over stdin/stdout, \
-             a Unix-domain socket ($(b,--socket)) and/or TCP ($(b,--listen)). Socket and TCP \
-             serving multiplex any number of concurrent client connections over one event loop, \
-             fanning request evaluation out over $(b,-j) worker domains; per connection, \
-             responses are byte-identical to serial stdio serving. Verdicts are cached under a \
+             or over a Unix-domain socket ($(b,--socket)) and/or TCP ($(b,--listen)). One event \
+             loop serves every connection, stdin/stdout included, with the same framing, \
+             timeouts, backpressure and shedding, fanning request evaluation out over $(b,-j) \
+             worker domains; per connection, responses are byte-identical to $(b,redf batch) on \
+             the same lines. Verdicts are cached under a \
              canonical taskset key (task order and names do not matter) in a sharded LRU, so \
              repeated queries are answered from cache with byte-identical output. A malformed \
              request yields an error response and never terminates the service; SIGINT/SIGTERM \
@@ -1059,10 +1089,7 @@ let batch_cmd =
                   ending := Some how;
                   responses)
                 (Server.Engine.client_hold ~addr ~hold lines)
-            | None ->
-              if retries > 0 then
-                Server.Engine.client_roundtrip_retry ~addr ~retries ~backoff_ms lines
-              else Server.Engine.client_roundtrip ~path lines)
+            | None -> Server.Engine.client_roundtrip_retry ~addr ~retries ~backoff_ms lines)
           | None ->
             Server.Engine.with_engine ~cache_size ~jobs @@ fun engine ->
             Ok (Server.Engine.handle_lines engine lines)
@@ -1093,7 +1120,8 @@ let batch_cmd =
       & info [ "connect" ] ~docv:"PATH"
           ~doc:
             "Send the batch to a running $(b,redf serve --socket) (or $(b,redf admit --socket)) \
-             $(docv) instead of evaluating in-process.")
+             $(docv) instead of evaluating in-process. Exits 1 when the connection ends before \
+             every request is answered.")
   in
   let retries_arg =
     Arg.(
@@ -1192,24 +1220,20 @@ let resolve_faults faults fault_seed =
     Result.map (fun spec -> Some (Admit.Faults.create ~seed:fault_seed spec)) (Admit.Faults.parse_spec s)
 
 let admit_cmd =
-  let run dir analyzer fpga_area socket listen snapshot_every faults fault_seed timeout
-      idle_timeout metrics =
+  let run dir analyzer fpga_area transport snapshot_every faults fault_seed metrics =
     require_positive "--fpga-area" fpga_area @@ fun () ->
     require_positive "--snapshot-every" snapshot_every @@ fun () ->
-    let listen =
-      match listen with None -> Ok None | Some s -> Result.map Option.some (parse_host_port s)
-    in
     match
       let ( let* ) = Result.bind in
-      let* listen = listen in
+      let* transport = transport in
       let* analyzer = Core.Analyzer.of_name analyzer in
       let* faults = resolve_faults faults fault_seed in
-      Ok (listen, analyzer, faults)
+      Ok (transport, analyzer, faults)
     with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       2
-    | Ok (listen, analyzer, faults) -> (
+    | Ok (transport, analyzer, faults) -> (
       with_metrics metrics @@ fun () ->
       match Admit.Daemon.create ?faults ~snapshot_every ~analyzer ~fpga_area ~dir () with
       | Error msg ->
@@ -1224,16 +1248,14 @@ let admit_cmd =
           (if recovery.Admit.Store.torn_bytes > 0 then
              Printf.sprintf ", torn tail of %d bytes truncated" recovery.Admit.Store.torn_bytes
            else "");
-        let stop = Atomic.make false in
-        let on_stop _ = Atomic.set stop true in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle on_stop);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_stop);
-        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        let finish () =
-          Admit.Daemon.close daemon;
-          0
+        let handle_lines lines =
+          Array.of_list (Admit.Daemon.handle_lines daemon (Array.to_list lines))
         in
-        let crashed (fate, msg) =
+        match run_transport transport ~is_mutation:Admit.Daemon.is_mutation handle_lines with
+        | code ->
+          Admit.Daemon.close daemon;
+          code
+        | exception Admit.Faults.Crash (fate, msg) ->
           (* injected kill -9: leave the journal exactly as-is and die
              loudly; recovery on the next start is the point *)
           Admit.Daemon.close daemon;
@@ -1243,59 +1265,7 @@ let admit_cmd =
             | Admit.Faults.Lost -> "lost"
             | Admit.Faults.After_append -> "after-append")
             msg;
-          7
-        in
-        match (socket, listen) with
-        | None, None -> (
-          (* stdio: serial request/response, one line at a time *)
-          let rec loop () =
-            if Atomic.get stop then ()
-            else
-              match input_line stdin with
-              | exception End_of_file -> ()
-              | line ->
-                if String.trim line <> "" then begin
-                  print_endline (Admit.Daemon.handle_line daemon line);
-                  flush stdout
-                end;
-                loop ()
-          in
-          match loop () with
-          | () -> finish ()
-          | exception Admit.Faults.Crash (fate, msg) -> crashed (fate, msg))
-        | _ -> (
-          match
-            let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
-            let tcp_l =
-              Option.map
-                (fun (host, port) ->
-                  let l = Server.Loop.tcp_listener ~host ~port in
-                  Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
-                  l)
-                listen
-            in
-            List.filter_map Fun.id [ unix_l; tcp_l ]
-          with
-          | exception Failure msg ->
-            Printf.eprintf "error: %s\n" msg;
-            1
-          | exception Unix.Unix_error (e, fn, arg) ->
-            Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
-            1
-          | listeners -> (
-            let service =
-              {
-                Server.Loop.handle_lines =
-                  (fun lines ->
-                    Array.of_list (Admit.Daemon.handle_lines daemon (Array.to_list lines)));
-                stop_requested = (fun () -> Atomic.get stop);
-                shed_response = Server.Protocol.shed_response;
-                is_mutation = Admit.Daemon.is_mutation;
-              }
-            in
-            match Server.Loop.serve_service service ?timeout ?idle_timeout listeners with
-            | () -> finish ()
-            | exception Admit.Faults.Crash (fate, msg) -> crashed (fate, msg)))))
+          7))
   in
   let dir_arg =
     Arg.(
@@ -1307,32 +1277,10 @@ let admit_cmd =
              replays it on start; kill the daemon at any point and restart it on the same \
              $(docv) to get the last acknowledged state back.")
   in
-  let socket_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Serve the admit protocol on a Unix-domain socket instead of stdin/stdout.")
-  in
-  let listen_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"HOST:PORT"
-          ~doc:"Serve the admit protocol on TCP $(docv) (port 0 = ephemeral, announced on stderr).")
-  in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Partial-line deadline per connection, as for $(b,redf serve).")
-  in
   let term =
     Term.(
-      const run $ dir_arg $ admit_analyzer_arg $ admit_area_arg $ socket_arg $ listen_arg
-      $ snapshot_every_arg $ faults_arg $ fault_seed_arg $ timeout_arg $ idle_timeout_arg
-      $ metrics_arg)
+      const run $ dir_arg $ admit_analyzer_arg $ admit_area_arg $ transport_term
+      $ snapshot_every_arg $ faults_arg $ fault_seed_arg $ metrics_arg)
   in
   let info =
     Cmd.info "admit"
@@ -1351,9 +1299,9 @@ let admit_cmd =
              acknowledged state (a torn trailing record from a mid-write crash is truncated; a \
              corrupt interior record is refused with a diagnostic). Replies to mutations are \
              stored under their request $(b,id), so a client retrying after a lost reply gets \
-             the original bytes back instead of a double apply. Serves stdio, $(b,--socket) \
-             and/or $(b,--listen); under overload, mutations are shed only at twice the \
-             read-query threshold.";
+             the original bytes back instead of a double apply. Serves stdin/stdout, or \
+             $(b,--socket) and/or $(b,--listen), over the same event loop as $(b,redf serve); \
+             under overload, mutations are shed only at twice the read-query threshold.";
         ]
   in
   Cmd.v info term

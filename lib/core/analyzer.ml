@@ -43,21 +43,49 @@ let gn2 =
 
 (* the necessary conditions phrased as an analyzer so sweeps and the
    server can serve them; an empty check list encodes "nothing to
-   refute" and the note carries the violated conditions *)
+   refute".  A check fails, with a note, for each violation its task
+   takes part in; the device-wide one fails every check.  Notes never
+   name a task position, so deciding a permuted taskset permutes the
+   checks and nothing else — the contract the verdict cache's remap
+   relies on. *)
 let nec_decide ~fpga_area ts =
   match Feasibility.check ~fpga_area ts with
   | [] -> Verdict.make ~test_name:"NEC" ~checks:[]
   | violations ->
-    let note =
-      String.concat "; "
-        (List.map (Format.asprintf "%a" Feasibility.pp_violation) violations)
+    let n = Model.Taskset.size ts in
+    let notes = Array.make n [] in
+    let add note i = notes.(i) <- note :: notes.(i) in
+    List.iter
+      (function
+        | Feasibility.Exec_exceeds_window i -> add "needs C > min(D,T)" i
+        | Feasibility.Device_overloaded { us } ->
+          let note = Format.asprintf "system utilization %a exceeds the device area" Rat.pp_approx us in
+          for i = 0 to n - 1 do
+            add note i
+          done
+        | Feasibility.Clique_overloaded { tasks; load } ->
+          let note =
+            Format.asprintf "one of %d mutually-exclusive tasks demanding %a > 1 of a serial resource"
+              (List.length tasks) Rat.pp_approx load
+          in
+          List.iter (add note) tasks)
+      violations;
+    let check i =
+      let note = String.concat "; " (List.sort_uniq String.compare notes.(i)) in
+      {
+        Verdict.task_index = i;
+        satisfied = String.equal note "";
+        lhs = Rat.zero;
+        rhs = Rat.zero;
+        note;
+      }
     in
-    Verdict.reject_all ~test_name:"NEC" ~note ts
+    Verdict.make ~test_name:"NEC" ~checks:(List.init n check)
 
 let nec =
   make ~name:"NEC"
     ~cite:"necessary feasibility conditions (infeasible under any scheduler when violated)"
-    ~version:"1" nec_decide
+    ~version:"2" nec_decide
 
 let defaults = [ dp; gn1; gn2 ]
 let builtins = defaults @ [ dp_original; gn1_printed; nec ]

@@ -58,7 +58,11 @@ val gn2 : t
 val nec : t
 (** The necessary feasibility conditions ({!Feasibility}): ACCEPT means
     "not provably infeasible" — an upper bound on true schedulability,
-    not a sufficient test. *)
+    not a sufficient test.  On REJECT, a task's check fails with a note
+    for each violation it takes part in (its own [C > min(D,T)], an
+    overloaded mutual-exclusion clique it belongs to, the device-wide
+    [US > A(H)]); notes never name task positions, so a permuted
+    taskset gets the permuted verdict.  Version ["2"]. *)
 
 val defaults : t list
 (** [[dp; gn1; gn2]] — the paper's three sufficient tests. *)

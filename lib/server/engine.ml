@@ -5,11 +5,10 @@ type t = {
 }
 
 (* request/error totals are functions of the input stream alone;
-   batching and timeout counts depend on arrival timing *)
+   batching counts depend on arrival timing *)
 let m_requests = Obs.Counter.make "server.requests"
 let m_errors = Obs.Counter.make "server.errors"
 let m_batches = Obs.Counter.make ~det:false "server.batches"
-let m_timeouts = Obs.Counter.make ~det:false "server.timeouts"
 let request_timer = Obs.Timer.make "server.request"
 
 let create ?(cache_size = 4096) ?(shards = 8) ~jobs () =
@@ -28,12 +27,6 @@ let with_engine ?cache_size ?shards ~jobs f =
 let cache_stats t = Cache.Verdicts.stats t.cache
 let request_stop t = Atomic.set t.stop true
 let stop_requested t = Atomic.get t.stop
-
-let install_stop_signals t =
-  let handle = Sys.Signal_handle (fun _ -> request_stop t) in
-  Sys.set_signal Sys.sigint handle;
-  Sys.set_signal Sys.sigterm handle;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let handle_line t line =
   Obs.Counter.incr m_requests;
@@ -136,111 +129,39 @@ let handle_lines t lines =
     chunks;
   responses
 
-(* --- framing items to protocol responses --- *)
-
-let too_large_message = "request too large: line exceeds 16 MiB"
-let timeout_message = "request timeout: incomplete request line dropped"
-
-type step = Eval of string | Emit of string
-
-let plan items =
-  List.map
-    (fun (item : Framing.item) ->
-      match item with
-      | Framing.Line line -> Eval line
-      | Framing.Too_large _ ->
-        Obs.Counter.incr m_errors;
-        Emit (Protocol.error_response too_large_message)
-      | Framing.Timed_out ->
-        Obs.Counter.incr m_timeouts;
-        Emit (Protocol.error_response timeout_message))
-    items
-
-let render_steps t buf steps =
-  let evals = List.filter_map (function Eval line -> Some line | Emit _ -> None) steps in
-  let responses =
-    match Array.of_list evals with [||] -> [||] | batch -> handle_lines t batch
-  in
-  let idx = ref 0 in
-  List.iter
-    (fun s ->
-      let response =
-        match s with
-        | Eval _ ->
-          let r = responses.(!idx) in
-          incr idx;
-          r
-        | Emit r -> r
-      in
-      Buffer.add_string buf response;
-      Buffer.add_char buf '\n')
-    steps
-
-(* --- fd plumbing --- *)
-
-let rec write_all fd s off =
-  if off < String.length s then begin
-    match Unix.write_substring fd s off (String.length s - off) with
-    | n -> write_all fd s (off + n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off
-  end
-
-let not_blank line = String.trim line <> ""
-
-let serve t ?timeout ~input ~output () =
-  let chunk = Bytes.create 65536 in
-  let framing = Framing.create ?timeout () in
-  let respond items =
-    match plan items with
-    | [] -> ()
-    | steps ->
-      let buf = Buffer.create 1024 in
-      render_steps t buf steps;
-      write_all output (Buffer.contents buf) 0
-  in
-  let rec loop () =
-    if stop_requested t then ()
-    else begin
-      let tick =
-        match Framing.deadline framing with
-        | None -> 0.5
-        | Some d -> Float.max 0.0 (Float.min 0.5 (d -. Unix.gettimeofday ()))
-      in
-      match Unix.select [ input ] [] [] tick with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | [], _, _ ->
-        respond (Framing.check_deadline framing ~now:(Unix.gettimeofday ()));
-        loop ()
-      | _ -> (
-        match Unix.read input chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | 0 ->
-          (* EOF: an unterminated final line is the stream's last request *)
-          respond (Framing.finish framing)
-        | n ->
-          respond (Framing.feed framing ~now:(Unix.gettimeofday ()) (Bytes.sub_string chunk 0 n));
-          respond (Framing.check_deadline framing ~now:(Unix.gettimeofday ()));
-          loop ())
-    end
-  in
-  loop ()
-(* graceful drain needs no extra work here: complete lines were
-   answered as they arrived, and a pending partial is dropped *)
-
 (* --- client (redf batch --connect / bench-serve) --- *)
 
 let string_of_addr = function
   | Unix.ADDR_UNIX path -> path
   | Unix.ADDR_INET (host, port) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
 
-let client_roundtrip_addr ~addr lines =
+(* one read into [received]; false at end of stream *)
+let receive sock chunk received =
+  match Unix.read sock chunk 0 (Bytes.length chunk) with
+  | 0 -> false
+  | n ->
+    Buffer.add_subbytes received chunk 0 n;
+    true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+
+let response_lines received =
+  String.split_on_char '\n' (Buffer.contents received)
+  |> List.filter (fun l -> String.trim l <> "")
+  |> Array.of_list
+
+(* Connect to [addr], pipeline [lines], then hand the socket to [k]
+   with the response bytes received so far.  Sending interleaves with
+   reading, so a batch of any size cannot deadlock on socket buffers;
+   a server that closes or resets the connection ends the sending
+   early.  The socket is closed when [k] returns. *)
+let connect_and_send ~addr lines k =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (match addr with
    | Unix.ADDR_INET _ -> (
      (* latency matters more than segment count for request/response *)
      try Unix.setsockopt sock Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-   | _ -> ());
+   | Unix.ADDR_UNIX _ -> ());
   match Unix.connect sock addr with
   | exception Unix.Unix_error (e, _, _) ->
     (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -249,58 +170,36 @@ let client_roundtrip_addr ~addr lines =
     Fun.protect
       ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
       (fun () ->
-        let payload =
-          String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines))
-        in
-        let sent = ref 0 in
-        let all_sent () = !sent >= String.length payload in
+        let payload = String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines)) in
         let received = Buffer.create 4096 in
         let chunk = Bytes.create 65536 in
-        let rec pump eof =
-          if not eof || not (all_sent ()) then begin
-            let want_write = if all_sent () then [] else [ sock ] in
-            match Unix.select [ sock ] want_write [] (-1.0) with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump eof
+        let rec send off =
+          if off < String.length payload then
+            match Unix.select [ sock ] [ sock ] [] (-1.0) with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> send off
             | readable, writable, _ ->
-              let eof =
-                if readable <> [] then (
-                  match Unix.read sock chunk 0 (Bytes.length chunk) with
-                  | 0 -> true
-                  | n ->
-                    Buffer.add_subbytes received chunk 0 n;
-                    eof
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> eof)
-                else eof
-              in
-              if writable <> [] && not (all_sent ()) then begin
-                (match
-                   Unix.write_substring sock payload !sent (String.length payload - !sent)
-                 with
-                 | n -> sent := !sent + n
-                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-                if all_sent () then Unix.shutdown sock Unix.SHUTDOWN_SEND
-              end;
-              pump eof
-          end
+              if readable = [] || receive sock chunk received then
+                send
+                  (if writable = [] then off
+                   else
+                     match
+                       Unix.single_write_substring sock payload off (String.length payload - off)
+                     with
+                     | n -> off + n
+                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> off)
         in
-        (match pump false with
-         | () -> ()
-         | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ());
-        let rec read_rest () =
-          match Unix.read sock chunk 0 (Bytes.length chunk) with
-          | 0 -> ()
-          | n ->
-            Buffer.add_subbytes received chunk 0 n;
-            read_rest ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_rest ()
-        in
-        (try read_rest () with Unix.Unix_error _ -> ());
-        let responses =
-          String.split_on_char '\n' (Buffer.contents received) |> List.filter not_blank
-        in
-        Ok (Array.of_list responses))
+        (try send 0 with Unix.Unix_error _ -> ());
+        Ok (k sock chunk received))
 
-let client_roundtrip ~path lines = client_roundtrip_addr ~addr:(Unix.ADDR_UNIX path) lines
+let client_roundtrip_addr ~addr lines =
+  connect_and_send ~addr lines (fun sock chunk received ->
+      (try
+         Unix.shutdown sock Unix.SHUTDOWN_SEND;
+         while receive sock chunk received do
+           ()
+         done
+       with Unix.Unix_error _ -> ());
+      response_lines received)
 
 (* --- resilient client --- *)
 
@@ -348,45 +247,19 @@ let client_roundtrip_retry ~addr ?(retries = 0) ?(backoff_ms = 50) ?(seed = 1) l
    connection open (no shutdown, no traffic) until the server closes
    it or [hold] seconds pass — the probe for [--idle-timeout]. *)
 let client_hold ~addr ~hold lines =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-  match Unix.connect sock addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "%s: %s" (string_of_addr addr) (Unix.error_message e))
-  | () ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        let payload = String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines)) in
-        let rec send off =
-          if off < String.length payload then
-            match Unix.write_substring sock payload off (String.length payload - off) with
-            | n -> send (off + n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> send off
-        in
-        send 0;
-        let deadline = Unix.gettimeofday () +. hold in
-        let received = Buffer.create 4096 in
-        let chunk = Bytes.create 65536 in
-        let rec wait () =
-          let left = deadline -. Unix.gettimeofday () in
-          if left <= 0.0 then `Hold_expired
-          else
-            match Unix.select [ sock ] [] [] left with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-            | [], _, _ -> `Hold_expired
-            | _ -> (
-              match Unix.read sock chunk 0 (Bytes.length chunk) with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-              | exception Unix.Unix_error _ -> `Closed_by_server
-              | 0 -> `Closed_by_server
-              | n ->
-                Buffer.add_subbytes received chunk 0 n;
-                wait ())
-        in
-        let ending = wait () in
-        let responses =
-          String.split_on_char '\n' (Buffer.contents received) |> List.filter not_blank
-        in
-        Ok (Array.of_list responses, ending))
+  connect_and_send ~addr lines (fun sock chunk received ->
+      let deadline = Unix.gettimeofday () +. hold in
+      let rec wait () =
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then `Hold_expired
+        else
+          match Unix.select [ sock ] [] [] left with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+          | [], _, _ -> `Hold_expired
+          | _ -> (
+            match receive sock chunk received with
+            | true -> wait ()
+            | false | (exception Unix.Unix_error _) -> `Closed_by_server)
+      in
+      let ending = wait () in
+      (response_lines received, ending))

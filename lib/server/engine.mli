@@ -2,9 +2,9 @@
 
     One engine owns the process-wide verdict cache ({!Cache.Verdicts},
     sharded — see [shards] below) and a {!Parallel.Pool} of worker
-    domains; every front end — the stdin/stdout loop, the multi-client
-    event loop ({!Loop}), an in-process batch — funnels through
-    {!handle_line}, so they all share the cache and return identical
+    domains; every front end — the event loop ({!Loop}) serving stdio,
+    Unix sockets and TCP, an in-process batch — funnels through
+    {!handle_lines}, so they all share the cache and return identical
     bytes for identical requests.
 
     Contracts:
@@ -14,15 +14,11 @@
     - {e determinism}: responses are written in request order and their
       bytes are independent of the worker count, the shard count and
       cache state (cached answers are remapped to the request's task
-      order, see {!Cache.Verdicts});
-    - {e framing}: request framing — the line-byte cap, the
-      partial-line timeout, and the rule that framing errors never
-      swallow the well-formed requests around them — is {!Framing}'s;
-      both serve loops consume its items through {!plan};
-    - {e graceful drain}: after {!request_stop} (or SIGINT/SIGTERM once
-      {!install_stop_signals} ran) the serve loops finish answering
-      every complete request line already received, then return, so a
-      supervisor's TERM never loses an in-flight answer. *)
+      order, see {!Cache.Verdicts}).
+
+    How a byte stream becomes request lines, error lines and responses
+    — the line cap, the partial-line timeout, backpressure, shedding
+    and the graceful drain — is {!Loop}'s alone. *)
 
 type t
 
@@ -44,10 +40,7 @@ val cache_stats : t -> Cache.Lru.stats
 
 val request_stop : t -> unit
 val stop_requested : t -> bool
-
-val install_stop_signals : t -> unit
-(** Route SIGINT and SIGTERM to {!request_stop} and ignore SIGPIPE (a
-    vanished client must not kill the server). *)
+(** The engine's stop flag, which {!Loop.serve} polls once per tick. *)
 
 val handle_line : t -> string -> string
 (** One request line to one response line (no newline).  Never raises. *)
@@ -60,49 +53,14 @@ val handle_lines : t -> string array -> string array
     in a batch cost one decision and the columnar analyzers amortize
     their per-taskset setup. *)
 
-(** {2 Framing items to responses}
-
-    Both serve loops share this mapping, so a dropped request is
-    answered with byte-identical error lines whether it arrived over
-    stdio, a Unix socket or TCP. *)
-
-val too_large_message : string
-val timeout_message : string
-
-type step =
-  | Eval of string  (** a request line, to be answered by {!handle_line} *)
-  | Emit of string  (** a pre-formed response line (framing error, shed) *)
-
-val plan : Framing.item list -> step list
-(** Map framed items to steps, in order: [Line] → [Eval]; [Too_large] /
-    [Timed_out] → the matching [Emit] error response (and the matching
-    counters).  Order is the response-order contract: an [Emit] for a
-    dropped line sits exactly where that line sat in the request
-    stream. *)
-
-val serve : t -> ?timeout:float -> input:Unix.file_descr -> output:Unix.file_descr -> unit -> unit
-(** Serve line-oriented requests until EOF or {!request_stop}.  Lines
-    are batched by arrival (whatever is buffered is evaluated as one
-    pool batch), blank lines are ignored, and a line longer than 16 MiB
-    — whether terminated or a still-growing partial — is answered with
-    an error and discarded, without losing the complete lines received
-    alongside it.  [timeout] (seconds) bounds the wait for the rest of
-    a {e partially} received request line, measured from when the
-    partial {e started} (trickling more bytes does not extend it); on
-    expiry the partial input is dropped and an error response is
-    emitted.  An idle connection with no partial request never times
-    out. *)
-
 val client_roundtrip_addr :
   addr:Unix.sockaddr -> string array -> (string array, string) result
 (** Connect to a server at [addr] (Unix-domain or TCP; TCP connections
     set [TCP_NODELAY]), pipeline all request lines, and collect the
     response lines (request order).  Interleaves writing and reading,
-    so arbitrarily large batches cannot deadlock on socket buffers. *)
-
-val client_roundtrip : path:string -> string array -> (string array, string) result
-(** {!client_roundtrip_addr} over [ADDR_UNIX path] — the client side
-    used by [redf batch --connect]. *)
+    so arbitrarily large batches cannot deadlock on socket buffers.  A
+    connection that ends early yields the responses that did arrive;
+    {!client_roundtrip_retry} turns a short answer into an error. *)
 
 val client_roundtrip_retry :
   addr:Unix.sockaddr ->
@@ -118,7 +76,9 @@ val client_roundtrip_retry :
     backoff from [backoff_ms] and deterministic jitter ([seed]).
     Requests already answered are never repeated on the wire; re-sent
     mutations rely on the admission daemon's request-id dedup for
-    exactly-once effect. *)
+    exactly-once effect.  With [retries = 0] (the default) it is the
+    strict single roundtrip behind [redf batch --connect]: any missing
+    response is an [Error "connection lost after k of n responses"]. *)
 
 val client_hold :
   addr:Unix.sockaddr ->

@@ -1,6 +1,6 @@
-(** Per-connection line framing: the connection state machine behind
-    both the stdio serve loop ({!Engine.serve}) and the multi-client
-    event loop ({!Loop}).
+(** Per-connection line framing: the state machine behind every
+    connection of the event loop ({!Loop}) — stdio, Unix socket and TCP
+    alike.
 
     A framer turns an arbitrary sequence of byte chunks into an ordered
     sequence of {!item}s, enforcing the request-line byte cap and the

@@ -2,14 +2,45 @@ type limits = { max_pending : int; max_inflight : int; max_buffered_bytes : int 
 
 let default_limits = { max_pending = 1024; max_inflight = 4096; max_buffered_bytes = 8 * 1024 * 1024 }
 
-(* connection and shed counts depend on arrival timing *)
+(* error totals are functions of the input stream alone; connection,
+   shed and timeout counts depend on arrival timing *)
+let m_errors = Obs.Counter.make "server.errors"
+let m_timeouts = Obs.Counter.make ~det:false "server.timeouts"
 let m_connections = Obs.Counter.make ~det:false "server.connections"
 let m_active = Obs.Gauge.make "server.active_connections"
 let m_shed = Obs.Counter.make ~det:false "server.shed"
 
+(* --- framing items to protocol responses --- *)
+
+let too_large_message = "request too large: line exceeds 16 MiB"
+let timeout_message = "request timeout: incomplete request line dropped"
+
+(* a request line to evaluate, or a response line formed without the
+   service (framing error, shed) *)
+type step = Eval of string | Emit of string
+
+(* the order of the steps is the response order: an [Emit] for a
+   dropped line sits exactly where that line sat in the stream *)
+let plan items =
+  List.map
+    (fun (item : Framing.item) ->
+      match item with
+      | Framing.Line line -> Eval line
+      | Framing.Too_large _ ->
+        Obs.Counter.incr m_errors;
+        Emit (Protocol.error_response too_large_message)
+      | Framing.Timed_out ->
+        Obs.Counter.incr m_timeouts;
+        Emit (Protocol.error_response timeout_message))
+    items
+
 (* --- listeners --- *)
 
-type listener = { lfd : Unix.file_descr; tcp : bool; cleanup : unit -> unit }
+type socket = { lfd : Unix.file_descr; tcp : bool; cleanup : unit -> unit }
+
+(* a stdio endpoint is pre-connected: it yields its one connection when
+   the loop starts, over fds the caller owns *)
+type listener = Socket of socket | Stdio of { input : Unix.file_descr; output : Unix.file_descr }
 
 let remove_stale_socket path =
   match Unix.lstat path with
@@ -24,14 +55,15 @@ let unix_listener ~path =
   remove_stale_socket path;
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;
-  {
-    lfd = sock;
-    tcp = false;
-    cleanup =
-      (fun () ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ -> ());
-  }
+  Socket
+    {
+      lfd = sock;
+      tcp = false;
+      cleanup =
+        (fun () ->
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          try Unix.unlink path with Unix.Unix_error _ -> ());
+    }
 
 let resolve_host host =
   match Unix.inet_addr_of_string host with
@@ -49,12 +81,15 @@ let tcp_listener ~host ~port =
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (inet, port));
   Unix.listen sock 64;
-  { lfd = sock; tcp = true; cleanup = (fun () -> try Unix.close sock with Unix.Unix_error _ -> ()) }
+  Socket
+    { lfd = sock; tcp = true; cleanup = (fun () -> try Unix.close sock with Unix.Unix_error _ -> ()) }
 
-let bound_port l =
-  match Unix.getsockname l.lfd with
-  | Unix.ADDR_INET (_, port) -> port
-  | _ -> invalid_arg "Loop.bound_port: not a TCP listener"
+let stdio_listener ~input ~output = Stdio { input; output }
+
+let bound_port = function
+  | Socket { lfd; tcp = true; _ } -> (
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, port) -> port | Unix.ADDR_UNIX _ -> assert false)
+  | Socket _ | Stdio _ -> invalid_arg "Loop.bound_port: not a TCP listener"
 
 (* --- services --- *)
 
@@ -81,9 +116,11 @@ let engine_service engine =
 (* --- connections --- *)
 
 type conn = {
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;  (* [rfd] itself for a socket *)
+  owned : bool;  (* closed by the loop: accepted sockets, not stdio *)
   framing : Framing.t;
-  steps : Engine.step Queue.t;  (* pending work, in arrival order *)
+  steps : step Queue.t;  (* pending work, in arrival order *)
   mutable queued : int;  (* Eval steps among [steps] (read-eligibility bound) *)
   mutable pending : string;  (* response bytes being written *)
   mutable pending_off : int;
@@ -95,7 +132,10 @@ type conn = {
 
 let buffered_bytes c = String.length c.pending - c.pending_off + Buffer.length c.out
 let finished c = c.dead || (c.input_closed && Queue.is_empty c.steps && buffered_bytes c = 0)
+let close_conn c = if c.owned then try Unix.close c.rfd with Unix.Unix_error _ -> ()
 
+(* one write per call, so a signal interrupting a blocking (stdio)
+   write can never make a retry repeat bytes already written *)
 let flush c =
   let rec go () =
     if c.pending_off >= String.length c.pending then begin
@@ -108,7 +148,8 @@ let flush c =
     end
     else
       match
-        Unix.write_substring c.fd c.pending c.pending_off (String.length c.pending - c.pending_off)
+        Unix.single_write_substring c.wfd c.pending c.pending_off
+          (String.length c.pending - c.pending_off)
       with
       | n ->
         c.pending_off <- c.pending_off + n;
@@ -127,25 +168,53 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
      process: flush/read map EPIPE/ECONNRESET to [dead], but only if
      the SIGPIPE the failed write raises first doesn't kill us *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sockets = List.filter_map (function Socket s -> Some s | Stdio _ -> None) listeners in
   let conns = ref [] in (* newest first; batch composition only, never per-conn bytes *)
   let inflight = ref 0 in (* admitted Eval steps not yet answered, across conns *)
   let chunk = Bytes.create 65536 in
+  let open_conn ~owned rfd wfd =
+    Obs.Counter.incr m_connections;
+    conns :=
+      {
+        rfd;
+        wfd;
+        owned;
+        framing = Framing.create ?timeout ();
+        steps = Queue.create ();
+        queued = 0;
+        pending = "";
+        pending_off = 0;
+        out = Buffer.create 1024;
+        input_closed = false;
+        dead = false;
+        last_activity = Unix.gettimeofday ();
+      }
+      :: !conns;
+    Obs.Gauge.set m_active (List.length !conns)
+  in
+  (* stdio fds stay blocking: O_NONBLOCK would leak to every process
+     sharing the file description.  Reads only follow a [select], and
+     a blocking write merely stalls the loop until the reader catches
+     up *)
+  List.iter
+    (function Stdio { input; output } -> open_conn ~owned:false input output | Socket _ -> ())
+    listeners;
   let enqueue c items =
     List.iter
       (fun step ->
         match step with
-        | Engine.Eval line
+        | Eval line
           when !inflight
                >= (if service.is_mutation line then 2 * limits.max_inflight
                    else limits.max_inflight) ->
           Obs.Counter.incr m_shed;
-          Queue.add (Engine.Emit (service.shed_response line)) c.steps
-        | Engine.Eval _ as step ->
+          Queue.add (Emit (service.shed_response line)) c.steps
+        | Eval _ as step ->
           incr inflight;
           c.queued <- c.queued + 1;
           Queue.add step c.steps
-        | Engine.Emit _ as step -> Queue.add step c.steps)
-      (Engine.plan items)
+        | Emit _ as step -> Queue.add step c.steps)
+      (plan items)
   in
   let accept_ready l =
     let rec go () =
@@ -156,28 +225,13 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
       | fd, _ ->
         Unix.set_nonblock fd;
         if l.tcp then (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        Obs.Counter.incr m_connections;
-        conns :=
-          {
-            fd;
-            framing = Framing.create ?timeout ();
-            steps = Queue.create ();
-            queued = 0;
-            pending = "";
-            pending_off = 0;
-            out = Buffer.create 1024;
-            input_closed = false;
-            dead = false;
-            last_activity = Unix.gettimeofday ();
-          }
-          :: !conns;
-        Obs.Gauge.set m_active (List.length !conns);
+        open_conn ~owned:true fd fd;
         go ()
     in
     go ()
   in
   let read_conn c =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read c.rfd chunk 0 (Bytes.length chunk) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> c.dead <- true
     | 0 ->
@@ -200,7 +254,7 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
             let evals = ref 0 in
             while (not (Queue.is_empty c.steps)) && !evals < limits.max_pending do
               let s = Queue.pop c.steps in
-              (match s with Engine.Eval _ -> incr evals | Engine.Emit _ -> ());
+              (match s with Eval _ -> incr evals | Emit _ -> ());
               steps := s :: !steps
             done;
             Some (c, List.rev !steps)
@@ -210,9 +264,7 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
     let batch = ref [] in
     List.iter
       (fun (_, steps) ->
-        List.iter
-          (function Engine.Eval line -> batch := line :: !batch | Engine.Emit _ -> ())
-          steps)
+        List.iter (function Eval line -> batch := line :: !batch | Emit _ -> ()) steps)
       popped;
     let responses =
       match Array.of_list (List.rev !batch) with
@@ -226,13 +278,13 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
           (fun s ->
             let response =
               match s with
-              | Engine.Eval _ ->
+              | Eval _ ->
                 let r = responses.(!idx) in
                 incr idx;
                 decr inflight;
                 c.queued <- c.queued - 1;
                 r
-              | Engine.Emit r -> r
+              | Emit r -> r
             in
             Buffer.add_string c.out response;
             Buffer.add_char c.out '\n')
@@ -262,7 +314,13 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
   let reap () =
     let gone, live = List.partition finished !conns in
     if gone <> [] then begin
-      List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) gone;
+      (* a dead connection's unanswered lines give their in-flight
+         budget back *)
+      List.iter
+        (fun c ->
+          inflight := !inflight - c.queued;
+          close_conn c)
+        gone;
       conns := live;
       Obs.Gauge.set m_active (List.length live)
     end
@@ -271,8 +329,10 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
     (not c.dead) && (not c.input_closed) && c.queued < limits.max_pending
     && buffered_bytes c <= limits.max_buffered_bytes
   in
+  (* the loop runs until stop is requested, or until no listener can
+     accept and every connection (stdio's included) is done *)
   let rec loop () =
-    if not (service.stop_requested ()) then begin
+    if (not (service.stop_requested ())) && (sockets <> [] || !conns <> []) then begin
       let now = Unix.gettimeofday () in
       let tick =
         if List.exists (fun c -> not (Queue.is_empty c.steps)) !conns then 0.0
@@ -284,25 +344,25 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
               | Some d -> Float.min acc (Float.max 0.0 (d -. now)))
             0.5 !conns
       in
-      let listener_fds = List.map (fun l -> l.lfd) listeners in
+      let listener_fds = List.map (fun l -> l.lfd) sockets in
       let read_fds =
-        listener_fds @ List.filter_map (fun c -> if readable_conn c then Some c.fd else None) !conns
+        listener_fds @ List.filter_map (fun c -> if readable_conn c then Some c.rfd else None) !conns
       in
       let write_fds =
-        List.filter_map (fun c -> if (not c.dead) && buffered_bytes c > 0 then Some c.fd else None) !conns
+        List.filter_map (fun c -> if (not c.dead) && buffered_bytes c > 0 then Some c.wfd else None) !conns
       in
       (match Unix.select read_fds write_fds [] tick with
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        | readable, writable, _ ->
-         List.iter (fun l -> if List.memq l.lfd readable then accept_ready l) listeners;
-         List.iter (fun c -> if List.memq c.fd readable then read_conn c) !conns;
+         List.iter (fun l -> if List.memq l.lfd readable then accept_ready l) sockets;
+         List.iter (fun c -> if List.memq c.rfd readable then read_conn c) !conns;
          let now = Unix.gettimeofday () in
          List.iter
            (fun c -> if not c.dead then enqueue c (Framing.check_deadline c.framing ~now))
            !conns;
          evaluate ();
          List.iter
-           (fun c -> if List.memq c.fd writable || buffered_bytes c > 0 then flush c)
+           (fun c -> if List.memq c.wfd writable || buffered_bytes c > 0 then flush c)
            !conns;
          kill_idle (Unix.gettimeofday ());
          reap ());
@@ -320,22 +380,32 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
       List.iter flush !conns;
       let blocked = List.filter (fun c -> (not c.dead) && buffered_bytes c > 0) !conns in
       if blocked <> [] && Unix.gettimeofday () < flush_by then begin
-        (match Unix.select [] (List.map (fun c -> c.fd) blocked) [] 0.1 with
+        (match Unix.select [] (List.map (fun c -> c.wfd) blocked) [] 0.1 with
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
          | _ -> ());
         flush_all ()
       end
     in
-    flush_all ();
-    List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-    conns := [];
-    Obs.Gauge.set m_active 0
+    flush_all ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      drain ();
-      List.iter (fun l -> l.cleanup ()) listeners)
-    loop
+  let close_all () =
+    List.iter close_conn !conns;
+    conns := [];
+    Obs.Gauge.set m_active 0;
+    List.iter (fun l -> l.cleanup ()) sockets
+  in
+  match
+    loop ();
+    drain ()
+  with
+  | () -> close_all ()
+  | exception e ->
+    (* a service that raised is never called again: its queued lines
+       stay unanswered and the connections close as if the process
+       had died, which is what a crash-injecting daemon relies on *)
+    let bt = Printexc.get_raw_backtrace () in
+    close_all ();
+    Printexc.raise_with_backtrace e bt
 
 let serve engine ?timeout ?idle_timeout ?limits listeners =
   serve_service (engine_service engine) ?timeout ?idle_timeout ?limits listeners

@@ -1,22 +1,25 @@
-(** The multi-client event loop behind [redf serve --socket/--listen]:
-    one [select]-driven thread multiplexing any number of concurrent
-    connections over any number of listeners (Unix-domain and TCP),
-    with the request evaluation itself fanned out over the engine's
-    worker pool.
+(** The event loop behind [redf serve] and [redf admit]: one
+    [select]-driven thread multiplexing every connection — the
+    pre-connected stdio endpoint, and any number of clients accepted on
+    Unix-domain and TCP listeners — with the request evaluation itself
+    fanned out by the service (the engine's worker pool).  It is the
+    one place where a byte stream becomes request lines, error lines
+    and responses.
 
     Shape: each connection carries a {!Framing.t} (so the byte-cap /
     timeout / order contracts are per connection), an ordered queue of
-    pending steps ({!Engine.step}), and an output buffer drained
-    through its non-blocking fd.  Each tick, the loop accepts, reads
-    whatever is available, frames it, and evaluates the ready request
-    lines of {e all} connections as one {!Engine.handle_lines} pool
-    batch, stitching the responses back per connection in arrival
-    order.
+    pending steps (a request line to evaluate, or an error line framing
+    or shedding produced), and an output buffer drained through its fd.
+    Each tick, the loop accepts, reads whatever is available, frames
+    it, and evaluates the ready request lines of {e all} connections as
+    one [handle_lines] batch, stitching the responses back per
+    connection in arrival order.
 
-    Determinism contract: per connection, the response stream is
-    byte-identical to what the serial stdio loop would produce for the
-    same request lines — batching across connections changes wall-clock
-    only, never bytes.  ([redf bench-serve] checks exactly this.)
+    Determinism contract: per connection, the response bytes equal
+    {!Engine.handle_lines} (or the service's [handle_lines]) over that
+    connection's request lines, with each dropped line's error line in
+    its place — batching across connections changes wall-clock only,
+    never bytes.  ([redf bench-serve] checks exactly this.)
 
     Backpressure and load shedding:
     - a connection whose pending-step queue reaches [max_pending], or
@@ -24,15 +27,18 @@
       read until it drains — per-client flow control that costs the
       other clients nothing;
     - once [max_inflight] request lines are admitted globally, further
-      lines are {e shed}: answered immediately (in order) with
-      {!Protocol.shed_response} instead of being queued.  Shedding
+      lines are {e shed}: answered immediately (in order) with the
+      service's [shed_response] instead of being queued.  Shedding
       keeps the one-response-per-request contract — an overloaded
       server degrades loudly, it does not stall or drop silently.
 
-    Graceful drain: after {!Engine.request_stop}, every request line
-    already received is answered and flushed (bounded by a few
-    seconds for unresponsive clients), partial lines are dropped, all
-    fds are closed and socket files removed. *)
+    Graceful drain: after stop is requested, every request line already
+    received is answered and flushed (bounded by a few seconds for
+    unresponsive socket clients), partial lines are dropped, all owned
+    fds are closed and socket files removed.  A service that raises
+    gets no drain: it is never called again, its queued lines stay
+    unanswered, the connections are closed and the exception escapes
+    {!serve_service} unchanged. *)
 
 type limits = {
   max_pending : int;
@@ -49,7 +55,23 @@ type limits = {
 
 val default_limits : limits
 
+val too_large_message : string
+(** The error answering a request line over the 16 MiB cap. *)
+
+val timeout_message : string
+(** The error answering a partial line dropped at its deadline. *)
+
 type listener
+
+val stdio_listener : input:Unix.file_descr -> output:Unix.file_descr -> listener
+(** A pre-connected endpoint over an fd pair the caller owns (typically
+    stdin/stdout): it yields exactly one connection, at loop start.
+    The loop never sets [O_NONBLOCK] on these fds (the flag would leak
+    to every process sharing the file description) and never closes
+    them; it reads only after [select] reports input, and a blocking
+    write stalls the loop until the reader catches up.  End of input,
+    a write error (the reader went away) or [idle_timeout] ends the
+    connection. *)
 
 val unix_listener : path:string -> listener
 (** Bind and listen on a Unix-domain socket.  A stale socket file at
@@ -65,7 +87,7 @@ val tcp_listener : host:string -> port:int -> listener
 
 val bound_port : listener -> int
 (** The actually bound TCP port (useful after [port = 0]).
-    @raise Invalid_argument on a Unix-domain listener. *)
+    @raise Invalid_argument on a Unix-domain or stdio listener. *)
 
 type service = {
   handle_lines : string array -> string array;
@@ -83,18 +105,26 @@ type service = {
     analysis engine ([redf serve]) and the admission daemon
     ([redf admit]) both fit. *)
 
-val engine_service : Engine.t -> service
-
 val serve_service :
   service -> ?timeout:float -> ?idle_timeout:float -> ?limits:limits -> listener list -> unit
-(** Run the event loop over [listeners] until [stop_requested], then
-    drain and clean the listeners up (also on exception).  [timeout]
-    is the per-connection partial-line deadline, as for
-    {!Engine.serve}.  [idle_timeout] (seconds; default: off) closes a
-    connection that stayed completely idle — nothing read, queued or
-    unwritten — for longer than the limit (granularity: one loop tick,
-    up to 0.5 s).  SIGPIPE is ignored for the process: a client that
-    vanishes mid-write costs its connection, never the loop. *)
+(** Run the event loop over [listeners] until [stop_requested], or
+    until no socket listener is left to accept and every connection —
+    the stdio one included — has ended; then drain and clean the
+    listeners up.  If [service.handle_lines] (or the loop) raises, the
+    loop calls the service no more: it closes the connections without
+    answering their queued lines, cleans the listeners up and re-raises
+    the original exception.
+
+    [timeout] (seconds) bounds the wait for the rest of a {e partially}
+    received request line, measured from when the partial {e started}
+    (trickling more bytes does not extend it); on expiry the partial is
+    dropped and answered with {!timeout_message}.  [idle_timeout]
+    (seconds; default: off) closes a connection that stayed completely
+    idle — nothing read, queued or unwritten — for longer than the
+    limit (granularity: one loop tick, up to 0.5 s).  SIGPIPE is
+    ignored for the process: a client that vanishes mid-write costs its
+    connection, never the loop. *)
 
 val serve : Engine.t -> ?timeout:float -> ?idle_timeout:float -> ?limits:limits -> listener list -> unit
-(** [serve_service (engine_service engine) …]. *)
+(** {!serve_service} over the engine: [Engine.handle_lines] answers,
+    [Engine.stop_requested] stops, and nothing counts as a mutation. *)

@@ -160,12 +160,14 @@ let cached_equals_fresh () =
 
 (* random (C, D, T, A) rows with C <= min(D, T), as integers so any
    permutation is still a valid taskset *)
+(* rows may violate C <= min(D,T) (D or T one below C), so analyzers
+   that reject such tasks are exercised too *)
 let rows_gen =
   QCheck2.Gen.(
     list_size (int_range 1 6)
       (int_range 1 4 >>= fun c ->
-       int_range c 9 >>= fun d ->
-       int_range c 9 >>= fun t ->
+       int_range (max 1 (c - 1)) 9 >>= fun d ->
+       int_range (max 1 (c - 1)) 9 >>= fun t ->
        int_range 1 8 >>= fun a -> return (c, d, t, a)))
 
 let taskset_of_rows name rows =
@@ -192,7 +194,7 @@ let remap_property =
              verdict's checks must come back in the request's order *)
           String.equal (fresh ts) (cached ts)
           && String.equal (fresh ts_rev) (cached ts_rev))
-        Core.Analyzer.defaults)
+        Core.Analyzer.[ dp; gn1; gn2; dp_original; gn1_printed; nec ])
 
 let parallel_workers_share_cache () =
   (* the same shared cache queried from 4 worker domains must give the

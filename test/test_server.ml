@@ -3,8 +3,8 @@
    exception), ordered and worker-count-independent batch evaluation,
    the framing state machine (line cap, partial-line deadline, and the
    rule that framing errors never swallow neighbouring requests), and
-   full client/server roundtrips over Unix-domain and TCP sockets
-   through the multi-client event loop. *)
+   full client/server roundtrips through the event loop over stdio
+   pipes, Unix-domain and TCP sockets. *)
 
 open Core_helpers
 
@@ -206,7 +206,7 @@ let cached_batch_identical () =
       check_int "first batch probes all miss" 20 s.Cache.Lru.misses;
       check_int "second batch all hit" 20 s.Cache.Lru.hits)
 
-(* --- serve over pipes (the framing regressions, end to end) --- *)
+(* --- stdio over pipes (the framing regressions, end to end) --- *)
 
 let write_all fd s =
   let off = ref 0 in
@@ -230,15 +230,17 @@ let read_all fd =
   go ();
   Buffer.contents buf
 
-(* run [Engine.serve] over pipes, feed it with [script] (which may
-   sleep between writes), and return the response lines *)
+(* run the loop's stdio endpoint over pipes, feed it with [script]
+   (which may sleep between writes), and return the response lines;
+   the loop returns by itself once the input ends *)
 let serve_script ?timeout script =
   with_engine (fun engine ->
       let r_in, w_in = Unix.pipe ~cloexec:true () in
       let r_out, w_out = Unix.pipe ~cloexec:true () in
       let server =
         Domain.spawn (fun () ->
-            Server.Engine.serve engine ?timeout ~input:r_in ~output:w_out ())
+            Server.Loop.serve engine ?timeout
+              [ Server.Loop.stdio_listener ~input:r_in ~output:w_out ])
       in
       script (write_all w_in);
       Unix.close w_in;
@@ -261,7 +263,7 @@ let serve_answers_lines_before_oversized_partial () =
   in
   check_int "two responses" 2 (List.length responses);
   check_str "request answered" "verdict" (response_kind (List.nth responses 0));
-  check_str "then the cap error" Server.Engine.too_large_message
+  check_str "then the cap error" Server.Loop.too_large_message
     (response_error (List.nth responses 1))
 
 let serve_caps_terminated_lines () =
@@ -273,7 +275,7 @@ let serve_caps_terminated_lines () =
         write (request ~id:(Core.Json.Int 2) table1 ^ "\n"))
   in
   check_int "two responses" 2 (List.length responses);
-  check_str "cap error" Server.Engine.too_large_message (response_error (List.nth responses 0));
+  check_str "cap error" Server.Loop.too_large_message (response_error (List.nth responses 0));
   check_str "stream resumes" "verdict" (response_kind (List.nth responses 1))
 
 let serve_timeout_resists_trickling () =
@@ -292,7 +294,7 @@ let serve_timeout_resists_trickling () =
         Unix.sleepf 0.15)
   in
   check_int "exactly one response" 1 (List.length responses);
-  check_str "the timeout error" Server.Engine.timeout_message
+  check_str "the timeout error" Server.Loop.timeout_message
     (response_error (List.nth responses 0))
 
 (* --- the multi-client event loop --- *)
@@ -561,6 +563,79 @@ let mutation_shed_deferred () =
         [ "done:query-1"; "done:mut-1"; "shed:query-2" ]
         responses)
 
+let dead_connection_returns_inflight_budget () =
+  (* a client that pipelines two lines and vanishes dies with one line
+     still queued (max_pending 1 evaluates one per tick); that line must
+     give its in-flight slot back, or every later client would be shed
+     against a budget the dead one still holds *)
+  let path = temp_socket "redf-test-budget.sock" in
+  let stop = Atomic.make false in
+  let service =
+    {
+      Server.Loop.handle_lines = Array.map (fun l -> "done:" ^ l);
+      stop_requested = (fun () -> Atomic.get stop);
+      shed_response = (fun l -> "shed:" ^ l);
+      is_mutation = (fun _ -> false);
+    }
+  in
+  let limits = { Server.Loop.default_limits with Server.Loop.max_pending = 1; max_inflight = 2 } in
+  let listener = Server.Loop.unix_listener ~path in
+  (* connected, written and closed before the loop runs: the loop's
+     first write to it fails *)
+  let gone = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect gone (Unix.ADDR_UNIX path);
+  write_all gone "a\nb\n";
+  Unix.close gone;
+  let server = Domain.spawn (fun () -> Server.Loop.serve_service service ~limits [ listener ]) in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join server)
+    (fun () ->
+      Alcotest.(check (list string))
+        "a later client gets the whole budget" [ "done:x"; "done:y" ]
+        (Array.to_list (roundtrip ~addr:(Unix.ADDR_UNIX path) [| "x"; "y" |])))
+
+exception Service_down
+
+let service_exception_ends_loop () =
+  (* a service that raised is never called again: the queued lines
+     behind the failing batch are not drained through it, and the
+     original exception escapes (not Fun.Finally_raised) *)
+  let calls = ref 0 in
+  let service =
+    {
+      Server.Loop.handle_lines =
+        (fun _ ->
+          incr calls;
+          raise Service_down);
+      stop_requested = (fun () -> false);
+      shed_response = (fun l -> "shed:" ^ l);
+      is_mutation = (fun _ -> false);
+    }
+  in
+  (* one write, so one read: three queued lines, one per tick *)
+  let limits = { Server.Loop.default_limits with Server.Loop.max_pending = 1 } in
+  let r_in, w_in = Unix.pipe ~cloexec:true () in
+  let r_out, w_out = Unix.pipe ~cloexec:true () in
+  write_all w_in "a\nb\nc\n";
+  Unix.close w_in;
+  let outcome =
+    match
+      Server.Loop.serve_service service ~limits
+        [ Server.Loop.stdio_listener ~input:r_in ~output:w_out ]
+    with
+    | () -> "returned"
+    | exception Service_down -> "Service_down"
+    | exception e -> Printexc.to_string e
+  in
+  Unix.close w_out;
+  let answered = read_all r_out in
+  List.iter Unix.close [ r_in; r_out ];
+  check_str "the original exception escapes" "Service_down" outcome;
+  check_int "exactly one handle_lines call" 1 !calls;
+  check_str "nothing answered" "" answered
+
 let () =
   Alcotest.run "server"
     [
@@ -603,5 +678,8 @@ let () =
             idle_timeout_closes_idle_connection;
           Alcotest.test_case "retry client resumes suffix" `Quick retry_client_resumes_suffix;
           Alcotest.test_case "mutation shed deferred" `Quick mutation_shed_deferred;
+          Alcotest.test_case "dead connection returns in-flight budget" `Quick
+            dead_connection_returns_inflight_budget;
+          Alcotest.test_case "service exception ends the loop" `Quick service_exception_ends_loop;
         ] );
     ]
