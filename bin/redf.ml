@@ -84,6 +84,28 @@ let with_jobs jobs_opt f =
     2
   | Ok jobs -> f ~jobs
 
+let require_positive flag n k =
+  if n < 1 then begin
+    Printf.eprintf "error: invalid %s %d: expected a positive count\n" flag n;
+    2
+  end
+  else k ()
+
+(* the simulator rejects a task wider than the device; name it here
+   instead of letting the engine's Invalid_argument escape *)
+let require_fits ~fpga_area ts k =
+  let wide =
+    List.find_opt
+      (fun (_, (t : Model.Task.t)) -> t.area > fpga_area)
+      (List.mapi (fun i t -> (i + 1, t)) (Model.Taskset.to_list ts))
+  in
+  match wide with
+  | Some (i, t) ->
+    Printf.eprintf "error: task %d (%s) is %d columns wide, wider than --area %d\n" i
+      t.Model.Task.name t.Model.Task.area fpga_area;
+    1
+  | None -> k ()
+
 (* --- metrics --- *)
 
 let metrics_arg =
@@ -416,12 +438,15 @@ let analyze_cmd =
 
 let simulate_cmd =
   let run path fpga_area horizon policy_name gantt contiguous metrics =
+    require_positive "--area" fpga_area @@ fun () ->
+    require_positive "--horizon" horizon @@ fun () ->
     with_metrics metrics @@ fun () ->
     match load_taskset path with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
     | Ok ts ->
+      require_fits ~fpga_area ts @@ fun () ->
       let policy =
         match policy_name with
         | "nf" -> Sim.Policy.edf_nf
@@ -528,6 +553,8 @@ let generate_cmd =
 let sweep_cmd =
   let run figure_name samples seed horizon csv jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
+    require_positive "--samples" samples @@ fun () ->
+    require_positive "--horizon" horizon @@ fun () ->
     with_metrics metrics @@ fun () ->
     match
       List.find_opt (fun f -> Experiment.Figures.id f = figure_name) Experiment.Figures.all
@@ -573,12 +600,15 @@ let sweep_cmd =
 let exhaustive_cmd =
   let run path fpga_area policy_name grid_ticks max_combinations jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
+    require_positive "--area" fpga_area @@ fun () ->
+    require_positive "--grid" grid_ticks @@ fun () ->
     with_metrics metrics @@ fun () ->
     match load_taskset path with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
     | Ok ts ->
+      require_fits ~fpga_area ts @@ fun () ->
       let policy =
         match policy_name with
         | "nf" -> Sim.Policy.edf_nf
@@ -795,13 +825,6 @@ let require_cache_size cache_size k =
   if cache_size < 0 then begin
     Printf.eprintf "error: invalid --cache-size %d: expected a non-negative entry count\n"
       cache_size;
-    2
-  end
-  else k ()
-
-let require_positive flag n k =
-  if n < 1 then begin
-    Printf.eprintf "error: invalid %s %d: expected a positive count\n" flag n;
     2
   end
   else k ()

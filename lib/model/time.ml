@@ -17,15 +17,18 @@ let of_float_round f = int_of_float (Float.round (f *. float_of_int scale))
 let add = ( + )
 let sub = ( - )
 let mul_int t k = t * k
-let min = Stdlib.min
-let max = Stdlib.max
-let compare = Stdlib.compare
+let min = Int.min
+let max = Int.max
+let compare = Int.compare
 let equal = Int.equal
 let is_positive t = t > 0
-let ( <= ) = Stdlib.( <= )
-let ( < ) = Stdlib.( < )
-let ( >= ) = Stdlib.( >= )
-let ( > ) = Stdlib.( > )
+
+(* annotated at [int] so each compiles to a native comparison, not a
+   call to the polymorphic comparator *)
+let ( <= ) (a : t) (b : t) = a <= b
+let ( < ) (a : t) (b : t) = a < b
+let ( >= ) (a : t) (b : t) = a >= b
+let ( > ) (a : t) (b : t) = a > b
 let to_rat t = Rat.of_ints t scale
 let to_float t = float_of_int t /. float_of_int scale
 

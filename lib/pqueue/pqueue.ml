@@ -9,58 +9,56 @@ let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let nd = Array.make ncap x in
-    Array.blit t.data 0 nd 0 t.size;
-    t.data <- nd
-  end
+  let ncap = if cap = 0 then 8 else cap * 2 in
+  let nd = Array.make ncap x in
+  Array.blit t.data 0 nd 0 t.size;
+  t.data <- nd
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+(* [push] and [pop_exn] sift by moving a hole instead of swapping: the
+   displaced element is written once, where it lands.  They make the
+   same comparisons as a swapping sift, so the heap ends in the same
+   state, equal elements included. *)
 
 let push t x =
-  grow t x;
-  t.data.(t.size) <- x;
+  if t.size = Array.length t.data then grow t x;
+  let data = t.data in
+  let i = ref t.size in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  while !i > 0 && t.cmp x data.((!i - 1) / 2) < 0 do
+    let parent = (!i - 1) / 2 in
+    data.(!i) <- data.(parent);
+    i := parent
+  done;
+  data.(!i) <- x
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
 let pop_exn t =
-  match pop t with Some x -> x | None -> invalid_arg "Pqueue.pop_exn: empty heap"
+  if t.size = 0 then invalid_arg "Pqueue.pop_exn: empty heap";
+  let data = t.data in
+  let top = data.(0) in
+  let size = t.size - 1 in
+  t.size <- size;
+  if size > 0 then begin
+    let x = data.(size) in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= size then continue := false
+      else begin
+        let c = if l + 1 < size && t.cmp data.(l + 1) data.(l) < 0 then l + 1 else l in
+        if t.cmp data.(c) x < 0 then begin
+          data.(!i) <- data.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    data.(!i) <- x
+  end;
+  top
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let drain t =
   let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in

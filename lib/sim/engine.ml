@@ -66,8 +66,14 @@ let m_misses = Obs.Counter.make "sim.engine.deadline_misses"
 (* simulation events; completions are recomputed, not queued.  [seq]
    makes simultaneous events pop in push order, so jobs released at the
    same instant enter the queue in task order — Definition 1/2 tie-break
-   determinism depends on it. *)
-type event_kind = Release of int (* task index *) | Deadline_check of Job.t
+   determinism depends on it.  A release pushes its job's deadline check
+   and then the task's next release; when both fall on one instant (as
+   when D = T without a sporadic delay) nothing can pop between them, so
+   a single entry carries the pair and counts as two events. *)
+type event_kind =
+  | Release of int (* task index *)
+  | Deadline_check of Job.t
+  | Deadline_then_release of Job.t
 
 type event = { at : Time.t; seq : int; kind : event_kind }
 
@@ -75,71 +81,34 @@ let event_cmp a b =
   let c = Time.compare a.at b.at in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-(* --- running-set selection --- *)
-
-(* Migrating mode: a job fits iff total free area suffices (the paper's
-   fit criterion under unrestricted migration + defragmentation). *)
-let select_migrating (rule : Policy.fit_rule) fpga_area ordered =
-  let rec fkf used = function
-    | [] -> []
-    | j :: rest ->
-      let a = Job.area j in
-      if used + a <= fpga_area then { job = j; region = None } :: fkf (used + a) rest else []
-  in
-  let rec nf used = function
-    | [] -> []
-    | j :: rest ->
-      let a = Job.area j in
-      if used + a <= fpga_area then { job = j; region = None } :: nf (used + a) rest
-      else nf used rest
-  in
-  match rule with Policy.Fkf -> fkf 0 ordered | Policy.Nf -> nf 0 ordered
-
-(* Contiguous mode: a running job keeps its region; a job whose region was
-   claimed by a higher-priority job cannot run this interval (migration of
-   a placed job is not allowed); a newly running job needs a contiguous
-   free block under the configured strategy. *)
-let select_contiguous (rule : Policy.fit_rule) strategy fpga_area placements ordered =
-  let dev : int Device.t = Device.create ~area:fpga_area in
-  let try_place j =
-    match Hashtbl.find_opt placements j.Job.id with
-    | Some (r : Device.region) ->
-      (* reuse the previous region if still free *)
-      (try
-         Device.place_at dev ~tag:j.Job.id r;
-         Some r
-       with Invalid_argument _ -> None)
-    | None -> Device.place ~strategy dev ~tag:j.Job.id ~width:(Job.area j)
-  in
-  let rec fkf = function
-    | [] -> []
-    | j :: rest -> (
-      match try_place j with Some r -> { job = j; region = Some r } :: fkf rest | None -> [])
-  in
-  let rec nf = function
-    | [] -> []
-    | j :: rest -> (
-      match try_place j with
-      | Some r -> { job = j; region = Some r } :: nf rest
-      | None -> nf rest)
-  in
-  match rule with Policy.Fkf -> fkf ordered | Policy.Nf -> nf ordered
-
 (* --- engine --- *)
 
-module Iset = Set.Make (Int)
-
+(* The active queue is [queue.(0 .. len - 1)], kept in the policy's
+   priority order.  A job's place in that order is fixed for its
+   lifetime (EDF keys and EDF-US heaviness never change), so a released
+   job is inserted once and the queue is never re-sorted.  The per-slot
+   flags and regions are parallel arrays, reused across segments, and
+   each segment is a pass over them; only a recorded trace builds
+   lists. *)
 type state = {
   cfg : config;
   taskset : Task.t array;
   amax : int; (* widest task, fixed for the run (Lemma 1 bound) *)
+  priority : Job.t -> Job.t -> int;
+  fkf : bool; (* a job that does not fit blocks everything behind it *)
+  contiguous : (Device.strategy * int Device.t) option;
+      (* contiguous mode: the allocation strategy and a device refilled
+         each segment *)
   events : event Pqueue.t;
   sporadic : Rng.t option; (* delay source for sporadic arrivals *)
   mutable event_seq : int;
-  mutable active : Job.t list; (* unfinished released jobs *)
   mutable next_id : int;
-  placements : (int, Device.region) Hashtbl.t; (* contiguous mode only *)
-  mutable prev_running : Iset.t;
+  mutable queue : Job.t array; (* unfinished released jobs *)
+  mutable running : bool array; (* selected for the current segment *)
+  mutable was_running : bool array; (* selected for the previous segment *)
+  mutable regions : Device.region array;
+      (* contiguous mode: where a slot's job ran, valid while [was_running] *)
+  mutable len : int;
   (* accumulating stats *)
   mutable iterations : int;
   mutable events_popped : int;
@@ -147,7 +116,7 @@ type state = {
   mutable jobs_completed : int;
   mutable busy_column_ticks : int;
   mutable contended_ticks : int;
-  mutable min_busy_when_contended : int option;
+  mutable min_busy_when_contended : int; (* max_int until contended *)
   mutable nf_alpha_respected : bool;
   mutable fkf_alpha_respected : bool;
   mutable preemptions : int;
@@ -156,17 +125,50 @@ type state = {
   mutable segments : segment list;
 }
 
+let no_region = { Device.start = 0; width = 0 }
+
 let push_event st ~at kind =
   st.event_seq <- st.event_seq + 1;
   Pqueue.push st.events { at; seq = st.event_seq; kind }
+
+let grow st job =
+  let cap = Array.length st.queue in
+  if st.len = cap then begin
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 st.len;
+      b
+    in
+    st.queue <- extend st.queue job;
+    st.running <- extend st.running false;
+    st.was_running <- extend st.was_running false;
+    st.regions <- extend st.regions no_region
+  end
+
+(* insertion step: shift every slot that [job] precedes one place back;
+   a new job has the latest release, so under EDF it usually stops near
+   the back *)
+let enqueue st job =
+  grow st job;
+  let i = ref st.len in
+  while !i > 0 && st.priority st.queue.(!i - 1) job > 0 do
+    let k = !i in
+    st.queue.(k) <- st.queue.(k - 1);
+    st.was_running.(k) <- st.was_running.(k - 1);
+    st.regions.(k) <- st.regions.(k - 1);
+    decr i
+  done;
+  st.queue.(!i) <- job;
+  st.was_running.(!i) <- false;
+  st.len <- st.len + 1
 
 let release_job st ~task_index ~at =
   let task = st.taskset.(task_index) in
   let job = Job.make ~id:st.next_id ~task_index ~task ~release:at in
   st.next_id <- st.next_id + 1;
   st.jobs_released <- st.jobs_released + 1;
-  st.active <- job :: st.active;
-  push_event st ~at:job.Job.abs_deadline (Deadline_check job);
+  enqueue st job;
   let delay =
     match (st.sporadic, st.cfg.release) with
     | Some rng, Sporadic { max_delay; _ } when Time.is_positive max_delay ->
@@ -175,7 +177,18 @@ let release_job st ~task_index ~at =
   in
   let next = Time.add (Time.add at task.Task.period) delay in
   (* releases happen strictly inside [0, horizon) *)
-  if Time.(next < st.cfg.horizon) then push_event st ~at:next (Release task_index)
+  let release_next = Time.(next < st.cfg.horizon) in
+  if release_next && Time.equal next job.Job.abs_deadline then
+    push_event st ~at:next (Deadline_then_release job)
+  else begin
+    push_event st ~at:job.Job.abs_deadline (Deadline_check job);
+    if release_next then push_event st ~at:next (Release task_index)
+  end
+
+(* the first unfinished job whose deadline check pops is the miss *)
+let check_deadline miss job ~at =
+  if (not (Job.is_finished job)) && Option.is_none !miss then
+    miss := Some { job_id = job.Job.id; task_index = job.Job.task_index; at }
 
 (* process every event scheduled at [now]; returns a miss if one fired *)
 let process_events st ~now =
@@ -188,63 +201,116 @@ let process_events st ~now =
       st.events_popped <- st.events_popped + 1;
       (match ev.kind with
        | Release task_index -> release_job st ~task_index ~at:ev.at
-       | Deadline_check job ->
-         if (not (Job.is_finished job)) && Option.is_none !miss then
-           miss := Some { job_id = job.Job.id; task_index = job.Job.task_index; at = ev.at })
+       | Deadline_check job -> check_deadline miss job ~at:ev.at
+       | Deadline_then_release job ->
+         check_deadline miss job ~at:ev.at;
+         st.events_popped <- st.events_popped + 1;
+         release_job st ~task_index:job.Job.task_index ~at:ev.at)
     | _ -> continue := false
   done;
   !miss
 
-let record_segment st ~now ~next ~running ~waiting =
+(* Contiguous mode: a running job keeps its region; a job whose region
+   was claimed by a higher-priority job cannot run this interval
+   (migration of a placed job is not allowed); a newly running job needs
+   a contiguous free block under the configured strategy. *)
+let place st (strategy, dev) i =
+  let j = st.queue.(i) in
+  if st.was_running.(i) then (
+    try
+      Device.place_at dev ~tag:j.Job.id st.regions.(i);
+      true
+    with Invalid_argument _ -> false)
+  else begin
+    match Device.place ~strategy dev ~tag:j.Job.id ~width:(Job.area j) with
+    | Some r ->
+      st.regions.(i) <- r;
+      st.placements_made <- st.placements_made + 1;
+      true
+    | None -> false
+  end
+
+let record_segment st ~now ~next =
+  let running = ref [] and waiting = ref [] in
+  for i = st.len - 1 downto 0 do
+    let job = st.queue.(i) in
+    if st.running.(i) then begin
+      let region = match st.contiguous with Some _ -> Some st.regions.(i) | None -> None in
+      running := { job; region } :: !running
+    end
+    else waiting := job :: !waiting
+  done;
+  st.segments <- { t0 = now; t1 = next; running = !running; waiting = !waiting } :: st.segments
+
+(* one segment from [now]: select the running set in priority order,
+   account for it, and run it to the next decision instant, which is
+   returned *)
+let step st ~now =
+  (match st.contiguous with Some (_, dev) -> Device.clear dev | None -> ());
+  (* selection, preemptions and the next instant: next event, or
+     earliest completion *)
+  let next_event = match Pqueue.peek st.events with Some e -> e.at | None -> st.cfg.horizon in
+  let next = ref (Time.min next_event st.cfg.horizon) in
+  let used = ref 0 and waiting = ref 0 and min_waiting_area = ref max_int in
+  let blocked = ref false in
+  for i = 0 to st.len - 1 do
+    let j = st.queue.(i) in
+    let run =
+      (not !blocked)
+      &&
+      match st.contiguous with
+      | None ->
+        (* migrating mode: the total free area suffices (the paper's fit
+           criterion under unrestricted migration + defragmentation) *)
+        !used + Job.area j <= st.cfg.fpga_area
+      | Some placer -> place st placer i
+    in
+    st.running.(i) <- run;
+    if run then begin
+      used := !used + Job.area j;
+      next := Time.min !next (Time.add now j.Job.remaining)
+    end
+    else begin
+      if st.fkf then blocked := true;
+      incr waiting;
+      min_waiting_area := Int.min !min_waiting_area (Job.area j);
+      if st.was_running.(i) then st.preemptions <- st.preemptions + 1
+    end
+  done;
+  let next = !next and occupied = !used in
+  assert (Time.(next > now));
+  (* the segment's statistics *)
   let dt = Time.ticks (Time.sub next now) in
-  let occupied = List.fold_left (fun acc p -> acc + Job.area p.job) 0 running in
   st.busy_column_ticks <- st.busy_column_ticks + (occupied * dt);
   st.segments_recorded <- st.segments_recorded + 1;
-  if waiting <> [] then begin
+  if !waiting > 0 then begin
     st.contended_ticks <- st.contended_ticks + dt;
-    (match st.min_busy_when_contended with
-     | Some m when m <= occupied -> ()
-     | Some _ | None -> st.min_busy_when_contended <- Some occupied);
-    if occupied < st.cfg.fpga_area - (st.amax - 1) then st.fkf_alpha_respected <- false;
-    List.iter
-      (fun j ->
-        if occupied < st.cfg.fpga_area - (Job.area j - 1) then st.nf_alpha_respected <- false)
-      waiting
+    st.min_busy_when_contended <- Int.min st.min_busy_when_contended occupied;
+    let area = st.cfg.fpga_area in
+    if occupied < area - (st.amax - 1) then st.fkf_alpha_respected <- false;
+    (* Lemma 2 for every waiting job: the narrowest one is the binding one *)
+    if occupied < area - (!min_waiting_area - 1) then st.nf_alpha_respected <- false
   end;
-  if st.cfg.record_trace then st.segments <- { t0 = now; t1 = next; running; waiting } :: st.segments
-
-let update_placements st running =
-  match st.cfg.placement with
-  | Migrating -> ()
-  | Contiguous _ ->
-    let selected = Hashtbl.create 16 in
-    List.iter
-      (fun p ->
-        match p.region with
-        | Some r ->
-          if not (Hashtbl.mem st.placements p.job.Job.id) then
-            st.placements_made <- st.placements_made + 1;
-          Hashtbl.replace selected p.job.Job.id r
-        | None -> ())
-      running;
-    (* jobs that lost their spot are off the fabric *)
-    Hashtbl.reset st.placements;
-    (Hashtbl.iter (fun id r -> Hashtbl.replace st.placements id r) selected
-    [@redf.allow "det-purity"
-                   "replacing distinct keys into a freshly-reset table commutes, so the \
-                    iteration order cannot affect the resulting placements"])
-
-let count_preemptions st ~running_set =
-  let active_set =
-    List.fold_left (fun acc (j : Job.t) -> Iset.add j.Job.id acc) Iset.empty st.active
-  in
-  Iset.iter
-    (fun id ->
-      (* previously running, still active (unfinished), no longer running *)
-      if Iset.mem id active_set && not (Iset.mem id running_set) then
-        st.preemptions <- st.preemptions + 1)
-    st.prev_running;
-  st.prev_running <- running_set
+  if st.cfg.record_trace then record_segment st ~now ~next;
+  (* advance the running jobs and drop the finished ones *)
+  let dt = Time.of_ticks dt in
+  let kept = ref 0 in
+  for i = 0 to st.len - 1 do
+    let j = st.queue.(i) and run = st.running.(i) in
+    if run then j.Job.remaining <- Time.sub j.Job.remaining dt;
+    if run && Job.is_finished j then st.jobs_completed <- st.jobs_completed + 1
+    else begin
+      let k = !kept in
+      if k < i then begin
+        st.queue.(k) <- j;
+        st.regions.(k) <- st.regions.(i)
+      end;
+      st.was_running.(k) <- run;
+      kept := k + 1
+    end
+  done;
+  st.len <- !kept;
+  next
 
 let run_inner cfg taskset =
   let tasks = Taskset.to_array taskset in
@@ -266,20 +332,28 @@ let run_inner cfg taskset =
       cfg;
       taskset = tasks;
       amax = Array.fold_left (fun acc (t : Task.t) -> max acc t.area) 0 tasks;
+      priority = Policy.priority cfg.policy ~fpga_area:cfg.fpga_area tasks;
+      fkf = (match cfg.policy.Policy.rule with Policy.Fkf -> true | Policy.Nf -> false);
+      contiguous =
+        (match cfg.placement with
+         | Migrating -> None
+         | Contiguous strategy -> Some (strategy, Device.create ~area:cfg.fpga_area));
       events = Pqueue.create ~cmp:event_cmp;
       sporadic = (match cfg.release with Sporadic { seed; _ } -> Some (Rng.create ~seed) | _ -> None);
       event_seq = 0;
-      active = [];
       next_id = 0;
-      placements = Hashtbl.create 64;
-      prev_running = Iset.empty;
+      queue = [||];
+      running = [||];
+      was_running = [||];
+      regions = [||];
+      len = 0;
       iterations = 0;
       events_popped = 0;
       jobs_released = 0;
       jobs_completed = 0;
       busy_column_ticks = 0;
       contended_ticks = 0;
-      min_busy_when_contended = None;
+      min_busy_when_contended = max_int;
       nf_alpha_respected = true;
       fkf_alpha_respected = true;
       preemptions = 0;
@@ -302,44 +376,7 @@ let run_inner cfg taskset =
        stop := true
      | None -> ());
     if (not !stop) && Time.(!now >= cfg.horizon) then stop := true;
-    if not !stop then begin
-      let ordered = Policy.order_queue cfg.policy ~fpga_area:cfg.fpga_area st.active in
-      let running =
-        match cfg.placement with
-        | Migrating -> select_migrating cfg.policy.Policy.rule cfg.fpga_area ordered
-        | Contiguous strategy ->
-          select_contiguous cfg.policy.Policy.rule strategy cfg.fpga_area st.placements ordered
-      in
-      update_placements st running;
-      let running_set =
-        List.fold_left (fun acc p -> Iset.add p.job.Job.id acc) Iset.empty running
-      in
-      count_preemptions st ~running_set;
-      let waiting = List.filter (fun j -> not (Iset.mem j.Job.id running_set)) ordered in
-      (* next decision instant: next event, or earliest completion *)
-      let next_event = match Pqueue.peek st.events with Some e -> e.at | None -> cfg.horizon in
-      let next =
-        List.fold_left
-          (fun acc p -> Time.min acc (Time.add !now p.job.Job.remaining))
-          (Time.min next_event cfg.horizon) running
-      in
-      assert (Time.(next > !now));
-      record_segment st ~now:!now ~next ~running ~waiting;
-      (* advance running jobs *)
-      let dt = Time.sub next !now in
-      List.iter
-        (fun p ->
-          let j = p.job in
-          j.Job.remaining <- Time.sub j.Job.remaining dt;
-          if Job.is_finished j then begin
-            st.jobs_completed <- st.jobs_completed + 1;
-            st.active <- List.filter (fun a -> a.Job.id <> j.Job.id) st.active;
-            Hashtbl.remove st.placements j.Job.id;
-            st.prev_running <- Iset.remove j.Job.id st.prev_running
-          end)
-        running;
-      now := next
-    end
+    if not !stop then now := step st ~now:!now
   done;
   let stats =
     {
@@ -353,7 +390,8 @@ let run_inner cfg taskset =
       elapsed_ticks = Time.ticks !now;
       busy_column_ticks = st.busy_column_ticks;
       contended_ticks = st.contended_ticks;
-      min_busy_when_contended = st.min_busy_when_contended;
+      min_busy_when_contended =
+        (if st.min_busy_when_contended = max_int then None else Some st.min_busy_when_contended);
       nf_alpha_respected = st.nf_alpha_respected;
       fkf_alpha_respected = st.fkf_alpha_respected;
       preemptions = st.preemptions;

@@ -14,21 +14,19 @@ let is_heavy ~threshold ~measure ~fpga_area (task : Model.Task.t) =
   in
   Rat.compare u threshold > 0
 
-let order_queue t ~fpga_area jobs =
+let priority t ~fpga_area tasks =
   match t.order with
-  | Edf -> List.sort Job.compare_edf jobs
+  | Edf -> Job.compare_edf
   | Us_first { threshold; measure } ->
-    let heavy j = is_heavy ~threshold ~measure ~fpga_area j.Job.task in
-    let cmp a b =
-      match (heavy a, heavy b) with
+    let heavy = Array.map (is_heavy ~threshold ~measure ~fpga_area) tasks in
+    fun a b ->
+      match (heavy.(a.Job.task_index), heavy.(b.Job.task_index)) with
       | true, false -> -1
       | false, true -> 1
       | true, true ->
         let c = Int.compare a.Job.task_index b.Job.task_index in
         if c <> 0 then c else Int.compare a.Job.id b.Job.id
       | false, false -> Job.compare_edf a b
-    in
-    List.sort cmp jobs
 
 let pp fmt t =
   let rule = match t.rule with Fkf -> "FkF" | Nf -> "NF" in

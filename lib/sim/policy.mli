@@ -28,7 +28,12 @@ val edf_nf : t
 
 val edf_us : threshold:Rat.t -> measure:[ `Time | `System ] -> rule:fit_rule -> t
 
-val order_queue : t -> fpga_area:int -> Job.t list -> Job.t list
-(** Sorts active jobs into the policy's priority order. *)
+val priority : t -> fpga_area:int -> Model.Task.t array -> Job.t -> Job.t -> int
+(** [priority t ~fpga_area tasks] is the policy's priority order on the
+    active jobs of [tasks] (indexed by [Job.task_index]): negative when
+    the first job goes first.  It is a total order, and a job's place in
+    it is fixed for the job's lifetime, so a queue kept in this order
+    never needs re-sorting.  EDF-US heaviness is decided once per task
+    when [priority] is applied to [tasks]. *)
 
 val pp : Format.formatter -> t -> unit

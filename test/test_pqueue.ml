@@ -78,6 +78,69 @@ let prop_peek_is_min =
       let q = Pqueue.of_list ~cmp:Int.compare l in
       Pqueue.peek q = Some (List.fold_left min (List.hd l) l))
 
+(* Equal keys: the heap must hand out tied elements in the order a
+   plain swapping binary heap does, since callers may rely on it.  The
+   reference below is that heap (sift by swapping); elements are
+   (key, tag) pairs compared on the key alone. *)
+module Swap_heap = struct
+  type t = { mutable data : (int * int) array; mutable size : int }
+
+  let cmp (a, _) (b, _) = Int.compare a b
+  let swap t i j =
+    let x = t.data.(i) in
+    t.data.(i) <- t.data.(j);
+    t.data.(j) <- x
+
+  let push t x =
+    if t.size = Array.length t.data then
+      t.data <- Array.append t.data (Array.make (max 8 t.size) x);
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    let rec up i =
+      let parent = (i - 1) / 2 in
+      if i > 0 && cmp t.data.(i) t.data.(parent) < 0 then begin
+        swap t i parent;
+        up parent
+      end
+    in
+    up (t.size - 1)
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.size <- t.size - 1;
+      t.data.(0) <- t.data.(t.size);
+      let rec down i =
+        let l = (2 * i) + 1 and r = (2 * i) + 2 in
+        let m = if l < t.size && cmp t.data.(l) t.data.(i) < 0 then l else i in
+        let m = if r < t.size && cmp t.data.(r) t.data.(m) < 0 then r else m in
+        if m <> i then begin
+          swap t i m;
+          down m
+        end
+      in
+      down 0;
+      Some top
+    end
+end
+
+let prop_tie_order =
+  Core_helpers.qtest "tied keys pop as in a swapping heap"
+    QCheck2.Gen.(list (pair bool (int_range 0 5)))
+    (fun ops ->
+      let q = Pqueue.create ~cmp:Swap_heap.cmp in
+      let reference = { Swap_heap.data = [||]; size = 0 } in
+      List.for_all
+        (fun (tag, (is_push, key)) ->
+          if is_push then begin
+            Pqueue.push q (key, tag);
+            Swap_heap.push reference (key, tag);
+            true
+          end
+          else Pqueue.pop q = Swap_heap.pop reference)
+        (List.mapi (fun tag op -> (tag, op)) ops))
+
 let () =
   Alcotest.run "pqueue"
     [
@@ -89,5 +152,5 @@ let () =
           Alcotest.test_case "custom order" `Quick custom_order;
           Alcotest.test_case "to_list" `Quick to_list_snapshot;
         ] );
-      ("properties", [ prop_drain_sorts; prop_interleaved; prop_peek_is_min ]);
+      ("properties", [ prop_drain_sorts; prop_interleaved; prop_peek_is_min; prop_tie_order ]);
     ]

@@ -303,6 +303,133 @@ let trace_checked () =
   Alcotest.(check int) "lemma 2 holds" 0
     (List.length (Trace.Checker.check_nf_work_conserving ~fpga_area:10 r))
 
+(* --- differential check against the reference engine --- *)
+
+(* Random configurations over every mode the engine has: N from 1 to 8
+   on areas 7, 10 and 100; D < T, D = T and D > T; EDF-NF, EDF-FkF and
+   EDF-US under both measures; synchronous, offset and sporadic
+   releases (max_delay 0 included); migrating and all three contiguous
+   strategies; trace on and off.  Parameters sit on a half-unit grid so
+   releases, deadlines and completions often coincide, and utilizations
+   reach overload, so misses and preemptions are common. *)
+let half_units k = Time.of_ticks (k * 500)
+
+let diff_task_gen ~fpga_area ~load i =
+  QCheck2.Gen.(
+    let* period = int_range 2 24 in
+    let* exec = int_range 1 (max 1 (period * load / 8)) in
+    let* deadline =
+      oneof
+        [
+          int_range (min exec (period - 1)) (period - 1) (* D < T *);
+          return period;
+          int_range (period + 1) (2 * period) (* D > T *);
+        ]
+    in
+    let* area = int_range 1 fpga_area in
+    return
+      (Model.Task.make ~name:(Printf.sprintf "t%d" i) ~exec:(half_units exec)
+         ~deadline:(half_units deadline) ~period:(half_units period) ~area ()))
+
+let diff_case_gen =
+  QCheck2.Gen.(
+    let* fpga_area = oneofl [ 7; 10; 100 ] in
+    let* n = int_range 1 8 in
+    (* caps C/T at load/8, spreading runs from idle to overloaded *)
+    let* load = int_range 1 8 in
+    let* tasks = flatten_l (List.init n (diff_task_gen ~fpga_area ~load)) in
+    let* policy =
+      oneof
+        [
+          return Policy.edf_nf;
+          return Policy.edf_fkf;
+          (let* k = int_range 1 9 in
+           let* measure = oneofl [ `Time; `System ] in
+           let* rule = oneofl [ Policy.Nf; Policy.Fkf ] in
+           return (Policy.edf_us ~threshold:(Rat.of_ints k 10) ~measure ~rule));
+        ]
+    in
+    let* release =
+      oneof
+        [
+          return Engine.Synchronous;
+          (let* offsets = flatten_l (List.init n (fun _ -> int_range 0 24)) in
+           return (Engine.Offsets (List.map half_units offsets)));
+          (let* seed = int_range 0 10_000 in
+           let* delay = int_range 0 6 in
+           return (Engine.Sporadic { seed; max_delay = half_units delay }));
+        ]
+    in
+    let* placement =
+      oneofl
+        [
+          Engine.Migrating;
+          Engine.Contiguous Fpga.Device.First_fit;
+          Engine.Contiguous Fpga.Device.Best_fit;
+          Engine.Contiguous Fpga.Device.Worst_fit;
+        ]
+    in
+    let* record_trace = bool in
+    let* horizon = int_range 10 300 in
+    return
+      ( { Engine.fpga_area; policy; horizon = Time.of_units horizon; release; placement; record_trace },
+        Model.Taskset.of_list tasks ))
+
+let print_diff_case ((cfg : Engine.config), ts) =
+  Format.asprintf "%a, area %d, horizon %a, %s, %s, trace %b@.%s" Policy.pp cfg.Engine.policy
+    cfg.Engine.fpga_area Time.pp cfg.Engine.horizon
+    (match cfg.Engine.release with
+     | Engine.Synchronous -> "synchronous"
+     | Engine.Offsets l -> "offsets " ^ String.concat " " (List.map Time.to_string l)
+     | Engine.Sporadic { seed; max_delay } ->
+       Printf.sprintf "sporadic seed %d max_delay %s" seed (Time.to_string max_delay))
+    (match cfg.Engine.placement with
+     | Engine.Migrating -> "migrating"
+     | Engine.Contiguous Fpga.Device.First_fit -> "first-fit"
+     | Engine.Contiguous Fpga.Device.Best_fit -> "best-fit"
+     | Engine.Contiguous Fpga.Device.Worst_fit -> "worst-fit")
+    cfg.Engine.record_trace (Model.Taskset.to_csv ts)
+
+let same_outcome (a : Engine.outcome) (b : Engine.outcome) =
+  match (a, b) with
+  | Engine.No_miss, Engine.No_miss -> true
+  | Engine.Miss a, Engine.Miss b ->
+    a.Engine.job_id = b.Engine.job_id
+    && a.Engine.task_index = b.Engine.task_index
+    && Time.equal a.Engine.at b.Engine.at
+  | Engine.No_miss, Engine.Miss _ | Engine.Miss _, Engine.No_miss -> false
+
+(* what a segment shows of each job: id, remaining work (read after the
+   run, like every trace consumer) and, for running jobs, the region *)
+let segment_view (seg : Engine.segment) =
+  ( Time.ticks seg.Engine.t0,
+    Time.ticks seg.Engine.t1,
+    List.map
+      (fun (p : Engine.placed) ->
+        (p.Engine.job.Sim.Job.id, Time.ticks p.Engine.job.Sim.Job.remaining, p.Engine.region))
+      seg.Engine.running,
+    List.map (fun (j : Sim.Job.t) -> j.Sim.Job.id) seg.Engine.waiting )
+
+let matches_reference ((cfg : Engine.config), ts) =
+  let expected = Sim_reference.run cfg ts in
+  let actual = Engine.run cfg ts in
+  if not (same_outcome expected.Engine.outcome actual.Engine.outcome) then
+    QCheck2.Test.fail_report "outcome differs";
+  if expected.Engine.stats <> actual.Engine.stats then QCheck2.Test.fail_report "stats differ";
+  if List.map segment_view expected.Engine.segments <> List.map segment_view actual.Engine.segments
+  then QCheck2.Test.fail_report "segments differ";
+  if cfg.Engine.record_trace then begin
+    match Trace.Checker.check ~fpga_area:cfg.Engine.fpga_area actual with
+    | [] -> ()
+    | v :: _ -> QCheck2.Test.fail_reportf "trace violation: %a" Trace.Checker.pp_violation v
+  end;
+  true
+
+let differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"engine == reference engine" ~print:print_diff_case
+       diff_case_gen matches_reference)
+
 let () =
   Alcotest.run "sim"
     [
@@ -332,4 +459,5 @@ let () =
         ] );
       ( "policies", [ Alcotest.test_case "EDF-US priority" `Quick edf_us_priority ] );
       ("trace", [ Alcotest.test_case "checker passes" `Quick trace_checked ]);
+      ("reference", [ differential ]);
     ]
