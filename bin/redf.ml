@@ -91,6 +91,15 @@ let require_positive flag n k =
   end
   else k ()
 
+(* a flag in whole time units must be representable in ticks;
+   [Model.Time.of_units] rejects what would wrap around *)
+let with_units flag n k =
+  match Model.Time.of_units n with
+  | t -> k t
+  | exception Invalid_argument _ ->
+    Printf.eprintf "error: invalid %s %d: out of range\n" flag n;
+    2
+
 (* the simulator rejects a task wider than the device; name it here
    instead of letting the engine's Invalid_argument escape *)
 let require_fits ~fpga_area ts k =
@@ -223,11 +232,12 @@ let audit_cmd =
       jobs metrics =
     let json = format = `Json in
     with_jobs jobs @@ fun ~jobs ->
+    with_units "--horizon-cap" cap_units @@ fun horizon_cap ->
     with_metrics metrics @@ fun () ->
     let config =
       {
         (Audit.Consistency.default_config ~fpga_area) with
-        Audit.Consistency.horizon_cap = Model.Time.of_units cap_units;
+        Audit.Consistency.horizon_cap;
         sporadic_seed = seed;
         shrink = not no_shrink;
       }
@@ -440,6 +450,7 @@ let simulate_cmd =
   let run path fpga_area horizon policy_name gantt contiguous metrics =
     require_positive "--area" fpga_area @@ fun () ->
     require_positive "--horizon" horizon @@ fun () ->
+    with_units "--horizon" horizon @@ fun horizon_t ->
     with_metrics metrics @@ fun () ->
     match load_taskset path with
     | Error msg ->
@@ -459,7 +470,7 @@ let simulate_cmd =
       let cfg =
         {
           cfg with
-          Sim.Engine.horizon = Model.Time.of_units horizon;
+          Sim.Engine.horizon = horizon_t;
           record_trace = gantt;
           placement =
             (if contiguous then Sim.Engine.Contiguous Fpga.Device.First_fit
@@ -555,6 +566,7 @@ let sweep_cmd =
     with_jobs jobs @@ fun ~jobs ->
     require_positive "--samples" samples @@ fun () ->
     require_positive "--horizon" horizon @@ fun () ->
+    with_units "--horizon" horizon @@ fun sim_horizon ->
     with_metrics metrics @@ fun () ->
     match
       List.find_opt (fun f -> Experiment.Figures.id f = figure_name) Experiment.Figures.all
@@ -564,8 +576,7 @@ let sweep_cmd =
       1
     | Some figure ->
       let cfg =
-        Experiment.Figures.config ~samples ~seed
-          ~sim_horizon:(Model.Time.of_units horizon) figure
+        Experiment.Figures.config ~samples ~seed ~sim_horizon figure
       in
       let result = Experiment.Sweep.run ~progress:(progress_printer ()) ~jobs cfg in
       clear_progress ();

@@ -88,15 +88,9 @@ let verdict_fields t = function
    integer units), but the daemon requires a unique, non-empty name:
    names are how tasks are removed and deduplicated *)
 let time_field obj key =
-  match Json.member key obj with
-  | None -> Error (Printf.sprintf "task: %S: missing" key)
-  | Some (Json.String s) -> (
-    match Model.Time.of_decimal_string s with
-    | time -> Ok time
-    | exception Invalid_argument _ ->
-      Error (Printf.sprintf "task: %S: not a decimal time (at most 3 fractional digits)" key))
-  | Some (Json.Int n) -> Ok (Model.Time.of_units n)
-  | Some _ -> Error (Printf.sprintf "task: %S: expected a decimal string or an integer" key)
+  match Protocol.time_value (Json.member key obj) with
+  | Ok t -> Ok t
+  | Error why -> Error (Printf.sprintf "task: %S: %s" key why)
 
 let wire_task json =
   let* name =

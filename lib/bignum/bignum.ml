@@ -300,9 +300,29 @@ let to_int_exn t =
 
 let ten_pow_9 = 1_000_000_000
 
+(* [Stdlib.string_of_int] formats through C's sprintf; this writes the
+   same bytes directly.  The digits come from the non-positive [-|n|],
+   which also exists for [min_int]. *)
+let string_of_int n =
+  let m = if n < 0 then n else -n in
+  let rec width m w = if m > -10 then w else width (m / 10) (w + 1) in
+  let sign = if n < 0 then 1 else 0 in
+  let len = sign + width m 1 in
+  let b = Bytes.create len in
+  if sign = 1 then Bytes.set b 0 '-';
+  let m = ref m in
+  for i = len - 1 downto sign do
+    Bytes.set b i (Char.unsafe_chr (Char.code '0' - (!m mod 10)));
+    m := !m / 10
+  done;
+  Bytes.unsafe_to_string b
+
+(* a value that fits in an int prints natively; only wider ones take
+   the base-10^9 chunk loop *)
 let to_string t =
-  if t.sign = 0 then "0"
-  else begin
+  match to_int_opt t with
+  | Some n -> string_of_int n
+  | None ->
     let chunks = ref [] in
     let m = ref t.mag in
     while Array.length !m > 0 do
@@ -318,7 +338,6 @@ let to_string t =
        Buffer.add_string buf (string_of_int first);
        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
     Buffer.contents buf
-  end
 
 let of_string s =
   let n = String.length s in

@@ -72,6 +72,14 @@ val of_string : string -> t
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
+(** Decimal digits.  A value that fits in an [int] prints through
+    {!string_of_int}. *)
+
+val string_of_int : int -> string
+(** The bytes of [Stdlib.string_of_int], written by a digit loop
+    instead of a C format call: the native-int printer of the response
+    and cache-key paths. *)
+
 val to_float : t -> float
 val pp : Format.formatter -> t -> unit
 

@@ -45,25 +45,49 @@ let apply order ts =
     (Array.to_list
        (Array.map (fun i -> { (Model.Taskset.nth ts i) with Model.Task.name = "" }) order))
 
-(* the per-task and per-device key pieces are shared with {!Delta},
-   which rebuilds keys incrementally: both must produce the same bytes *)
+(* Printf-free: a key is built on every cache probe *)
+let add_int buf n = Buffer.add_string buf (Bignum.string_of_int n)
+
+(* the one writer of a task's key piece, "C,D,T,A;" in ticks; shared
+   with {!Delta}, which rebuilds keys incrementally, so both produce the
+   same bytes *)
+let add_fragment buf ~exec ~deadline ~period ~area =
+  add_int buf exec;
+  Buffer.add_char buf ',';
+  add_int buf deadline;
+  Buffer.add_char buf ',';
+  add_int buf period;
+  Buffer.add_char buf ',';
+  add_int buf area;
+  Buffer.add_char buf ';'
+
 let fragment (task : Model.Task.t) =
   let t = Model.Time.ticks in
-  Printf.sprintf "%d,%d,%d,%d;" (t task.Model.Task.exec) (t task.Model.Task.deadline)
-    (t task.Model.Task.period) task.Model.Task.area
+  let buf = Buffer.create 32 in
+  add_fragment buf ~exec:(t task.Model.Task.exec) ~deadline:(t task.Model.Task.deadline)
+    ~period:(t task.Model.Task.period) ~area:task.Model.Task.area;
+  Buffer.contents buf
+
+let add_prefix buf ~analyzer ~fpga_area =
+  Buffer.add_string buf analyzer.Core.Analyzer.name;
+  Buffer.add_char buf '\x00';
+  Buffer.add_string buf analyzer.Core.Analyzer.version;
+  Buffer.add_char buf '\x00';
+  add_int buf fpga_area;
+  Buffer.add_char buf '\x00'
 
 let key_prefix ~analyzer ~fpga_area =
-  Printf.sprintf "%s\x00%s\x00%d\x00" analyzer.Core.Analyzer.name analyzer.Core.Analyzer.version
-    fpga_area
+  let buf = Buffer.create 32 in
+  add_prefix buf ~analyzer ~fpga_area;
+  Buffer.contents buf
 
 let key_cols ~analyzer ~fpga_area (cols : Columns.t) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (key_prefix ~analyzer ~fpga_area);
+  let buf = Buffer.create (32 + (24 * cols.Columns.n)) in
+  add_prefix buf ~analyzer ~fpga_area;
   Array.iter
     (fun i ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d;" cols.Columns.exec.(i) cols.Columns.deadline.(i)
-           cols.Columns.period.(i) cols.Columns.area.(i)))
+      add_fragment buf ~exec:cols.Columns.exec.(i) ~deadline:cols.Columns.deadline.(i)
+        ~period:cols.Columns.period.(i) ~area:cols.Columns.area.(i))
     (order_cols cols);
   Buffer.contents buf
 

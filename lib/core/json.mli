@@ -21,7 +21,9 @@ type t =
   | Obj of (string * t) list  (** printed key-sorted; parsed in input order *)
 
 val to_string : t -> string
-(** Canonical, single-line: keys sorted, separators [","] / [":"]. *)
+(** Canonical, single-line: keys sorted, separators [","] / [":"].
+    An object whose keys are already in order is printed without a
+    sort, so builders on hot paths emit their fields in key order. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (the whole string).  Number literals with a

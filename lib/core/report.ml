@@ -47,29 +47,27 @@ let pp fmt t =
 
 (* --- machine-readable form --- *)
 
+(* objects are built in key order, so Json.to_string need not sort *)
 let task_json (task : Model.Task.t) =
   Json.Obj
     [
-      ("name", Json.String task.Model.Task.name);
+      ("A", Json.Int task.Model.Task.area);
       ("C", Json.String (Model.Time.to_string task.Model.Task.exec));
       ("D", Json.String (Model.Time.to_string task.Model.Task.deadline));
       ("T", Json.String (Model.Time.to_string task.Model.Task.period));
-      ("A", Json.Int task.Model.Task.area);
+      ("name", Json.String task.Model.Task.name);
     ]
 
-let verdict_json (a : Analyzer.t) v =
-  match Verdict.to_json v with
-  | Json.Obj fields -> Json.Obj (("analyzer_version", Json.String a.Analyzer.version) :: fields)
-  | other -> other
+let verdict_json (a : Analyzer.t) v = Verdict.to_json ~version:a.Analyzer.version v
 
 let to_json t =
   Json.Obj
     [
-      ("schema_version", Json.Int Verdict.schema_version);
-      ("kind", Json.String "report");
       ("fpga_area", Json.Int t.fpga_area);
+      ("kind", Json.String "report");
+      ("schema_version", Json.Int Verdict.schema_version);
+      ("system_utilization", Json.String (Rat.to_string t.system_utilization));
       ("tasks", Json.List (List.map task_json (Model.Taskset.to_list t.taskset)));
       ("time_utilization", Json.String (Rat.to_string t.time_utilization));
-      ("system_utilization", Json.String (Rat.to_string t.system_utilization));
       ("verdicts", Json.List (List.map2 verdict_json t.analyzers t.verdicts));
     ]

@@ -17,23 +17,28 @@ let failing_tasks t =
 
 let schema_version = 1
 
+(* fields in key order, so Json.to_string need not sort them *)
 let check_to_json c =
-  Json.Obj
-    ([
-       ("task", Json.Int (c.task_index + 1));
-       ("satisfied", Json.Bool c.satisfied);
-       ("lhs", Json.String (Rat.to_string c.lhs));
-       ("rhs", Json.String (Rat.to_string c.rhs));
-     ]
-    @ if c.note = "" then [] else [ ("note", Json.String c.note) ])
-
-let to_json t =
-  Json.Obj
+  let tail =
     [
-      ("analyzer", Json.String t.test_name);
-      ("accepted", Json.Bool t.accepted);
-      ("checks", Json.List (List.map check_to_json t.checks));
+      ("rhs", Json.String (Rat.to_string c.rhs));
+      ("satisfied", Json.Bool c.satisfied);
+      ("task", Json.Int (c.task_index + 1));
     ]
+  in
+  Json.Obj
+    (("lhs", Json.String (Rat.to_string c.lhs))
+    :: (if c.note = "" then tail else ("note", Json.String c.note) :: tail))
+
+let to_json ?version t =
+  let checks = [ ("checks", Json.List (List.map check_to_json t.checks)) ] in
+  Json.Obj
+    (("accepted", Json.Bool t.accepted)
+    :: ("analyzer", Json.String t.test_name)
+    ::
+    (match version with
+     | Some v -> ("analyzer_version", Json.String v) :: checks
+     | None -> checks))
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%s: %s@," t.test_name (if t.accepted then "ACCEPT" else "REJECT");

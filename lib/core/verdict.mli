@@ -40,9 +40,10 @@ val schema_version : int
     shared by [redf analyze --format json], [redf lint --format json]
     and the analysis server; bumped on any incompatible change. *)
 
-val to_json : t -> Json.t
-(** [{"analyzer":name,"accepted":bool,"checks":[{"task":k,"satisfied":…,
-    "lhs":…,"rhs":…,"note"?:…}]}] with exact rational sides as strings;
-    [task] is 1-based like {!pp}.  The analysis server returns exactly
-    this object (plus its envelope), so CLI and server output are
+val to_json : ?version:string -> t -> Json.t
+(** [{"accepted":bool,"analyzer":name,"analyzer_version"?:version,
+    "checks":[{"lhs":…,"note"?:…,"rhs":…,"satisfied":…,"task":k}]}]
+    with exact rational sides as strings, fields in key order; [task]
+    is 1-based like {!pp}.  The analysis server returns exactly this
+    object (plus its envelope), so CLI and server output are
     interchangeable. *)

@@ -18,11 +18,24 @@ val of_ticks : int -> t
 val ticks : t -> int
 
 val of_units : int -> t
-(** [of_units 7] is exactly 7.0 time units. *)
+(** [of_units 7] is exactly 7.0 time units.
+    @raise Invalid_argument when [|u| > max_int / 1000], whose ticks
+    would wrap around. *)
+
+type decimal_error =
+  | Malformed of string  (** not the grammar below, or finer than a tick; the message *)
+  | Out_of_range  (** the tick count does not fit in a native [int] *)
+
+val decimal : string -> (t, decimal_error) result
+(** Exact conversion of a decimal spelling, [\[+-\]digits\[.digits\]]
+    or [\[+-\].digits] (["1.26"], ["01.5"], [".5"], ["+7"]), straight
+    into ticks.  Fraction digits past the third must be zeros.  The
+    range is that of a native [int] of ticks. *)
 
 val of_decimal_string : string -> t
-(** Exact conversion of e.g. ["1.26"]; at most 3 fractional digits.
-    @raise Invalid_argument when the value is not a whole tick count. *)
+(** {!decimal}, raising.
+    @raise Invalid_argument when the spelling is malformed, not a whole
+    tick count, or out of range. *)
 
 val of_float_round : float -> t
 (** Nearest-tick rounding; for synthetic workload generation only. *)

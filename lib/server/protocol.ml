@@ -9,17 +9,24 @@ type request = {
 
 let ( let* ) = Result.bind
 
-let time_field obj key ~task =
-  let ctx = Printf.sprintf "task %d: %S" task key in
-  match Json.member key obj with
-  | None -> Error (Printf.sprintf "%s: missing" ctx)
+let time_value = function
+  | None -> Error "missing"
   | Some (Json.String s) -> (
-    match Model.Time.of_decimal_string s with
+    match Model.Time.decimal s with
+    | Ok t -> Ok t
+    | Error (Model.Time.Malformed _) -> Error "not a decimal time (at most 3 fractional digits)"
+    | Error Model.Time.Out_of_range -> Error "out of range")
+  | Some (Json.Int n) -> (
+    match Model.Time.of_units n with
     | t -> Ok t
-    | exception Invalid_argument _ ->
-      Error (Printf.sprintf "%s: not a decimal time (at most 3 fractional digits)" ctx))
-  | Some (Json.Int n) -> Ok (Model.Time.of_units n)
-  | Some _ -> Error (Printf.sprintf "%s: expected a decimal string or an integer" ctx)
+    | exception Invalid_argument _ -> Error "out of range")
+  | Some _ -> Error "expected a decimal string or an integer"
+
+(* the context is formatted only when the field is rejected *)
+let time_field obj key ~task =
+  match time_value (Json.member key obj) with
+  | Ok t -> Ok t
+  | Error why -> Error (Printf.sprintf "task %d: %S: %s" task key why)
 
 let parse_task i obj =
   let task = i + 1 in
@@ -88,18 +95,26 @@ let parse line =
 
 let schema_version = Core.Verdict.schema_version
 
+(* merge two key-ordered field lists; on a tie [base] goes first, as
+   in the stable sort of [base @ fields] *)
+let rec merge base fields =
+  match (base, fields) with
+  | [], l | l, [] -> l
+  | ((k, _) as b) :: bs, ((k', _) as f) :: fs ->
+    if String.compare k' k < 0 then f :: merge base fs else b :: merge bs fields
+
 let envelope ?id kind fields =
   let base =
-    [ ("schema_version", Json.Int schema_version); ("kind", Json.String kind) ]
-    @ (match id with Some id -> [ ("id", id) ] | None -> [])
+    [ ("kind", Json.String kind); ("schema_version", Json.Int schema_version) ]
   in
-  Json.to_string (Json.Obj (base @ fields))
+  let base = match id with Some id -> ("id", id) :: base | None -> base in
+  Json.to_string (Json.Obj (merge base fields))
 
 let response req verdict =
   let verdict_fields =
     match Core.Report.verdict_json req.analyzer verdict with Json.Obj f -> f | _ -> []
   in
-  envelope ?id:req.id "verdict" (("fpga_area", Json.Int req.fpga_area) :: verdict_fields)
+  envelope ?id:req.id "verdict" (verdict_fields @ [ ("fpga_area", Json.Int req.fpga_area) ])
 
 let error_response ?id msg = envelope ?id "error" [ ("error", Json.String msg) ]
 
@@ -115,11 +130,9 @@ let shed_message = "server overloaded: request shed"
 let shed_response line = error_response ?id:(request_id line) shed_message
 
 let request_line ~analyzer ~fpga_area ?id ts =
+  let tasks = [ ("tasks", Json.List (List.map Core.Report.task_json (Model.Taskset.to_list ts))) ] in
   Json.to_string
     (Json.Obj
-       ([
-          ("analyzer", Json.String analyzer);
-          ("fpga_area", Json.Int fpga_area);
-          ("tasks", Json.List (List.map Core.Report.task_json (Model.Taskset.to_list ts)));
-        ]
-       @ match id with Some id -> [ ("id", id) ] | None -> []))
+       (("analyzer", Json.String analyzer)
+       :: ("fpga_area", Json.Int fpga_area)
+       :: (match id with Some id -> ("id", id) :: tasks | None -> tasks)))

@@ -37,6 +37,12 @@ val parse : string -> (request, Core.Json.t option * string) result
     the line was well-formed enough to recover it, so even a rejected
     request can be correlated by a pipelining client. *)
 
+val time_value : Core.Json.t option -> (Model.Time.t, string) result
+(** One task's [C], [D] or [T] field: a decimal string
+    ({!Model.Time.decimal}) or whole time units.  The error is the
+    reason alone (["missing"], ["out of range"], …); callers prefix
+    the task and field. *)
+
 val response : request -> Core.Verdict.t -> string
 (** The success response line (no trailing newline). *)
 
@@ -44,7 +50,8 @@ val envelope : ?id:Core.Json.t -> string -> (string * Core.Json.t) list -> strin
 (** [envelope ?id kind fields]: a response line with the standard
     [schema_version]/[kind] (and optional echoed [id]) preamble —
     the shared frame for every service speaking this wire format,
-    including the admission daemon's [kind = "admit"] replies. *)
+    including the admission daemon's [kind = "admit"] replies.
+    [fields] given in key order are printed without a sort. *)
 
 val error_response : ?id:Core.Json.t -> string -> string
 (** The error response line (no trailing newline). *)

@@ -1,0 +1,197 @@
+(* Core.Json's printer and decoder as they were before the in-place
+   speed-up.  The printer sorted every object and escaped through a
+   [Buffer] per string; the decoder allocated a [Some c] per peeked
+   character, a [Buffer] per string and a [String.sub] per literal and
+   integer.  Kept as the differential references the fast paths are
+   checked against (test_server.ml): the same bytes for every value,
+   and the same value, or the same error at the same offset, for every
+   input.  The value type is Core.Json's. *)
+
+open Core.Json
+
+let escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | String s ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (escape s);
+      Buffer.add_char buf '"'
+    | List vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          go v)
+        vs;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      let fields = List.sort (fun (a, _) (b, _) -> String.compare a b) fields in
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          Buffer.add_string buf (escape k);
+          Buffer.add_string buf "\":";
+          go v)
+        fields;
+      Buffer.add_char buf '}'
+  in
+  go v;
+  Buffer.contents buf
+
+exception Fail of int * string
+
+let of_string s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Fail (!pos, msg)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let skip_ws () =
+    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
+      incr pos
+    done
+  in
+  let expect c =
+    skip_ws ();
+    if peek () = Some c then incr pos else fail (Printf.sprintf "expected %C" c)
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      incr pos;
+      if c = '"' then Buffer.contents buf
+      else if c = '\\' then begin
+        if !pos >= n then fail "bad escape";
+        let e = s.[!pos] in
+        incr pos;
+        (match e with
+         | '"' -> Buffer.add_char buf '"'
+         | '\\' -> Buffer.add_char buf '\\'
+         | '/' -> Buffer.add_char buf '/'
+         | 'n' -> Buffer.add_char buf '\n'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'u' ->
+           if !pos + 4 > n then fail "bad \\u escape";
+           let hex = String.sub s !pos 4 in
+           pos := !pos + 4;
+           (match int_of_string_opt ("0x" ^ hex) with
+            | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
+            | Some _ | None -> fail "unsupported \\u escape (ASCII only)")
+         | _ -> fail "unknown escape");
+        go ()
+      end
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+    in
+    go ()
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | Some '"' -> String (parse_string ())
+    | Some '{' ->
+      incr pos;
+      skip_ws ();
+      if peek () = Some '}' then begin
+        incr pos;
+        Obj []
+      end
+      else begin
+        let rec members acc =
+          skip_ws ();
+          let k = parse_string () in
+          expect ':';
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+            incr pos;
+            members ((k, v) :: acc)
+          | Some '}' ->
+            incr pos;
+            Obj (List.rev ((k, v) :: acc))
+          | _ -> fail "expected ',' or '}'"
+        in
+        members []
+      end
+    | Some '[' ->
+      incr pos;
+      skip_ws ();
+      if peek () = Some ']' then begin
+        incr pos;
+        List []
+      end
+      else begin
+        let rec items acc =
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+            incr pos;
+            items (v :: acc)
+          | Some ']' ->
+            incr pos;
+            List (List.rev (v :: acc))
+          | _ -> fail "expected ',' or ']'"
+        in
+        items []
+      end
+    | Some 't' ->
+      if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; Bool true)
+      else fail "bad literal"
+    | Some 'f' ->
+      if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; Bool false)
+      else fail "bad literal"
+    | Some 'n' ->
+      if !pos + 4 <= n && String.sub s !pos 4 = "null" then (pos := !pos + 4; Null)
+      else fail "bad literal"
+    | Some ('-' | '0' .. '9') ->
+      let start = !pos in
+      if peek () = Some '-' then incr pos;
+      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
+        incr pos
+      done;
+      (match peek () with
+       | Some ('.' | 'e' | 'E') -> fail "non-integer numbers are not part of the schema"
+       | _ -> ());
+      (match int_of_string_opt (String.sub s start (!pos - start)) with
+       | Some i -> Int i
+       | None -> fail "bad integer")
+    | _ -> fail "expected a value"
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing characters";
+    v
+  with
+  | v -> Ok v
+  | exception Fail (at, msg) -> Error (Printf.sprintf "at offset %d: %s" at msg)
+

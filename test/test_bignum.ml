@@ -157,6 +157,55 @@ let prop_to_float =
   Core_helpers.qtest "to_float close to int" small (fun a ->
       Float.abs (B.to_float (B.of_int a) -. float_of_int a) < 1e-6)
 
+(* the base-10^9 chunk printer through the public API: the path every
+   value wider than an int takes, and every value took before the
+   native-int fast path *)
+let general_to_string x =
+  let billion = B.of_int 1_000_000_000 in
+  let rec chunks m acc =
+    if B.is_zero m then acc
+    else
+      let q, r = B.divmod m billion in
+      chunks q (B.to_int_exn r :: acc)
+  in
+  match chunks (B.abs x) [] with
+  | [] -> "0"
+  | first :: rest ->
+    (if B.sign x < 0 then "-" else "")
+    ^ string_of_int first
+    ^ String.concat "" (List.map (Printf.sprintf "%09d") rest)
+
+(* around 0, +-2^30, +-2^60, max_int and min_int, and the same values
+   pushed past the int range *)
+let around_limits =
+  let open QCheck2.Gen in
+  let base = oneofl [ 0; 1 lsl 30; -(1 lsl 30); 1 lsl 60; -(1 lsl 60); max_int; min_int ] in
+  map3
+    (fun b d wide ->
+      let x = B.add (B.of_int b) (B.of_int d) in
+      if wide then B.mul x (B.pow (B.of_int 2) 40) else x)
+    base (int_range (-70_000) 70_000) (frequency [ (4, return false); (1, return true) ])
+
+let prop_to_string_general =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"to_string == general path near the int limits"
+       ~print:general_to_string around_limits (fun x ->
+         let s = B.to_string x in
+         String.equal s (general_to_string x)
+         && (match B.to_int_opt x with Some n -> String.equal s (string_of_int n) | None -> true)))
+
+let prop_string_of_int =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"string_of_int == Stdlib.string_of_int" ~print:Int.to_string
+       QCheck2.Gen.(
+         oneof
+           [
+             int;
+             int_range (-100) 100;
+             map2 ( + ) (oneofl [ max_int; min_int; 0; 1 lsl 30; -(1 lsl 30) ]) (int_range (-20) 20);
+           ])
+       (fun n -> String.equal (B.string_of_int n) (string_of_int n)))
+
 let () =
   Alcotest.run "bignum"
     [
@@ -184,5 +233,7 @@ let () =
           prop_divmod_reconstructs;
           prop_gcd_divides;
           prop_to_float;
+          prop_to_string_general;
+          prop_string_of_int;
         ] );
     ]

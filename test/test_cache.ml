@@ -49,6 +49,42 @@ let key_separates_requests () =
   distinct "parameters matter" (key table1)
     (key (taskset [ ("tau1", "1.26", "7", "7", 9); ("tau2", "0.95", "5", "6", 6) ]))
 
+(* the Printf formatting the canonical key used before the Printf-free
+   writer: the key bytes must not move *)
+let printf_key (a : Core.Analyzer.t) ~fpga_area ts =
+  Printf.sprintf "%s\x00%s\x00%d\x00" a.Core.Analyzer.name a.Core.Analyzer.version fpga_area
+  ^ String.concat ""
+      (Array.to_list
+         (Array.map
+            (fun i ->
+              let t = Model.Taskset.nth ts i and ticks = Model.Time.ticks in
+              Printf.sprintf "%d,%d,%d,%d;" (ticks t.Model.Task.exec) (ticks t.Model.Task.deadline)
+                (ticks t.Model.Task.period) t.Model.Task.area)
+            (Cache.Canonical.order ts)))
+
+let key_bytes_property =
+  let tick =
+    QCheck2.Gen.(oneof [ int_range 1 20_000; int_range 1 max_int; oneofl [ 1; 9; 10; 99; 100; max_int ] ])
+  in
+  qtest ~count:500 "key == Printf-formatted key"
+    QCheck2.Gen.(pair (int_range 1 max_int) (list_size (int_range 1 6) (pair (triple tick tick tick) tick)))
+    (fun (fpga_area, rows) ->
+      let ts =
+        Model.Taskset.of_list
+          (List.mapi
+             (fun i ((c, d, t), a) ->
+               Model.Task.make ~name:(string_of_int i) ~exec:(Model.Time.of_ticks c)
+                 ~deadline:(Model.Time.of_ticks d) ~period:(Model.Time.of_ticks t) ~area:a ())
+             rows)
+      in
+      let delta = Cache.Delta.of_tasks (Model.Taskset.to_list ts) in
+      List.for_all
+        (fun analyzer ->
+          let want = printf_key analyzer ~fpga_area ts in
+          String.equal want (Cache.Canonical.key ~analyzer ~fpga_area ts)
+          && String.equal want (Cache.Delta.key delta ~analyzer ~fpga_area))
+        Core.Analyzer.[ dp; gn2 ])
+
 (* --- LRU --- *)
 
 let lru_eviction_order () =
@@ -246,6 +282,7 @@ let () =
           Alcotest.test_case "apply" `Quick canonical_apply;
           Alcotest.test_case "key ignores order and names" `Quick key_ignores_order_and_names;
           Alcotest.test_case "key separates requests" `Quick key_separates_requests;
+          key_bytes_property;
         ] );
       ( "lru",
         [

@@ -35,6 +35,112 @@ let time_arith () =
   check_rat "to_rat exact" (Rat.of_ints 63 50) (Time.to_rat (Time.of_decimal_string "1.26"));
   check_bool "round" true (Time.equal (Time.of_float_round 1.2604) (Time.of_ticks 1260))
 
+(* --- the int parser against the exact-rational reference --- *)
+
+let outcome parse s =
+  match parse s with
+  | t -> `Ticks (Time.ticks t)
+  | exception Invalid_argument m -> `Invalid m
+  | exception Failure m -> `Failure m
+
+(* the reference's outcome, mapped through the two documented
+   differences: a signed fraction ("1.+5", "1.-0") that got past the
+   reference's syntax check is now a syntax error, and a tick count
+   beyond [int] raises [Invalid_argument] instead of [Failure] *)
+let expected s reference =
+  let signed_fraction =
+    match String.index_opt s '.' with
+    | Some i -> i + 1 < String.length s && (s.[i + 1] = '+' || s.[i + 1] = '-')
+    | None -> false
+  in
+  let past_syntax =
+    match reference with
+    | `Ticks _ | `Failure _ -> true
+    | `Invalid m -> String.starts_with ~prefix:"Time." m
+  in
+  if signed_fraction && past_syntax then `Invalid "Rat.of_decimal_string: sign in fraction"
+  else
+    match reference with
+    | `Failure _ -> `Invalid (Printf.sprintf "Time.of_decimal_string: %S is out of range" s)
+    | r -> r
+
+let show = function
+  | `Ticks t -> Printf.sprintf "ticks %d" t
+  | `Invalid m -> "Invalid_argument " ^ m
+  | `Failure m -> "Failure " ^ m
+
+let mismatch s =
+  let want = expected s (outcome Time_reference.of_decimal_string s) in
+  let got = outcome Time.of_decimal_string s in
+  if got = want then None else Some (Printf.sprintf "%S: %s, want %s" s (show got) (show want))
+
+let agrees s = match mismatch s with None -> true | Some m -> QCheck2.Test.fail_report m
+
+let time_decimal_boundaries () =
+  List.iter
+    (fun s -> Alcotest.(check (option string)) s None (mismatch s))
+    [
+      "1.26"; "1.260"; "01.5"; ".5"; "-.5"; "+.5"; "+7"; "7"; "-0"; "-0.000"; "0.0001"; "1.0000";
+      "1.+5"; "1.-5"; "1.-0"; "1.+"; "1.-"; "1.+x"; ""; "+"; "-"; "."; "-."; "5."; "1e3"; " 1";
+      "1 "; "1.2.3"; "--1"; "+-1"; "4611686018427387.903"; "4611686018427387.904";
+      "-4611686018427387.904"; "-4611686018427387.905"; "4611686018427388"; "-4611686018427388";
+      "99999999999999999999999"; "99999999999999999999999.0001"; "99999999999999999999999.+5";
+      "0000000000000000000000001.5";
+    ];
+  check_time "max" (Time.of_ticks max_int) (Time.of_decimal_string "4611686018427387.903");
+  check_time "min" (Time.of_ticks min_int) (Time.of_decimal_string "-4611686018427387.904");
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Time.of_decimal_string: \"4611686018427387.904\" is out of range") (fun () ->
+      ignore (Time.of_decimal_string "4611686018427387.904"))
+
+let time_units_range () =
+  let m = max_int / Time.scale in
+  check_time "largest" (Time.of_ticks (m * Time.scale)) (Time.of_units m);
+  check_time "smallest" (Time.of_ticks (-m * Time.scale)) (Time.of_units (-m));
+  List.iter
+    (fun u ->
+      Alcotest.check_raises (string_of_int u)
+        (Invalid_argument (Printf.sprintf "Time.of_units: %d is out of range" u)) (fun () ->
+          ignore (Time.of_units u)))
+    [ m + 1; -m - 1; 9223372036854776; max_int; min_int ]
+
+(* signs, leading zeros, 0-6 fraction digits, trailing zeros, a bare
+   dot, signed fractions, values next to max_int / 1000 units, long
+   digit runs, and a stray byte anywhere *)
+let spelling =
+  let open QCheck2.Gen in
+  let digits lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+  let int_part =
+    frequency
+      [
+        (4, digits 0 3);
+        ( 2,
+          map2 (fun z n -> String.make z '0' ^ string_of_int n) (int_range 0 3) (int_range 0 100_000) );
+        (2, map (fun d -> string_of_int ((max_int / Time.scale) + d)) (int_range (-3) 3));
+        (1, digits 17 24);
+      ]
+  in
+  let frac =
+    frequency
+      [
+        (1, return "");
+        (4, map2 (fun ds z -> "." ^ ds ^ String.make z '0') (digits 0 6) (int_range 0 3));
+        (1, map2 (fun sign ds -> "." ^ sign ^ ds) (oneofl [ "+"; "-" ]) (digits 0 3));
+      ]
+  in
+  let clean = map3 (fun sign i f -> sign ^ i ^ f) (oneofl [ ""; ""; "+"; "-" ]) int_part frac in
+  let stray s at c =
+    let at = at mod (String.length s + 1) in
+    String.sub s 0 at ^ String.make 1 c ^ String.sub s at (String.length s - at)
+  in
+  frequency
+    [ (5, clean); (1, map3 stray clean nat (oneofl [ '.'; '+'; '-'; ' '; 'e'; 'x'; '0'; '9' ])) ]
+
+let prop_time_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:5000 ~name:"int parser == exact-rational reference"
+       ~print:(Printf.sprintf "%S") spelling agrees)
+
 (* --- Task --- *)
 
 let task_validation () =
@@ -175,6 +281,9 @@ let () =
           Alcotest.test_case "decimal parsing" `Quick time_decimal;
           Alcotest.test_case "printing" `Quick time_strings;
           Alcotest.test_case "arithmetic" `Quick time_arith;
+          Alcotest.test_case "decimal boundaries vs reference" `Quick time_decimal_boundaries;
+          Alcotest.test_case "units range" `Quick time_units_range;
+          prop_time_reference;
         ] );
       ( "task",
         [

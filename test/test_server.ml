@@ -206,6 +206,195 @@ let cached_batch_identical () =
       check_int "first batch probes all miss" 20 s.Cache.Lru.misses;
       check_int "second batch all hit" 20 s.Cache.Lru.hits)
 
+(* --- the decoder and printer against their references --- *)
+
+module Json = Core.Json
+
+let json_string =
+  let special = [ '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\001'; '\031'; '\127'; '\200'; ' '; 'u' ] in
+  QCheck2.Gen.(string_size ~gen:(oneof [ char_range 'a' 'e'; oneofl special ]) (int_range 0 6))
+
+let json_value =
+  let open QCheck2.Gen in
+  let int_ = oneof [ int_range (-1000) 1000; oneofl [ max_int; min_int; 0; -1 ]; int ] in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int_;
+               map (fun s -> Json.String s) json_string;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Json.Obj l) (list_size (int_range 0 4) (pair json_string (self (n / 3))))
+               );
+             ])
+
+(* any JSON text for [v]: whitespace between tokens, and each string
+   byte raw where JSON allows it or escaped (\n, \/, \u00XX in either
+   case) *)
+let rec json_text v =
+  let open QCheck2.Gen in
+  let ws = oneofl [ ""; ""; ""; " "; "\t"; "\n "; "\r\n" ] in
+  let padded g = map3 (fun a x b -> a ^ x ^ b) ws g ws in
+  let seq opening closing items =
+    map (fun parts -> opening ^ String.concat "," parts ^ closing) (flatten_l items)
+  in
+  match v with
+  | Json.Null -> return "null"
+  | Json.Bool b -> return (string_of_bool b)
+  | Json.Int i -> return (string_of_int i)
+  | Json.String s -> string_text s
+  | Json.List vs -> seq "[" "]" (List.map (fun v -> padded (json_text v)) vs)
+  | Json.Obj fields ->
+    let member (k, v) = map2 (fun k v -> k ^ ":" ^ v) (padded (string_text k)) (padded (json_text v)) in
+    seq "{" "}" (List.map member fields)
+
+and string_text s =
+  let open QCheck2.Gen in
+  let byte c =
+    let u =
+      map (fun upper -> Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") (Char.code c)) bool
+    in
+    match c with
+    | '"' -> oneof [ return "\\\""; u ]
+    | '\\' -> oneof [ return "\\\\"; u ]
+    | '/' -> oneofl [ "/"; "\\/" ]
+    | '\n' -> oneof [ return "\\n"; return "\n"; u ]
+    | '\t' -> oneof [ return "\\t"; u ]
+    | c when Char.code c >= 0x80 -> return (String.make 1 c)
+    | c -> oneof [ return (String.make 1 c); u ]
+  in
+  let bytes = List.map byte (List.of_seq (String.to_seq s)) in
+  map (fun parts -> "\"" ^ String.concat "" parts ^ "\"") (flatten_l bytes)
+
+let json_texts = QCheck2.Gen.(json_value >>= fun v -> map (fun text -> (v, text)) (json_text v))
+
+let prop_json_of_string_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"of_string == reference on random JSON"
+       ~print:(fun (_, text) -> Printf.sprintf "%S" text) json_texts (fun (v, text) ->
+         Json.of_string text = Json_reference.of_string text && Json.of_string text = Ok v))
+
+(* request lines as clients spell them, then byte-mutated: a byte
+   replaced, inserted or deleted, a span duplicated, the line cut, or a
+   run of digits spliced in (into a time, that is a value past the int
+   range) *)
+let request_lines =
+  let open QCheck2.Gen in
+  let time = oneofl [ "1.26"; "0.95"; "7"; "5"; "01.5"; ".5"; "+7"; "1.260" ] in
+  let task =
+    map2
+      (fun (c, d, t) (a, quote) ->
+        let q s =
+          if quote || String.contains s '.' || String.contains s '+' then "\"" ^ s ^ "\"" else s
+        in
+        Printf.sprintf {|{"name":"t","C":%s,"D":%s,"T":%s,"A":%d}|} (q c) (q d) (q t) a)
+      (triple time time time) (pair (int_range 1 12) bool)
+  in
+  let id =
+    oneofl
+      [
+        {|"id":3,|}; {|"id":"r\"1",|}; {|"id":-4,|}; ""; {|"id":[1],|}; {|"id":null,|};
+        {|"id":4611686018427387903,|}; {|"id":4611686018427387904,|};
+        {|"id":-4611686018427387904,|}; {|"id":-4611686018427387905,|}; {|"id":-0,|}; {|"id":007,|};
+      ]
+  in
+  map3
+    (fun id analyzer tasks ->
+      Printf.sprintf {|{%s"analyzer":"%s","fpga_area":10,"tasks":[%s]}|} id analyzer
+        (String.concat "," tasks))
+    id (oneofl [ "DP"; "gn1"; "GN2"; "nec"; "nope" ]) (list_size (int_range 1 3) task)
+
+let mutate =
+  let open QCheck2.Gen in
+  let syntax = [ '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; '.'; '-'; '+'; '0'; '9'; 'e'; ' ' ] in
+  let byte = oneof [ char; oneofl syntax ] in
+  let once line =
+    let n = String.length line in
+    map3
+      (fun kind at (c, digits) ->
+        let at = at mod (n + 1) in
+        let tail = String.sub line at (n - at) in
+        match kind with
+        | 0 when at < n -> String.sub line 0 at ^ String.make 1 c ^ String.sub line (at + 1) (n - at - 1)
+        | 1 -> String.sub line 0 at ^ String.make 1 c ^ tail
+        | 2 when at < n -> String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
+        | 3 -> String.sub line 0 at ^ String.sub tail 0 (min 6 (n - at)) ^ tail
+        | 4 -> String.sub line 0 at
+        | _ -> String.sub line 0 at ^ String.make digits '9' ^ tail)
+      (int_range 0 5) nat (pair byte (int_range 1 25))
+  in
+  let rec times k line = if k = 0 then return line else once line >>= times (k - 1) in
+  fun line -> int_range 1 3 >>= fun k -> times k line
+
+let mutated_lines = QCheck2.Gen.(request_lines >>= mutate)
+
+let prop_json_of_string_mutated =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~name:"of_string == reference on mutated request lines"
+       ~print:(Printf.sprintf "%S") mutated_lines (fun line ->
+         Json.of_string line = Json_reference.of_string line))
+
+let prop_json_to_string_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"to_string == reference printer" ~print:Json_reference.to_string
+       json_value (fun v -> String.equal (Json.to_string v) (Json_reference.to_string v)))
+
+let prop_json_to_string_order =
+  let rec reorder f = function
+    | Json.List vs -> Json.List (List.map (reorder f) vs)
+    | Json.Obj fields -> Json.Obj (f (List.map (fun (k, v) -> (k, reorder f v)) fields))
+    | v -> v
+  in
+  let distinct fields = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) fields in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"to_string ignores key order"
+       ~print:(fun (v, _) -> Json.to_string v)
+       QCheck2.Gen.(pair json_value int)
+       (fun (v, seed) ->
+         let v = reorder distinct v in
+         let st = Random.State.make [| seed |] in
+         let shuffle l =
+           List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+         in
+         String.equal (Json.to_string v) (Json.to_string (reorder shuffle v))))
+
+(* the id a well-formed request object carries, read by the reference
+   decoder *)
+let recoverable_id line =
+  match Json_reference.of_string line with
+  | Ok (Json.Obj _ as j) -> (
+    match Json.member "id" j with Some (Json.Int _ | Json.String _) as id -> id | _ -> None)
+  | Ok _ | Error _ -> None
+
+let prop_handle_line_total =
+  let lines =
+    QCheck2.Gen.(frequency [ (4, mutated_lines); (1, string_size ~gen:char (int_range 0 40)) ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"handle_line answers every line, echoing its id"
+       ~print:(Printf.sprintf "%S") lines (fun line ->
+         with_engine (fun engine ->
+             match Server.Engine.handle_line engine line with
+             | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+             | resp -> (
+               if String.contains resp '\n' then QCheck2.Test.fail_report "more than one line";
+               match Json.of_string resp with
+               | Error e -> QCheck2.Test.fail_reportf "answer is not JSON: %s" e
+               | Ok answer ->
+                 List.mem (response_kind resp) [ "verdict"; "error" ]
+                 && Json.member "id" answer = recoverable_id line))))
+
 (* --- stdio over pipes (the framing regressions, end to end) --- *)
 
 let write_all fd s =
@@ -644,6 +833,14 @@ let () =
           Alcotest.test_case "roundtrip" `Quick parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick parse_errors;
           Alcotest.test_case "shed response" `Quick shed_response;
+        ] );
+      ( "json",
+        [
+          prop_json_of_string_reference;
+          prop_json_of_string_mutated;
+          prop_json_to_string_reference;
+          prop_json_to_string_order;
+          prop_handle_line_total;
         ] );
       ( "framing",
         [
