@@ -28,8 +28,8 @@ let skip_micro = Sys.getenv_opt "REDF_SKIP_MICRO" <> None
 
 let horizon = Model.Time.of_units horizon_units
 
-(* results-file plumbing lives in Bench.Env (shared with the redf
-   bench-* subcommands); re-exported here under the harness's names *)
+(* results-file plumbing lives in Bench.Env (shared with redf
+   bench-core); re-exported here under the harness's names *)
 let results_dir = Bench.Env.results_dir
 let write_file = Bench.Env.write_file
 

@@ -1,14 +1,17 @@
 (* Benchmark harness regenerating every table and figure of Guan et al.,
    "Improved Schedulability Analysis of EDF Scheduling on Reconfigurable
-   Hardware Devices" (IPDPS 2007), plus the ablations and
-   micro-benchmarks documented in DESIGN.md / EXPERIMENTS.md.
+   Hardware Devices" (IPDPS 2007), plus the ablations, the parallel
+   scaling run and the observability-overhead timings documented in
+   DESIGN.md / EXPERIMENTS.md.  Analyzer cost per decide is measured by
+   [redf bench-core] (results/BENCH_core.json), the daemons by
+   perfbench/.
 
    Knobs (environment variables):
      REDF_SAMPLES     tasksets per utilization point   (default 300)
      REDF_HORIZON     simulation horizon in time units (default 500)
      REDF_SEED        master PRNG seed                 (default 42)
      REDF_JOBS        worker domains, 0 = one per core (default 1)
-     REDF_SKIP_MICRO  skip the Bechamel micro-benchmarks
+     REDF_SKIP_MICRO  skip the Bechamel observability-overhead section
 
    Paper scale is REDF_SAMPLES=10000; see EXPERIMENTS.md. *)
 
@@ -18,7 +21,6 @@ let sections =
     ("figures", Figures.run);
     ("ablations", Ablations.run);
     ("parallel", Scaling.run);
-    ("micro", Micro.run);
     ("obs", Obs_bench.run);
   ]
 

@@ -1,21 +1,24 @@
 (* redf — command-line front end for the reconfig_edf library.
 
    Subcommands:
-     analyze   run DP / GN1 / GN2 (and friends) on a taskset CSV
-     simulate  simulate EDF-NF / EDF-FkF and optionally draw a Gantt chart
-     generate  emit a synthetic taskset CSV from a named profile
-     sweep     acceptance-ratio sweep for one of the paper's figures
-     tables    reproduce the paper's Tables 1-3
-     lint      static lint pass over a taskset CSV
-     audit     lint + cross-analyzer soundness audit against simulation
-     check-src typedtree static analysis of the repo's own sources (.cmt files)
-     serve     analysis service: line-oriented JSON over stdio, socket and/or TCP
-     bench-serve  drive a serve loop with concurrent clients; latency/throughput
+     analyze      run DP / GN1 / GN2 (and friends) on a taskset CSV
+     simulate     simulate EDF-NF / EDF-FkF and optionally draw a Gantt chart
+     generate     emit a synthetic taskset CSV from a named profile
+     sweep        acceptance-ratio sweep for one of the paper's figures
+     tables       reproduce the paper's Tables 1-3
+     exhaustive   search release offsets for a deadline miss (small tasksets)
+     lint         static lint pass over a taskset CSV
+     audit        lint + cross-analyzer soundness audit against simulation
+     check-src    typedtree static analysis of the repo's own sources (.cmt files)
+     serve        analysis service: line-oriented JSON over stdio, socket and/or TCP
+     admit        crash-safe online admission-control daemon (same event loop)
+     chaos-admit  crash/restart torture of the admission daemon
      bench-core   analyzer cost matrix vs the committed baseline (CI perf gate)
-     batch     evaluate a file of service requests (in-process or --connect)
+     batch        evaluate a file of service requests (in-process or --connect)
+     metrics-diff compare two --metrics snapshots
 
-   Long-running subcommands accept --metrics[=FILE] to dump a runtime
-   metrics snapshot (JSON lines); metrics-diff compares two of them. *)
+   Long-running subcommands accept --metrics[=FILE] to write a runtime
+   metrics snapshot (JSON lines). *)
 
 open Cmdliner
 
@@ -64,6 +67,12 @@ let jobs_arg =
           "Worker domains for parallel execution: a positive count, or 0 for one per core. \
            Defaults to $(b,REDF_JOBS) (same convention), else 1 (serial). Output is \
            byte-identical for every $(docv).")
+
+let policy_arg =
+  Arg.(
+    value
+    & opt (enum [ ("nf", Sim.Policy.edf_nf); ("fkf", Sim.Policy.edf_fkf) ]) Sim.Policy.edf_nf
+    & info [ "policy" ] ~docv:"nf|fkf" ~doc:"Scheduling policy: EDF-NF or EDF-FkF.")
 
 (* -j / REDF_JOBS is validated here at the CLI boundary: a negative
    count or a garbage environment value is a usage error (exit 2), not
@@ -123,29 +132,38 @@ let metrics_arg =
     & opt ~vopt:(Some "-") (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Collect runtime metrics and append a key-sorted JSON-lines snapshot to $(docv) after \
+          "Collect runtime metrics and write a key-sorted JSON-lines snapshot to $(docv) after \
            the run ($(b,-), or no value, means stderr). Compare two snapshots with $(b,redf \
            metrics-diff).")
 
-(* the snapshot is emitted even when the wrapped command fails, so a
-   non-zero exit still leaves its cost profile behind *)
+(* the destination is opened before the work starts, so an unwritable
+   path is an error up front rather than a crash after a daemon has
+   answered its whole session; the snapshot is then emitted even when
+   the wrapped command fails, so a non-zero exit still leaves its cost
+   profile behind *)
 let with_metrics metrics f =
   match metrics with
   | None -> f ()
-  | Some dest ->
-    Obs.set_enabled true;
-    let emit () =
-      let jsonl = Obs.Snapshot.to_jsonl (Obs.Snapshot.take ()) in
-      match dest with
-      | "-" ->
-        output_string stderr jsonl;
-        flush stderr
-      | path ->
-        let oc = open_out path in
-        output_string oc jsonl;
-        close_out oc
-    in
-    Fun.protect ~finally:emit f
+  | Some dest -> (
+    match
+      if dest = "-" then Ok stderr
+      else
+        try
+          Ok
+            (Unix.out_channel_of_descr
+               (Unix.openfile dest [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644))
+        with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    with
+    | Error reason ->
+      Printf.eprintf "error: cannot write metrics to %s: %s\n" dest reason;
+      2
+    | Ok oc ->
+      Obs.set_enabled true;
+      let emit () =
+        output_string oc (Obs.Snapshot.to_jsonl (Obs.Snapshot.take ()));
+        if dest = "-" then flush oc else close_out oc
+      in
+      Fun.protect ~finally:emit f)
 
 (* progress printer shared by the parallel-capable subcommands: called
    from worker domains (already serialized and monotonic, see
@@ -447,7 +465,7 @@ let analyze_cmd =
 (* --- simulate --- *)
 
 let simulate_cmd =
-  let run path fpga_area horizon policy_name gantt contiguous metrics =
+  let run path fpga_area horizon policy gantt contiguous metrics =
     require_positive "--area" fpga_area @@ fun () ->
     require_positive "--horizon" horizon @@ fun () ->
     with_units "--horizon" horizon @@ fun horizon_t ->
@@ -458,14 +476,6 @@ let simulate_cmd =
       1
     | Ok ts ->
       require_fits ~fpga_area ts @@ fun () ->
-      let policy =
-        match policy_name with
-        | "nf" -> Sim.Policy.edf_nf
-        | "fkf" -> Sim.Policy.edf_fkf
-        | other ->
-          Printf.eprintf "unknown policy %S (use nf or fkf)\n" other;
-          exit 1
-      in
       let cfg = Sim.Engine.default_config ~fpga_area ~policy in
       let cfg =
         {
@@ -497,9 +507,6 @@ let simulate_cmd =
       if gantt then print_string (Trace.Gantt.render ~fpga_area ts result);
       (match result.Sim.Engine.outcome with Sim.Engine.No_miss -> 0 | Sim.Engine.Miss _ -> 2)
   in
-  let policy_arg =
-    Arg.(value & opt string "nf" & info [ "policy" ] ~docv:"nf|fkf" ~doc:"Scheduling policy.")
-  in
   let gantt_arg = Arg.(value & flag & info [ "gantt" ] ~doc:"Render an ASCII Gantt chart.") in
   let contiguous_arg =
     Arg.(
@@ -517,16 +524,12 @@ let simulate_cmd =
 (* --- generate --- *)
 
 let generate_cmd =
-  let run profile_name n seed target =
+  let run profile n seed target =
     let profile =
-      match profile_name with
-      | "unconstrained" -> Model.Generator.unconstrained ~n
-      | "spatially-heavy" -> Model.Generator.spatially_heavy_temporally_light ~n
-      | "temporally-heavy" -> Model.Generator.spatially_light_temporally_heavy ~n
-      | other ->
-        Printf.eprintf
-          "unknown profile %S (use unconstrained, spatially-heavy or temporally-heavy)\n" other;
-        exit 1
+      match profile with
+      | `Unconstrained -> Model.Generator.unconstrained ~n
+      | `Spatially_heavy -> Model.Generator.spatially_heavy_temporally_light ~n
+      | `Temporally_heavy -> Model.Generator.spatially_light_temporally_heavy ~n
     in
     let rng = Rng.create ~seed in
     let ts =
@@ -545,7 +548,14 @@ let generate_cmd =
   let profile_arg =
     Arg.(
       value
-      & opt string "unconstrained"
+      & opt
+          (enum
+             [
+               ("unconstrained", `Unconstrained);
+               ("spatially-heavy", `Spatially_heavy);
+               ("temporally-heavy", `Temporally_heavy);
+             ])
+          `Unconstrained
       & info [ "profile" ] ~docv:"NAME"
           ~doc:"Workload profile: unconstrained, spatially-heavy or temporally-heavy.")
   in
@@ -609,7 +619,7 @@ let sweep_cmd =
 (* --- exhaustive --- *)
 
 let exhaustive_cmd =
-  let run path fpga_area policy_name grid_ticks max_combinations jobs metrics =
+  let run path fpga_area policy grid_ticks max_combinations jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
     require_positive "--area" fpga_area @@ fun () ->
     require_positive "--grid" grid_ticks @@ fun () ->
@@ -620,14 +630,6 @@ let exhaustive_cmd =
       1
     | Ok ts ->
       require_fits ~fpga_area ts @@ fun () ->
-      let policy =
-        match policy_name with
-        | "nf" -> Sim.Policy.edf_nf
-        | "fkf" -> Sim.Policy.edf_fkf
-        | other ->
-          Printf.eprintf "unknown policy %S (use nf or fkf)\n" other;
-          exit 1
-      in
       (match
          Sim.Exhaustive.search
            ~grid:(Model.Time.of_ticks grid_ticks)
@@ -660,9 +662,6 @@ let exhaustive_cmd =
     Arg.(
       value & opt int 20000
       & info [ "max" ] ~docv:"N" ~doc:"Maximum number of offset combinations to simulate.")
-  in
-  let policy_arg =
-    Arg.(value & opt string "nf" & info [ "policy" ] ~docv:"nf|fkf" ~doc:"Scheduling policy.")
   in
   let term =
     Term.(
@@ -1025,68 +1024,6 @@ let serve_cmd =
   in
   Cmd.v info term
 
-let bench_serve_cmd =
-  let run clients requests cache_size shards tcp no_check out jobs metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_cache_size cache_size @@ fun () ->
-    require_positive "--cache-shards" shards @@ fun () ->
-    require_positive "--clients" clients @@ fun () ->
-    require_positive "--requests" requests @@ fun () ->
-    with_metrics metrics @@ fun () ->
-    Bench_serve.run ~clients ~requests ~cache_size ~shards ~jobs ~tcp ~check:(not no_check) ~out
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "clients" ] ~docv:"K" ~doc:"Concurrent client connections (one domain each).")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"M" ~doc:"Synchronous requests per client.")
-  in
-  let tcp_arg =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:"Benchmark over TCP on 127.0.0.1 (ephemeral port) instead of a Unix-domain socket.")
-  in
-  let no_check_arg =
-    Arg.(
-      value & flag
-      & info [ "no-check" ]
-          ~doc:
-            "Skip the determinism check (per-client byte-equality against a serial $(b,-j 1) \
-             in-process evaluation).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "results/BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON result line.")
-  in
-  let term =
-    Term.(
-      const run $ clients_arg $ requests_arg $ cache_size_arg $ cache_shards_arg $ tcp_arg
-      $ no_check_arg $ out_arg $ jobs_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "bench-serve"
-      ~doc:"Benchmark the analysis service under concurrent clients"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Starts an in-process $(b,redf serve) event loop, drives it with $(b,--clients) \
-             concurrent connections each issuing $(b,--requests) synchronous requests, and \
-             reports client-side p50/p99 latency and request throughput as one JSON line \
-             (stdout and $(b,--out)). Unless $(b,--no-check), every client's response stream is \
-             compared byte-for-byte against a serial in-process evaluation of the same request \
-             lines — concurrency must change wall-clock only, never bytes; a mismatch exits 1.";
-        ]
-  in
-  Cmd.v info term
-
 let batch_cmd =
   let run file connect retries backoff_ms hold cache_size jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
@@ -1203,7 +1140,7 @@ let batch_cmd =
   in
   Cmd.v info term
 
-(* --- admit / chaos-admit / bench-admit --- *)
+(* --- admit / chaos-admit --- *)
 
 let admit_analyzer_arg =
   Arg.(
@@ -1426,51 +1363,6 @@ let chaos_admit_cmd =
   in
   Cmd.v info term
 
-let bench_admit_cmd =
-  let run mutations resident analyzer fpga_area out =
-    require_positive "--mutations" mutations @@ fun () ->
-    require_positive "--resident" resident @@ fun () ->
-    require_positive "--fpga-area" fpga_area @@ fun () ->
-    Bench_admit.run ~mutations ~resident ~analyzer_name:analyzer ~fpga_area ~out
-  in
-  let mutations_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "mutations" ] ~docv:"N" ~doc:"Fsync'd mutations to measure (alternating remove/add).")
-  in
-  let resident_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "resident" ] ~docv:"N" ~doc:"Resident taskset size the mutations run against.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "results/BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Results file; the $(b,admit) section is rewritten, other sections preserved.")
-  in
-  let term =
-    Term.(
-      const run $ mutations_arg $ resident_arg $ admit_analyzer_arg $ admit_area_arg $ out_arg)
-  in
-  let info =
-    Cmd.info "bench-admit"
-      ~doc:"Benchmark the admission daemon's mutation, what-if and recovery paths"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Measures, against an in-process daemon on a throwaway state directory: mutation \
-             latency and throughput through the full path (parse, incremental canonical key, \
-             verdict, journal append, fsync); the warm $(b,what-if) path (verdict-cache hit via \
-             the incremental key); the from-scratch analyzer baseline on the same taskset; and \
-             cold recovery time over journals of 10^3 and 10^5 records. Writes the $(b,admit) \
-             section of the results file next to bench-serve's $(b,serve) section.";
-        ]
-  in
-  Cmd.v info term
-
 let bench_core_cmd =
   let run budget_ms out compare tolerance =
     Bench_core.run ~budget_ms ~out ~compare ~tolerance
@@ -1552,8 +1444,6 @@ let main_cmd =
       serve_cmd;
       admit_cmd;
       chaos_admit_cmd;
-      bench_serve_cmd;
-      bench_admit_cmd;
       bench_core_cmd;
       batch_cmd;
       metrics_diff_cmd;

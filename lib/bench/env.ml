@@ -1,6 +1,5 @@
-(* Shared I/O layer of the benchmark harness: the results directory,
-   the sectioned BENCH_serve.json writer (one JSON line per bench
-   section), and the schema-versioned BENCH_core.json row format.
+(* Shared I/O layer of the benchmark harness: the results directory
+   and the schema-versioned BENCH_core.json row format.
 
    This module deliberately lives outside the determinism scope of
    check-src (wall clocks and the filesystem are its whole job); the
@@ -27,45 +26,6 @@ let find_sub haystack needle =
     if i + n > h then None else if String.sub haystack i n = needle then Some i else go (i + 1)
   in
   if n = 0 then Some 0 else go 0
-
-(* --- sectioned JSON-lines files (BENCH_serve.json) --- *)
-
-(* Every section line labels itself with a "bench":"<section>" field;
-   the tag is read back generically, so new bench commands get their
-   own section without touching this list.  A legacy single-line file
-   without a tag is adopted as the "serve" section (the only producer
-   that predates tagging). *)
-let section_tag line =
-  if String.length (String.trim line) = 0 then None
-  else
-    let marker = {|"bench":"|} in
-    match find_sub line marker with
-    | None -> Some "serve"
-    | Some i -> (
-      let start = i + String.length marker in
-      match String.index_from_opt line start '"' with
-      | None -> Some "serve"
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-(* Sections can't nest under one JSON object: bench lines carry floats,
-   which exact-arithmetic Core.Json refuses to represent, so the file
-   is spliced textually — each writer replaces its own line and leaves
-   the others byte-for-byte alone (modulo the stable sort by tag). *)
-let write_section ~out ~section json_line =
-  ensure_parent_dir out;
-  let existing =
-    if not (Sys.file_exists out) then []
-    else
-      In_channel.with_open_bin out In_channel.input_all
-      |> String.split_on_char '\n'
-      |> List.filter_map (fun line ->
-             match section_tag line with Some t -> Some (t, line) | None -> None)
-  in
-  let sections = (section, json_line) :: List.remove_assoc section existing in
-  let sections = List.sort (fun (a, _) (b, _) -> String.compare a b) sections in
-  let oc = open_out out in
-  List.iter (fun (_, line) -> output_string oc (line ^ "\n")) sections;
-  close_out oc
 
 (* --- BENCH_core.json rows --- *)
 

@@ -1,10 +1,9 @@
 (** Shared I/O layer of the benchmark harness.
 
-    One home for the pieces every bench emitter used to duplicate: the
-    [results/] directory convention, the sectioned JSON-lines writer
-    behind [BENCH_serve.json], and the schema-versioned row format of
-    [BENCH_core.json].  [redf bench-serve], [redf bench-admit],
-    [redf bench-core] and the offline [bench/] harness are all clients.
+    One home for the [results/] directory convention and the
+    schema-versioned row format of [BENCH_core.json].  [redf bench-core]
+    (the only writer of that file) and the offline [bench/] harness are
+    its clients.
 
     This library is excluded from check-src's determinism scope — wall
     clocks, environment and the filesystem are its whole job.  Nothing
@@ -21,26 +20,6 @@ val write_file : string -> string -> unit
 
 val ensure_parent_dir : string -> unit
 (** Create the parent directory of an output path if missing. *)
-
-(** {2 Sectioned JSON-lines files}
-
-    [BENCH_serve.json] holds one JSON line per bench section, each
-    self-labelled by a ["bench":"<section>"] field, so independent
-    bench commands rewrite their own line without clobbering each
-    other.  Sections cannot nest under one object: bench lines carry
-    floats, which exact-arithmetic {!Core.Json} refuses to represent,
-    so the file is spliced textually. *)
-
-val section_tag : string -> string option
-(** The section a stored line belongs to: the value of its
-    ["bench":"..."] field; [None] for blank lines; a non-blank line
-    without a tag is adopted as ["serve"] (the only legacy producer
-    that predates tagging). *)
-
-val write_section : out:string -> section:string -> string -> unit
-(** [write_section ~out ~section line] replaces [section]'s line in
-    [out] (keeping every other section's line byte-for-byte) and
-    rewrites the file with sections sorted by tag. *)
 
 (** {2 BENCH_core.json rows (schema v2)} *)
 

@@ -129,7 +129,7 @@ let handle_lines t lines =
     chunks;
   responses
 
-(* --- client (redf batch --connect / bench-serve) --- *)
+(* --- client (redf batch --connect) --- *)
 
 let string_of_addr = function
   | Unix.ADDR_UNIX path -> path

@@ -19,7 +19,8 @@
     {!Engine.handle_lines} (or the service's [handle_lines]) over that
     connection's request lines, with each dropped line's error line in
     its place — batching across connections changes wall-clock only,
-    never bytes.  ([redf bench-serve] checks exactly this.)
+    never bytes.  (test_server.ml's concurrent-clients test checks
+    exactly this, over a Unix socket and over TCP.)
 
     Backpressure and load shedding:
     - a connection whose pending-step queue reaches [max_pending], or

@@ -3,7 +3,8 @@
    at every byte boundary of the last record), state/record codecs and
    idempotent replay, snapshot rotation through the store, the
    daemon's verdict byte-identity against a from-scratch analyzer run,
-   request-id dedup, and a small in-process chaos run. *)
+   request-id dedup, a cold replay of a 10^4-record journal, and a
+   small in-process chaos run. *)
 
 open Core_helpers
 
@@ -396,6 +397,38 @@ let daemon_dedup_and_recovery () =
   check_int "still one task" 1 (Admit.State.size (Admit.Daemon.state d));
   Admit.Daemon.close d
 
+let daemon_replays_long_journal () =
+  (* a journal far longer than any snapshot interval the other tests
+     use: every record replays on a cold open, none is lost or doubled *)
+  let records = 10_000 in
+  let dir = temp_dir "replay" in
+  let final =
+    match Admit.Store.open_dir ~snapshot_every:(records + 1) ~dir () with
+    | Error msg -> Alcotest.failf "open_dir: %s" msg
+    | Ok (st, _) ->
+      for seq = 1 to records do
+        let op =
+          if seq mod 2 = 1 then Admit.State.Add (task "flip" "1" "9" "9" 1)
+          else Admit.State.Remove "flip"
+        in
+        match
+          Admit.Store.commit ~fsync:false st
+            { Admit.State.seq; rid = Some (string_of_int seq); op; reply = "ok-" ^ string_of_int seq }
+        with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "commit %d: %s" seq msg
+      done;
+      let final = Admit.Store.state st in
+      Admit.Store.close st;
+      final
+  in
+  match Admit.Daemon.create ~snapshot_every:(records + 1) ~analyzer ~fpga_area:100 ~dir () with
+  | Error msg -> Alcotest.failf "daemon create: %s" msg
+  | Ok (d, recovery) ->
+    Fun.protect ~finally:(fun () -> Admit.Daemon.close d) (fun () ->
+        check_int "every record replayed" records recovery.Admit.Store.replayed;
+        check_bool "recovered ≡ final" true (Admit.State.equal final (Admit.Daemon.state d)))
+
 let chaos_smoke () =
   let dir = temp_dir "chaos" in
   let cfg =
@@ -435,6 +468,7 @@ let () =
         [
           Alcotest.test_case "verdict byte-identity" `Quick daemon_verdict_byte_identity;
           Alcotest.test_case "dedup and recovery" `Quick daemon_dedup_and_recovery;
+          Alcotest.test_case "replays a 10^4-record journal" `Quick daemon_replays_long_journal;
           Alcotest.test_case "chaos smoke" `Quick chaos_smoke;
         ] );
     ]

@@ -139,6 +139,60 @@ let framing_finish () =
   items [ "line:last" ] (List.map show (Server.Framing.finish f));
   items [] (List.map show (Server.Framing.finish f))
 
+(* the same stream framed whole and under a random chunking: short,
+   blank and over-cap lines, with or without a final newline *)
+let prop_framing_any_chunking =
+  let open QCheck2.Gen in
+  let cap = 16 in
+  let short =
+    map2
+      (fun c rest -> String.make 1 c ^ rest)
+      (char_range 'a' 'e')
+      (string_size ~gen:(oneofl [ 'a'; 'b'; ' ' ]) (int_range 0 (cap - 1)))
+  in
+  let blank = string_size ~gen:(oneofl [ ' '; '\t' ]) (int_range 0 3) in
+  let over = string_size ~gen:(char_range 'f' 'z') (int_range (cap + 1) (3 * cap)) in
+  let lines = list_size (int_range 0 12) (frequency [ (4, short); (2, blank); (2, over) ]) in
+  let text (lines, final_newline) =
+    String.concat "\n" lines ^ if final_newline then "\n" else ""
+  in
+  (* Too_large's payload is the size seen when the cap tripped, which
+     depends on the split; only its position is compared *)
+  let frame chunks =
+    let f = Server.Framing.create ~max_line_bytes:cap () in
+    let fed = List.concat_map (Server.Framing.feed f ~now:0.0) chunks in
+    fed @ Server.Framing.finish f
+    |> List.map (function Server.Framing.Too_large _ -> Server.Framing.Too_large 0 | item -> item)
+  in
+  let split s cuts =
+    let n = String.length s in
+    let rec chunks = function
+      | a :: (b :: _ as rest) -> String.sub s a (b - a) :: chunks rest
+      | _ -> []
+    in
+    chunks (List.sort_uniq compare (0 :: n :: List.map (fun k -> k * n / 1000) cuts))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"framing is independent of chunking"
+       ~print:(fun (stream, cuts) ->
+         Printf.sprintf "%S cut at %s/1000" (text stream)
+           (String.concat "," (List.map string_of_int cuts)))
+       (pair (pair lines bool) (list_size (int_range 0 6) (int_bound 1000)))
+       (fun ((lines, _) as stream, cuts) ->
+         let s = text stream in
+         let whole = frame [ s ] in
+         (* every Line a non-blank in-cap line of the stream, exactly
+            one Too_large per over-cap line, in stream order *)
+         let expected =
+           List.filter_map
+             (fun l ->
+               if String.length l > cap then Some (Server.Framing.Too_large 0)
+               else if String.trim l <> "" then Some (Server.Framing.Line l)
+               else None)
+             lines
+         in
+         whole = expected && frame (split s cuts) = whole))
+
 (* --- engine --- *)
 
 let with_engine f = Server.Engine.with_engine ~cache_size:64 ~jobs:1 f
@@ -544,37 +598,60 @@ let tcp_roundtrip () =
       check_str "error isolated" "error" (response_kind responses.(1)))
 
 let concurrent_clients_isolated () =
-  (* N concurrent clients, each with its own request stream: every
-     client gets its own answers, in its own order, byte-identical to
-     a serial in-process evaluation of its lines *)
-  let path = temp_socket "redf-test-loop.sock" in
-  let clients = 4 and per_client = 25 in
+  (* N concurrent clients, each with its own request stream, over each
+     transport: every client gets its own answers, in its own order,
+     byte-identical to a serial in-process evaluation of its lines.
+     The streams mix cache hits (table1), first-time misses (a pool of
+     generated sets, shared across clients so later asks hit) and
+     malformed lines, against the sharded cache of a 2-worker engine. *)
+  let clients = 8 and per_client = 40 in
+  let generated =
+    Array.init 10 (fun d ->
+        Model.Generator.draw (Rng.create ~seed:(1000 + d)) (Model.Generator.unconstrained ~n:5))
+  in
   let lines_of c =
     Array.init per_client (fun i ->
         let analyzer = List.nth [ "DP"; "GN1"; "GN2" ] ((c + i) mod 3) in
+        let id = Core.Json.String (Printf.sprintf "c%d-r%d" c i) in
         if i mod 9 = 5 then Printf.sprintf "bad line c%d-%d" c i
-        else request ~analyzer ~id:(Core.Json.String (Printf.sprintf "c%d-r%d" c i)) table1)
-  in
-  let got =
-    with_loop ~jobs:2 [ Server.Loop.unix_listener ~path ] (fun _ ->
-        let domains =
-          Array.init clients (fun c ->
-              Domain.spawn (fun () -> roundtrip ~addr:(Unix.ADDR_UNIX path) (lines_of c)))
-        in
-        Array.map Domain.join domains)
+        else if i mod 2 = 0 then request ~analyzer ~id table1
+        else request ~analyzer ~fpga_area:100 ~id generated.((c + i) mod Array.length generated))
   in
   (* the serial reference: same lines, fresh single-worker engine *)
-  Server.Engine.with_engine ~cache_size:256 ~shards:1 ~jobs:1 (fun reference ->
+  let expected =
+    Server.Engine.with_engine ~cache_size:256 ~shards:1 ~jobs:1 (fun reference ->
+        Array.init clients (fun c -> Server.Engine.handle_lines reference (lines_of c)))
+  in
+  let unix () =
+    let path = temp_socket "redf-test-loop.sock" in
+    (Server.Loop.unix_listener ~path, Unix.ADDR_UNIX path)
+  in
+  let tcp () =
+    let listener = Server.Loop.tcp_listener ~host:"127.0.0.1" ~port:0 in
+    (listener, Unix.ADDR_INET (Unix.inet_addr_loopback, Server.Loop.bound_port listener))
+  in
+  List.iter
+    (fun (transport, listen) ->
+      let listener, addr = listen () in
+      let got =
+        with_loop ~jobs:2 [ listener ] (fun _ ->
+            let domains =
+              Array.init clients (fun c -> Domain.spawn (fun () -> roundtrip ~addr (lines_of c)))
+            in
+            Array.map Domain.join domains)
+      in
       Array.iteri
         (fun c responses ->
-          let expected = Server.Engine.handle_lines reference (lines_of c) in
-          check_int (Printf.sprintf "client %d: one response per request" c)
+          check_int
+            (Printf.sprintf "%s client %d: one response per request" transport c)
             per_client (Array.length responses);
           Array.iteri
             (fun i expected ->
-              check_str (Printf.sprintf "client %d response %d" c i) expected responses.(i))
-            expected)
+              check_str (Printf.sprintf "%s client %d response %d" transport c i) expected
+                responses.(i))
+            expected.(c))
         got)
+    [ ("unix", unix); ("tcp", tcp) ]
 
 let load_shedding () =
   (* with a global in-flight budget of 1, a burst of pipelined requests
@@ -850,6 +927,7 @@ let () =
           Alcotest.test_case "deadline armed once" `Quick framing_deadline_armed_once;
           Alcotest.test_case "deadline re-arms per line" `Quick framing_deadline_rearms_per_line;
           Alcotest.test_case "finish" `Quick framing_finish;
+          prop_framing_any_chunking;
         ] );
       ( "engine",
         [
