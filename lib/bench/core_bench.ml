@@ -34,6 +34,17 @@ let single_analyzers =
 
 let batch_analyzers = [ Core.Analyzer.dp; Core.Analyzer.gn1; Core.Analyzer.gn2 ]
 
+(* wide rows: one fixed taskset whose times have 16 digits (periods of
+   10^12 to 10^13 units on a one-tick grid), so every product of two
+   ticks overflows an int and DP, GN1 and GN2 run over Bignum *)
+let wide_n = 32
+
+let wide_taskset () =
+  let profile =
+    { (Model.Generator.unconstrained ~n:wide_n) with period_lo = 1e12; period_hi = 1e13; period_grid = 1 }
+  in
+  Model.Generator.draw (Rng.create ~seed:1234) profile
+
 (* the oracle is exponential in N (offset combinations), so its rows
    use crafted small integer tasksets with an explicit combination cap
    instead of the generated N sweep *)
@@ -78,6 +89,19 @@ let specs () =
           batch_analyzers)
       batch_sizes
   in
+  let wides =
+    let ts = wide_taskset () in
+    List.map
+      (fun a ->
+        {
+          analyzer = a.Core.Analyzer.name;
+          n = wide_n;
+          mode = "wide";
+          decides_per_iter = 1;
+          iter = (fun () -> ignore (a.Core.Analyzer.decide ~fpga_area ts));
+        })
+      batch_analyzers
+  in
   let exacts =
     List.map
       (fun n ->
@@ -85,7 +109,7 @@ let specs () =
         { analyzer = "exact"; n; mode = "single"; decides_per_iter = 1; iter = (fun () -> exact_decide ts) })
       exact_sizes
   in
-  singles @ batches @ exacts
+  singles @ batches @ wides @ exacts
 
 let measure ~budget spec =
   if not (Env.within budget) then

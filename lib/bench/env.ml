@@ -32,7 +32,7 @@ let find_sub haystack needle =
 type core_row = {
   analyzer : string;
   n : int;
-  mode : string;  (* "single" | "batch" *)
+  mode : string;  (* "single" | "batch" | "wide" *)
   us_per_decide : float;
   truncated : bool;  (* measured under an expired --budget-ms, or skipped *)
 }

@@ -113,37 +113,84 @@ let mag_divmod_small a m =
   done;
   (mag_normalize q, !r)
 
-let mag_shift_left_digits a k =
-  if Array.length a = 0 then [||]
-  else Array.append (Array.make k 0) a
-
-(* Long division of magnitudes: binary shift-and-subtract per base digit
-   would be slow; instead use schoolbook division with a one-digit estimate
-   refined by correction steps.  Numbers here are small, so simplicity wins:
-   we divide by repeated subtraction of shifted multiples found by binary
-   search over the single next quotient digit. *)
+(* Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) over base-2^30 limbs.
+   The divisor is shifted so its top limb has its high bit set; then
+   each quotient limb is estimated from the top two limbs of the
+   running remainder over the divisor's top limb, corrected at most
+   twice against the next limb, and the rare estimate still one too
+   large is repaired by adding the divisor back.  Every intermediate
+   product is below 2^61, inside a native int.  One-limb divisors take
+   [mag_divmod_small]. *)
 let mag_divmod a b =
-  if Array.length b = 0 then raise Division_by_zero;
+  let lb = Array.length b in
+  if lb = 0 then raise Division_by_zero;
   if mag_compare a b < 0 then ([||], a)
+  else if lb = 1 then begin
+    let q, r = mag_divmod_small a b.(0) in
+    (q, if r = 0 then [||] else [| r |])
+  end
   else begin
-    let la = Array.length a and lb = Array.length b in
-    let shift = la - lb in
-    let q = Array.make (shift + 1) 0 in
-    let r = ref a in
-    for k = shift downto 0 do
-      let bk = mag_shift_left_digits b k in
-      (* binary search the largest digit d in [0, base) with d*bk <= r *)
-      let lo = ref 0 and hi = ref (base - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if mag_compare (mag_mul_small bk mid) !r <= 0 then lo := mid
-        else hi := mid - 1
+    let la = Array.length a in
+    let shift =
+      let rec go s top = if top land (base lsr 1) <> 0 then s else go (s + 1) (top lsl 1) in
+      go 0 b.(lb - 1)
+    in
+    (* v = b << shift (lb limbs), u = a << shift (la + 1 limbs) *)
+    let shl src len =
+      let dst = Array.make len 0 in
+      let carry = ref 0 in
+      for i = 0 to Array.length src - 1 do
+        let x = (src.(i) lsl shift) lor !carry in
+        dst.(i) <- x land base_mask;
+        carry := x lsr base_bits
       done;
-      let d = !lo in
-      if d > 0 then r := mag_sub !r (mag_mul_small bk d);
-      q.(k) <- d
+      if len > Array.length src then dst.(Array.length src) <- !carry;
+      dst
+    in
+    let v = shl b lb and u = shl a (la + 1) in
+    let vtop = v.(lb - 1) and vnext = v.(lb - 2) in
+    let q = Array.make (la - lb + 1) 0 in
+    for j = la - lb downto 0 do
+      let num = (u.(j + lb) lsl base_bits) lor u.(j + lb - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      while
+        !rhat < base
+        && (!qhat >= base || !qhat * vnext > (!rhat lsl base_bits) lor u.(j + lb - 2))
+      do
+        decr qhat;
+        rhat := !rhat + vtop
+      done;
+      (* u[j .. j+lb] -= qhat * v *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to lb - 1 do
+        let p = (!qhat * v.(i)) + !carry in
+        carry := p lsr base_bits;
+        let t = u.(i + j) - (p land base_mask) - !borrow in
+        u.(i + j) <- t land base_mask;
+        borrow := if t < 0 then 1 else 0
+      done;
+      let top = u.(j + lb) - !carry - !borrow in
+      u.(j + lb) <- top land base_mask;
+      if top < 0 then begin
+        (* the estimate was one too large: add v back, dropping the carry out *)
+        decr qhat;
+        let c = ref 0 in
+        for i = 0 to lb - 1 do
+          let s = u.(i + j) + v.(i) + !c in
+          u.(i + j) <- s land base_mask;
+          c := s lsr base_bits
+        done;
+        u.(j + lb) <- (u.(j + lb) + !c) land base_mask
+      end;
+      q.(j) <- !qhat
     done;
-    (mag_normalize q, !r)
+    (* the remainder is u[0 .. lb-1] >> shift *)
+    let r = Array.make lb 0 in
+    for i = 0 to lb - 1 do
+      let hi = if i + 1 < lb then u.(i + 1) else 0 in
+      r.(i) <- ((u.(i) lsr shift) lor (hi lsl (base_bits - shift))) land base_mask
+    done;
+    (mag_normalize q, mag_normalize r)
   end
 
 (* --- signed layer --- *)

@@ -22,7 +22,13 @@
     equality boundary, so the non-strict reading is unsound (DESIGN.md
     §2, test_regressions.ml).  All of the paper's table decisions are
     unaffected.  The theorem as printed instead uses [(A(H) - A_k)]; that
-    (more pessimistic) variant is available as {!decide_printed}. *)
+    (more pessimistic) variant is available as {!decide_printed}.
+
+    Every term is a ratio of int ticks over [D_i] or [D_k], so check
+    [k] accumulates its lhs as one numerator over [lcm(D_1..D_N)]
+    (computed once per taskset), compares numerators, and normalizes
+    the printed lhs once.  The arithmetic runs over native ints or,
+    where one would overflow, {!Bignum} ({!Ticks}). *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
 val accepts : fpga_area:int -> Model.Taskset.t -> bool
@@ -31,23 +37,7 @@ val decide_all : fpga_area:int -> Model.Taskset.t array -> Verdict.t array
 (** One verdict per taskset, in order; element [i] is byte-identical to
     [decide ~fpga_area tss.(i)]. *)
 
-val decide_cols : test_name:string -> lemma3_form:bool -> fpga_area:int -> Params.Cols.t -> Verdict.t
-(** The columnar kernel behind {!decide} (and, with [lemma3_form:false],
-    {!decide_printed}). *)
-
-val decide_reference : fpga_area:int -> Model.Taskset.t -> Verdict.t
-(** The pre-columnar record-path implementation, kept so the test suite
-    can pin [decide ≡ decide_reference] byte-for-byte. *)
-
 val decide_printed : fpga_area:int -> Model.Taskset.t -> Verdict.t
 (** The variant exactly as printed in Theorem 2. *)
 
 val accepts_printed : fpga_area:int -> Model.Taskset.t -> bool
-
-val n_jobs : Model.Taskset.t -> k:int -> i:int -> Bignum.t
-(** [N_i]: jobs of [tau_i] fully contained in [tau_k]'s window (clamped at
-    0).  Indices are 0-based. @raise Invalid_argument on [k = i] or out of
-    range. *)
-
-val beta : Model.Taskset.t -> k:int -> i:int -> Rat.t
-(** The interference bound [beta_i] for window of task [k]. *)

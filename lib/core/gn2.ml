@@ -1,101 +1,18 @@
-(* beta^lambda_k(i) as in Lemma 7, with the paper's middle-case typo
-   (C_k/T_k) corrected to C_i/T_i; see DESIGN.md section 2. *)
-let beta_lambda_q qs ~k ~i ~lambda =
-  let qi = qs.(i) and qk = qs.(k) in
-  let ui = Params.time_utilization qi in
-  let dens_i = Params.density qi in
-  let light = Rat.compare ui lambda <= 0 in
-  let finishes = Rat.compare lambda dens_i >= 0 in
-  let open Rat.Infix in
-  if light then
-    Rat.max ui ((ui * (Rat.one - (qi.Params.d / qk.Params.d))) + (qi.Params.c / qk.Params.d))
-  else if finishes then ui
-  else ui + ((qi.Params.c - (lambda * qi.Params.d)) / qk.Params.d)
+module Columns = Model.Taskset.Columns
 
-(* lambda_k = lambda * max(1, T_k/D_k) *)
-let lambda_k_of qk lambda =
-  Rat.mul lambda (Rat.max Rat.one (Rat.div qk.Params.t qk.Params.d))
-
-(* The only candidates are the discontinuity points of beta named by the
-   paper's complexity discussion: lambda = C_i/T_i for every i, plus
-   C_i/D_i when D_i > T_i, restricted to lambda >= C_k/T_k (Theorem 3) and
-   lambda_k <= 1 (beyond which both conditions are vacuous).  Adding other
-   points — e.g. the upper interval end — would change decisions: at
-   lambda_k = 1 condition 2 degenerates to [sum < Amin] and would wrongly
-   accept the paper's Table 1. *)
-let lambda_candidates_q qs ~k =
-  let qk = qs.(k) in
-  let lo = Params.time_utilization qk in
-  let hi = Rat.min Rat.one (Rat.div qk.Params.d qk.Params.t) in
-  let discontinuities =
-    Array.to_list qs
-    |> List.concat_map (fun qi ->
-           let ui = Params.time_utilization qi in
-           if Rat.compare qi.Params.d qi.Params.t > 0 then [ ui; Params.density qi ] else [ ui ])
-  in
-  let in_range l = Rat.compare l lo >= 0 && Rat.compare l hi <= 0 in
-  let all = List.filter in_range discontinuities in
-  List.sort_uniq Rat.compare all
-
-type lambda_eval = {
-  lambda : Rat.t;
-  lambda_k : Rat.t;
-  cond1_lhs : Rat.t;
-  cond1_rhs : Rat.t;
-  cond1 : bool;
-  cond2_lhs : Rat.t;
-  cond2_rhs : Rat.t;
-  cond2 : bool;
-}
+let wider_note = "a task is wider than the FPGA"
 
 (* candidates actually evaluated: the observable cost of the O(N^3)
    test (each evaluation is an O(N) beta sweep) *)
 let m_lambda_evals = Obs.Counter.make "core.gn2.lambda_evals"
 
-let evaluate_lambda_q ~fpga_area qs ~k ~lambda =
-  Obs.Counter.incr m_lambda_evals;
-  let qk = qs.(k) in
-  let lambda_k = lambda_k_of qk lambda in
-  let abnd = Rat.of_int (fpga_area - Params.amax qs + 1) in
-  let amin = Rat.of_int (Params.amin qs) in
-  let open Rat.Infix in
-  let one_minus = Rat.one - lambda_k in
-  (* one pass computes both condition sums: beta is the expensive part *)
-  let cond1_lhs, cond2_lhs =
-    Array.fold_left
-      (fun (s1, s2) qi ->
-        let b = beta_lambda_q qs ~k ~i:qi.Params.index ~lambda in
-        ( s1 + (qi.Params.area_q * Rat.min b one_minus),
-          s2 + (qi.Params.area_q * Rat.min b Rat.one) ))
-      (Rat.zero, Rat.zero) qs
-  in
-  let cond1_rhs = abnd * one_minus in
-  let cond2_rhs = ((abnd - amin) * one_minus) + amin in
-  let cond1 = Stdlib.( < ) (Rat.compare cond1_lhs cond1_rhs) 0 in
-  let cond2 = Stdlib.( < ) (Rat.compare cond2_lhs cond2_rhs) 0 in
-  { lambda; lambda_k; cond1_lhs; cond1_rhs; cond1; cond2_lhs; cond2_rhs; cond2 }
-
-let wider_note = "a task is wider than the FPGA"
-
-(* The per-task check records are built by these four constructors so the
-   reference search, the exhaustive variant and the columnar sweep below
-   cannot drift apart in their printed bytes. *)
-let check_cond1 ~k ~lambda ~lhs ~rhs =
+let check_cond ~cond ~k ~lambda ~lhs ~rhs =
   {
     Verdict.task_index = k;
     satisfied = true;
     lhs;
     rhs;
-    note = Format.asprintf "condition 1 at lambda=%a" Rat.pp lambda;
-  }
-
-let check_cond2 ~k ~lambda ~lhs ~rhs =
-  {
-    Verdict.task_index = k;
-    satisfied = true;
-    lhs;
-    rhs;
-    note = Format.asprintf "condition 2 at lambda=%a" Rat.pp lambda;
+    note = "condition " ^ cond ^ " at lambda=" ^ Rat.to_string lambda;
   }
 
 let check_closest ~k ~lambda ~lhs ~rhs =
@@ -104,7 +21,7 @@ let check_closest ~k ~lambda ~lhs ~rhs =
     satisfied = false;
     lhs;
     rhs;
-    note = Format.asprintf "no lambda works; closest lambda=%a" Rat.pp lambda;
+    note = "no lambda works; closest lambda=" ^ Rat.to_string lambda;
   }
 
 let check_no_candidate ~k =
@@ -116,297 +33,232 @@ let check_no_candidate ~k =
     note = "no lambda candidate in range";
   }
 
-(* record-path implementation, kept as the byte-identity reference for
-   the columnar sweep (test_columns.ml) *)
-let decide_reference ~fpga_area ts =
-  let test_name = "GN2" in
-  let qs = Params.of_taskset ts in
-  if Params.amax qs > fpga_area then Verdict.reject_all ~test_name ~note:wider_note ts
-  else begin
-    let check k =
-      let candidates = lambda_candidates_q qs ~k in
-      let rec search best = function
-        | [] -> (
-          (* rejected: report the evaluation that came closest on cond 2 *)
-          match best with
-          | Some ev -> check_closest ~k ~lambda:ev.lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          | None -> check_no_candidate ~k)
-        | lambda :: rest ->
-          let ev = evaluate_lambda_q ~fpga_area qs ~k ~lambda in
-          if ev.cond1 then check_cond1 ~k ~lambda ~lhs:ev.cond1_lhs ~rhs:ev.cond1_rhs
-          else if ev.cond2 then check_cond2 ~k ~lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          else begin
-            let better =
-              match best with
-              | None -> true
-              | Some b ->
-                Rat.compare (Rat.sub ev.cond2_lhs ev.cond2_rhs) (Rat.sub b.cond2_lhs b.cond2_rhs) < 0
-            in
-            search (if better then Some ev else best) rest
-          end
+(* Check k at a candidate lambda = p/q, a reduced ratio of ticks.  With
+   M_k = max(D_k, T_k) and w = q D_k - p M_k, so that
+   1 - lambda_k = w / (q D_k), Lemma 7's beta_i is b_i / (T_i D_k q) for
+   the int b_i of [beta] below, and the two conditions read
+
+     1)  sum_i A_i m1_i / T_i  <  Abnd w
+     2)  sum_i A_i m2_i / T_i  <  (Abnd - Amin) w + Amin q D_k
+
+   with m1_i = min(b_i, T_i w) and m2_i = min(b_i, T_i q D_k); each lhs
+   printed is its sum over q D_k.  A sum is decided from the floors
+   S = sum floor(A_i m_i / T_i) and the count c of inexact terms: the
+   sum lies in [S, S + c), so only R - c < S < R needs it exactly: as S
+   plus the remainders over L = lcm(T_i), the form printing also uses. *)
+module Make (I : Ticks.INT) = struct
+  let zero = I.of_int 0
+  let max a b = if I.compare a b >= 0 then a else b
+
+  (* X < r for X in [s, s + cnt), X = s iff cnt = 0 *)
+  let below ~s ~cnt ~r exact =
+    if cnt = 0 then I.compare s r < 0
+    else if I.compare s r >= 0 then false
+    else if I.compare (I.add s (I.of_int cnt)) r <= 0 then true
+    else exact ()
+
+  (* a rejected candidate, kept while it is the closest on condition 2 *)
+  type closest = { p : I.t; q : I.t; r2 : I.t; delta : I.t; cnt : int }
+
+  let checks ~fpga_area (cols : Columns.t) =
+    let n = cols.Columns.n in
+    let c = Array.map I.of_int cols.Columns.exec in
+    let d = Array.map I.of_int cols.Columns.deadline in
+    let t = Array.map I.of_int cols.Columns.period in
+    let a = Array.map I.of_int cols.Columns.area in
+    let amin = I.of_int (Array.fold_left Stdlib.min max_int cols.Columns.area) in
+    let abnd = I.of_int (fpga_area - Array.fold_left Stdlib.max 0 cols.Columns.area + 1) in
+    (* the discontinuity points of beta: C_i/T_i for every i, plus C_i/D_i
+       when D_i > T_i, reduced, sorted, unique; each k walks a slice *)
+    let cp, cq =
+      let reduced p q =
+        let g = I.gcd p q in
+        (I.fdiv p g, I.fdiv q g)
       in
-      search None candidates
+      let points = ref [] in
+      for i = n - 1 downto 0 do
+        if I.compare d.(i) t.(i) > 0 then points := reduced c.(i) d.(i) :: !points;
+        points := reduced c.(i) t.(i) :: !points
+      done;
+      let sorted =
+        List.sort_uniq (fun (p1, q1) (p2, q2) -> I.compare (I.mul p1 q2) (I.mul p2 q1)) !points
+      in
+      (Array.of_list (List.map fst sorted), Array.of_list (List.map snd sorted))
     in
-    Verdict.make ~test_name ~checks:(List.init (Array.length qs) check)
-  end
-
-(* Ablation twin of decide_reference that evaluates *every* candidate
-   before deciding.  Verdicts (accept/reject, sides, notes) are
-   byte-identical — only the core.gn2.lambda_evals counter differs,
-   which is what makes the early-exit pruning observable. *)
-let decide_exhaustive ~fpga_area ts =
-  let test_name = "GN2" in
-  let qs = Params.of_taskset ts in
-  if Params.amax qs > fpga_area then Verdict.reject_all ~test_name ~note:wider_note ts
-  else begin
-    let check k =
-      let evs =
-        List.map
-          (fun lambda -> evaluate_lambda_q ~fpga_area qs ~k ~lambda)
-          (lambda_candidates_q qs ~k)
-      in
-      let rec scan best = function
-        | [] -> (
-          match best with
-          | Some ev -> check_closest ~k ~lambda:ev.lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          | None -> check_no_candidate ~k)
-        | ev :: rest ->
-          if ev.cond1 then check_cond1 ~k ~lambda:ev.lambda ~lhs:ev.cond1_lhs ~rhs:ev.cond1_rhs
-          else if ev.cond2 then check_cond2 ~k ~lambda:ev.lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          else begin
-            let better =
-              match best with
-              | None -> true
-              | Some b ->
-                Rat.compare (Rat.sub ev.cond2_lhs ev.cond2_rhs) (Rat.sub b.cond2_lhs b.cond2_rhs) < 0
-            in
-            scan (if better then Some ev else best) rest
-          end
-      in
-      scan None evs
+    let ncand = Array.length cp in
+    (* exact sums are Bignum numerators over L = lcm(T_i) *)
+    let exact =
+      lazy
+        (let tb = Array.map I.to_bignum t in
+         let l = Array.fold_left Bignum.lcm Bignum.one tb in
+         (l, Array.map (fun ti -> Bignum.div l ti) tb))
     in
-    Verdict.make ~test_name ~checks:(List.init (Array.length qs) check)
-  end
-
-(* --- columnar sweep ---------------------------------------------------
-
-   Lemma 7's beta is, for fixed k, a hinge in lambda:
-
-     beta_i(lambda) = max(K_i, A_i - B_i lambda)
-       A_i = u_i + C_i/D_k      B_i = D_i/D_k
-       K_i = u_i + smax_i/D_k   smax_i = max(C_i - u_i D_i, 0)
-
-   (the three printed cases coincide with this: the descending branch
-   A_i - B_i lambda is active for lambda <= kink_i and the constant K_i
-   beyond, where kink_i = u_i when D_i <= T_i and C_i/D_i otherwise).
-   Both condition sums are therefore piecewise-linear in lambda, so per k
-   we classify each task's min(...) term once per breakpoint interval,
-   turn piece changes into (delta-slope, delta-intercept) events, and
-   evaluate every candidate in O(1) from running linear coefficients.
-   Together with the single globally-sorted candidate array (built once
-   per taskset, sliced per k) this replaces the O(N) beta sweep per
-   candidate: O(N^2 log N) per taskset instead of O(N^3).
-
-   Piece classification samples the exact-rational midpoint of each
-   subinterval; continuity of min/max of linear functions makes the
-   sampled piece valid on the closed subinterval, so candidates sitting
-   exactly on a breakpoint get the same value either side.  All
-   arithmetic stays in Rat, so every lhs/rhs is value-equal — hence
-   byte-identical once printed — to the reference fold above. *)
-
-type pre = {
-  p : Params.Cols.t;
-  kink : Rat.t array;  (* where beta_i's descending branch meets K_i *)
-  smax : Rat.t array;  (* max(C_i - u_i D_i, 0) *)
-  cands : Rat.t array;  (* all discontinuity points, sorted, unique *)
-}
-
-let precompute (p : Params.Cols.t) =
-  let n = p.Params.Cols.n in
-  let c = p.Params.Cols.c and d = p.Params.Cols.d and t = p.Params.Cols.t in
-  let u = p.Params.Cols.u and dens = p.Params.Cols.dens in
-  let kink = Array.init n (fun i -> if Rat.compare d.(i) t.(i) <= 0 then u.(i) else dens.(i)) in
-  let smax =
-    Array.init n (fun i ->
-        if Rat.compare d.(i) t.(i) <= 0 then Rat.sub c.(i) (Rat.mul u.(i) d.(i)) else Rat.zero)
-  in
-  let disc = ref [] in
-  for i = n - 1 downto 0 do
-    if Rat.compare d.(i) t.(i) > 0 then disc := dens.(i) :: !disc;
-    disc := u.(i) :: !disc
-  done;
-  let cands = Array.of_list (List.sort_uniq Rat.compare !disc) in
-  { p; kink; smax; cands }
-
-type event = { at : Rat.t; dp1 : Rat.t; dq1 : Rat.t; dp2 : Rat.t; dq2 : Rat.t }
-
-let sweep_k ~abnd ~aminq pre k =
-  let p = pre.p in
-  let n = p.Params.Cols.n in
-  let u = p.Params.Cols.u and c = p.Params.Cols.c and d = p.Params.Cols.d in
-  let t = p.Params.Cols.t and area_q = p.Params.Cols.area_q in
-  let lo = u.(k) in
-  let hi = Rat.min Rat.one (Rat.div d.(k) t.(k)) in
-  (* candidate slice [first, last] of the global sorted array *)
-  let ncand = Array.length pre.cands in
-  let first = ref 0 in
-  while !first < ncand && Rat.compare pre.cands.(!first) lo < 0 do
-    incr first
-  done;
-  let last = ref (ncand - 1) in
-  while !last >= 0 && Rat.compare pre.cands.(!last) hi > 0 do
-    decr last
-  done;
-  if !first > !last then check_no_candidate ~k
-  else begin
-    let dk = d.(k) in
-    let inv_dk = Rat.inv dk in
-    let mk = Rat.max Rat.one (Rat.div t.(k) dk) in
-    let neg_mk = Rat.neg mk in
-    let two = Rat.of_int 2 in
-    (* running linear coefficients: on the current piece,
-       cond1_lhs = p1 + q1*lambda and cond2_lhs = p2 + q2*lambda *)
-    let p1 = ref Rat.zero and q1 = ref Rat.zero in
-    let p2 = ref Rat.zero and q2 = ref Rat.zero in
-    let events = ref [] in
-    for i = 0 to n - 1 do
-      let ai = area_q.(i) in
-      let a_ = Rat.add u.(i) (Rat.mul c.(i) inv_dk) in
-      let b_ = Rat.mul d.(i) inv_dk in
-      let neg_b = Rat.neg b_ in
-      let k_ = Rat.add u.(i) (Rat.mul pre.smax.(i) inv_dk) in
-      let kink = pre.kink.(i) in
-      let eval (pp, qq) x = Rat.add pp (Rat.mul qq x) in
-      (* active branch of the beta hinge at sample point x *)
-      let beta_piece x = if Rat.compare x kink <= 0 then (a_, neg_b) else (k_, Rat.zero) in
-      (* term of cond 1: min(beta_i, 1 - mk*lambda) *)
-      let classify1 x =
-        let g = beta_piece x in
-        if Rat.compare (eval g x) (Rat.sub Rat.one (Rat.mul mk x)) <= 0 then g else (Rat.one, neg_mk)
-      in
-      (* term of cond 2: min(beta_i, 1) *)
-      let classify2 x =
-        let g = beta_piece x in
-        if Rat.compare (eval g x) Rat.one <= 0 then g else (Rat.one, Rat.zero)
-      in
-      (* candidate breakpoints: the hinge plus each branch's crossing
-         with the min partner.  Spurious points (crossings outside the
-         active branch) only cost a zero-delta event. *)
-      let bps1 =
-        let base = [ kink; Rat.div (Rat.sub Rat.one k_) mk ] in
-        if Rat.equal b_ mk then base
-        else Rat.div (Rat.sub a_ Rat.one) (Rat.sub b_ mk) :: base
-      in
-      let bps2 = [ kink; Rat.div (Rat.sub a_ Rat.one) b_ ] in
-      let add_term ~cond1 classify bps pref qref =
-        let pts =
-          List.sort_uniq Rat.compare
-            (List.filter (fun b -> Rat.compare b lo > 0 && Rat.compare b hi < 0) bps)
-        in
-        let sample x y = if Rat.equal x y then x else Rat.div (Rat.add x y) two in
-        let first_piece = classify (sample lo (match pts with [] -> hi | b :: _ -> b)) in
-        pref := Rat.add !pref (Rat.mul ai (fst first_piece));
-        qref := Rat.add !qref (Rat.mul ai (snd first_piece));
-        let rec go (cp, cq) = function
-          | [] -> ()
-          | b :: rest ->
-            let right = match rest with [] -> hi | r :: _ -> r in
-            let np, nq = classify (sample b right) in
-            if not (Rat.equal np cp && Rat.equal nq cq) then begin
-              let dp = Rat.mul ai (Rat.sub np cp) and dq = Rat.mul ai (Rat.sub nq cq) in
-              events :=
-                (if cond1 then { at = b; dp1 = dp; dq1 = dq; dp2 = Rat.zero; dq2 = Rat.zero }
-                 else { at = b; dp1 = Rat.zero; dq1 = Rat.zero; dp2 = dp; dq2 = dq })
-                :: !events
-            end;
-            go (np, nq) rest
-        in
-        go first_piece pts
-      in
-      add_term ~cond1:true classify1 bps1 p1 q1;
-      add_term ~cond1:false classify2 bps2 p2 q2
-    done;
-    let evs = Array.of_list !events in
-    Array.sort (fun e1 e2 -> Rat.compare e1.at e2.at) evs;
-    let ne = Array.length evs in
-    let ei = ref 0 in
-    (* best-so-far for the reject note: (lambda, cond2_lhs, cond2_rhs, margin) *)
-    let rec search best ci =
-      if ci > !last then begin
-        match best with
-        | Some (lambda, lhs, rhs, _) -> check_closest ~k ~lambda ~lhs ~rhs
-        | None -> check_no_candidate ~k (* unreachable: the slice is non-empty *)
-      end
-      else begin
-        let lambda = pre.cands.(ci) in
-        while !ei < ne && Rat.compare evs.(!ei).at lambda <= 0 do
-          let e = evs.(!ei) in
-          p1 := Rat.add !p1 e.dp1;
-          q1 := Rat.add !q1 e.dq1;
-          p2 := Rat.add !p2 e.dp2;
-          q2 := Rat.add !q2 e.dq2;
-          incr ei
-        done;
-        Obs.Counter.incr m_lambda_evals;
-        let one_minus = Rat.sub Rat.one (Rat.mul lambda mk) in
-        let cond1_lhs = Rat.add !p1 (Rat.mul !q1 lambda) in
-        let cond1_rhs = Rat.mul abnd one_minus in
-        if Rat.compare cond1_lhs cond1_rhs < 0 then check_cond1 ~k ~lambda ~lhs:cond1_lhs ~rhs:cond1_rhs
+    let evals = ref 0 in
+    let check k =
+      let ck = c.(k) and dk = d.(k) and tk = t.(k) in
+      let mk = max dk tk in
+      (* the slice C_k/T_k <= lambda <= min(1, D_k/T_k) *)
+      let first = ref 0 in
+      while !first < ncand && I.compare (I.mul cp.(!first) tk) (I.mul ck cq.(!first)) < 0 do
+        incr first
+      done;
+      let last = ref (ncand - 1) in
+      while
+        !last >= 0
+        && (I.compare cp.(!last) cq.(!last) > 0
+           || I.compare (I.mul cp.(!last) tk) (I.mul dk cq.(!last)) > 0)
+      do
+        decr last
+      done;
+      (* b_i for lambda = p/q, with dq = q D_k; light.(i) is the factor
+         C_i max(D_k, D_k - D_i + T_i) of the case C_i/T_i <= lambda *)
+      let light = Array.init n (fun i -> I.mul c.(i) (max dk (I.add (I.sub dk d.(i)) t.(i)))) in
+      let beta ~p ~q ~dq i =
+        let cq_ = I.mul c.(i) q in
+        if I.compare cq_ (I.mul p t.(i)) <= 0 then I.mul light.(i) q
         else begin
-          let cond2_lhs = Rat.add !p2 (Rat.mul !q2 lambda) in
-          let cond2_rhs = Rat.add (Rat.mul (Rat.sub abnd aminq) one_minus) aminq in
-          if Rat.compare cond2_lhs cond2_rhs < 0 then
-            check_cond2 ~k ~lambda ~lhs:cond2_lhs ~rhs:cond2_rhs
+          let pd = I.mul p d.(i) in
+          if I.compare pd cq_ >= 0 then I.mul c.(i) dq else I.add (I.mul c.(i) dq) (I.mul t.(i) (I.sub cq_ pd))
+        end
+      in
+      (* A_i min(b_i, T_i cap) / T_i = min(A_i b_i / T_i, A_i cap): with
+         f and r the floor and remainder of the first, a term adds f
+         (inexact iff r <> 0) while f < A_i cap, and A_i cap (exact)
+         otherwise.  [exact_sums] returns S = sum of the floors and the
+         remainders as one numerator over L: F = sum r (L / T_i). *)
+      let exact_sums ~p ~q ~cap =
+        let _, cof = Lazy.force exact in
+        let dq = I.mul dk q in
+        let s = ref zero and f = ref Bignum.zero in
+        for i = 0 to n - 1 do
+          let x = I.mul a.(i) (beta ~p ~q ~dq i) and y = I.mul a.(i) cap in
+          let fl = I.fdiv x t.(i) in
+          if I.compare fl y < 0 then begin
+            s := I.add !s fl;
+            let r = I.sub x (I.mul fl t.(i)) in
+            if I.compare r zero <> 0 then f := Bignum.add !f (Bignum.mul (I.to_bignum r) cof.(i))
+          end
+          else s := I.add !s y
+        done;
+        (I.to_bignum !s, !f)
+      in
+      (* S + F/L < r *)
+      let exact_below ~p ~q ~cap ~r () =
+        let l, _ = Lazy.force exact in
+        let s, f = exact_sums ~p ~q ~cap in
+        Bignum.compare f (Bignum.mul (Bignum.sub (I.to_bignum r) s) l) < 0
+      in
+      (* the printed lhs (S + F/L) / (q D_k).  With f/l = F/L in lowest
+         terms, S l + f is coprime to l, so only q D_k can share a
+         factor with it: one gcd over residues mod q D_k normalizes *)
+      let lhs ~p ~q ~cap =
+        let l, _ = Lazy.force exact in
+        let s, f = exact_sums ~p ~q ~cap in
+        let g = Bignum.gcd f l in
+        let f = Bignum.div f g and l = Bignum.div l g in
+        let dq = I.to_bignum (I.mul dk q) in
+        let r = Bignum.add (Bignum.mul (Bignum.rem s dq) (Bignum.rem l dq)) f in
+        let g = Bignum.gcd (Bignum.rem r dq) dq in
+        Rat.make (Bignum.div (Bignum.add (Bignum.mul s l) f) g) (Bignum.mul l (Bignum.div dq g))
+      in
+      let over_dq r q = Rat.make (I.to_bignum r) (I.to_bignum (I.mul dk q)) in
+      (* is [x]'s condition-2 margin (lhs - rhs, over q D_k) below [b]'s?
+         Each margin times q_x q_b D_k lies in an interval from the
+         floors; only overlapping intervals need the exact sums. *)
+      let closer x b =
+        let lo_x = I.mul x.delta b.q and lo_b = I.mul b.delta x.q in
+        let hi_x = I.mul (I.add x.delta (I.of_int x.cnt)) b.q in
+        let hi_b = I.mul (I.add b.delta (I.of_int b.cnt)) x.q in
+        if x.cnt = 0 && b.cnt = 0 then I.compare lo_x lo_b < 0
+        else if I.compare hi_x lo_b <= 0 then true
+        else if I.compare lo_x hi_b >= 0 then false
+        else begin
+          let l, _ = Lazy.force exact in
+          (* (lhs - rhs) q D_k L *)
+          let margin y =
+            let s, f = exact_sums ~p:y.p ~q:y.q ~cap:(I.mul dk y.q) in
+            Bignum.add (Bignum.mul (Bignum.sub s (I.to_bignum y.r2)) l) f
+          in
+          Bignum.compare (Bignum.mul (margin x) (I.to_bignum b.q)) (Bignum.mul (margin b) (I.to_bignum x.q)) < 0
+        end
+      in
+      let rec walk ci best =
+        if ci > !last then begin
+          match best with
+          | Some b ->
+            check_closest ~k
+              ~lambda:(Rat.make (I.to_bignum b.p) (I.to_bignum b.q))
+              ~lhs:(lhs ~p:b.p ~q:b.q ~cap:(I.mul dk b.q))
+              ~rhs:(over_dq b.r2 b.q)
+          | None -> check_no_candidate ~k
+        end
+        else begin
+          let p = cp.(ci) and q = cq.(ci) in
+          incr evals;
+          let dq = I.mul dk q in
+          let w = I.sub dq (I.mul p mk) in
+          (* both conditions' S and inexact-term counts in one pass *)
+          let s1 = ref zero and n1 = ref 0 and s2 = ref zero and n2 = ref 0 in
+          for i = 0 to n - 1 do
+            let x = I.mul a.(i) (beta ~p ~q ~dq i) in
+            let fl = I.fdiv x t.(i) in
+            let inexact = I.compare x (I.mul fl t.(i)) <> 0 in
+            let y1 = I.mul a.(i) w and y2 = I.mul a.(i) dq in
+            if I.compare fl y1 < 0 then begin
+              s1 := I.add !s1 fl;
+              if inexact then incr n1
+            end
+            else s1 := I.add !s1 y1;
+            if I.compare fl y2 < 0 then begin
+              s2 := I.add !s2 fl;
+              if inexact then incr n2
+            end
+            else s2 := I.add !s2 y2
+          done;
+          let lambda () = Rat.make (I.to_bignum p) (I.to_bignum q) in
+          let r1 = I.mul abnd w in
+          if below ~s:!s1 ~cnt:!n1 ~r:r1 (exact_below ~p ~q ~cap:w ~r:r1) then
+            check_cond ~cond:"1" ~k ~lambda:(lambda ()) ~lhs:(lhs ~p ~q ~cap:w) ~rhs:(over_dq r1 q)
           else begin
-            let margin = Rat.sub cond2_lhs cond2_rhs in
-            let best =
-              match best with
-              | Some (_, _, _, bm) when Rat.compare margin bm >= 0 -> best
-              | _ -> Some (lambda, cond2_lhs, cond2_rhs, margin)
-            in
-            search best (ci + 1)
+            let r2 = I.add (I.mul (I.sub abnd amin) w) (I.mul amin dq) in
+            if below ~s:!s2 ~cnt:!n2 ~r:r2 (exact_below ~p ~q ~cap:dq ~r:r2) then
+              check_cond ~cond:"2" ~k ~lambda:(lambda ()) ~lhs:(lhs ~p ~q ~cap:dq) ~rhs:(over_dq r2 q)
+            else begin
+              let x = { p; q; r2; delta = I.sub !s2 r2; cnt = !n2 } in
+              let best = match best with Some b when not (closer x b) -> best | _ -> Some x in
+              walk (ci + 1) best
+            end
           end
         end
-      end
+      in
+      walk !first None
     in
-    search None !first
-  end
+    let checks = List.init n check in
+    (checks, !evals)
+end
 
-let decide_cols ~fpga_area (p : Params.Cols.t) =
+module Fast = Make (Ticks.Checked)
+module Wide = Make (Ticks.Wide)
+
+let decide_one ~fpga_area ts =
   let test_name = "GN2" in
-  if p.Params.Cols.amax > fpga_area then
-    Verdict.reject_all_n ~test_name ~note:wider_note p.Params.Cols.n
+  let cols = Columns.of_taskset ts in
+  if Array.fold_left max 0 cols.Columns.area > fpga_area then
+    Verdict.reject_all_n ~test_name ~note:wider_note cols.Columns.n
   else begin
-    let pre = precompute p in
-    let abnd = Rat.of_int (fpga_area - p.Params.Cols.amax + 1) in
-    let aminq = Rat.of_int p.Params.Cols.amin in
-    Verdict.make ~test_name ~checks:(List.init p.Params.Cols.n (sweep_k ~abnd ~aminq pre))
+    (* counted once the decide has succeeded, so an overflowing native
+       run adds nothing *)
+    let checks, evals =
+      Ticks.run ~fast:(Fast.checks ~fpga_area) ~wide:(Wide.checks ~fpga_area) cols
+    in
+    Obs.Counter.add m_lambda_evals evals;
+    Verdict.make ~test_name ~checks
   end
 
 let decide ~fpga_area ts =
-  Obs.Span.with_ ~name:"core.gn2.decide" (fun () ->
-      decide_cols ~fpga_area (Params.Cols.of_taskset ts))
+  Obs.Span.with_ ~name:"core.gn2.decide" (fun () -> decide_one ~fpga_area ts)
 
 let decide_all ~fpga_area tss =
-  Obs.Span.with_ ~name:"core.gn2.decide" (fun () ->
-      Array.map (fun ts -> decide_cols ~fpga_area (Params.Cols.of_taskset ts)) tss)
+  Obs.Span.with_ ~name:"core.gn2.decide" (fun () -> Array.map (decide_one ~fpga_area) tss)
 
 let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)
-
-let check_k qs k = if k < 0 || k >= Array.length qs then invalid_arg "Gn2: task index out of range"
-
-let lambda_candidates ts ~k =
-  let qs = Params.of_taskset ts in
-  check_k qs k;
-  lambda_candidates_q qs ~k
-
-let beta_lambda ts ~k ~i ~lambda =
-  let qs = Params.of_taskset ts in
-  check_k qs k;
-  check_k qs i;
-  beta_lambda_q qs ~k ~i ~lambda
-
-let evaluate_lambda ~fpga_area ts ~k ~lambda =
-  let qs = Params.of_taskset ts in
-  check_k qs k;
-  evaluate_lambda_q ~fpga_area qs ~k ~lambda

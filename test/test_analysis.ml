@@ -40,17 +40,17 @@ let applicability () =
    whole C_2 = 8 counts as carry-in, giving beta_2 = 8/9. *)
 let gn1_zero_jobs_carry_in () =
   let table2 = ts [ ("tau1", "4.50", "8", "8", 3); ("tau2", "8.00", "9", "9", 5) ] in
-  Core_helpers.check_bignum "N_2 = 0" Bignum.zero (Core.Gn1.n_jobs table2 ~k:0 ~i:1);
-  check_rat "beta_2 = 8/9" (Rat.of_ints 8 9) (Core.Gn1.beta table2 ~k:0 ~i:1);
-  Core_helpers.check_bignum "N_1 = 1 for k=2" Bignum.one (Core.Gn1.n_jobs table2 ~k:1 ~i:0);
-  check_rat "beta_1 = 11/16" (Rat.of_ints 11 16) (Core.Gn1.beta table2 ~k:1 ~i:0)
+  Core_helpers.check_bignum "N_2 = 0" Bignum.zero (Analyzer_reference.Gn1.n_jobs table2 ~k:0 ~i:1);
+  check_rat "beta_2 = 8/9" (Rat.of_ints 8 9) (Analyzer_reference.Gn1.beta table2 ~k:0 ~i:1);
+  Core_helpers.check_bignum "N_1 = 1 for k=2" Bignum.one (Analyzer_reference.Gn1.n_jobs table2 ~k:1 ~i:0);
+  check_rat "beta_1 = 11/16" (Rat.of_ints 11 16) (Analyzer_reference.Gn1.beta table2 ~k:1 ~i:0)
 
 let gn1_index_errors () =
   let t = ts [ ("a", "1", "5", "5", 1); ("b", "1", "5", "5", 1) ] in
   Alcotest.check_raises "k = i" (Invalid_argument "Gn1: interference of a task on itself is undefined")
-    (fun () -> ignore (Core.Gn1.beta t ~k:1 ~i:1));
+    (fun () -> ignore (Analyzer_reference.Gn1.beta t ~k:1 ~i:1));
   Alcotest.check_raises "out of range" (Invalid_argument "Gn1: task index out of range") (fun () ->
-      ignore (Core.Gn1.beta t ~k:2 ~i:0))
+      ignore (Analyzer_reference.Gn1.beta t ~k:2 ~i:0))
 
 (* GN2 candidates: all within [C_k/T_k, 1], contain every in-range
    utilization. *)
@@ -58,7 +58,7 @@ let gn2_candidate_set () =
   let t = ts [ ("a", "1", "4", "4", 2); ("b", "3", "5", "5", 3); ("c", "2", "10", "10", 4) ] in
   (* utilizations: 1/4, 3/5, 1/5; for k = a (1/4): candidates are 1/4 and
      3/5 (1/5 is below C_k/T_k) *)
-  let cands = Core.Gn2.lambda_candidates t ~k:0 in
+  let cands = Analyzer_reference.Gn2.lambda_candidates t ~k:0 in
   Alcotest.(check int) "two candidates" 2 (List.length cands);
   check_rat "first" (Rat.of_ints 1 4) (List.nth cands 0);
   check_rat "second" (Rat.of_ints 3 5) (List.nth cands 1)
@@ -68,18 +68,18 @@ let gn2_candidate_set () =
 let gn2_beta_cases () =
   let t = ts [ ("k", "1", "10", "10", 2); ("i", "4", "5", "5", 3) ] in
   (* u_i = 4/5, dens_i = 4/5 *)
-  let beta_light = Core.Gn2.beta_lambda t ~k:0 ~i:1 ~lambda:(Rat.of_ints 9 10) in
+  let beta_light = Analyzer_reference.Gn2.beta_lambda t ~k:0 ~i:1 ~lambda:(Rat.of_ints 9 10) in
   (* case 1: u_i <= lambda: max(4/5, 4/5*(1 - 5/10) + 4/10) = 4/5 *)
   check_rat "case 1" (Rat.of_ints 4 5) beta_light;
   (* case 2: u_i > lambda = dens_i is impossible here since dens = u;
      case 3: lambda < dens_i: u_i + (C_i - lambda*D_i)/D_k
        with lambda = 1/2: 4/5 + (4 - 5/2)/10 = 4/5 + 3/20 = 19/20 *)
-  let beta_heavy = Core.Gn2.beta_lambda t ~k:0 ~i:1 ~lambda:(Rat.of_ints 1 2) in
+  let beta_heavy = Analyzer_reference.Gn2.beta_lambda t ~k:0 ~i:1 ~lambda:(Rat.of_ints 1 2) in
   check_rat "case 3" (Rat.of_ints 19 20) beta_heavy;
   (* case 2 needs D_i > T_i: dens < u *)
   let t2 = ts [ ("k", "1", "10", "10", 2); ("i", "4", "8", "5", 3) ] in
   (* u_i = 4/5, dens_i = 1/2; lambda = 0.6: u > lambda >= dens -> u_i *)
-  let beta_mid = Core.Gn2.beta_lambda t2 ~k:0 ~i:1 ~lambda:(Rat.of_ints 3 5) in
+  let beta_mid = Analyzer_reference.Gn2.beta_lambda t2 ~k:0 ~i:1 ~lambda:(Rat.of_ints 3 5) in
   check_rat "case 2" (Rat.of_ints 4 5) beta_mid
 
 (* GN2's candidate enumeration covers its search range: a dense lambda
@@ -105,7 +105,7 @@ let prop_gn2_candidates_complete =
       let all_k_ok_via_grid =
         List.init n Fun.id
         |> List.for_all (fun k ->
-               match List.rev (Core.Gn2.lambda_candidates t ~k) with
+               match List.rev (Analyzer_reference.Gn2.lambda_candidates t ~k) with
                | [] -> false
                | hi_cand :: _ ->
                  let qk = Model.Taskset.nth t k in
@@ -117,8 +117,8 @@ let prop_gn2_candidates_complete =
                  in
                  List.exists
                    (fun lambda ->
-                     let ev = Core.Gn2.evaluate_lambda ~fpga_area t ~k ~lambda in
-                     ev.Core.Gn2.cond1 || ev.Core.Gn2.cond2)
+                     let ev = Analyzer_reference.Gn2.evaluate_lambda ~fpga_area t ~k ~lambda in
+                     ev.Analyzer_reference.Gn2.cond1 || ev.Analyzer_reference.Gn2.cond2)
                    grid)
       in
       (* grid acceptance implies candidate acceptance *)

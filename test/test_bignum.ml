@@ -147,6 +147,50 @@ let prop_divmod_reconstructs =
         && (B.is_zero r || B.sign r = B.sign a)
       end)
 
+(* Algorithm D against the binary-search division it replaced: the
+   same quotient and remainder, and a = q*b + r with sign r = sign a.
+   Operands are random limb strings of 1-6 limbs, including divisor
+   top limbs of 1 and 2^30 - 1 (the extremes of the normalizing shift),
+   equal lengths and a < b. *)
+let limb_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (4, int_range 0 ((1 lsl 30) - 1)); (1, oneofl [ 0; 1; 2; (1 lsl 29) - 1; 1 lsl 29; (1 lsl 30) - 1 ]) ])
+
+let bignum_of_limbs top rest =
+  Bignum_reference.of_limbs 1 (Array.of_list (rest @ [ top ]))
+
+let operand_gen =
+  QCheck2.Gen.(
+    let* rest = list_size (int_range 0 5) limb_gen in
+    let* top = frequency [ (3, int_range 1 ((1 lsl 30) - 1)); (1, oneofl [ 1; 2; (1 lsl 30) - 1 ]) ] in
+    let* negative = bool in
+    let v = bignum_of_limbs top rest in
+    return (if negative then B.neg v else v))
+
+let prop_divmod_reference =
+  Core_helpers.qtest ~count:2000 "divmod == binary-search reference (multi-limb)"
+    QCheck2.Gen.(pair operand_gen operand_gen)
+    (fun (a, b) ->
+      let q, r = B.divmod a b in
+      let q', r' = Bignum_reference.divmod a b in
+      B.equal q q' && B.equal r r'
+      && B.equal a (B.add (B.mul q b) r)
+      && B.compare (B.abs r) (B.abs b) < 0
+      && (B.is_zero r || B.sign r = B.sign a))
+
+(* 2^90 / (2^60 + 1) is limbs [0,0,0,1] / [1,0,1]: after normalizing,
+   the first quotient-limb estimate is one too large and only the
+   add-back step repairs it *)
+let divmod_add_back () =
+  let a = B.pow B.two 90 and b = B.succ (B.pow B.two 60) in
+  let q, r = B.divmod a b in
+  check_b "quotient 2^30 - 1" (B.of_int ((1 lsl 30) - 1)) q;
+  check_b "remainder 2^60 - 2^30 + 1" (B.of_int ((1 lsl 60) - (1 lsl 30) + 1)) r;
+  let q', r' = Bignum_reference.divmod a b in
+  check_b "reference quotient" q' q;
+  check_b "reference remainder" r' r
+
 let prop_gcd_divides =
   Core_helpers.qtest "gcd divides both (large)" QCheck2.Gen.(pair large large) (fun (a, b) ->
       let g = B.gcd a b in
@@ -220,6 +264,7 @@ let () =
           Alcotest.test_case "gcd/lcm" `Quick gcd_lcm_cases;
           Alcotest.test_case "misc operations" `Quick misc_operations;
           Alcotest.test_case "to_int overflow" `Quick to_int_overflow;
+          Alcotest.test_case "division add-back step" `Quick divmod_add_back;
         ] );
       ( "properties",
         [
@@ -231,6 +276,7 @@ let () =
           prop_string_roundtrip;
           prop_ring_distributes;
           prop_divmod_reconstructs;
+          prop_divmod_reference;
           prop_gcd_divides;
           prop_to_float;
           prop_to_string_general;

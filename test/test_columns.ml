@@ -1,9 +1,11 @@
 (* The columnar/batch contract of this repo's analyzer core:
-   Model.Taskset.Columns round-trips losslessly, and every columnar or
-   batch fast path prints byte-for-byte what the record-at-a-time
-   reference prints — same verdicts, same notes, same JSON — on random
-   tasksets (constrained and unconstrained deadlines, tasks wider than
-   the device, duplicated and permuted sets).
+   Model.Taskset.Columns round-trips losslessly, and every int-tick,
+   columnar or batch decide prints byte-for-byte what the
+   exact-rational reference prints — same verdicts, same notes, same
+   JSON — on random tasksets (constrained and unconstrained deadlines,
+   tasks wider than the device, duplicated and permuted sets), at
+   numeric extremes where the native-int arithmetic overflows, and
+   under scaling of every time.
 
    Byte identity, not structural equality: the serve/batch front ends
    and the verdict cache both promise cached == fresh == batch at the
@@ -11,6 +13,7 @@
 
 module Columns = Model.Taskset.Columns
 module Time = Model.Time
+module Ref = Analyzer_reference
 
 (* deadlines both below and above the period, so GN2's d<=t / d>t
    branches and GN1's carry-in clamping all get exercised *)
@@ -25,11 +28,9 @@ let task_gen =
     let* area = int_range 1 12 in
     return (Model.Task.make ~exec:(Time.of_ticks c_ticks) ~deadline ~period ~area ()))
 
-let taskset_gen =
-  QCheck2.Gen.(
-    let* tasks = list_size (int_range 1 7) task_gen in
-    let* tasks = shuffle_l tasks in
-    return (Model.Taskset.of_list tasks))
+let taskset_of_tasks tasks = QCheck2.Gen.(shuffle_l tasks >|= Model.Taskset.of_list)
+
+let taskset_gen = QCheck2.Gen.(list_size (int_range 1 7) task_gen >>= taskset_of_tasks)
 
 (* device narrow enough that some drawn tasks exceed it (reject_all
    path) and wide enough that full analyses run too *)
@@ -42,13 +43,46 @@ let verdict_bytes v =
 
 let qtest = Core_helpers.qtest
 
+(* each analyzer against the exact-rational reference it replaced *)
+let analyzers =
+  [
+    ("DP", Core.Dp.decide, Ref.Dp.decide_reference);
+    ( "DP-original",
+      Core.Dp.decide_original,
+      Ref.Dp.decide_general ~test_name:"DP-original" ~plus_one:false );
+    ("GN1", Core.Gn1.decide, Ref.Gn1.decide_reference);
+    ( "GN1-printed",
+      Core.Gn1.decide_printed,
+      Ref.Gn1.decide_general ~test_name:"GN1-printed" ~lemma3_form:false );
+    ("GN2", Core.Gn2.decide, Ref.Gn2.decide_reference);
+  ]
+
+(* the verdict bytes and the core.gn2.lambda_evals count of one decide *)
+let lambda_evals = Obs.Counter.make "core.gn2.lambda_evals"
+
+let counted decide ~fpga_area ts =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let before = Obs.Counter.value lambda_evals in
+      let bytes = verdict_bytes (decide ~fpga_area ts) in
+      (bytes, Obs.Counter.value lambda_evals - before))
+
+let same_as ~analyzers (ts, fpga_area) =
+  List.for_all
+    (fun (_, decide, reference) -> counted decide ~fpga_area ts = counted reference ~fpga_area ts)
+    analyzers
+
+let same_as_reference = same_as ~analyzers
+
 (* --- Columns round-trip --- *)
 
 let prop_columns_roundtrip =
   qtest ~count:500 "Columns.to_taskset (of_taskset ts) = ts" taskset_gen (fun ts ->
       Model.Taskset.equal (Columns.to_taskset (Columns.of_taskset ts)) ts)
 
-(* --- columnar decide == record-path reference, byte for byte --- *)
+(* --- int-tick decide == exact-rational reference, byte for byte --- *)
 
 let bytes_ident name decide reference =
   qtest ~count:400
@@ -57,14 +91,173 @@ let bytes_ident name decide reference =
     (fun (ts, fpga_area) ->
       String.equal (verdict_bytes (decide ~fpga_area ts)) (verdict_bytes (reference ~fpga_area ts)))
 
-let prop_dp_ident = bytes_ident "DP" Core.Dp.decide Core.Dp.decide_reference
-let prop_gn1_ident = bytes_ident "GN1" Core.Gn1.decide Core.Gn1.decide_reference
-let prop_gn2_ident = bytes_ident "GN2" Core.Gn2.decide Core.Gn2.decide_reference
+let prop_dp_ident = bytes_ident "DP" Core.Dp.decide Ref.Dp.decide_reference
+let prop_gn1_ident = bytes_ident "GN1" Core.Gn1.decide Ref.Gn1.decide_reference
+let prop_gn2_ident = bytes_ident "GN2" Core.Gn2.decide Ref.Gn2.decide_reference
 
-(* GN2's event sweep prunes lambda candidates; the exhaustive evaluator
-   visits every candidate.  Verdict bytes must not notice. *)
+(* GN2's walk stops at the first accepting lambda; the exhaustive
+   reference evaluates every candidate.  Verdict bytes must not notice. *)
 let prop_gn2_pruning =
-  bytes_ident "GN2 pruned vs exhaustive" Core.Gn2.decide Core.Gn2.decide_exhaustive
+  bytes_ident "GN2 pruned vs exhaustive" Core.Gn2.decide Ref.Gn2.decide_exhaustive
+
+(* the exact-rational event sweep the int walk replaced *)
+let prop_gn2_sweep = bytes_ident "GN2 vs event sweep" Core.Gn2.decide Ref.Gn2.decide_sweep
+
+let prop_variants_counted =
+  qtest ~count:300 "every analyzer: bytes and lambda_evals == reference" case_gen same_as_reference
+
+(* --- numeric extremes: the overflow paths --- *)
+
+(* ticks from one to max_int: whole units up to max_int / 1000, values
+   around 2^31 and 2^40 (where products of two or three ticks leave
+   the int range), and small ones *)
+let tick_gen =
+  QCheck2.Gen.(
+    let around b = int_range (b - 64) (b + 64) in
+    oneof
+      [
+        int_range 1 20_000;
+        around (1 lsl 31);
+        around (1 lsl 40);
+        int_range 1 (max_int / 1000) >|= ( * ) 1000;
+        int_range 1 max_int;
+      ])
+
+(* any C, D and T: C > D, D > T and C > T all occur *)
+let extreme_task_gen ~area =
+  QCheck2.Gen.(
+    let* c = tick_gen and* d = tick_gen and* t = tick_gen in
+    let* t = frequency [ (3, return t); (1, return d) ] in
+    let* area = area in
+    return
+      (Model.Task.make ~exec:(Time.of_ticks c) ~deadline:(Time.of_ticks d) ~period:(Time.of_ticks t)
+         ~area ()))
+
+let extreme_case_gen ~n =
+  QCheck2.Gen.(
+    let* fpga_area = int_range 1 16 in
+    (* sometimes every task has one width (Amin = Amax), sometimes a
+       task is wider than the device *)
+    let* same = int_range 1 (fpga_area + 1) and* uniform = bool in
+    let area = if uniform then return same else int_range 1 (fpga_area + 2) in
+    let* tasks = list_size n (extreme_task_gen ~area) in
+    let* ts = taskset_of_tasks tasks in
+    return (ts, fpga_area))
+
+let prop_extremes =
+  qtest ~count:300 "extreme ticks: bytes and lambda_evals == reference"
+    (extreme_case_gen ~n:(QCheck2.Gen.int_range 1 5))
+    same_as_reference
+
+let prop_single_task =
+  qtest ~count:200 "N = 1: bytes and lambda_evals == reference"
+    (extreme_case_gen ~n:(QCheck2.Gen.return 1))
+    same_as_reference
+
+(* a few wide tasksets; GN2 is checked against the event sweep, whose
+   O(N^2 log N) exact-rational work stays affordable at this size *)
+let prop_wide_sets =
+  let analyzers =
+    List.map
+      (fun ((name, decide, _) as a) -> if name = "GN2" then (name, decide, Ref.Gn2.decide_sweep) else a)
+      analyzers
+  in
+  qtest ~count:3 "N = 32-64: bytes and lambda_evals == reference"
+    QCheck2.Gen.(
+      let* n = int_range 32 64 in
+      let* tasks = list_size (return n) task_gen in
+      let* ts = taskset_of_tasks tasks in
+      let* fpga_area = int_range 12 40 in
+      return (ts, fpga_area))
+    (same_as ~analyzers)
+
+(* fixed tasksets with 16-digit times: every product of two of their
+   ticks overflows an int, so each decide that reaches the arithmetic
+   (all but DP on the constrained set, which it rejects up front) can
+   only have come from the Bignum instance *)
+let sixteen_digit =
+  Core_helpers.taskset
+    [
+      ("a", "1234567890123.456", "4567890123456.789", "4567890123456.789", 3);
+      ("b", "987654321098.765", "3456789012345.678", "3456789012345.678", 2);
+      ("c", "2345678901234.567", "8765432109876.543", "8765432109876.543", 4);
+    ]
+
+let sixteen_digit_constrained =
+  Core_helpers.taskset
+    [
+      ("a", "1234567890123.456", "3333333333333.333", "4567890123456.789", 3);
+      ("b", "987654321098.765", "3456789012345.678", "2222222222222.222", 2);
+      ("c", "2345678901234.567", "8765432109876.543", "8765432109876.543", 4);
+    ]
+
+let wide_instance () =
+  let ticks = List.map (fun t -> Time.ticks t.Model.Task.period) (Model.Taskset.to_list sixteen_digit) in
+  List.iter
+    (fun x ->
+      Alcotest.check_raises "a product of two ticks overflows" Core.Ticks.Overflow (fun () ->
+          ignore (Core.Ticks.Checked.mul x x)))
+    ticks;
+  List.iter
+    (fun ts ->
+      List.iter
+        (fun (name, decide, reference) ->
+          let got = counted decide ~fpga_area:10 ts and want = counted reference ~fpga_area:10 ts in
+          Alcotest.(check (pair string int)) name want got)
+        analyzers)
+    [ sixteen_digit; sixteen_digit_constrained ]
+
+(* GN2 decides each condition from floor sums, and exactly only when
+   they leave it open (R - c < S < R): rare in random sets.  In each of
+   these, found by search, the walk meets such a candidate; the exact
+   sum settles it as true in the first and as false in the others. *)
+let band_cases =
+  [
+    ( Core_helpers.taskset
+        [
+          ("t0", "1.5", "12.5", "4.5", 1);
+          ("t1", "1.5", "6", "6", 7);
+          ("t2", "1.5", "6.5", "6.5", 5);
+          ("t3", "0.5", "4", "9.5", 1);
+          ("t4", "0.5", "1", "9.5", 4);
+        ],
+      11 );
+    (Core_helpers.taskset [ ("t0", "1", "13", "3", 4); ("t1", "2", "9", "9", 3); ("t2", "2", "5", "5", 4) ], 7);
+    ( Core_helpers.taskset
+        [ ("t0", "2", "3", "6", 2); ("t1", "2", "5", "5", 1); ("t2", "8", "10", "10", 3); ("t3", "2", "14", "6", 1) ],
+      8 );
+  ]
+
+let exact_band () =
+  List.iter
+    (fun (ts, fpga_area) ->
+      List.iter
+        (fun (name, decide, reference) ->
+          Alcotest.(check (pair string int)) name (counted reference ~fpga_area ts) (counted decide ~fpga_area ts))
+        analyzers)
+    band_cases
+
+(* --- time scaling --- *)
+
+(* every bound is a ratio of times, so multiplying every C, D and T by
+   the same k must not change a byte; this guards the int paths'
+   reduction of lambda = p/q and their common denominators *)
+let scale k ts =
+  Model.Taskset.of_list
+    (List.map
+       (fun (task : Model.Task.t) ->
+         let by x = Time.of_ticks (Time.ticks x * k) in
+         { task with exec = by task.exec; deadline = by task.deadline; period = by task.period })
+       (Model.Taskset.to_list ts))
+
+let prop_time_scaling =
+  qtest ~count:300 "scaling every time by 2, 7 or 1000 keeps every verdict byte"
+    QCheck2.Gen.(triple taskset_gen area_gen (oneofl [ 2; 7; 1000 ]))
+    (fun (ts, fpga_area, k) ->
+      List.for_all
+        (fun (_, decide, _) ->
+          String.equal (verdict_bytes (decide ~fpga_area ts)) (verdict_bytes (decide ~fpga_area (scale k ts))))
+        analyzers)
 
 (* --- approx: columnar demand scan == record scan --- *)
 
@@ -116,6 +309,23 @@ let () =
     [
       ("round-trip", [ prop_columns_roundtrip ]);
       ( "columnar == record bytes",
-        [ prop_dp_ident; prop_gn1_ident; prop_gn2_ident; prop_gn2_pruning; prop_approx_demand ] );
+        [
+          prop_dp_ident;
+          prop_gn1_ident;
+          prop_gn2_ident;
+          prop_gn2_pruning;
+          prop_gn2_sweep;
+          prop_variants_counted;
+          prop_approx_demand;
+        ] );
+      ( "numeric extremes",
+        [
+          prop_extremes;
+          prop_single_task;
+          prop_wide_sets;
+          Alcotest.test_case "16-digit times run the Bignum instance" `Quick wide_instance;
+          Alcotest.test_case "GN2 conditions settled in the exact band" `Quick exact_band;
+        ] );
+      ("time scaling", [ prop_time_scaling ]);
       ("batch == single bytes", [ prop_decide_all_ident; prop_cache_batch_ident ]);
     ]
