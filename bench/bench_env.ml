@@ -2,14 +2,16 @@
 
    The paper averages >= 10000 tasksets per utilization point; that takes
    hours with five methods per point, so the default here is a faithful
-   but smaller run.  Set REDF_SAMPLES=10000 to reproduce at paper scale. *)
+   but smaller run: 500, the setting the committed results/fig*.csv were
+   made with, so a default run rewrites them byte for byte.  Set
+   REDF_SAMPLES=10000 to reproduce at paper scale. *)
 
 let int_env name default =
   match Sys.getenv_opt name with
   | Some v -> (match int_of_string_opt v with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
-let samples = int_env "REDF_SAMPLES" 300
+let samples = int_env "REDF_SAMPLES" 500
 
 (* worker domains for the parallelised passes; 0 means one per core.
    A malformed value stops the harness the way it stops the CLI. *)

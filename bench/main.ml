@@ -7,7 +7,7 @@
    perfbench/.
 
    Knobs (environment variables):
-     REDF_SAMPLES     tasksets per utilization point   (default 300)
+     REDF_SAMPLES     tasksets per utilization point   (default 500)
      REDF_HORIZON     simulation horizon in time units (default 500)
      REDF_SEED        master PRNG seed                 (default 42)
      REDF_JOBS        worker domains, 0 = one per core (default 1)

@@ -1,5 +1,5 @@
 (* [redf bench-core]: measure the analyzer cost matrix (Bench.Core_bench),
-   write results/BENCH_core.json (schema v2), and optionally gate on a
+   write results/BENCH_core.json (schema v3), and optionally gate on a
    committed baseline — the CI perf-regression leg.
 
    The baseline is read *before* the output file is written, so
@@ -33,7 +33,7 @@ let retry_regressed ~tolerance ~baseline rows =
           match List.find_opt (fun r2 -> row_key r2 = row_key r) reruns with
           | Some r2
             when (not r2.Bench.Env.truncated)
-                 && r2.Bench.Env.us_per_decide < r.Bench.Env.us_per_decide ->
+                 && r2.Bench.Env.ns_per_decide < r.Bench.Env.ns_per_decide ->
             r2
           | _ -> r)
         rows
@@ -62,7 +62,7 @@ let run ~budget_ms ~out ~compare ~tolerance =
       prerr_endline msg;
       2
     | Ok baseline ->
-      Printf.printf "analyzer cost matrix (us/decide, seed-fixed workloads):\n%!";
+      Printf.printf "analyzer cost matrix (ns/decide, seed-fixed workloads):\n%!";
       let rows = Bench.Core_bench.collect ?budget_ms ~progress () in
       let rows, compared =
         match baseline with

@@ -201,7 +201,7 @@ let format_arg =
            service emits (one key-sorted object; see $(b,redf serve)).")
 
 let print_report ~label ~sexp ?(json = false) report =
-  if json then print_endline (Core.Json.to_string (Audit.Driver.to_json ~kind:label report))
+  if json then print_endline (Wire.Json.to_string (Audit.Driver.to_json ~kind:label report))
   else if sexp then Format.printf "%a@." Audit.Driver.pp_sexp report
   else Format.printf "%a@." (Audit.Driver.pp ~label) report
 
@@ -409,7 +409,7 @@ let analyze_cmd =
         let report = Core.Report.run ~analyzers ~fpga_area ts in
         let any_accepted = List.exists Core.Verdict.accepted report.Core.Report.verdicts in
         (match format with
-         | `Json -> print_endline (Core.Json.to_string (Core.Report.to_json report))
+         | `Json -> print_endline (Wire.Json.to_string (Core.Report.to_json report))
          | `Human ->
            Format.printf "%a@." Core.Report.pp report;
            (match Core.Feasibility.check ~fpga_area ts with
@@ -698,7 +698,7 @@ let metrics_diff_cmd =
     let load path =
       match read_file path with
       | exception Sys_error msg -> Error msg
-      | contents -> Obs.Snapshot.of_jsonl contents
+      | contents -> Result.map_error (fun msg -> path ^ ": " ^ msg) (Obs.Snapshot.of_jsonl contents)
     in
     match (load path_a, load path_b) with
     | Error msg, _ | _, Error msg ->
@@ -776,7 +776,7 @@ let check_src_cmd =
         3
       | Ok report ->
         (match format with
-         | `Json -> print_endline (Core.Json.to_string (Check.Driver.to_json report))
+         | `Json -> print_endline (Wire.Json.to_string (Check.Driver.to_json report))
          | `Human -> Format.printf "@[<v>%a@]@." Check.Driver.pp report);
         Check.Driver.exit_code ~strict report)
   in
@@ -1380,7 +1380,7 @@ let bench_core_cmd =
     Arg.(
       value
       & opt string Bench_core.default_out
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the schema-v2 bench-core document.")
+      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the schema-v3 bench-core document.")
   in
   let compare_arg =
     Arg.(
@@ -1388,7 +1388,7 @@ let bench_core_cmd =
       & opt (some string) None
       & info [ "compare" ] ~docv:"FILE"
           ~doc:
-            "Baseline bench-core document (schema v1 or v2) to diff against; read before \
+            "Baseline bench-core document (schema v3) to diff against; read before \
              $(b,--out) is written, so both may name the same committed file.")
   in
   let tolerance_arg =

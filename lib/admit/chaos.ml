@@ -25,7 +25,7 @@
    describes — the byte-identity contract of the Delta/Verdicts
    incremental path, checked end to end through the wire format. *)
 
-module Json = Core.Json
+module Json = Wire.Json
 
 type config = {
   seed : int;

@@ -31,7 +31,7 @@
    event loop ([Server.Loop]) batches lines through {!handle_lines} on
    one domain. *)
 
-module Json = Core.Json
+module Json = Wire.Json
 module Protocol = Server.Protocol
 
 type t = {

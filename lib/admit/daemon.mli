@@ -52,6 +52,6 @@ val is_mutation : string -> bool
 (** Whether a raw request line is an [add-task]/[remove-task] — the
     loop gives mutations shedding headroom over [what-if]/[query]. *)
 
-val request_id : string -> Core.Json.t option
+val request_id : string -> Wire.Json.t option
 
 val close : t -> unit

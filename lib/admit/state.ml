@@ -10,12 +10,12 @@
    two must be equal — an equality that would be meaningless if state
    were a bag of mutables.
 
-   Serialization is canonical JSON (Core.Json sorts keys), with times
+   Serialization is canonical JSON (Wire.Json sorts keys), with times
    as exact tick integers: a snapshot or journal record has exactly one
    byte representation for a given state, so recovery comparisons can
    be byte comparisons. *)
 
-module Json = Core.Json
+module Json = Wire.Json
 module Replies = Map.Make (String)
 
 type op = Add of Model.Task.t | Remove of string

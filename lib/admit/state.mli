@@ -38,8 +38,8 @@ val apply_record : t -> record -> (t, string) result
 (** Replay one journal record.  Records at or below the current [seq]
     are no-ops (snapshot overlap); a sequence gap is an error. *)
 
-val task_to_json : Model.Task.t -> Core.Json.t
-val task_of_json : Core.Json.t -> (Model.Task.t, string) result
+val task_to_json : Model.Task.t -> Wire.Json.t
+val task_of_json : Wire.Json.t -> (Model.Task.t, string) result
 
 val record_to_string : record -> string
 val record_of_string : string -> (record, string) result

@@ -48,7 +48,7 @@ let pp ?(label = "audit") fmt r =
 let pp_sexp fmt r = Diagnostic.pp_sexp_list fmt (diagnostics r)
 
 let diagnostic_json (d : Diagnostic.t) =
-  let open Core.Json in
+  let open Wire.Json in
   Obj
     ([
        ("severity", String (Diagnostic.severity_name d.severity));
@@ -58,7 +58,7 @@ let diagnostic_json (d : Diagnostic.t) =
     @ [ ("message", String d.message) ])
 
 let to_json ?(kind = "audit") r =
-  let open Core.Json in
+  let open Wire.Json in
   Obj
     [
       ("schema_version", Int Core.Verdict.schema_version);

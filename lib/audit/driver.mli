@@ -39,7 +39,7 @@ val pp : ?label:string -> Format.formatter -> report -> unit
 
 val pp_sexp : Format.formatter -> report -> unit
 
-val to_json : ?kind:string -> report -> Core.Json.t
+val to_json : ?kind:string -> report -> Wire.Json.t
 (** The report as canonical JSON (the [--format json] form): the
     shared [schema_version], [kind] (default ["audit"]; [redf lint]
     passes ["lint"]), [fpga_area], [clean] (non-strict), and the

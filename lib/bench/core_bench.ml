@@ -11,8 +11,8 @@
 let fpga_area = 100
 let core_sizes = [ 8; 64; 256 ]
 
-(* batch rows amortize per-call setup over a pool of distinct tasksets;
-   16 is large enough to show the columnar fast path, small enough that
+(* batch rows time decide_all over a pool of distinct tasksets; 16 is
+   large enough to show any per-call cost it adds, small enough that
    one iteration stays near the single-row cost *)
 let batch_width = 16
 let batch_sizes = [ 8; 64 ]
@@ -116,7 +116,7 @@ let measure ~budget spec =
     (* skipped outright: record the row so the matrix shape is stable,
        but with no measurement behind it *)
     { Env.analyzer = spec.analyzer; n = spec.n; mode = spec.mode;
-      us_per_decide = 0.0; truncated = true }
+      ns_per_decide = 0; truncated = true }
   else begin
     let budget_s = 0.5 and max_runs = 64 in
     let t0 = Unix.gettimeofday () in
@@ -134,7 +134,8 @@ let measure ~budget spec =
       Env.analyzer = spec.analyzer;
       n = spec.n;
       mode = spec.mode;
-      us_per_decide = elapsed *. 1e6 /. float_of_int (runs * spec.decides_per_iter);
+      ns_per_decide =
+        Float.to_int (Float.round (elapsed *. 1e9 /. float_of_int (runs * spec.decides_per_iter)));
       truncated = cut;
     }
   end
@@ -171,47 +172,47 @@ let parse_tolerance s =
 (* micro-rows (tens of microseconds) jitter wildly between machines and
    shared CI runners; a ratio gate alone would flag noise, so a
    regression additionally needs this much absolute slowdown *)
-let abs_slack_us = 25.0
+let abs_slack_ns = 25_000
 
 type verdict = Ok_row of float | Regressed of float | New_row | Skipped_truncated
 
-type compared = { row : Env.core_row; baseline_us : float option; verdict : verdict }
+type compared = { row : Env.core_row; baseline_ns : int option; verdict : verdict }
 
 let compare_rows ~tolerance ~baseline current =
   let key r = (r.Env.analyzer, r.Env.n, r.Env.mode) in
   List.map
     (fun cur ->
       let base = List.find_opt (fun b -> key b = key cur) baseline in
-      let baseline_us = Option.map (fun b -> b.Env.us_per_decide) base in
+      let baseline_ns = Option.map (fun b -> b.Env.ns_per_decide) base in
       let verdict =
         match base with
         | None -> New_row
         | Some b ->
-          if cur.Env.truncated || b.Env.truncated || b.Env.us_per_decide <= 0.0 then
+          if cur.Env.truncated || b.Env.truncated || b.Env.ns_per_decide <= 0 then
             Skipped_truncated
           else begin
-            let ratio = cur.Env.us_per_decide /. b.Env.us_per_decide in
-            if ratio > tolerance && cur.Env.us_per_decide -. b.Env.us_per_decide > abs_slack_us
+            let ratio = float_of_int cur.Env.ns_per_decide /. float_of_int b.Env.ns_per_decide in
+            if ratio > tolerance && cur.Env.ns_per_decide - b.Env.ns_per_decide > abs_slack_ns
             then Regressed ratio
             else Ok_row ratio
           end
       in
-      { row = cur; baseline_us; verdict })
+      { row = cur; baseline_ns; verdict })
     current
 
 let regressions compared =
   List.filter (fun c -> match c.verdict with Regressed _ -> true | _ -> false) compared
 
 let pretty_row r =
-  Printf.sprintf "%-13s n=%-4d %-6s %14.2f us/decide%s" r.Env.analyzer r.Env.n r.Env.mode
-    r.Env.us_per_decide
+  Printf.sprintf "%-13s n=%-4d %-6s %14d ns/decide%s" r.Env.analyzer r.Env.n r.Env.mode
+    r.Env.ns_per_decide
     (if r.Env.truncated then "  [truncated]" else "")
 
 let pretty_compared c =
   let tail =
-    match (c.verdict, c.baseline_us) with
-    | Ok_row ratio, Some b -> Printf.sprintf "  baseline %14.2f  x%.2f  ok" b ratio
-    | Regressed ratio, Some b -> Printf.sprintf "  baseline %14.2f  x%.2f  REGRESSED" b ratio
+    match (c.verdict, c.baseline_ns) with
+    | Ok_row ratio, Some b -> Printf.sprintf "  baseline %14d  x%.2f  ok" b ratio
+    | Regressed ratio, Some b -> Printf.sprintf "  baseline %14d  x%.2f  REGRESSED" b ratio
     | New_row, _ -> "  (no baseline row)"
     | Skipped_truncated, _ -> "  (truncated; not compared)"
     | _, None -> ""

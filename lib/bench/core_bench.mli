@@ -27,7 +27,7 @@ val collect :
     [budget_ms] bounds the whole section's wall clock: a row still
     running when it expires is cut short and flagged
     {!Env.core_row.truncated}; rows not yet started are recorded with
-    [us_per_decide = 0.] and the same flag.  [progress] fires after
+    [ns_per_decide = 0] and the same flag.  [progress] fires after
     each row. *)
 
 (** {2 Comparison} *)
@@ -35,9 +35,9 @@ val collect :
 val parse_tolerance : string -> (float, string) result
 (** Accepts ["1.5x"] or ["1.5"]; must be at least 1.0. *)
 
-val abs_slack_us : float
+val abs_slack_ns : int
 (** A row only counts as regressed if, besides exceeding the ratio
-    tolerance, it slowed down by at least this many microseconds —
+    tolerance, it slowed down by at least this many nanoseconds —
     micro-rows jitter too much between machines for a pure ratio
     gate. *)
 
@@ -47,7 +47,7 @@ type verdict =
   | New_row  (** no matching (analyzer, n, mode) row in the baseline *)
   | Skipped_truncated  (** either side truncated (or zero) — not comparable *)
 
-type compared = { row : Env.core_row; baseline_us : float option; verdict : verdict }
+type compared = { row : Env.core_row; baseline_ns : int option; verdict : verdict }
 
 val compare_rows :
   tolerance:float -> baseline:Env.core_row list -> Env.core_row list -> compared list

@@ -20,123 +20,79 @@ let ensure_parent_dir path =
   let dir = Filename.dirname path in
   if dir <> "" && dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let find_sub haystack needle =
-  let h = String.length haystack and n = String.length needle in
-  let rec go i =
-    if i + n > h then None else if String.sub haystack i n = needle then Some i else go (i + 1)
-  in
-  if n = 0 then Some 0 else go 0
-
 (* --- BENCH_core.json rows --- *)
 
 type core_row = {
   analyzer : string;
   n : int;
   mode : string;  (* "single" | "batch" | "wide" *)
-  us_per_decide : float;
+  ns_per_decide : int;
   truncated : bool;  (* measured under an expired --budget-ms, or skipped *)
 }
 
-(* v1 rows had only analyzer/n/us_per_decide; v2 adds mode and the
-   truncation flag.  The parser accepts both, defaulting mode to
-   "single" and truncated to false, so a committed v1 baseline keeps
-   working as a --compare target. *)
-let core_schema_version = 2
+(* v3 counts whole nanoseconds, so the document holds no float and
+   goes through Wire.Json like every other JSON document; v1 and v2
+   (fractional microseconds) are refused *)
+let core_schema_version = 3
 
-let core_row_to_json r =
-  Printf.sprintf "{\"analyzer\":%S,\"n\":%d,\"mode\":%S,\"us_per_decide\":%.2f,\"truncated\":%b}"
-    r.analyzer r.n r.mode r.us_per_decide r.truncated
+module Json = Wire.Json
+
+(* fields in key order, so Json.to_string need not sort them *)
+let core_row_json r =
+  Json.Obj
+    [
+      ("analyzer", Json.String r.analyzer);
+      ("mode", Json.String r.mode);
+      ("n", Json.Int r.n);
+      ("ns_per_decide", Json.Int r.ns_per_decide);
+      ("truncated", Json.Bool r.truncated);
+    ]
 
 let core_doc rows =
-  Printf.sprintf
-    "{\"kind\":\"bench-core\",\"results\":[%s],\"schema_version\":%d,\"unit\":\"us/decide\"}\n"
-    (String.concat "," (List.map core_row_to_json rows))
-    core_schema_version
+  Json.to_string
+    (Json.Obj
+       [
+         ("kind", Json.String "bench-core");
+         ("results", Json.List (List.map core_row_json rows));
+         ("schema_version", Json.Int core_schema_version);
+         ("unit", Json.String "ns/decide");
+       ])
+  ^ "\n"
 
-(* Field extraction by substring scan rather than a JSON parser:
-   Core.Json refuses floats by design, and the row grammar is flat
-   (no nested objects or arrays), so textual slicing is exact. *)
-let string_field obj name =
-  match find_sub obj (Printf.sprintf "\"%s\":\"" name) with
-  | None -> None
-  | Some i -> (
-    let start = i + String.length name + 4 in
-    match String.index_from_opt obj start '"' with
-    | None -> None
-    | Some stop -> Some (String.sub obj start (stop - start)))
+let ( let* ) = Result.bind
 
-let raw_field obj name =
-  match find_sub obj (Printf.sprintf "\"%s\":" name) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length name + 3 in
-    let stop = ref start in
-    while !stop < String.length obj && obj.[!stop] <> ',' && obj.[!stop] <> '}' do incr stop done;
-    Some (String.trim (String.sub obj start (!stop - start)))
+let get ctx key decode json =
+  match Json.member key json with
+  | Some v -> decode ~ctx:(ctx ^ key) v
+  | None -> Error (ctx ^ key ^ ": missing")
 
-let parse_core_row obj =
-  match (string_field obj "analyzer", raw_field obj "n", raw_field obj "us_per_decide") with
-  | Some analyzer, Some n_raw, Some us_raw -> (
-    match (int_of_string_opt n_raw, float_of_string_opt us_raw) with
-    | Some n, Some us ->
-      let mode = Option.value (string_field obj "mode") ~default:"single" in
-      let truncated = raw_field obj "truncated" = Some "true" in
-      Some { analyzer; n; mode; us_per_decide = us; truncated }
-    | _ -> None)
-  | _ -> None
+let to_bool ~ctx = function Json.Bool b -> Ok b | _ -> Error (ctx ^ ": expected a boolean")
 
-(* The array is split by a string-aware scan, not by the first ']':
-   analyzer names like "approx[1/10]" put brackets inside strings. *)
+let core_row_of_json i json =
+  let ctx = Printf.sprintf "results[%d]." i in
+  let* analyzer = get ctx "analyzer" Json.to_str json in
+  let* n = get ctx "n" Json.to_int json in
+  let* mode = get ctx "mode" Json.to_str json in
+  let* ns_per_decide = get ctx "ns_per_decide" Json.to_int json in
+  let* truncated = get ctx "truncated" to_bool json in
+  Ok { analyzer; n; mode; ns_per_decide; truncated }
+
 let parse_core contents =
-  match find_sub contents "\"results\":[" with
-  | None -> Error "not a bench-core document (no \"results\" array)"
-  | Some i ->
-    let len = String.length contents in
-    let pos = ref (i + String.length "\"results\":[") in
-    let depth = ref 0 and in_string = ref false and escaped = ref false in
-    let buf = Buffer.create 64 in
-    let objs = ref [] in
-    let closed = ref false and err = ref None in
-    while (not !closed) && !err = None && !pos < len do
-      let c = contents.[!pos] in
-      if !in_string then begin
-        if !depth > 0 then Buffer.add_char buf c;
-        if !escaped then escaped := false
-        else if c = '\\' then escaped := true
-        else if c = '"' then in_string := false
-      end
-      else begin
-        match c with
-        | '"' ->
-          in_string := true;
-          if !depth > 0 then Buffer.add_char buf c
-        | '{' ->
-          incr depth;
-          Buffer.add_char buf c
-        | '}' ->
-          if !depth <= 0 then err := Some "mismatched '}' in \"results\" array"
-          else begin
-            Buffer.add_char buf c;
-            decr depth;
-            if !depth = 0 then begin
-              objs := Buffer.contents buf :: !objs;
-              Buffer.clear buf
-            end
-          end
-        | ']' when !depth = 0 -> closed := true
-        | c -> if !depth > 0 then Buffer.add_char buf c
-      end;
-      incr pos
-    done;
-    (match !err with
-    | Some e -> Error e
-    | None ->
-      if not !closed then Error "unterminated \"results\" array"
-      else
-        let objs = List.rev !objs in
-        let rows = List.filter_map parse_core_row objs in
-        if List.length rows = List.length objs then Ok rows
-        else Error "malformed row in \"results\" array")
+  let* doc = Json.of_string contents in
+  let* version = get "" "schema_version" Json.to_int doc in
+  if version <> core_schema_version then
+    Error
+      (Printf.sprintf "schema_version %d is not supported (this reader wants %d)" version
+         core_schema_version)
+  else
+    let* results = get "" "results" Json.to_list doc in
+    List.fold_right
+      (fun row rows ->
+        let* row = row in
+        let* rows = rows in
+        Ok (row :: rows))
+      (List.mapi core_row_of_json results)
+      (Ok [])
 
 (* --- wall-clock budgets (--budget-ms) --- *)
 

@@ -21,33 +21,28 @@ val write_file : string -> string -> unit
 val ensure_parent_dir : string -> unit
 (** Create the parent directory of an output path if missing. *)
 
-(** {2 BENCH_core.json rows (schema v2)} *)
+(** {2 BENCH_core.json rows (schema v3)} *)
 
 type core_row = {
   analyzer : string;
   n : int;  (** taskset size *)
   mode : string;  (** ["single"] ({!Core.Analyzer.t.decide} per taskset) or ["batch"] ([decide_all]) *)
-  us_per_decide : float;
+  ns_per_decide : int;  (** whole nanoseconds, so the document holds no float *)
   truncated : bool;
       (** the row's measurement was cut short (or skipped entirely,
-          [us_per_decide = 0.]) by an expired [--budget-ms]; comparison
+          [ns_per_decide = 0]) by an expired [--budget-ms]; comparison
           ignores truncated rows on either side *)
 }
 
-val core_schema_version : int
-(** [2].  v1 rows lacked [mode]/[truncated]; {!parse_core} accepts both,
-    defaulting [mode] to ["single"] and [truncated] to [false], so a
-    committed v1 baseline keeps working as a [--compare] target. *)
-
-val core_row_to_json : core_row -> string
-
 val core_doc : core_row list -> string
-(** The full [BENCH_core.json] document (trailing newline included). *)
+(** The full [BENCH_core.json] document, [schema_version] 3 (trailing
+    newline included), printed by {!Wire.Json.to_string}: keys sorted,
+    no whitespace. *)
 
 val parse_core : string -> (core_row list, string) result
-(** Parse a v1 or v2 document.  Textual field extraction, not
-    {!Core.Json} (which refuses floats by design) — exact because the
-    row grammar is flat. *)
+(** Parse a v3 document with {!Wire.Json.of_string}.  Any other
+    [schema_version] is refused, by name when the document parses; a
+    v1 or v2 row's fractional microseconds already fail the parse. *)
 
 (** {2 Wall-clock budgets ([--budget-ms])} *)
 

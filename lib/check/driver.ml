@@ -84,13 +84,13 @@ let pp fmt t =
 let schema_version = 1
 
 let to_json t =
-  Core.Json.Obj
+  Wire.Json.Obj
     [
-      ("clean", Core.Json.Bool (clean t));
-      ("errors", Core.Json.Int (errors t));
-      ("findings", Core.Json.List (List.map Finding.to_json t.findings));
-      ("kind", Core.Json.String "check-src");
-      ("modules", Core.Json.Int t.modules);
-      ("schema_version", Core.Json.Int schema_version);
-      ("warnings", Core.Json.Int (warnings t));
+      ("clean", Wire.Json.Bool (clean t));
+      ("errors", Wire.Json.Int (errors t));
+      ("findings", Wire.Json.List (List.map Finding.to_json t.findings));
+      ("kind", Wire.Json.String "check-src");
+      ("modules", Wire.Json.Int t.modules);
+      ("schema_version", Wire.Json.Int schema_version);
+      ("warnings", Wire.Json.Int (warnings t));
     ]

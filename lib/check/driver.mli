@@ -26,7 +26,7 @@ val pp : Format.formatter -> report -> unit
 
 val schema_version : int
 
-val to_json : report -> Core.Json.t
+val to_json : report -> Wire.Json.t
 (** The report as canonical JSON: [schema_version], [kind]
     ["check-src"], [clean], error/warning counts, module count and the
     location-sorted findings. *)

@@ -37,12 +37,12 @@ let pp fmt t =
     t.rule t.message
 
 let to_json t =
-  Core.Json.Obj
+  Wire.Json.Obj
     [
-      ("col", Core.Json.Int t.col);
-      ("file", Core.Json.String t.file);
-      ("line", Core.Json.Int t.line);
-      ("message", Core.Json.String t.message);
-      ("rule", Core.Json.String t.rule);
-      ("severity", Core.Json.String (Audit.Diagnostic.severity_name t.severity));
+      ("col", Wire.Json.Int t.col);
+      ("file", Wire.Json.String t.file);
+      ("line", Wire.Json.Int t.line);
+      ("message", Wire.Json.String t.message);
+      ("rule", Wire.Json.String t.rule);
+      ("severity", Wire.Json.String (Audit.Diagnostic.severity_name t.severity));
     ]

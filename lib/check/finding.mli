@@ -25,4 +25,4 @@ val is_warning : t -> bool
 val pp : Format.formatter -> t -> unit
 (** Compiler style: [lib/obs/obs.ml:55:2: error[det-purity]: ...]. *)
 
-val to_json : t -> Core.Json.t
+val to_json : t -> Wire.Json.t

@@ -6,20 +6,14 @@ type t = {
   decide_all : fpga_area:int -> Model.Taskset.t array -> Verdict.t array;
 }
 
-let batch_of_decide decide ~fpga_area tss = Array.map (fun ts -> decide ~fpga_area ts) tss
-
-let make ?decide_all ~name ~cite ~version decide =
-  let decide_all =
-    match decide_all with Some f -> f | None -> batch_of_decide decide
-  in
+let make ~name ~cite ~version decide =
+  let decide_all ~fpga_area tss = Array.map (fun ts -> decide ~fpga_area ts) tss in
   { name; cite; version; decide; decide_all }
 
 let guan = "Guan, Gu, Deng, Liu, Yu (IPDPS 2007)"
 
 let dp =
-  make ~decide_all:Dp.decide_all ~name:"DP"
-    ~cite:("Theorem 1, " ^ guan ^ ", after Danne & Platzner")
-    ~version:"1" Dp.decide
+  make ~name:"DP" ~cite:("Theorem 1, " ^ guan ^ ", after Danne & Platzner") ~version:"1" Dp.decide
 
 let dp_original =
   make ~name:"DP-original"
@@ -27,7 +21,7 @@ let dp_original =
     Dp.decide_original
 
 let gn1 =
-  make ~decide_all:Gn1.decide_all ~name:"GN1"
+  make ~name:"GN1"
     ~cite:("Theorem 2, " ^ guan ^ " (strict inequality, DESIGN.md section 2)")
     ~version:"1" Gn1.decide
 
@@ -37,7 +31,7 @@ let gn1_printed =
     Gn1.decide_printed
 
 let gn2 =
-  make ~decide_all:Gn2.decide_all ~name:"GN2"
+  make ~name:"GN2"
     ~cite:("Theorem 3, " ^ guan ^ " (typo-corrected, DESIGN.md section 2)")
     ~version:"1" Gn2.decide
 

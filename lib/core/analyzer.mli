@@ -21,24 +21,21 @@ type t = {
       (** Batch entry point, the preferred way to decide many tasksets:
           one verdict per taskset, in order, with element [i]
           byte-identical to [decide ~fpga_area tss.(i)] (QCheck-pinned
-          in test_columns.ml).  Built-in analyzers override it with a
-          columnar fast path that amortizes per-taskset setup; {!make}
-          derives a [decide] map for the rest.  The byte-identity
+          in test_columns.ml).  {!make} maps [decide]; a wrapper may
+          replace it (to trace a batch, say), but the byte-identity
           contract means a differing batch path is a [version] bump,
           exactly like a differing [decide]. *)
 }
 
 val make :
-  ?decide_all:(fpga_area:int -> Model.Taskset.t array -> Verdict.t array) ->
   name:string ->
   cite:string ->
   version:string ->
   (fpga_area:int -> Model.Taskset.t -> Verdict.t) ->
   t
 (** The only way third-party code should build an analyzer: [decide_all]
-    defaults to mapping the single-taskset [decide], so registrants get
-    the batch API for free and stay source-compatible if the record
-    grows again. *)
+    maps the single-taskset [decide], so registrants get the batch API
+    for free and stay source-compatible if the record grows again. *)
 
 val dp : t
 (** Theorem 1 (Danne & Platzner's bound, integer-area corrected). *)

@@ -51,10 +51,6 @@ let decide ~fpga_area ts =
   Obs.Span.with_ ~name:"core.dp.decide" (fun () ->
       decide_one ~test_name:"DP" ~plus_one:true ~fpga_area ts)
 
-let decide_all ~fpga_area tss =
-  Obs.Span.with_ ~name:"core.dp.decide" (fun () ->
-      Array.map (decide_one ~test_name:"DP" ~plus_one:true ~fpga_area) tss)
-
 let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)
 let decide_original ~fpga_area ts = decide_one ~test_name:"DP-original" ~plus_one:false ~fpga_area ts
 let accepts_original ~fpga_area ts = Verdict.accepted (decide_original ~fpga_area ts)

@@ -25,10 +25,6 @@ val applicable : Model.Taskset.t -> bool
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
 val accepts : fpga_area:int -> Model.Taskset.t -> bool
 
-val decide_all : fpga_area:int -> Model.Taskset.t array -> Verdict.t array
-(** One verdict per taskset, in order; element [i] is byte-identical to
-    [decide ~fpga_area tss.(i)]. *)
-
 val decide_original : fpga_area:int -> Model.Taskset.t -> Verdict.t
 (** Danne & Platzner's original bound with [A(H) - Amax] (no [+1]). *)
 

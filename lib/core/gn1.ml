@@ -83,10 +83,6 @@ let decide ~fpga_area ts =
   Obs.Span.with_ ~name:"core.gn1.decide" (fun () ->
       decide_one ~test_name:"GN1" ~lemma3_form:true ~fpga_area ts)
 
-let decide_all ~fpga_area tss =
-  Obs.Span.with_ ~name:"core.gn1.decide" (fun () ->
-      Array.map (decide_one ~test_name:"GN1" ~lemma3_form:true ~fpga_area) tss)
-
 let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)
 let decide_printed ~fpga_area ts = decide_one ~test_name:"GN1-printed" ~lemma3_form:false ~fpga_area ts
 let accepts_printed ~fpga_area ts = Verdict.accepted (decide_printed ~fpga_area ts)

@@ -33,10 +33,6 @@
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
 val accepts : fpga_area:int -> Model.Taskset.t -> bool
 
-val decide_all : fpga_area:int -> Model.Taskset.t array -> Verdict.t array
-(** One verdict per taskset, in order; element [i] is byte-identical to
-    [decide ~fpga_area tss.(i)]. *)
-
 val decide_printed : fpga_area:int -> Model.Taskset.t -> Verdict.t
 (** The variant exactly as printed in Theorem 2. *)
 

@@ -258,7 +258,4 @@ let decide_one ~fpga_area ts =
 let decide ~fpga_area ts =
   Obs.Span.with_ ~name:"core.gn2.decide" (fun () -> decide_one ~fpga_area ts)
 
-let decide_all ~fpga_area tss =
-  Obs.Span.with_ ~name:"core.gn2.decide" (fun () -> Array.map (decide_one ~fpga_area) tss)
-
 let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)

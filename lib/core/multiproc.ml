@@ -5,12 +5,13 @@ let require_width_one name ts =
 
 let gfb_direct ~m ts =
   require_width_one "Multiproc.gfb_direct" ts;
-  let qs = Params.of_taskset ts in
   let umax =
-    Array.fold_left (fun acc q -> Rat.max acc (Params.time_utilization q)) Rat.zero qs
+    List.fold_left
+      (fun acc t -> Rat.max acc (Model.Task.time_utilization t))
+      Rat.zero (Model.Taskset.to_list ts)
   in
   let bound = Rat.add (Rat.mul (Rat.of_int m) (Rat.sub Rat.one umax)) umax in
-  Rat.compare (Params.total_ut qs) bound <= 0
+  Rat.compare (Model.Taskset.time_utilization ts) bound <= 0
 
 let gfb ~m ts =
   require_width_one "Multiproc.gfb" ts;

@@ -17,20 +17,6 @@ let run ?(analyzers = Analyzer.defaults) ~fpga_area ts =
     system_utilization = Model.Taskset.system_utilization ts;
   }
 
-let run_all ?(analyzers = Analyzer.defaults) ~fpga_area tss =
-  let per_analyzer =
-    List.map (fun (a : Analyzer.t) -> a.Analyzer.decide_all ~fpga_area tss) analyzers
-  in
-  Array.init (Array.length tss) (fun i ->
-      {
-        fpga_area;
-        analyzers;
-        taskset = tss.(i);
-        verdicts = List.map (fun vs -> vs.(i)) per_analyzer;
-        time_utilization = Model.Taskset.time_utilization tss.(i);
-        system_utilization = Model.Taskset.system_utilization tss.(i);
-      })
-
 let summary_line t =
   String.concat " "
     (List.map
@@ -46,6 +32,8 @@ let pp fmt t =
   Format.fprintf fmt "@]"
 
 (* --- machine-readable form --- *)
+
+module Json = Wire.Json
 
 (* objects are built in key order, so Json.to_string need not sort *)
 let task_json (task : Model.Task.t) =

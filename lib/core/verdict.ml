@@ -17,6 +17,8 @@ let failing_tasks t =
 
 let schema_version = 1
 
+module Json = Wire.Json
+
 (* fields in key order, so Json.to_string need not sort them *)
 let check_to_json c =
   let tail =

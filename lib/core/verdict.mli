@@ -40,7 +40,7 @@ val schema_version : int
     shared by [redf analyze --format json], [redf lint --format json]
     and the analysis server; bumped on any incompatible change. *)
 
-val to_json : ?version:string -> t -> Json.t
+val to_json : ?version:string -> t -> Wire.Json.t
 (** [{"accepted":bool,"analyzer":name,"analyzer_version"?:version,
     "checks":[{"lhs":…,"note"?:…,"rhs":…,"satisfied":…,"task":k}]}]
     with exact rational sides as strings, fields in key order; [task]

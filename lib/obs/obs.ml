@@ -223,179 +223,70 @@ module Snapshot = struct
     Mutex.unlock registry_mutex;
     List.sort (fun (a, _) (b, _) -> String.compare a b) entries
 
-  (* --- JSON lines --- *)
+  (* --- JSON lines: one Wire.Json object per metric --- *)
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+  module Json = Wire.Json
 
-  (* object keys emitted in alphabetical order so the byte form is
-     canonical, not merely the parsed form *)
-  let line name = function
-    | Counter { det; value } ->
-      Printf.sprintf {|{"det":%b,"kind":"counter","name":"%s","value":%d}|} det (escape name) value
-    | Gauge { det; value } ->
-      Printf.sprintf {|{"det":%b,"kind":"gauge","name":"%s","value":%d}|} det (escape name) value
+  (* fields in key order, so the bytes are canonical and Json.to_string
+     prints them without a sort *)
+  let to_json name e =
+    let open Json in
+    match e with
+    | Counter { det; value } | Gauge { det; value } ->
+      let kind = match e with Counter _ -> "counter" | _ -> "gauge" in
+      Obj [ ("det", Bool det); ("kind", String kind); ("name", String name); ("value", Int value) ]
     | Timer { count; sum_ns; min_ns; max_ns } ->
-      Printf.sprintf
-        {|{"count":%d,"det":false,"kind":"timer","max_ns":%d,"min_ns":%d,"name":"%s","sum_ns":%d}|}
-        count max_ns min_ns (escape name) sum_ns
+      Obj
+        [
+          ("count", Int count);
+          ("det", Bool false);
+          ("kind", String "timer");
+          ("max_ns", Int max_ns);
+          ("min_ns", Int min_ns);
+          ("name", String name);
+          ("sum_ns", Int sum_ns);
+        ]
 
-  let to_jsonl t = String.concat "" (List.map (fun (n, e) -> line n e ^ "\n") t)
+  let to_jsonl t = String.concat "" (List.map (fun (n, e) -> Json.to_string (to_json n e) ^ "\n") t)
 
-  (* minimal parser for the flat objects [line] emits: string, integer
-     and boolean values only *)
-  exception Parse of string
+  let ( let* ) = Result.bind
 
-  let parse_object s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse msg) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-        incr pos
-      done
-    in
-    let expect c =
-      skip_ws ();
-      if peek () = Some c then incr pos else fail (Printf.sprintf "expected %C" c)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        incr pos;
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          if !pos >= n then fail "bad escape";
-          let e = s.[!pos] in
-          incr pos;
-          (match e with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 'u' ->
-             if !pos + 4 > n then fail "bad \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-              | Some _ | None -> fail "unsupported \\u escape")
-           | _ -> fail "unknown escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> `String (parse_string ())
-      | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; `Bool true)
-        else fail "bad literal"
-      | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; `Bool false)
-        else fail "bad literal"
-      | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then incr pos;
-        while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-          incr pos
-        done;
-        (match int_of_string_opt (String.sub s start (!pos - start)) with
-         | Some i -> `Int i
-         | None -> fail "bad integer")
-      | _ -> fail "expected a value"
-    in
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        skip_ws ();
-        let key = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}'"
-      in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> n then fail "trailing characters";
-    List.rev !fields
+  let get key decode json =
+    match Json.member key json with
+    | Some v -> decode ~ctx:key v
+    | None -> Error (Printf.sprintf "missing field %S" key)
 
-  let field fields key =
-    match List.assoc_opt key fields with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "missing field %S" key))
+  let to_bool ~ctx = function Json.Bool b -> Ok b | _ -> Error (ctx ^ ": expected a boolean")
 
-  let int_field fields key =
-    match field fields key with `Int i -> i | _ -> raise (Parse (key ^ ": expected an integer"))
+  let of_json = function
+    | Json.Obj _ as json -> (
+      let* name = get "name" Json.to_str json in
+      let* kind = get "kind" Json.to_str json in
+      match kind with
+      | "counter" | "gauge" ->
+        let* det = get "det" to_bool json in
+        let* value = get "value" Json.to_int json in
+        Ok (name, if kind = "counter" then Counter { det; value } else Gauge { det; value })
+      | "timer" ->
+        let* count = get "count" Json.to_int json in
+        let* sum_ns = get "sum_ns" Json.to_int json in
+        let* min_ns = get "min_ns" Json.to_int json in
+        let* max_ns = get "max_ns" Json.to_int json in
+        Ok (name, Timer { count; sum_ns; min_ns; max_ns })
+      | k -> Error (Printf.sprintf "unknown kind %S" k))
+    | _ -> Error "expected an object"
 
-  let bool_field fields key =
-    match field fields key with `Bool b -> b | _ -> raise (Parse (key ^ ": expected a boolean"))
-
-  let string_field fields key =
-    match field fields key with `String s -> s | _ -> raise (Parse (key ^ ": expected a string"))
-
-  let entry_of_fields fields =
-    let name = string_field fields "name" in
-    match string_field fields "kind" with
-    | "counter" -> (name, Counter { det = bool_field fields "det"; value = int_field fields "value" })
-    | "gauge" -> (name, Gauge { det = bool_field fields "det"; value = int_field fields "value" })
-    | "timer" ->
-      ( name,
-        Timer
-          {
-            count = int_field fields "count";
-            sum_ns = int_field fields "sum_ns";
-            min_ns = int_field fields "min_ns";
-            max_ns = int_field fields "max_ns";
-          } )
-    | k -> raise (Parse (Printf.sprintf "unknown kind %S" k))
-
+  (* lines are numbered by their position in [s], blank ones included *)
   let of_jsonl s =
-    let lines =
-      String.split_on_char '\n' s
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec go acc i = function
+    let rec go acc lineno = function
       | [] -> Ok (List.sort (fun (a, _) (b, _) -> String.compare a b) (List.rev acc))
+      | l :: rest when String.trim l = "" -> go acc (lineno + 1) rest
       | l :: rest -> (
-        match entry_of_fields (parse_object l) with
-        | entry -> go (entry :: acc) (i + 1) rest
-        | exception Parse msg -> Error (Printf.sprintf "line %d: %s" i msg))
+        match Result.bind (Json.of_string l) of_json with
+        | Ok entry -> go (entry :: acc) (lineno + 1) rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
     in
-    go [] 1 lines
+    go [] 1 (String.split_on_char '\n' s)
 
   (* --- comparison --- *)
 

@@ -97,8 +97,9 @@ end
 module Snapshot : sig
   (** A snapshot is the registry frozen as a sorted association list;
       its canonical wire form is JSON lines — one flat, key-sorted
-      object per metric, lines sorted by name — so two snapshots are
-      comparable with [cmp]/[diff] and greppable per kind. *)
+      {!Wire.Json} object per metric, lines sorted by name — so two
+      snapshots are comparable with [cmp]/[diff] and greppable per
+      kind. *)
 
   type entry =
     | Counter of { det : bool; value : int }
@@ -114,7 +115,8 @@ module Snapshot : sig
 
   val of_jsonl : string -> (t, string) result
   (** Parse {!to_jsonl} output (or a prefix-compatible file); the
-      result is re-sorted by name.  Errors name the offending line. *)
+      result is re-sorted by name.  Blank lines are skipped; errors
+      name the offending line by its position in the string. *)
 
   val diff : ?det_only:bool -> t -> t -> string list
   (** Human-readable difference lines ("- name …" only in the first,

@@ -1,4 +1,4 @@
-module Json = Core.Json
+module Json = Wire.Json
 
 type request = {
   id : Json.t option;

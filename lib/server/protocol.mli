@@ -26,18 +26,18 @@
     {v {"schema_version":1,"kind":"error","error":"…","id":…}        v} *)
 
 type request = {
-  id : Core.Json.t option;  (** echoed verbatim; [Int] or [String] *)
+  id : Wire.Json.t option;  (** echoed verbatim; [Int] or [String] *)
   analyzer : Core.Analyzer.t;
   fpga_area : int;
   taskset : Model.Taskset.t;
 }
 
-val parse : string -> (request, Core.Json.t option * string) result
+val parse : string -> (request, Wire.Json.t option * string) result
 (** Parse one request line.  The error carries the request [id] when
     the line was well-formed enough to recover it, so even a rejected
     request can be correlated by a pipelining client. *)
 
-val time_value : Core.Json.t option -> (Model.Time.t, string) result
+val time_value : Wire.Json.t option -> (Model.Time.t, string) result
 (** One task's [C], [D] or [T] field: a decimal string
     ({!Model.Time.decimal}) or whole time units.  The error is the
     reason alone (["missing"], ["out of range"], …); callers prefix
@@ -46,17 +46,17 @@ val time_value : Core.Json.t option -> (Model.Time.t, string) result
 val response : request -> Core.Verdict.t -> string
 (** The success response line (no trailing newline). *)
 
-val envelope : ?id:Core.Json.t -> string -> (string * Core.Json.t) list -> string
+val envelope : ?id:Wire.Json.t -> string -> (string * Wire.Json.t) list -> string
 (** [envelope ?id kind fields]: a response line with the standard
     [schema_version]/[kind] (and optional echoed [id]) preamble —
     the shared frame for every service speaking this wire format,
     including the admission daemon's [kind = "admit"] replies.
     [fields] given in key order are printed without a sort. *)
 
-val error_response : ?id:Core.Json.t -> string -> string
+val error_response : ?id:Wire.Json.t -> string -> string
 (** The error response line (no trailing newline). *)
 
-val request_id : string -> Core.Json.t option
+val request_id : string -> Wire.Json.t option
 (** Best-effort [id] recovery from a raw request line (well-formed JSON
     object with an [Int]/[String] [id]) — lets a response be correlated
     without fully parsing the request. *)
@@ -68,6 +68,6 @@ val shed_response : string -> string
     of silently dropping: a pipelining client still gets one response
     line per request line, in order. *)
 
-val request_line : analyzer:string -> fpga_area:int -> ?id:Core.Json.t -> Model.Taskset.t -> string
+val request_line : analyzer:string -> fpga_area:int -> ?id:Wire.Json.t -> Model.Taskset.t -> string
 (** Serialize a request (no trailing newline) — the inverse of
     {!parse}; used by [redf batch]'s client mode and the tests. *)

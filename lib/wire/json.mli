@@ -1,11 +1,14 @@
-(** Minimal JSON values for the machine-readable request/response schema.
+(** Minimal JSON values: the one codec for every JSON document the
+    repository reads or writes.
 
-    The analysis service ([Server]) and the CLI's [--format json] share
-    one wire format; this module is its common vocabulary: a small value
-    type, a canonical printer, and a parser for the subset the schema
-    uses (null, booleans, exact integers, strings, arrays, objects —
-    no floats: every numeric quantity in the schema is either an
-    integer or an exact decimal/rational carried as a string).
+    The analysis service ([Server]), the admission daemon's journal and
+    snapshots, the CLI's [--format json], [--metrics] snapshots
+    ([Obs.Snapshot]) and [results/BENCH_core.json] share one wire
+    format; this module is its common vocabulary: a small value type, a
+    canonical printer, and a parser for the subset the schema uses
+    (null, booleans, exact integers, strings, arrays, objects — no
+    floats: every numeric quantity in the schema is either an integer
+    or an exact decimal/rational carried as a string).
 
     Canonical form: {!to_string} emits object keys sorted by name with
     no insignificant whitespace, so two semantically equal values have

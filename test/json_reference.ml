@@ -1,13 +1,13 @@
-(* Core.Json's printer and decoder as they were before the in-place
+(* Wire.Json's printer and decoder as they were before the in-place
    speed-up.  The printer sorted every object and escaped through a
    [Buffer] per string; the decoder allocated a [Some c] per peeked
    character, a [Buffer] per string and a [String.sub] per literal and
    integer.  Kept as the differential references the fast paths are
    checked against (test_server.ml): the same bytes for every value,
    and the same value, or the same error at the same offset, for every
-   input.  The value type is Core.Json's. *)
+   input.  The value type is Wire.Json's. *)
 
-open Core.Json
+open Wire.Json
 
 let escape s =
   let buf = Buffer.create (String.length s + 2) in

@@ -305,27 +305,27 @@ let store_recovers_after_rotation () =
 
 (* --- daemon: verdicts, dedup, recovery --- *)
 
-let line fields = Core.Json.to_string (Core.Json.Obj fields)
+let line fields = Wire.Json.to_string (Wire.Json.Obj fields)
 
 let add_line ?id name c d t a =
   line
-    ([ ("op", Core.Json.String "add-task") ]
+    ([ ("op", Wire.Json.String "add-task") ]
     @ (match id with Some id -> [ ("id", id) ] | None -> [])
     @ [
         ( "task",
-          Core.Json.Obj
+          Wire.Json.Obj
             [
-              ("name", Core.Json.String name);
-              ("C", Core.Json.String c);
-              ("D", Core.Json.String d);
-              ("T", Core.Json.String t);
-              ("A", Core.Json.Int a);
+              ("name", Wire.Json.String name);
+              ("C", Wire.Json.String c);
+              ("D", Wire.Json.String d);
+              ("T", Wire.Json.String t);
+              ("A", Wire.Json.Int a);
             ] );
       ])
 
 let field reply name =
-  match Core.Json.of_string reply with
-  | Ok json -> Core.Json.member name json
+  match Wire.Json.of_string reply with
+  | Ok json -> Wire.Json.member name json
   | Error msg -> Alcotest.failf "reply is not JSON (%s): %s" msg reply
 
 let with_daemon ?snapshot_every tag f =
@@ -337,43 +337,43 @@ let with_daemon ?snapshot_every tag f =
 
 let daemon_verdict_byte_identity () =
   with_daemon "verdict" (fun _dir d ->
-      let reply = Admit.Daemon.handle_line d (add_line ~id:(Core.Json.Int 1) "tau1" "1.26" "7" "7" 9) in
-      check_bool "admitted" true (field reply "admitted" = Some (Core.Json.Bool true));
+      let reply = Admit.Daemon.handle_line d (add_line ~id:(Wire.Json.Int 1) "tau1" "1.26" "7" "7" 9) in
+      check_bool "admitted" true (field reply "admitted" = Some (Wire.Json.Bool true));
       (* the wire verdict is byte-identical to a from-scratch run of the
          same analyzer on the same taskset *)
       let fresh ts =
-        Core.Json.to_string (Core.Verdict.to_json (analyzer.Core.Analyzer.decide ~fpga_area:100 ts))
+        Wire.Json.to_string (Core.Verdict.to_json (analyzer.Core.Analyzer.decide ~fpga_area:100 ts))
       in
       let expect_fields reply ts =
         let fresh_json =
-          match Core.Json.of_string (fresh ts) with Ok j -> j | Error e -> Alcotest.fail e
+          match Wire.Json.of_string (fresh ts) with Ok j -> j | Error e -> Alcotest.fail e
         in
         List.iter
           (fun name ->
             check_bool
               (Printf.sprintf "field %S matches from-scratch" name)
               true
-              (field reply name = Core.Json.member name fresh_json))
+              (field reply name = Wire.Json.member name fresh_json))
           [ "accepted"; "checks" ]
       in
       expect_fields reply (Model.Taskset.of_list [ t1 ]);
-      let reply2 = Admit.Daemon.handle_line d (add_line ~id:(Core.Json.Int 2) "tau2" "0.95" "5" "5" 6) in
+      let reply2 = Admit.Daemon.handle_line d (add_line ~id:(Wire.Json.Int 2) "tau2" "0.95" "5" "5" 6) in
       expect_fields reply2 (Model.Taskset.of_list [ t1; t2 ]);
       (* what-if answers for the hypothetical set without mutating *)
       let wi =
         Admit.Daemon.handle_line d
           (line
              [
-               ("op", Core.Json.String "what-if");
-               ("drop", Core.Json.List [ Core.Json.String "tau1" ]);
+               ("op", Wire.Json.String "what-if");
+               ("drop", Wire.Json.List [ Wire.Json.String "tau1" ]);
              ])
       in
       expect_fields wi (Model.Taskset.of_list [ t2 ]);
       check_int "still two tasks" 2 (Admit.State.size (Admit.Daemon.state d));
       (* an over-area task is rejected and not journaled *)
       let seq_before = Admit.State.seq (Admit.Daemon.state d) in
-      let rej = Admit.Daemon.handle_line d (add_line ~id:(Core.Json.Int 3) "big" "1" "4" "4" 999) in
-      check_bool "rejected" true (field rej "admitted" = Some (Core.Json.Bool false));
+      let rej = Admit.Daemon.handle_line d (add_line ~id:(Wire.Json.Int 3) "big" "1" "4" "4" 999) in
+      check_bool "rejected" true (field rej "admitted" = Some (Wire.Json.Bool false));
       check_int "rejection not journaled" seq_before (Admit.State.seq (Admit.Daemon.state d)))
 
 let daemon_dedup_and_recovery () =
@@ -384,7 +384,7 @@ let daemon_dedup_and_recovery () =
     | Ok (d, recovery) -> (d, recovery)
   in
   let d, _ = open_daemon () in
-  let req = add_line ~id:(Core.Json.String "r1") "tau1" "1.26" "7" "7" 9 in
+  let req = add_line ~id:(Wire.Json.String "r1") "tau1" "1.26" "7" "7" 9 in
   let first = Admit.Daemon.handle_line d req in
   (* a retry with the same id returns the stored bytes, applies nothing *)
   check_str "duplicate rid answered with stored bytes" first (Admit.Daemon.handle_line d req);

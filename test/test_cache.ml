@@ -12,7 +12,7 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let check_str_list = Alcotest.(check (list string))
 
-let verdict_str v = Core.Json.to_string (Core.Verdict.to_json v)
+let verdict_str v = Wire.Json.to_string (Core.Verdict.to_json v)
 
 let table1 =
   taskset [ ("tau1", "1.26", "7", "7", 9); ("tau2", "0.95", "5", "5", 6) ]

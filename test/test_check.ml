@@ -134,7 +134,7 @@ let json_shape () =
   match Check.Driver.run [ cmt "Fix_det" ] with
   | Error e -> Alcotest.failf "driver: %s" e
   | Ok report ->
-    let s = Core.Json.to_string (Check.Driver.to_json report) in
+    let s = Wire.Json.to_string (Check.Driver.to_json report) in
     check_bool "kind" true (contains_substring s {|"kind":"check-src"|});
     check_bool "schema" true (contains_substring s {|"schema_version":1|});
     check_bool "rule" true (contains_substring s {|"rule":"det-purity"|})

@@ -39,7 +39,7 @@ let area_gen = QCheck2.Gen.int_range 6 16
 let case_gen = QCheck2.Gen.pair taskset_gen area_gen
 
 let verdict_bytes v =
-  Format.asprintf "%a" Core.Verdict.pp v ^ "\x00" ^ Core.Json.to_string (Core.Verdict.to_json v)
+  Format.asprintf "%a" Core.Verdict.pp v ^ "\x00" ^ Wire.Json.to_string (Core.Verdict.to_json v)
 
 let qtest = Core_helpers.qtest
 

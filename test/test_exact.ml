@@ -167,7 +167,7 @@ let prop_exhaustive_covers_sync =
 (* --- the exact oracle (lib/exact) --- *)
 
 let policy = Sim.Policy.edf_nf
-let verdict_str v = Core.Json.to_string (Core.Verdict.to_json v)
+let verdict_str v = Wire.Json.to_string (Core.Verdict.to_json v)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in

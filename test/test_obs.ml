@@ -148,6 +148,88 @@ let of_jsonl_rejects_garbage () =
   check_err {|{"kind":"counter","name":"x"}|};
   check_err {|{"det":true,"kind":"rocket","name":"x","value":1}|}
 
+(* blank lines count: the number is the bad line's position in the file *)
+let of_jsonl_numbers_file_lines () =
+  let good = {|{"det":true,"kind":"counter","name":"x","value":1}|} in
+  match Obs.Snapshot.of_jsonl (String.concat "\n" [ good; ""; "  "; "oops"; good ]) with
+  | Error msg -> Alcotest.(check string) "names line 4" "line 4: at offset 0: expected a value" msg
+  | Ok _ -> Alcotest.fail "accepted a bad line"
+
+(* --- the JSON-lines codec --- *)
+
+(* Obs.Snapshot's line printer from before snapshots moved onto
+   Wire.Json, kept verbatim as the byte reference for to_jsonl *)
+module Printf_printer = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let line name = function
+    | Obs.Snapshot.Counter { det; value } ->
+      Printf.sprintf {|{"det":%b,"kind":"counter","name":"%s","value":%d}|} det (escape name) value
+    | Obs.Snapshot.Gauge { det; value } ->
+      Printf.sprintf {|{"det":%b,"kind":"gauge","name":"%s","value":%d}|} det (escape name) value
+    | Obs.Snapshot.Timer { count; sum_ns; min_ns; max_ns } ->
+      Printf.sprintf
+        {|{"count":%d,"det":false,"kind":"timer","max_ns":%d,"min_ns":%d,"name":"%s","sum_ns":%d}|}
+        count max_ns min_ns (escape name) sum_ns
+
+  let to_jsonl t = String.concat "" (List.map (fun (n, e) -> line n e ^ "\n") t)
+end
+
+(* snapshots as [take] returns them (sorted, one entry per name) whose
+   names mix the bytes JSON escapes (quote, backslash, control bytes)
+   with bytes >= 0x80, which pass through raw *)
+let snapshot_gen =
+  let open QCheck2.Gen in
+  let byte =
+    oneof
+      [
+        oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\128'; '\255' ];
+        char_range 'a' 'z';
+        char;
+      ]
+  in
+  let value = oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ] in
+  let entry =
+    oneof
+      [
+        map2 (fun det value -> Obs.Snapshot.Counter { det; value }) bool value;
+        map2 (fun det value -> Obs.Snapshot.Gauge { det; value }) bool value;
+        map
+          (fun (count, sum_ns, min_ns, max_ns) -> Obs.Snapshot.Timer { count; sum_ns; min_ns; max_ns })
+          (tup4 value value value value);
+      ]
+  in
+  map
+    (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b))
+    (list_size (int_range 0 8) (pair (string_size ~gen:byte (int_range 0 12)) entry))
+
+let codec_test name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name
+       ~print:(fun s -> String.escaped (Printf_printer.to_jsonl s))
+       snapshot_gen prop)
+
+let prop_round_trip =
+  codec_test "of_jsonl (to_jsonl s) = Ok s, escaped names" (fun s ->
+      Obs.Snapshot.of_jsonl (Obs.Snapshot.to_jsonl s) = Ok s)
+
+let prop_same_bytes =
+  codec_test "to_jsonl == the Printf printer" (fun s ->
+      String.equal (Obs.Snapshot.to_jsonl s) (Printf_printer.to_jsonl s))
+
 let diff_reports_changes () =
   let counter ?(det = true) value = Obs.Snapshot.Counter { det; value } in
   let a = [ ("both", counter 1); ("only-a", counter 2) ] in
@@ -217,8 +299,10 @@ let () =
         [
           Alcotest.test_case "sorted and round trips" `Quick snapshot_sorted_and_round_trips;
           Alcotest.test_case "of_jsonl rejects garbage" `Quick of_jsonl_rejects_garbage;
+          Alcotest.test_case "of_jsonl numbers file lines" `Quick of_jsonl_numbers_file_lines;
           Alcotest.test_case "diff reports changes" `Quick diff_reports_changes;
           Alcotest.test_case "diff det-only" `Quick diff_det_only;
         ] );
+      ("codec", [ prop_round_trip; prop_same_bytes ]);
       ("domains", [ Alcotest.test_case "exact multi-domain counts" `Quick multi_domain_exact ]);
     ]

@@ -26,12 +26,12 @@ let contains ~needle hay =
 (* --- protocol --- *)
 
 let parse_roundtrip () =
-  match Server.Protocol.parse (request ~id:(Core.Json.Int 7) table1) with
+  match Server.Protocol.parse (request ~id:(Wire.Json.Int 7) table1) with
   | Error (_, msg) -> Alcotest.failf "parse failed: %s" msg
   | Ok req ->
     check_str "analyzer" "GN2" req.Server.Protocol.analyzer.Core.Analyzer.name;
     check_int "area" 10 req.Server.Protocol.fpga_area;
-    check_bool "id" true (req.Server.Protocol.id = Some (Core.Json.Int 7));
+    check_bool "id" true (req.Server.Protocol.id = Some (Wire.Json.Int 7));
     check_str "taskset survives" (Model.Taskset.to_csv table1)
       (Model.Taskset.to_csv req.Server.Protocol.taskset)
 
@@ -48,7 +48,7 @@ let parse_errors () =
   fails "garbage" "not json {" "malformed JSON";
   fails "non-object" "[1,2]" "must be a JSON object";
   fails "missing analyzer" {|{"fpga_area":10,"tasks":[{"C":1,"D":2,"T":2,"A":1}]}|} "\"analyzer\"";
-  fails "unknown analyzer" ~id:(Core.Json.Int 3)
+  fails "unknown analyzer" ~id:(Wire.Json.Int 3)
     {|{"id":3,"analyzer":"nope","fpga_area":10,"tasks":[{"C":1,"D":2,"T":2,"A":1}]}|}
     "unknown analyzer";
   fails "bad area" {|{"analyzer":"DP","fpga_area":0,"tasks":[{"C":1,"D":2,"T":2,"A":1}]}|}
@@ -59,16 +59,16 @@ let parse_errors () =
     "malformed JSON"
 
 let shed_response () =
-  let line = request ~id:(Core.Json.String "c1-r2") table1 in
+  let line = request ~id:(Wire.Json.String "c1-r2") table1 in
   let resp = Server.Protocol.shed_response line in
-  (match Core.Json.of_string resp with
+  (match Wire.Json.of_string resp with
    | Ok json ->
-     check_bool "kind is error" true (Core.Json.member "kind" json = Some (Core.Json.String "error"));
+     check_bool "kind is error" true (Wire.Json.member "kind" json = Some (Wire.Json.String "error"));
      check_bool "id echoed" true
-       (Core.Json.member "id" json = Some (Core.Json.String "c1-r2"));
+       (Wire.Json.member "id" json = Some (Wire.Json.String "c1-r2"));
      check_bool "message" true
-       (Core.Json.member "error" json
-       = Some (Core.Json.String "server overloaded: request shed"))
+       (Wire.Json.member "error" json
+       = Some (Wire.Json.String "server overloaded: request shed"))
    | Error msg -> Alcotest.failf "shed response is not JSON: %s" msg);
   check_bool "unrecoverable id" true
     (Server.Protocol.request_id "not json {" = None)
@@ -198,15 +198,15 @@ let prop_framing_any_chunking =
 let with_engine f = Server.Engine.with_engine ~cache_size:64 ~jobs:1 f
 
 let response_kind line =
-  match Core.Json.of_string line with
+  match Wire.Json.of_string line with
   | Ok json -> (
-    match Core.Json.member "kind" json with Some (Core.Json.String k) -> k | _ -> "?")
+    match Wire.Json.member "kind" json with Some (Wire.Json.String k) -> k | _ -> "?")
   | Error _ -> "?"
 
 let response_error line =
-  match Core.Json.of_string line with
+  match Wire.Json.of_string line with
   | Ok json -> (
-    match Core.Json.member "error" json with Some (Core.Json.String e) -> e | _ -> "?")
+    match Wire.Json.member "error" json with Some (Wire.Json.String e) -> e | _ -> "?")
   | Error _ -> "?"
 
 let isolation () =
@@ -227,7 +227,7 @@ let batch_order_and_determinism () =
         if i mod 7 = 3 then Printf.sprintf "bad request %d" i
         else
           let analyzer = List.nth [ "DP"; "GN1"; "GN2" ] (i mod 3) in
-          request ~id:(Core.Json.Int i) ~analyzer table1)
+          request ~id:(Wire.Json.Int i) ~analyzer table1)
   in
   let run jobs =
     Server.Engine.with_engine ~cache_size:8 ~jobs (fun engine ->
@@ -251,7 +251,7 @@ let cached_batch_identical () =
      be byte-identical.  The batch path probes every request's key up
      front (20 misses on the empty cache), then dedups the misses to a
      single decide_all computation; the second pass hits on all 20. *)
-  let lines = Array.init 20 (fun i -> request ~id:(Core.Json.Int i) table1) in
+  let lines = Array.init 20 (fun i -> request ~id:(Wire.Json.Int i) table1) in
   with_engine (fun engine ->
       let first = Server.Engine.handle_lines engine lines in
       let second = Server.Engine.handle_lines engine lines in
@@ -262,7 +262,7 @@ let cached_batch_identical () =
 
 (* --- the decoder and printer against their references --- *)
 
-module Json = Core.Json
+module Json = Wire.Json
 
 let json_string =
   let special = [ '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\001'; '\031'; '\127'; '\200'; ' '; 'u' ] in
@@ -502,7 +502,7 @@ let serve_answers_lines_before_oversized_partial () =
   (* regression: a chunk carrying complete requests and the head of an
      oversized partial must answer the requests, then the error *)
   let responses =
-    serve_script (fun write -> write (request ~id:(Core.Json.Int 1) table1 ^ "\n" ^ big))
+    serve_script (fun write -> write (request ~id:(Wire.Json.Int 1) table1 ^ "\n" ^ big))
   in
   check_int "two responses" 2 (List.length responses);
   check_str "request answered" "verdict" (response_kind (List.nth responses 0));
@@ -515,7 +515,7 @@ let serve_caps_terminated_lines () =
   let responses =
     serve_script (fun write ->
         write (big ^ "\n");
-        write (request ~id:(Core.Json.Int 2) table1 ^ "\n"))
+        write (request ~id:(Wire.Json.Int 2) table1 ^ "\n"))
   in
   check_int "two responses" 2 (List.length responses);
   check_str "cap error" Server.Loop.too_large_message (response_error (List.nth responses 0));
@@ -570,7 +570,7 @@ let socket_roundtrip () =
   let path = temp_socket "redf-test-server.sock" in
   with_loop ~jobs:1 [ Server.Loop.unix_listener ~path ] (fun engine ->
       let lines =
-        [| request ~id:(Core.Json.Int 1) table1; "malformed"; request ~id:(Core.Json.Int 2) table1 |]
+        [| request ~id:(Wire.Json.Int 1) table1; "malformed"; request ~id:(Wire.Json.Int 2) table1 |]
       in
       let responses = roundtrip ~addr:(Unix.ADDR_UNIX path) lines in
       check_int "three responses" 3 (Array.length responses);
@@ -589,7 +589,7 @@ let tcp_roundtrip () =
   check_bool "ephemeral port" true (port > 0);
   with_loop ~jobs:1 [ listener ] (fun engine ->
       let addr = Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port) in
-      let lines = [| request ~id:(Core.Json.Int 1) table1; "malformed" |] in
+      let lines = [| request ~id:(Wire.Json.Int 1) table1; "malformed" |] in
       let responses = roundtrip ~addr lines in
       check_int "two responses" 2 (Array.length responses);
       check_str "tcp equals in-process"
@@ -612,7 +612,7 @@ let concurrent_clients_isolated () =
   let lines_of c =
     Array.init per_client (fun i ->
         let analyzer = List.nth [ "DP"; "GN1"; "GN2" ] ((c + i) mod 3) in
-        let id = Core.Json.String (Printf.sprintf "c%d-r%d" c i) in
+        let id = Wire.Json.String (Printf.sprintf "c%d-r%d" c i) in
         if i mod 9 = 5 then Printf.sprintf "bad line c%d-%d" c i
         else if i mod 2 = 0 then request ~analyzer ~id table1
         else request ~analyzer ~fpga_area:100 ~id generated.((c + i) mod Array.length generated))
@@ -660,7 +660,7 @@ let load_shedding () =
   let path = temp_socket "redf-test-shed.sock" in
   let limits = { Server.Loop.default_limits with Server.Loop.max_inflight = 1 } in
   let lines =
-    Array.init 4 (fun i -> request ~id:(Core.Json.String (Printf.sprintf "r%d" i)) table1)
+    Array.init 4 (fun i -> request ~id:(Wire.Json.String (Printf.sprintf "r%d" i)) table1)
   in
   with_loop ~limits ~jobs:1 [ Server.Loop.unix_listener ~path ] (fun engine ->
       let responses = roundtrip ~addr:(Unix.ADDR_UNIX path) lines in
@@ -690,7 +690,7 @@ let abrupt_disconnect_isolated () =
         let payload =
           String.concat ""
             (List.init 16 (fun i ->
-                 request ~id:(Core.Json.Int ((100 * round) + i)) table1 ^ "\n"))
+                 request ~id:(Wire.Json.Int ((100 * round) + i)) table1 ^ "\n"))
         in
         write_all sock payload;
         (* RST rather than orderly shutdown where the stack allows it:
@@ -699,19 +699,19 @@ let abrupt_disconnect_isolated () =
         (* a well-behaved client right after must be served as if
            nothing happened *)
         let responses =
-          roundtrip ~addr:(Unix.ADDR_UNIX path) [| request ~id:(Core.Json.Int round) table1 |]
+          roundtrip ~addr:(Unix.ADDR_UNIX path) [| request ~id:(Wire.Json.Int round) table1 |]
         in
         check_int (Printf.sprintf "round %d: served" round) 1 (Array.length responses);
         check_str
           (Printf.sprintf "round %d: byte-identical" round)
-          (Server.Engine.handle_line engine (request ~id:(Core.Json.Int round) table1))
+          (Server.Engine.handle_line engine (request ~id:(Wire.Json.Int round) table1))
           responses.(0)
       done)
 
 let idle_timeout_closes_idle_connection () =
   let path = temp_socket "redf-test-idle.sock" in
   with_loop ~idle_timeout:0.3 ~jobs:1 [ Server.Loop.unix_listener ~path ] (fun _ ->
-      let lines = [| request ~id:(Core.Json.Int 1) table1 |] in
+      let lines = [| request ~id:(Wire.Json.Int 1) table1 |] in
       match Server.Engine.client_hold ~addr:(Unix.ADDR_UNIX path) ~hold:10.0 lines with
       | Error msg -> Alcotest.failf "client_hold: %s" msg
       | Ok (responses, ending) ->
