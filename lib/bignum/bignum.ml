@@ -364,6 +364,19 @@ let string_of_int n =
   done;
   Bytes.unsafe_to_string b
 
+(* the digits of the non-positive [m], most significant first: at most
+   19 deep, and no closure to allocate *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
 (* a value that fits in an int prints natively; only wider ones take
    the base-10^9 chunk loop *)
 let to_string t =

@@ -80,6 +80,10 @@ val string_of_int : int -> string
     instead of a C format call: the native-int printer of the response
     and cache-key paths. *)
 
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends the bytes of {!string_of_int}[ n] to [buf]
+    without building the string. *)
+
 val to_float : t -> float
 val pp : Format.formatter -> t -> unit
 

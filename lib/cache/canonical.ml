@@ -40,13 +40,24 @@ let order_cols (cols : Columns.t) =
 
 let order ts = order_cols (Columns.of_taskset ts)
 
-let apply order ts =
+let apply_cols order (cols : Columns.t) =
   Model.Taskset.of_list
     (Array.to_list
-       (Array.map (fun i -> { (Model.Taskset.nth ts i) with Model.Task.name = "" }) order))
+       (Array.map
+          (fun i ->
+            {
+              Model.Task.name = "";
+              exec = Model.Time.of_ticks cols.Columns.exec.(i);
+              deadline = Model.Time.of_ticks cols.Columns.deadline.(i);
+              period = Model.Time.of_ticks cols.Columns.period.(i);
+              area = cols.Columns.area.(i);
+            })
+          order))
+
+let apply order ts = apply_cols order (Columns.of_taskset ts)
 
 (* Printf-free: a key is built on every cache probe *)
-let add_int buf n = Buffer.add_string buf (Bignum.string_of_int n)
+let add_int = Bignum.add_int
 
 (* the one writer of a task's key piece, "C,D,T,A;" in ticks; shared
    with {!Delta}, which rebuilds keys incrementally, so both produce the
@@ -81,14 +92,16 @@ let key_prefix ~analyzer ~fpga_area =
   add_prefix buf ~analyzer ~fpga_area;
   Buffer.contents buf
 
-let key_cols ~analyzer ~fpga_area (cols : Columns.t) =
+let key_of_order ~analyzer ~fpga_area (cols : Columns.t) order =
   let buf = Buffer.create (32 + (24 * cols.Columns.n)) in
   add_prefix buf ~analyzer ~fpga_area;
   Array.iter
     (fun i ->
       add_fragment buf ~exec:cols.Columns.exec.(i) ~deadline:cols.Columns.deadline.(i)
         ~period:cols.Columns.period.(i) ~area:cols.Columns.area.(i))
-    (order_cols cols);
+    order;
   Buffer.contents buf
+
+let key_cols ~analyzer ~fpga_area cols = key_of_order ~analyzer ~fpga_area cols (order_cols cols)
 
 let key ~analyzer ~fpga_area ts = key_cols ~analyzer ~fpga_area (Columns.of_taskset ts)

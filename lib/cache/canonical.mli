@@ -35,6 +35,15 @@ val key_cols : analyzer:Core.Analyzer.t -> fpga_area:int -> Model.Taskset.Column
 (** {!key} from the columnar views; byte-identical to [key] on the
     equivalent taskset. *)
 
+val key_of_order :
+  analyzer:Core.Analyzer.t -> fpga_area:int -> Model.Taskset.Columns.t -> int array -> string
+(** [key_of_order ~analyzer ~fpga_area cols (order_cols cols)] is
+    {!key_cols}, for a caller that needs the order too: each taskset is
+    sorted once. *)
+
+val apply_cols : int array -> Model.Taskset.Columns.t -> Model.Taskset.t
+(** {!apply} from the columnar views. *)
+
 val compare_tasks : Model.Task.t -> Model.Task.t -> int
 (** The canonical task ordering: lexicographic on tick-exact
     [(C, D, T, A)].  Names are ignored (the tests never read them). *)

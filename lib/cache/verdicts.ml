@@ -1,53 +1,31 @@
-type t = { lru : Core.Verdict.t Sharded.t }
+module Columns = Model.Taskset.Columns
 
-let create ?metrics_prefix ?(shards = 1) ~capacity () =
-  { lru = Sharded.create ?metrics_prefix ~shards ~capacity () }
+(* what an owner stores per canonical verdict: how a fresh verdict
+   becomes an entry, and how an entry follows a request's task order *)
+type 'v store = {
+  lru : 'v Sharded.t;
+  of_verdict : Core.Verdict.t -> 'v;
+  remap : int array -> 'v -> 'v;
+}
 
-(* the cached verdict's checks index the canonical taskset: check at
-   canonical position [p] belongs to original task [order.(p)] *)
-let remap order (v : Core.Verdict.t) =
-  let checks =
-    List.map
-      (fun (c : Core.Verdict.task_check) ->
-        { c with Core.Verdict.task_index = order.(c.Core.Verdict.task_index) })
-      v.Core.Verdict.checks
-    |> List.sort (fun (a : Core.Verdict.task_check) b ->
-           Int.compare a.Core.Verdict.task_index b.Core.Verdict.task_index)
-  in
-  Core.Verdict.make ~test_name:v.Core.Verdict.test_name ~checks
+type t = Core.Verdict.t store
+type rendered = Core.Verdict.Rendered.t store
 
-(* shared tail of both entry points: the canonical verdict for [key],
-   decided on the already-canonical [canonical] taskset on a miss *)
-let decide_keyed t ~analyzer ~fpga_area ~key ~canonical ~order =
-  let canonical_verdict =
-    match Sharded.find t.lru key with
-    | Some v -> v
-    | None ->
-      let v = analyzer.Core.Analyzer.decide ~fpga_area (Lazy.force canonical) in
-      Sharded.put t.lru key v;
-      v
-  in
-  remap order canonical_verdict
+let make ~of_verdict ~remap ?metrics_prefix ?(shards = 1) ~capacity () =
+  { lru = Sharded.create ?metrics_prefix ~shards ~capacity (); of_verdict; remap }
 
-let decide t ~analyzer ~fpga_area ts =
-  let key = Canonical.key ~analyzer ~fpga_area ts in
-  let order = Canonical.order ts in
-  decide_keyed t ~analyzer ~fpga_area ~key ~canonical:(lazy (Canonical.apply order ts)) ~order
+let create = make ~of_verdict:Fun.id ~remap:Core.Verdict.remap
 
-let decide_canonical t ~analyzer ~fpga_area ~key ~canonical ~order =
-  decide_keyed t ~analyzer ~fpga_area ~key ~canonical:(lazy canonical) ~order
+let create_rendered =
+  make ~of_verdict:Core.Verdict.Rendered.of_verdict ~remap:Core.Verdict.Rendered.remap
 
-(* batch variant: probe every key, collect the distinct missing
-   canonical tasksets (first-occurrence order), decide them in one
-   [decide_all] call, then stitch.  Freshly computed verdicts are looked
-   up in a local table rather than re-probed, so an eviction between put
-   and stitch cannot force a recompute. *)
-let decide_all t ~analyzer ~fpga_area tss =
-  let n = Array.length tss in
-  let cols = Array.map Model.Taskset.Columns.of_taskset tss in
-  let keys = Array.map (fun c -> Canonical.key_cols ~analyzer ~fpga_area c) cols in
-  let orders = Array.map Canonical.order_cols cols in
-  let cached = Array.map (fun k -> Sharded.find t.lru k) keys in
+(* The one dedup / batch-decide path, for a probe's misses
+   ([cached.(i) = None]): the distinct missing canonical tasksets
+   (first-occurrence order) are decided in one [decide_all] call and
+   stored in the owner's form.  Fresh entries are looked up in a local
+   table rather than re-probed, so an eviction between put and stitch
+   cannot force a recompute. *)
+let fill t ~analyzer ~fpga_area ~keys ~canonical cached =
   let seen = Hashtbl.create 16 in
   let missing = ref [] in
   Array.iteri
@@ -58,29 +36,53 @@ let decide_all t ~analyzer ~fpga_area tss =
         let k = keys.(i) in
         if not (Hashtbl.mem seen k) then begin
           Hashtbl.add seen k ();
-          missing := (k, Canonical.apply orders.(i) tss.(i)) :: !missing
+          missing := (k, canonical i) :: !missing
         end)
     cached;
   let missing = Array.of_list (List.rev !missing) in
+  let fresh = analyzer.Core.Analyzer.decide_all ~fpga_area (Array.map snd missing) in
   let computed = Hashtbl.create 16 in
-  if Array.length missing > 0 then begin
-    let fresh = analyzer.Core.Analyzer.decide_all ~fpga_area (Array.map snd missing) in
-    Array.iteri
-      (fun j (k, _) ->
-        Sharded.put t.lru k fresh.(j);
-        Hashtbl.add computed k fresh.(j))
-      missing
-  end;
-  Array.init n (fun i ->
-      let canonical_verdict =
-        match cached.(i) with
-        | Some v -> v
-        | None -> (
-          match Hashtbl.find_opt computed keys.(i) with
-          | Some v -> v
-          | None -> assert false (* every miss key was just computed *))
-      in
-      remap orders.(i) canonical_verdict)
+  Array.iteri
+    (fun j (k, _) ->
+      let e = t.of_verdict fresh.(j) in
+      Sharded.put t.lru k e;
+      Hashtbl.add computed k e)
+    missing;
+  Array.mapi
+    (fun i c ->
+      match c with
+      | Some e -> e
+      | None -> (
+        match Hashtbl.find_opt computed keys.(i) with
+        | Some e -> e
+        | None -> assert false (* every miss key was just computed *)))
+    cached
+
+(* the canonical entry for each key: every key is probed once, and
+   only a batch with a miss builds the dedup tables *)
+let entries t ~analyzer ~fpga_area ~keys ~canonical =
+  let cached = Array.map (Sharded.find t.lru) keys in
+  if Array.for_all Option.is_some cached then Array.map Option.get cached
+  else fill t ~analyzer ~fpga_area ~keys ~canonical cached
+
+let decide_columns t ~analyzer ~fpga_area cols =
+  let orders = Array.map Canonical.order_cols cols in
+  let keys = Array.mapi (fun i c -> Canonical.key_of_order ~analyzer ~fpga_area c orders.(i)) cols in
+  let canonical i = Canonical.apply_cols orders.(i) cols.(i) in
+  Array.mapi (fun i e -> t.remap orders.(i) e) (entries t ~analyzer ~fpga_area ~keys ~canonical)
+
+let decide_all t ~analyzer ~fpga_area tss =
+  decide_columns t ~analyzer ~fpga_area (Array.map Columns.of_taskset tss)
+
+let decide t ~analyzer ~fpga_area ts = (decide_all t ~analyzer ~fpga_area [| ts |]).(0)
+
+let decide_canonical t ~analyzer ~fpga_area ~key ~canonical ~order =
+  let e =
+    match Sharded.find t.lru key with
+    | Some e -> e
+    | None -> (fill t ~analyzer ~fpga_area ~keys:[| key |] ~canonical:(fun _ -> canonical) [| None |]).(0)
+  in
+  t.remap order e
 
 let stats t = Sharded.stats t.lru
 let length t = Sharded.length t.lru

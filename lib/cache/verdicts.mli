@@ -1,4 +1,5 @@
-(** The verdict cache: {!Canonical} keys over an {!Lru} of verdicts.
+(** The verdict cache: {!Canonical} keys over an {!Lru} of verdicts,
+    each stored in its owner's form.
 
     A cached answer must be byte-for-byte the answer a fresh
     computation would give.  Verdicts carry per-task checks in taskset
@@ -15,13 +16,37 @@
     is a {!Sharded} LRU: [shards] defaults to [1] (a plain LRU, exact
     single-threaded hit/miss accounting) and the serve loop passes more
     shards so worker domains stop serializing on one cache mutex —
-    sharding changes lock granularity only, never answers. *)
+    sharding changes lock granularity only, never answers.
 
-type t
+    Two owners, two stored forms, one dedup/batch-decide path: a
+    {!t} ([create]) holds each canonical verdict as a
+    {!Core.Verdict.t}, for the admission daemon and every caller that
+    wants verdicts; a {!rendered} store ([create_rendered]) holds it as
+    {!Core.Verdict.Rendered.t}, the service's response fragments, so a
+    hit prints no rational and a warm entry holds bytes instead of
+    [Rat] trees.  A miss converts the fresh verdict once, on insert. *)
+
+type 'v store
+(** A cache whose entries have the form ['v]. *)
+
+type t = Core.Verdict.t store
+type rendered = Core.Verdict.Rendered.t store
 
 val create : ?metrics_prefix:string -> ?shards:int -> capacity:int -> unit -> t
 (** See {!Sharded.create}; [metrics_prefix] defaults to ["cache"],
     [shards] to [1]. *)
+
+val create_rendered : ?metrics_prefix:string -> ?shards:int -> capacity:int -> unit -> rendered
+(** {!create}, for the rendered form. *)
+
+val decide_columns :
+  'v store -> analyzer:Core.Analyzer.t -> fpga_area:int -> Model.Taskset.Columns.t array -> 'v array
+(** The entry of each taskset, remapped to its task order: each taskset
+    is sorted once, for its key and its remap; every key is probed
+    once; the {e distinct} missing canonical tasksets are decided in a
+    single {!Core.Analyzer.t.decide_all} call (so a taskset occurring
+    twice in the batch — under any task order or names — is computed
+    once). *)
 
 val decide : t -> analyzer:Core.Analyzer.t -> fpga_area:int -> Model.Taskset.t -> Core.Verdict.t
 (** [analyzer.decide ~fpga_area ts], served from the cache when an
@@ -35,11 +60,7 @@ val decide_all :
   Model.Taskset.t array ->
   Core.Verdict.t array
 (** {!decide} over a batch, element-for-element byte-identical to
-    mapping it: every key is probed once, the {e distinct} missing
-    canonical tasksets are decided in a single
-    {!Core.Analyzer.t.decide_all} call (so a taskset occurring twice in
-    the batch — under any task order or names — is computed once), and
-    the results remapped per request. *)
+    mapping it: {!decide_columns} on the columnar views. *)
 
 val decide_canonical :
   t ->
@@ -56,10 +77,10 @@ val decide_canonical :
     {!Canonical.order} of some original taskset); given that, the
     result is byte-identical to [decide] on that original. *)
 
-val stats : t -> Lru.stats
+val stats : _ store -> Lru.stats
 (** Hit/miss/eviction totals summed across shards. *)
 
-val length : t -> int
+val length : _ store -> int
 
-val shards : t -> int
+val shards : _ store -> int
 (** Number of shards backing the store. *)

@@ -12,6 +12,15 @@ let reject_all_n ~test_name ~note n =
 
 let reject_all ~test_name ~note ts = reject_all_n ~test_name ~note (Model.Taskset.size ts)
 
+(* checks at canonical position [p] belong to original task [order.(p)];
+   a stable sort keeps checks of one task in their order *)
+let remap order t =
+  let checks =
+    List.map (fun c -> { c with task_index = order.(c.task_index) }) t.checks
+    |> List.stable_sort (fun a b -> Int.compare a.task_index b.task_index)
+  in
+  make ~test_name:t.test_name ~checks
+
 let failing_tasks t =
   List.filter_map (fun c -> if c.satisfied then None else Some c.task_index) t.checks
 
@@ -31,6 +40,46 @@ let check_to_json c =
   Json.Obj
     (("lhs", Json.String (Rat.to_string c.lhs))
     :: (if c.note = "" then tail else ("note", Json.String c.note) :: tail))
+
+module Rendered = struct
+  type verdict = t
+  type t = { accepted : bool; test_name : string; tasks : int array; checks : string array }
+
+  (* every byte [check_to_json] prints before the task number *)
+  let fragment c =
+    let s = Json.to_string (check_to_json { c with task_index = 0 }) in
+    String.sub s 0 (String.length s - String.length "1}")
+
+  let of_verdict (v : verdict) =
+    let checks = Array.of_list v.checks in
+    {
+      accepted = v.accepted;
+      test_name = v.test_name;
+      tasks = Array.map (fun c -> c.task_index) checks;
+      checks = Array.map fragment checks;
+    }
+
+  (* a counting sort by original index: stable, and no comparisons *)
+  let remap order r =
+    let n = Array.length order and m = Array.length r.tasks in
+    let next = Array.make (n + 1) 0 in
+    for p = 0 to m - 1 do
+      let i = order.(r.tasks.(p)) in
+      next.(i + 1) <- next.(i + 1) + 1
+    done;
+    for i = 1 to n do
+      next.(i) <- next.(i) + next.(i - 1)
+    done;
+    let tasks = Array.make m 0 and checks = Array.make m "" in
+    for p = 0 to m - 1 do
+      let i = order.(r.tasks.(p)) in
+      let q = next.(i) in
+      next.(i) <- q + 1;
+      tasks.(q) <- i;
+      checks.(q) <- r.checks.(p)
+    done;
+    { r with tasks; checks }
+end
 
 let to_json ?version t =
   let checks = [ ("checks", Json.List (List.map check_to_json t.checks)) ] in

@@ -32,6 +32,12 @@ val reject_all_n : test_name:string -> note:string -> int -> t
 (** {!reject_all} for callers that only hold the task count (the
     columnar decide paths); identical verdict. *)
 
+val remap : int array -> t -> t
+(** [remap order v]: [v]'s checks moved from canonical task [p] to
+    original task [order.(p)] and sorted, stably, by their new index —
+    the verdict of the original taskset when [v] is that of the
+    canonical one ({!Cache.Canonical}). *)
+
 val failing_tasks : t -> int list
 val pp : Format.formatter -> t -> unit
 
@@ -47,3 +53,26 @@ val to_json : ?version:string -> t -> Wire.Json.t
     is 1-based like {!pp}.  The analysis server returns exactly this
     object (plus its envelope), so CLI and server output are
     interchangeable. *)
+
+(** A verdict as the service prints it: its JSON object cut into
+    pieces that need no [Rat] printing to reassemble.  A check object
+    prints its keys in the order [lhs], [note], [rhs], [satisfied],
+    [task], so all of it but the task number is fixed bytes; the
+    service's cache stores this form and a hit only writes fragments. *)
+module Rendered : sig
+  type verdict := t
+
+  type t = {
+    accepted : bool;
+    test_name : string;
+    tasks : int array;  (** per check, its task index *)
+    checks : string array;
+        (** per check, the bytes of its {!to_json} object up to and
+            including ["task":] *)
+  }
+
+  val of_verdict : verdict -> t
+
+  val remap : int array -> t -> t
+  (** {!remap} (the verdict's) on the rendered form. *)
+end

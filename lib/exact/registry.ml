@@ -7,7 +7,7 @@ module Taskset = Model.Taskset
 let wider_note = "a task is wider than the FPGA"
 
 (* the oracle runs on the canonical taskset and the checks are remapped
-   through the canonical order, replicating Cache.Verdicts.remap: a
+   through the canonical order, replicating Core.Verdict.remap: a
    fresh verdict is byte-for-byte the cached one, for any task order *)
 let exact_verdict ~name ~policy ~fpga_area ts =
   if not (Taskset.fits ts ~fpga_area) then

@@ -1,11 +1,16 @@
 type t = { name : string; exec : Time.t; deadline : Time.t; period : Time.t; area : int }
 
+let invalid ~exec ~deadline ~period ~area =
+  if not (Time.is_positive exec) then Some "Task.make: exec must be positive"
+  else if not (Time.is_positive deadline) then Some "Task.make: deadline must be positive"
+  else if not (Time.is_positive period) then Some "Task.make: period must be positive"
+  else if area < 1 then Some "Task.make: area must be >= 1"
+  else None
+
 let make ?(name = "") ~exec ~deadline ~period ~area () =
-  if not (Time.is_positive exec) then invalid_arg "Task.make: exec must be positive";
-  if not (Time.is_positive deadline) then invalid_arg "Task.make: deadline must be positive";
-  if not (Time.is_positive period) then invalid_arg "Task.make: period must be positive";
-  if area < 1 then invalid_arg "Task.make: area must be >= 1";
-  { name; exec; deadline; period; area }
+  match invalid ~exec ~deadline ~period ~area with
+  | Some msg -> invalid_arg msg
+  | None -> { name; exec; deadline; period; area }
 
 let of_decimal ?name ~exec ~deadline ~period ~area () =
   make ?name

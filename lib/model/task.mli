@@ -17,6 +17,10 @@ val make : ?name:string -> exec:Time.t -> deadline:Time.t -> period:Time.t -> ar
 (** @raise Invalid_argument when [exec <= 0], [deadline <= 0],
     [period <= 0] or [area < 1]. *)
 
+val invalid : exec:Time.t -> deadline:Time.t -> period:Time.t -> area:int -> string option
+(** The message {!make} raises for these parameters, [None] when it
+    accepts them: for decoders that check a task without building it. *)
+
 val of_decimal :
   ?name:string -> exec:string -> deadline:string -> period:string -> area:int -> unit -> t
 (** Convenience constructor from decimal strings, e.g.

@@ -1,5 +1,5 @@
 type t = {
-  cache : Cache.Verdicts.t;
+  cache : Cache.Verdicts.rendered;
   pool : Parallel.Pool.t;
   stop : bool Atomic.t;
 }
@@ -13,7 +13,7 @@ let request_timer = Obs.Timer.make "server.request"
 
 let create ?(cache_size = 4096) ?(shards = 8) ~jobs () =
   {
-    cache = Cache.Verdicts.create ~shards ~capacity:cache_size ();
+    cache = Cache.Verdicts.create_rendered ~shards ~capacity:cache_size ();
     pool = Parallel.Pool.create ~jobs:(Parallel.resolve_jobs jobs);
     stop = Atomic.make false;
   }
@@ -28,43 +28,46 @@ let cache_stats t = Cache.Verdicts.stats t.cache
 let request_stop t = Atomic.set t.stop true
 let stop_requested t = Atomic.get t.stop
 
-let handle_line t line =
-  Obs.Counter.incr m_requests;
-  match Protocol.parse line with
-  | Error (id, msg) ->
-    Obs.Counter.incr m_errors;
-    Protocol.error_response ?id msg
-  | Ok req -> (
-    match
-      Obs.Timer.time request_timer (fun () ->
-          Cache.Verdicts.decide t.cache ~analyzer:req.analyzer ~fpga_area:req.fpga_area
-            req.Protocol.taskset)
-    with
-    | verdict -> Protocol.response req verdict
-    | exception e ->
+(* The response lines of requests sharing analyzer and device area,
+   decided as one batch through the cache.  A batch that raises is
+   answered again as one-request batches, so the failing request alone
+   gets the "internal error" response. *)
+let rec answer t (batch : Protocol.decoded array) =
+  let first = batch.(0) in
+  match
+    Obs.Timer.time request_timer (fun () ->
+        Cache.Verdicts.decide_columns t.cache ~analyzer:first.analyzer ~fpga_area:first.fpga_area
+          (Array.map (fun (d : Protocol.decoded) -> d.columns) batch))
+  with
+  | rendered ->
+    Array.mapi
+      (fun j (d : Protocol.decoded) ->
+        Protocol.verdict_line ?id:d.id ~analyzer:d.analyzer ~fpga_area:d.fpga_area rendered.(j))
+      batch
+  | exception e ->
+    if Array.length batch > 1 then Array.map (fun d -> (answer t [| d |]).(0)) batch
+    else begin
       Obs.Counter.incr m_errors;
-      Protocol.error_response ?id:req.Protocol.id ("internal error: " ^ Printexc.to_string e))
+      [| Protocol.error_response ?id:first.id ("internal error: " ^ Printexc.to_string e) |]
+    end
 
-(* Batches fan out over the analyzers' batch paths: parse in parallel,
+(* Batches fan out over the analyzers' batch paths: decode in parallel,
    group the well-formed requests by (analyzer name, version, device
    area), split each group into per-worker chunks, and push every chunk
-   through Cache.Verdicts.decide_all — so duplicate tasksets inside a
-   chunk are decided once and per-taskset setup is amortized.  Response
-   bytes and det counter totals are exactly the per-line path's: parse
-   errors answer in place, and a chunk whose batch decision raises is
-   replayed request-by-request so the failing request alone gets the
-   "internal error" response. *)
+   through the cache's batch path — so duplicate tasksets inside a
+   chunk are decided once and per-taskset setup is amortized.  Decode
+   errors answer in place. *)
 let handle_lines t lines =
   Obs.Counter.incr m_batches;
-  let parsed =
+  let decoded =
     Parallel.Pool.map t.pool
       (fun line ->
         Obs.Counter.incr m_requests;
-        match Protocol.parse line with
+        match Protocol.decode line with
         | Error (id, msg) ->
           Obs.Counter.incr m_errors;
           Either.Left (Protocol.error_response ?id msg)
-        | Ok req -> Either.Right req)
+        | Ok d -> Either.Right d)
       lines
   in
   let responses = Array.make (Array.length lines) "" in
@@ -74,18 +77,14 @@ let handle_lines t lines =
     (fun i p ->
       match p with
       | Either.Left r -> responses.(i) <- r
-      | Either.Right (req : Protocol.request) ->
-        let key =
-          req.Protocol.analyzer.Core.Analyzer.name ^ "\x00"
-          ^ req.Protocol.analyzer.Core.Analyzer.version ^ "\x00"
-          ^ string_of_int req.Protocol.fpga_area
-        in
-        (match Hashtbl.find_opt groups key with
-         | Some l -> l := (req, i) :: !l
-         | None ->
-           Hashtbl.add groups key (ref [ (req, i) ]);
-           group_order := key :: !group_order))
-    parsed;
+      | Either.Right (d : Protocol.decoded) -> (
+        let key = (d.analyzer.Core.Analyzer.name, d.analyzer.Core.Analyzer.version, d.fpga_area) in
+        match Hashtbl.find_opt groups key with
+        | Some l -> l := (d, i) :: !l
+        | None ->
+          Hashtbl.add groups key (ref [ (d, i) ]);
+          group_order := key :: !group_order))
+    decoded;
   let jobs = max 1 (Parallel.Pool.jobs t.pool) in
   let chunks =
     List.concat_map
@@ -98,36 +97,16 @@ let handle_lines t lines =
             Array.sub items (c * chunk_size) (min chunk_size (g - (c * chunk_size)))))
       (List.rev !group_order)
   in
-  let answer_one (req : Protocol.request) =
-    match
-      Obs.Timer.time request_timer (fun () ->
-          Cache.Verdicts.decide t.cache ~analyzer:req.Protocol.analyzer
-            ~fpga_area:req.Protocol.fpga_area req.Protocol.taskset)
-    with
-    | verdict -> Protocol.response req verdict
-    | exception e ->
-      Obs.Counter.incr m_errors;
-      Protocol.error_response ?id:req.Protocol.id ("internal error: " ^ Printexc.to_string e)
-  in
   let chunk_results =
-    Parallel.Pool.map t.pool
-      (fun chunk ->
-        let req0, _ = chunk.(0) in
-        match
-          Obs.Timer.time request_timer (fun () ->
-              Cache.Verdicts.decide_all t.cache ~analyzer:req0.Protocol.analyzer
-                ~fpga_area:req0.Protocol.fpga_area
-                (Array.map (fun ((r : Protocol.request), _) -> r.Protocol.taskset) chunk))
-        with
-        | verdicts -> Array.mapi (fun j (req, _) -> Protocol.response req verdicts.(j)) chunk
-        | exception _ -> Array.map (fun (req, _) -> answer_one req) chunk)
-      (Array.of_list chunks)
+    Parallel.Pool.map t.pool (fun chunk -> answer t (Array.map fst chunk)) (Array.of_list chunks)
   in
   List.iteri
     (fun c chunk ->
       Array.iteri (fun j (_, i) -> responses.(i) <- chunk_results.(c).(j)) chunk)
     chunks;
   responses
+
+let handle_line t line = (handle_lines t [| line |]).(0)
 
 (* --- client (redf batch --connect) --- *)
 

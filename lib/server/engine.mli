@@ -16,6 +16,12 @@
       cache state (cached answers are remapped to the request's task
       order, see {!Cache.Verdicts}).
 
+    The cache holds each canonical verdict rendered
+    ({!Core.Verdict.Rendered}), so a hit decodes the line into columns
+    ({!Protocol.decode}), sorts the tasks once for the key and the
+    remap, and writes the stored check fragments: no JSON tree, no
+    task record, no [Rat].
+
     How a byte stream becomes request lines, error lines and responses
     — the line cap, the partial-line timeout, backpressure, shedding
     and the graceful drain — is {!Loop}'s alone. *)
@@ -43,15 +49,18 @@ val stop_requested : t -> bool
 (** The engine's stop flag, which {!Loop.serve} polls once per tick. *)
 
 val handle_line : t -> string -> string
-(** One request line to one response line (no newline).  Never raises. *)
+(** One request line to one response line (no newline): {!handle_lines}
+    on a one-line batch.  Never raises. *)
 
 val handle_lines : t -> string array -> string array
 (** Fan a batch out over the pool; responses in request order,
     byte-identical to mapping {!handle_line}.  Internally the batch is
-    parsed in parallel, grouped by (analyzer, version, device area) and
-    decided through {!Cache.Verdicts.decide_all}, so duplicate tasksets
-    in a batch cost one decision and the columnar analyzers amortize
-    their per-taskset setup. *)
+    decoded in parallel, grouped by (analyzer, version, device area) and
+    decided through {!Cache.Verdicts.decide_columns}, so duplicate
+    tasksets in a batch cost one decision and the columnar analyzers
+    amortize their per-taskset setup.  A chunk whose decision raises is
+    answered again request by request, so the failing request alone
+    gets an ["internal error: …"] response. *)
 
 val client_roundtrip_addr :
   addr:Unix.sockaddr -> string array -> (string array, string) result

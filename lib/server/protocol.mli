@@ -25,6 +25,15 @@
     could be recovered):
     {v {"schema_version":1,"kind":"error","error":"…","id":…}        v} *)
 
+type decoded = {
+  id : Wire.Json.t option;  (** echoed verbatim; [Int] or [String] *)
+  analyzer : Core.Analyzer.t;
+  fpga_area : int;
+  columns : Model.Taskset.Columns.t;
+}
+(** A request as the engine reads it: the tasks as columns, never as
+    {!Model.Task.t} records. *)
+
 type request = {
   id : Wire.Json.t option;  (** echoed verbatim; [Int] or [String] *)
   analyzer : Core.Analyzer.t;
@@ -32,10 +41,20 @@ type request = {
   taskset : Model.Taskset.t;
 }
 
+val decode : string -> (decoded, Wire.Json.t option * string) result
+(** Decode one request line in one scan on {!Wire.Json}'s lexer,
+    building no JSON tree.  The error carries the request [id] when the
+    line was well-formed enough to recover it, so even a rejected
+    request can be correlated by a pipelining client.  Results, errors
+    included, are those of the tree decoder it replaced
+    ([test/protocol_reference.ml]): a syntax error anywhere in the line
+    wins; the first occurrence of a key counts; then [analyzer],
+    [fpga_area], [tasks], each task's [C], [D], [T], [A] and
+    {!Model.Task.make}'s checks, and a non-empty [tasks], in that
+    order. *)
+
 val parse : string -> (request, Wire.Json.t option * string) result
-(** Parse one request line.  The error carries the request [id] when
-    the line was well-formed enough to recover it, so even a rejected
-    request can be correlated by a pipelining client. *)
+(** {!decode}, with the tasks as a {!Model.Taskset.t}. *)
 
 val time_value : Wire.Json.t option -> (Model.Time.t, string) result
 (** One task's [C], [D] or [T] field: a decimal string
@@ -43,8 +62,14 @@ val time_value : Wire.Json.t option -> (Model.Time.t, string) result
     reason alone (["missing"], ["out of range"], …); callers prefix
     the task and field. *)
 
+val verdict_line :
+  ?id:Wire.Json.t -> analyzer:Core.Analyzer.t -> fpga_area:int -> Core.Verdict.Rendered.t -> string
+(** The success response line (no trailing newline) of a rendered
+    verdict whose checks index the request's tasks. *)
+
 val response : request -> Core.Verdict.t -> string
-(** The success response line (no trailing newline). *)
+(** The success response line (no trailing newline): {!verdict_line}
+    of the rendered verdict. *)
 
 val envelope : ?id:Wire.Json.t -> string -> (string * Wire.Json.t) list -> string
 (** [envelope ?id kind fields]: a response line with the standard

@@ -17,3 +17,21 @@ let check_time msg expected actual = Alcotest.check time_testable msg expected a
 (* qcheck -> alcotest bridge with a fixed test count *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* fixed tasksets with 16-digit times: every product of two of their
+   ticks overflows an int, so the analyzers decide them over Bignum *)
+let sixteen_digit =
+  taskset
+    [
+      ("a", "1234567890123.456", "4567890123456.789", "4567890123456.789", 3);
+      ("b", "987654321098.765", "3456789012345.678", "3456789012345.678", 2);
+      ("c", "2345678901234.567", "8765432109876.543", "8765432109876.543", 4);
+    ]
+
+let sixteen_digit_constrained =
+  taskset
+    [
+      ("a", "1234567890123.456", "3333333333333.333", "4567890123456.789", 3);
+      ("b", "987654321098.765", "3456789012345.678", "2222222222222.222", 2);
+      ("c", "2345678901234.567", "8765432109876.543", "8765432109876.543", 4);
+    ]

@@ -3,8 +3,10 @@
    at every byte boundary of the last record), state/record codecs and
    idempotent replay, snapshot rotation through the store, the
    daemon's verdict byte-identity against a from-scratch analyzer run,
-   request-id dedup, a cold replay of a 10^4-record journal, and a
-   small in-process chaos run. *)
+   request-id dedup, a cold replay of a 10^4-record journal, a small
+   in-process chaos run, and random and byte-mutated lines, none of
+   which may raise, answer other than one line, or journal a
+   rejection. *)
 
 open Core_helpers
 
@@ -429,6 +431,61 @@ let daemon_replays_long_journal () =
         check_int "every record replayed" records recovery.Admit.Store.replayed;
         check_bool "recovered ≡ final" true (Admit.State.equal final (Admit.Daemon.state d)))
 
+(* --- hostile input: random and byte-mutated admit lines --- *)
+
+(* admit lines as a client spells them (names from a small pool, so
+   removes, duplicates and what-if drops meet admitted tasks; ids from
+   a small pool, so retries meet stored replies), then mutated like the
+   service's request lines *)
+let admit_lines =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d"; ""; "q\"\\" ] in
+  let time = oneofl [ {|"1.26"|}; {|"0.5"|}; "7"; "5"; {|"12"|}; {|"0"|}; {|"x"|}; "-3" ] in
+  let task =
+    map3
+      (fun n (c, d, t) a -> Printf.sprintf {|{"name":"%s","C":%s,"D":%s,"T":%s,"A":%d}|} n c d t a)
+      name (triple time time time) (int_range 0 120)
+  in
+  let id = oneofl [ ""; {|"id":1,|}; {|"id":"r\"2",|}; {|"id":3,|}; {|"id":null,|}; {|"id":[4],|} ] in
+  let names = map (fun l -> String.concat "," (List.map (Printf.sprintf {|"%s"|}) l)) (list_size (int_range 0 2) name) in
+  let line =
+    oneof
+      [
+        map3 (fun id op t -> Printf.sprintf {|{%s"op":"%s","task":%s}|} id op t) id (oneofl [ "add-task"; "remove-task" ]) task;
+        map2 (fun id n -> Printf.sprintf {|{%s"op":"remove-task","name":"%s"}|} id n) id name;
+        map (fun id -> Printf.sprintf {|{%s"op":"query"}|} id) id;
+        map3
+          (fun id adds drops -> Printf.sprintf {|{%s"op":"what-if","add":[%s],"drop":[%s]}|} id (String.concat "," adds) drops)
+          id (list_size (int_range 0 2) task) names;
+        map (fun id -> Printf.sprintf {|{%s"op":"nope"}|} id) id;
+      ]
+  in
+  frequency [ (2, line); (3, line >>= Wire_gen.mutate); (1, string_size ~gen:char (int_range 0 40)) ]
+
+let admit_fuzz () =
+  with_daemon "fuzz" (fun _dir d ->
+      let journal () = Admit.Store.journal_bytes (Admit.Daemon.store d) in
+      let seq () = Admit.State.seq (Admit.Daemon.state d) in
+      let rejected reply =
+        match Wire.Json.of_string reply with
+        | Ok json ->
+          Wire.Json.member "kind" json = Some (Wire.Json.String "error")
+          || Wire.Json.member "admitted" json = Some (Wire.Json.Bool false)
+        | Error _ -> false
+      in
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:1500 ~name:"admit handle_line on hostile lines"
+           ~print:(Printf.sprintf "%S") admit_lines (fun line ->
+             let bytes = journal () and seq0 = seq () in
+             match Admit.Daemon.handle_line d line with
+             | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+             | reply ->
+               if String.contains reply '\n' then QCheck2.Test.fail_report "more than one line";
+               (match Wire.Json.of_string reply with
+                | Ok (Wire.Json.Obj _) -> ()
+                | Ok _ | Error _ -> QCheck2.Test.fail_reportf "reply is not a JSON object: %S" reply);
+               (not (rejected reply)) || (journal () = bytes && seq () = seq0))))
+
 let chaos_smoke () =
   let dir = temp_dir "chaos" in
   let cfg =
@@ -470,5 +527,6 @@ let () =
           Alcotest.test_case "dedup and recovery" `Quick daemon_dedup_and_recovery;
           Alcotest.test_case "replays a 10^4-record journal" `Quick daemon_replays_long_journal;
           Alcotest.test_case "chaos smoke" `Quick chaos_smoke;
+          Alcotest.test_case "hostile lines" `Quick admit_fuzz;
         ] );
     ]

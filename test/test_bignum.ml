@@ -248,7 +248,13 @@ let prop_string_of_int =
              int_range (-100) 100;
              map2 ( + ) (oneofl [ max_int; min_int; 0; 1 lsl 30; -(1 lsl 30) ]) (int_range (-20) 20);
            ])
-       (fun n -> String.equal (B.string_of_int n) (string_of_int n)))
+       (fun n ->
+         (* [add_int] appends the same bytes, after what the buffer holds *)
+         let buf = Buffer.create 4 in
+         Buffer.add_char buf '[';
+         B.add_int buf n;
+         String.equal (B.string_of_int n) (string_of_int n)
+         && String.equal (Buffer.contents buf) ("[" ^ string_of_int n)))
 
 let () =
   Alcotest.run "bignum"

@@ -85,6 +85,29 @@ let key_bytes_property =
           && String.equal want (Cache.Delta.key delta ~analyzer ~fpga_area))
         Core.Analyzer.[ dp; gn2 ])
 
+(* both sorts of [order_cols] (insertion up to 32 tasks, heap sort
+   beyond) against a stable sort of the task records: few distinct
+   parameters, so ties are everywhere *)
+let order_property =
+  let small = QCheck2.Gen.int_range 1 3 in
+  qtest ~count:300 "canonical order == stable sort"
+    QCheck2.Gen.(list_size (int_range 1 80) (pair (triple small small small) small))
+    (fun rows ->
+      let ts =
+        Model.Taskset.of_list
+          (List.map
+             (fun ((c, d, t), a) ->
+               Model.Task.make ~exec:(Model.Time.of_units c) ~deadline:(Model.Time.of_units d)
+                 ~period:(Model.Time.of_units t) ~area:a ())
+             rows)
+      in
+      let want =
+        List.mapi (fun i t -> (i, t)) (Model.Taskset.to_list ts)
+        |> List.stable_sort (fun (_, a) (_, b) -> Cache.Canonical.compare_tasks a b)
+        |> List.map fst |> Array.of_list
+      in
+      Cache.Canonical.order ts = want)
+
 (* --- LRU --- *)
 
 let lru_eviction_order () =
@@ -192,7 +215,42 @@ let cached_equals_fresh () =
     (Core.Analyzer.all ());
   let s = Cache.Verdicts.stats cache in
   check_int "one miss per analyzer" (List.length (Core.Analyzer.all ())) s.Cache.Lru.misses;
-  check_int "two hits per analyzer" (2 * List.length (Core.Analyzer.all ())) s.Cache.Lru.hits
+  check_int "two hits per analyzer" (2 * List.length (Core.Analyzer.all ())) s.Cache.Lru.hits;
+  (* a batch mixing hits with a new taskset in two spellings, then
+     [decide_canonical] on a hit and on a miss: every answer equals its
+     fresh computation, and only misses reach the analyzer *)
+  let gn2 = Core.Analyzer.gn2 in
+  let decided = ref 0 in
+  let counting =
+    {
+      gn2 with
+      Core.Analyzer.decide_all =
+        (fun ~fpga_area tss ->
+          decided := !decided + Array.length tss;
+          gn2.Core.Analyzer.decide_all ~fpga_area tss);
+    }
+  in
+  let fresh ts = verdict_str (gn2.Core.Analyzer.decide ~fpga_area:10 ts) in
+  let other = taskset [ ("c", "1", "4", "4", 3); ("d", "2", "6", "6", 5) ] in
+  let other_swapped = taskset [ ("e", "2", "6", "6", 5); ("f", "1", "4", "4", 3) ] in
+  let batch = [| table1_swapped; other; other_swapped; table1 |] in
+  Array.iter2
+    (fun ts v -> check_str "mixed batch" (fresh ts) (verdict_str v))
+    batch
+    (Cache.Verdicts.decide_all cache ~analyzer:counting ~fpga_area:10 batch);
+  check_int "the new taskset decided once" 1 !decided;
+  let canonical ts =
+    let order = Cache.Canonical.order ts in
+    let key = Cache.Canonical.key ~analyzer:counting ~fpga_area:10 ts in
+    verdict_str
+      (Cache.Verdicts.decide_canonical cache ~analyzer:counting ~fpga_area:10 ~key
+         ~canonical:(Cache.Canonical.apply order ts) ~order)
+  in
+  check_str "decide_canonical hit" (fresh other_swapped) (canonical other_swapped);
+  check_int "a hit decides nothing" 1 !decided;
+  let third = taskset [ ("g", "3", "8", "9", 4); ("h", "1", "2", "3", 1) ] in
+  check_str "decide_canonical miss" (fresh third) (canonical third);
+  check_int "a miss decides once" 2 !decided
 
 (* random (C, D, T, A) rows with C <= min(D, T), as integers so any
    permutation is still a valid taskset *)
@@ -283,6 +341,7 @@ let () =
           Alcotest.test_case "key ignores order and names" `Quick key_ignores_order_and_names;
           Alcotest.test_case "key separates requests" `Quick key_separates_requests;
           key_bytes_property;
+          order_property;
         ] );
       ( "lru",
         [

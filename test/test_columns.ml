@@ -171,25 +171,12 @@ let prop_wide_sets =
       return (ts, fpga_area))
     (same_as ~analyzers)
 
-(* fixed tasksets with 16-digit times: every product of two of their
+(* the 16-digit tasksets of Core_helpers: every product of two of their
    ticks overflows an int, so each decide that reaches the arithmetic
    (all but DP on the constrained set, which it rejects up front) can
    only have come from the Bignum instance *)
-let sixteen_digit =
-  Core_helpers.taskset
-    [
-      ("a", "1234567890123.456", "4567890123456.789", "4567890123456.789", 3);
-      ("b", "987654321098.765", "3456789012345.678", "3456789012345.678", 2);
-      ("c", "2345678901234.567", "8765432109876.543", "8765432109876.543", 4);
-    ]
-
-let sixteen_digit_constrained =
-  Core_helpers.taskset
-    [
-      ("a", "1234567890123.456", "3333333333333.333", "4567890123456.789", 3);
-      ("b", "987654321098.765", "3456789012345.678", "2222222222222.222", 2);
-      ("c", "2345678901234.567", "8765432109876.543", "8765432109876.543", 4);
-    ]
+let sixteen_digit = Core_helpers.sixteen_digit
+let sixteen_digit_constrained = Core_helpers.sixteen_digit_constrained
 
 let wide_instance () =
   let ticks = List.map (fun t -> Time.ticks t.Model.Task.period) (Model.Taskset.to_list sixteen_digit) in

@@ -85,7 +85,8 @@ let time_decimal_boundaries () =
       "1 "; "1.2.3"; "--1"; "+-1"; "4611686018427387.903"; "4611686018427387.904";
       "-4611686018427387.904"; "-4611686018427387.905"; "4611686018427388"; "-4611686018427388";
       "99999999999999999999999"; "99999999999999999999999.0001"; "99999999999999999999999.+5";
-      "0000000000000000000000001.5";
+      "0000000000000000000000001.5"; "999999999999999"; "99999999999.999"; "9999999999999999";
+      "999999999999.9999"; "0.5"; "00"; "1.5.";
     ];
   check_time "max" (Time.of_ticks max_int) (Time.of_decimal_string "4611686018427387.903");
   check_time "min" (Time.of_ticks min_int) (Time.of_decimal_string "-4611686018427387.904");

@@ -1,4 +1,6 @@
-(* Tests for the analysis service: wire-format parsing, request
+(* Tests for the analysis service: wire-format parsing, the column
+   decoder and the rendered-verdict writer against the tree code they
+   replaced (test/protocol_reference.ml), request
    isolation (a bad line yields an error response, never an
    exception), ordered and worker-count-independent batch evaluation,
    the framing state machine (line cap, partial-line deadline, and the
@@ -260,138 +262,37 @@ let cached_batch_identical () =
       check_int "first batch probes all miss" 20 s.Cache.Lru.misses;
       check_int "second batch all hit" 20 s.Cache.Lru.hits)
 
+(* a batch whose decision raises is answered again request by request:
+   only the request that raises gets the "internal error" line *)
+let raising_request_isolated () =
+  let raises ~fpga_area ts =
+    if List.exists (fun t -> t.Model.Task.area = 7) (Model.Taskset.to_list ts) then failwith "boom"
+    else Core.Analyzer.dp.Core.Analyzer.decide ~fpga_area ts
+  in
+  Core.Analyzer.register (Core.Analyzer.make ~name:"RAISES-ON-7" ~cite:"test" ~version:"1" raises);
+  let bad = taskset [ ("x", "1", "5", "5", 7) ] in
+  let lines =
+    Array.map
+      (fun (id, ts) -> request ~id:(Wire.Json.Int id) ~analyzer:"RAISES-ON-7" ts)
+      [| (1, table1); (2, bad); (3, table1) |]
+  in
+  with_engine (fun engine ->
+      let responses = Server.Engine.handle_lines engine lines in
+      check_str "first answered" "verdict" (response_kind responses.(0));
+      check_str "raising request" "internal error: Failure(\"boom\")" (response_error responses.(1));
+      check_bool "its id echoed" true (contains ~needle:{|"id":2|} responses.(1));
+      check_str "last answered" "verdict" (response_kind responses.(2));
+      check_str "same bytes as alone" (Server.Engine.handle_line engine lines.(2)) responses.(2))
+
 (* --- the decoder and printer against their references --- *)
 
-module Json = Wire.Json
-
-let json_string =
-  let special = [ '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\001'; '\031'; '\127'; '\200'; ' '; 'u' ] in
-  QCheck2.Gen.(string_size ~gen:(oneof [ char_range 'a' 'e'; oneofl special ]) (int_range 0 6))
-
-let json_value =
-  let open QCheck2.Gen in
-  let int_ = oneof [ int_range (-1000) 1000; oneofl [ max_int; min_int; 0; -1 ]; int ] in
-  sized
-  @@ fix (fun self n ->
-         let leaf =
-           oneof
-             [
-               return Json.Null;
-               map (fun b -> Json.Bool b) bool;
-               map (fun i -> Json.Int i) int_;
-               map (fun s -> Json.String s) json_string;
-             ]
-         in
-         if n <= 0 then leaf
-         else
-           frequency
-             [
-               (2, leaf);
-               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n / 3))));
-               ( 1,
-                 map (fun l -> Json.Obj l) (list_size (int_range 0 4) (pair json_string (self (n / 3))))
-               );
-             ])
-
-(* any JSON text for [v]: whitespace between tokens, and each string
-   byte raw where JSON allows it or escaped (\n, \/, \u00XX in either
-   case) *)
-let rec json_text v =
-  let open QCheck2.Gen in
-  let ws = oneofl [ ""; ""; ""; " "; "\t"; "\n "; "\r\n" ] in
-  let padded g = map3 (fun a x b -> a ^ x ^ b) ws g ws in
-  let seq opening closing items =
-    map (fun parts -> opening ^ String.concat "," parts ^ closing) (flatten_l items)
-  in
-  match v with
-  | Json.Null -> return "null"
-  | Json.Bool b -> return (string_of_bool b)
-  | Json.Int i -> return (string_of_int i)
-  | Json.String s -> string_text s
-  | Json.List vs -> seq "[" "]" (List.map (fun v -> padded (json_text v)) vs)
-  | Json.Obj fields ->
-    let member (k, v) = map2 (fun k v -> k ^ ":" ^ v) (padded (string_text k)) (padded (json_text v)) in
-    seq "{" "}" (List.map member fields)
-
-and string_text s =
-  let open QCheck2.Gen in
-  let byte c =
-    let u =
-      map (fun upper -> Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") (Char.code c)) bool
-    in
-    match c with
-    | '"' -> oneof [ return "\\\""; u ]
-    | '\\' -> oneof [ return "\\\\"; u ]
-    | '/' -> oneofl [ "/"; "\\/" ]
-    | '\n' -> oneof [ return "\\n"; return "\n"; u ]
-    | '\t' -> oneof [ return "\\t"; u ]
-    | c when Char.code c >= 0x80 -> return (String.make 1 c)
-    | c -> oneof [ return (String.make 1 c); u ]
-  in
-  let bytes = List.map byte (List.of_seq (String.to_seq s)) in
-  map (fun parts -> "\"" ^ String.concat "" parts ^ "\"") (flatten_l bytes)
-
-let json_texts = QCheck2.Gen.(json_value >>= fun v -> map (fun text -> (v, text)) (json_text v))
+open Wire_gen
 
 let prop_json_of_string_reference =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:2000 ~name:"of_string == reference on random JSON"
        ~print:(fun (_, text) -> Printf.sprintf "%S" text) json_texts (fun (v, text) ->
          Json.of_string text = Json_reference.of_string text && Json.of_string text = Ok v))
-
-(* request lines as clients spell them, then byte-mutated: a byte
-   replaced, inserted or deleted, a span duplicated, the line cut, or a
-   run of digits spliced in (into a time, that is a value past the int
-   range) *)
-let request_lines =
-  let open QCheck2.Gen in
-  let time = oneofl [ "1.26"; "0.95"; "7"; "5"; "01.5"; ".5"; "+7"; "1.260" ] in
-  let task =
-    map2
-      (fun (c, d, t) (a, quote) ->
-        let q s =
-          if quote || String.contains s '.' || String.contains s '+' then "\"" ^ s ^ "\"" else s
-        in
-        Printf.sprintf {|{"name":"t","C":%s,"D":%s,"T":%s,"A":%d}|} (q c) (q d) (q t) a)
-      (triple time time time) (pair (int_range 1 12) bool)
-  in
-  let id =
-    oneofl
-      [
-        {|"id":3,|}; {|"id":"r\"1",|}; {|"id":-4,|}; ""; {|"id":[1],|}; {|"id":null,|};
-        {|"id":4611686018427387903,|}; {|"id":4611686018427387904,|};
-        {|"id":-4611686018427387904,|}; {|"id":-4611686018427387905,|}; {|"id":-0,|}; {|"id":007,|};
-      ]
-  in
-  map3
-    (fun id analyzer tasks ->
-      Printf.sprintf {|{%s"analyzer":"%s","fpga_area":10,"tasks":[%s]}|} id analyzer
-        (String.concat "," tasks))
-    id (oneofl [ "DP"; "gn1"; "GN2"; "nec"; "nope" ]) (list_size (int_range 1 3) task)
-
-let mutate =
-  let open QCheck2.Gen in
-  let syntax = [ '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; '.'; '-'; '+'; '0'; '9'; 'e'; ' ' ] in
-  let byte = oneof [ char; oneofl syntax ] in
-  let once line =
-    let n = String.length line in
-    map3
-      (fun kind at (c, digits) ->
-        let at = at mod (n + 1) in
-        let tail = String.sub line at (n - at) in
-        match kind with
-        | 0 when at < n -> String.sub line 0 at ^ String.make 1 c ^ String.sub line (at + 1) (n - at - 1)
-        | 1 -> String.sub line 0 at ^ String.make 1 c ^ tail
-        | 2 when at < n -> String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
-        | 3 -> String.sub line 0 at ^ String.sub tail 0 (min 6 (n - at)) ^ tail
-        | 4 -> String.sub line 0 at
-        | _ -> String.sub line 0 at ^ String.make digits '9' ^ tail)
-      (int_range 0 5) nat (pair byte (int_range 1 25))
-  in
-  let rec times k line = if k = 0 then return line else once line >>= times (k - 1) in
-  fun line -> int_range 1 3 >>= fun k -> times k line
-
-let mutated_lines = QCheck2.Gen.(request_lines >>= mutate)
 
 let prop_json_of_string_mutated =
   QCheck_alcotest.to_alcotest
@@ -448,6 +349,193 @@ let prop_handle_line_total =
                | Ok answer ->
                  List.mem (response_kind resp) [ "verdict"; "error" ]
                  && Json.member "id" answer = recoverable_id line))))
+
+(* --- the column decoder and the rendered writer against the tree
+   code they replaced (test/protocol_reference.ml) --- *)
+
+module Columns = Model.Taskset.Columns
+
+let show_decoded = function
+  | Error (id, msg) ->
+    Printf.sprintf "Error (%s, %S)" (match id with Some id -> Json.to_string id | None -> "-") msg
+  | Ok (id, analyzer, area, (c : Columns.t)) ->
+    Printf.sprintf "Ok (%s, %s, %d, [%s])"
+      (match id with Some id -> Json.to_string id | None -> "-")
+      analyzer area
+      (String.concat "; "
+         (List.init c.Columns.n (fun i ->
+              Printf.sprintf "%S %d %d %d %d" c.Columns.names.(i) c.Columns.exec.(i)
+                c.Columns.deadline.(i) c.Columns.period.(i) c.Columns.area.(i))))
+
+(* what a decode is compared on: ticks, areas, names, id, analyzer *)
+let analyzer_id (a : Core.Analyzer.t) = a.Core.Analyzer.name ^ "/" ^ a.Core.Analyzer.version
+
+let decoded line =
+  Result.map
+    (fun (d : Server.Protocol.decoded) -> (d.id, analyzer_id d.analyzer, d.fpga_area, d.columns))
+    (Server.Protocol.decode line)
+
+let reference_decoded line =
+  Result.map
+    (fun (r : Server.Protocol.request) ->
+      (r.id, analyzer_id r.analyzer, r.fpga_area, Columns.of_taskset r.taskset))
+    (Protocol_reference.parse line)
+
+let same_decode line =
+  let got = decoded line and want = reference_decoded line in
+  if got <> want then
+    QCheck2.Test.fail_reportf "decode %s\nreference %s" (show_decoded got) (show_decoded want);
+  (* the record-building wrapper agrees too *)
+  match (Server.Protocol.parse line, Protocol_reference.parse line) with
+  | Ok a, Ok b -> Model.Taskset.equal a.taskset b.taskset && a.id = b.id
+  | Error a, Error b -> a = b
+  | _ -> false
+
+(* request objects as a careless client builds them: keys in any
+   order, some missing, some twice, values of the wrong type, tasks
+   that are not objects; [json_text] then spells every string with
+   random escapes (a key "C" may arrive as "\u0043") and whitespace *)
+let request_values =
+  let open QCheck2.Gen in
+  let str s = Json.String s in
+  let time =
+    frequency
+      [
+        (6, map str (oneofl [ "1.26"; "7"; "0.5"; "12.125"; "01.5"; ".5"; "+7"; "1.260" ]));
+        (2, map (fun i -> Json.Int i) (oneofl [ 1; 3; 7; 0; -2; max_int ]));
+        (1, oneofl [ str "1.2345"; str "x"; str "-1"; str "99999999999999999999"; Json.Null; Json.List [] ]);
+      ]
+  in
+  let area = frequency [ (8, map (fun a -> Json.Int a) (int_range 1 12)); (1, oneofl [ Json.Int 0; str "3" ]) ] in
+  let name = frequency [ (6, map str json_string); (1, return (Json.Int 4)) ] in
+  (* each key drawn once, now and then dropped, now and then drawn a
+     second time (most often with another value), then shuffled *)
+  let members keys =
+    let field (k, v) = map (fun v -> (k, v)) v in
+    let* kept = flatten_l (List.map (fun kv -> pair (frequency [ (12, return true); (1, return false) ]) (field kv)) keys) in
+    let kept = List.filter_map (fun (keep, f) -> if keep then Some f else None) kept in
+    let* again = frequency [ (2, return []); (1, map (fun f -> [ f ]) (oneofl keys >>= field)) ] in
+    shuffle_l (kept @ again)
+  in
+  let task =
+    let* fields = members [ ("name", name); ("C", time); ("D", time); ("T", time); ("A", area) ] in
+    frequency [ (12, return (Json.Obj fields)); (1, return (Json.Int 5)); (1, return (Json.Obj [ ("x", Json.Null) ])) ]
+  in
+  let tasks = map (fun l -> Json.List l) (frequency [ (12, list_size (int_range 0 4) task); (1, return []) ]) in
+  let analyzer =
+    frequency
+      [
+        (8, map str (oneofl [ "DP"; "gn1"; " GN2 "; "NEC"; "approx[0.25]" ]));
+        (1, map str (oneofl [ "nope"; "approx[x]" ]));
+        (1, return (Json.Int 1));
+      ]
+  in
+  let area = frequency [ (8, map (fun a -> Json.Int a) (int_range 1 16)); (1, oneofl [ Json.Int 0; str "10" ]) ] in
+  let id = oneof [ map (fun i -> Json.Int i) int; map str json_string; return Json.Null ] in
+  let* fields =
+    members [ ("analyzer", analyzer); ("fpga_area", area); ("id", id); ("tasks", tasks); ("other", json_value) ]
+  in
+  json_text (Json.Obj fields)
+
+let prop_decode_random_json =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"decode == reference parse on random JSON"
+       ~print:(fun (_, text) -> Printf.sprintf "%S" text) json_texts (fun (_, text) -> same_decode text))
+
+let prop_decode_requests =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~name:"decode == reference parse on request objects"
+       ~print:(Printf.sprintf "%S") request_values same_decode)
+
+let prop_decode_mutated =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~name:"decode == reference parse on mutated request lines"
+       ~print:(Printf.sprintf "%S")
+       QCheck2.Gen.(frequency [ (1, request_lines); (3, mutated_lines); (1, request_values >>= mutate) ])
+       same_decode)
+
+(* verdicts of any shape: checks in any task order (gaps, repeats),
+   multi-limb sides, notes and test names that need escaping *)
+let verdicts =
+  let open QCheck2.Gen in
+  let small = int_range (-50) 50 and big = oneofl [ max_int; min_int + 1; 1 lsl 40 ] in
+  let rat =
+    let* num = frequency [ (4, small); (1, big) ] and* den = frequency [ (4, int_range 1 12); (1, big) ] in
+    let* wide = frequency [ (4, return false); (1, return true) ] in
+    let den = if den = 0 then 1 else den in
+    let r = Rat.of_ints num den in
+    return (if wide then Rat.mul r (Rat.of_ints max_int 7) else r)
+  in
+  let check =
+    let* task_index = int_range 0 7 and* satisfied = bool and* lhs = rat and* rhs = rat in
+    let* note = frequency [ (2, return ""); (1, json_string) ] in
+    return { Core.Verdict.task_index; satisfied; lhs; rhs; note }
+  in
+  let* test_name = frequency [ (3, oneofl [ "DP"; "GN2"; "NEC" ]); (1, json_string) ] in
+  let* checks = list_size (int_range 0 6) check in
+  return (Core.Verdict.make ~test_name ~checks)
+
+let requests =
+  let open QCheck2.Gen in
+  let* id = oneof [ return None; map (fun i -> Some (Json.Int i)) int; map (fun s -> Some (Json.String s)) json_string ] in
+  let* analyzer = oneofl [ Core.Analyzer.dp; Core.Analyzer.gn1; Core.Analyzer.gn2; Core.Analyzer.nec ] in
+  let* fpga_area = oneof [ int_range 1 100; return max_int ] in
+  return { Server.Protocol.id; analyzer; fpga_area; taskset = table1 }
+
+let prop_response_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"response == reference response on random verdicts"
+       ~print:(fun (req, v) -> Protocol_reference.response req v)
+       QCheck2.Gen.(pair requests verdicts)
+       (fun (req, v) -> String.equal (Server.Protocol.response req v) (Protocol_reference.response req v)))
+
+(* the rendered remap against the verdict's, on checks in any order
+   with repeated task indices (where only stability decides) *)
+let prop_rendered_remap =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"rendered remap == verdict remap"
+       QCheck2.Gen.(pair verdicts (shuffle_a (Array.init 8 Fun.id)))
+       (fun (v, order) ->
+         Core.Verdict.Rendered.remap order (Core.Verdict.Rendered.of_verdict v)
+         = Core.Verdict.Rendered.of_verdict (Core.Verdict.remap order v)))
+
+(* the cache's bytes against a fresh decide printed by the reference
+   writer: the same taskset cold, then permuted and renamed (a hit),
+   and with the cache off *)
+let prop_cached_equals_fresh =
+  let open QCheck2.Gen in
+  let task =
+    let* t = int_range 2 10 and* d = int_range 1 12 and* a = int_range 1 12 in
+    let* c = int_range 1 (1000 * min t d) in
+    return (Model.Task.make ~exec:(Model.Time.of_ticks c) ~deadline:(Model.Time.of_units d) ~period:(Model.Time.of_units t) ~area:a ())
+  in
+  let case =
+    let* tasks = list_size (int_range 1 7) task in
+    let* tasks = oneof [ return tasks; map (fun l -> l @ l) (return tasks) ] in
+    let* analyzer = oneofl [ "DP"; "GN1"; "GN2"; "NEC"; "GN1-printed"; "DP-original" ] in
+    let* fpga_area = int_range 6 16 in
+    let* perm = shuffle_l (List.mapi (fun i t -> { t with Model.Task.name = Printf.sprintf "p\"%d\\" i }) tasks) in
+    return (analyzer, fpga_area, Model.Taskset.of_list tasks, Model.Taskset.of_list perm)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"cached bytes == fresh, permuted and renamed"
+       ~print:(fun (a, area, ts, _) -> Printf.sprintf "%s area %d\n%s" a area (Model.Taskset.to_csv ts))
+       case
+       (fun (analyzer, fpga_area, ts, perm) ->
+         let line ts = request ~id:(Json.String "q\"\\") ~analyzer ~fpga_area ts in
+         let fresh ts =
+           match Protocol_reference.parse (line ts) with
+           | Ok req ->
+             Protocol_reference.response req (req.analyzer.Core.Analyzer.decide ~fpga_area req.taskset)
+           | Error (_, msg) -> QCheck2.Test.fail_report msg
+         in
+         let lines = [| line ts; line perm; line ts; line perm |] in
+         let want = [| fresh ts; fresh perm; fresh ts; fresh perm |] in
+         let served cache_size =
+           Server.Engine.with_engine ~cache_size ~jobs:1 (fun engine ->
+               Array.map (fun l -> (Server.Engine.handle_lines engine [| l |]).(0)) lines)
+         in
+         served 64 = want && served 0 = want))
 
 (* --- stdio over pipes (the framing regressions, end to end) --- *)
 
@@ -919,6 +1007,15 @@ let () =
           prop_json_to_string_order;
           prop_handle_line_total;
         ] );
+      ( "codec",
+        [
+          prop_decode_random_json;
+          prop_decode_requests;
+          prop_decode_mutated;
+          prop_response_reference;
+          prop_rendered_remap;
+          prop_cached_equals_fresh;
+        ] );
       ( "framing",
         [
           Alcotest.test_case "order before overflow" `Quick framing_order_before_overflow;
@@ -934,6 +1031,7 @@ let () =
           Alcotest.test_case "isolation" `Quick isolation;
           Alcotest.test_case "batch order and determinism" `Quick batch_order_and_determinism;
           Alcotest.test_case "cached batch identical" `Quick cached_batch_identical;
+          Alcotest.test_case "raising request isolated" `Quick raising_request_isolated;
         ] );
       ( "serve",
         [
