@@ -3,8 +3,8 @@
    The paper averages >= 10000 tasksets per utilization point; that takes
    hours with five methods per point, so the default here is a faithful
    but smaller run: 500, the setting the committed results/fig*.csv were
-   made with, so a default run rewrites them byte for byte.  Set
-   REDF_SAMPLES=10000 to reproduce at paper scale. *)
+   made with ([redf sweep --samples 500]).  Set REDF_SAMPLES=10000 to
+   run at paper scale. *)
 
 let int_env name default =
   match Sys.getenv_opt name with
@@ -24,11 +24,9 @@ let jobs =
 (* simulation horizon in time units; the paper simulates "to the
    hyper-period", which is astronomically large for random periods, so
    any practical run truncates (see EXPERIMENTS.md) *)
-let horizon_units = int_env "REDF_HORIZON" 500
+let horizon = Model.Time.of_units (int_env "REDF_HORIZON" 500)
 let seed = int_env "REDF_SEED" 42
 let skip_micro = Sys.getenv_opt "REDF_SKIP_MICRO" <> None
-
-let horizon = Model.Time.of_units horizon_units
 
 (* results-file plumbing lives in Bench.Env (shared with redf
    bench-core); re-exported here under the harness's names *)
@@ -37,21 +35,3 @@ let write_file = Bench.Env.write_file
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* Progress on stderr, throttled to whole-percent steps and emitted as a
-   single [output_string] + flush so concurrent completions from worker
-   domains never interleave mid-line.  The Sweep/Pool progress contract
-   serializes callbacks, so [last] needs no lock. *)
-let progress_printer label =
-  let last = ref (-1) in
-  fun done_ total ->
-    let pct = if total <= 0 then 100 else done_ * 100 / total in
-    if pct > !last || done_ >= total then begin
-      last := pct;
-      output_string stderr (Printf.sprintf "\r%s: %d/%d" label done_ total);
-      flush stderr
-    end
-
-let clear_progress () =
-  output_string stderr ("\r" ^ String.make 40 ' ' ^ "\r");
-  flush stderr

@@ -1,47 +1,10 @@
-(* Figures 3(a), 3(b), 4(a), 4(b): acceptance ratio vs total system
-   utilization, plus the paper's qualitative claims checked against the
-   regenerated data. *)
+(* Beyond the paper's Figures 3-4 (reproduced by [redf sweep FIG --csv],
+   committed as results/fig*.csv, their Section 6 claims asserted by
+   test_claims.ml): the 4-task vs 10-task contrast of Figures 3(a)/3(b)
+   as a single curve — acceptance vs task count at fixed system
+   utilization. *)
 
-let area_under t mi =
-  (* mean acceptance over the populated points: a crude scalar for "who
-     wins" comparisons *)
-  let pts = List.filter (fun p -> p.Experiment.Sweep.generated > 0) t.Experiment.Sweep.points in
-  if pts = [] then 0.0
-  else
-    List.fold_left (fun acc p -> acc +. Experiment.Sweep.acceptance t ~method_index:mi p) 0.0 pts
-    /. float_of_int (List.length pts)
-
-let index_of t name =
-  let rec go i = function
-    | [] -> invalid_arg ("no method " ^ name)
-    | n :: _ when n = name -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 t.Experiment.Sweep.method_names
-
-let check_claims figure t =
-  let score name = area_under t (index_of t name) in
-  let dp = score "DP" and gn1 = score "GN1" and gn2 = score "GN2" in
-  let sim = score "SIM-NF" in
-  let claim label ok = Printf.printf "  claim: %-58s %s\n" label (if ok then "HOLDS" else "VIOLATED") in
-  Printf.printf "\n  mean acceptance: DP %.3f  GN1 %.3f  GN2 %.3f  SIM-NF %.3f\n" dp gn1 gn2 sim;
-  (match figure with
-   | Experiment.Figures.Fig3a ->
-     claim "tests pessimistic vs simulation" (dp <= sim && gn1 <= sim && gn2 <= sim);
-     claim "GN1 best among tests (small task count)" (gn1 >= dp -. 0.02 && gn1 >= gn2 -. 0.02)
-   | Experiment.Figures.Fig3b ->
-     claim "tests pessimistic vs simulation" (dp <= sim && gn1 <= sim && gn2 <= sim);
-     claim "DP best among tests (large task count)" (dp >= gn1 -. 0.02 && dp >= gn2 -. 0.02)
-   | Experiment.Figures.Fig4a ->
-     claim "all tests poor on spatially-heavy sets" (dp < 0.1 && gn1 < 0.1 && gn2 < 0.1)
-   | Experiment.Figures.Fig4b ->
-     claim "GN1 best on temporally-heavy sets" (gn1 >= dp && gn1 >= gn2);
-     claim "DP worst on temporally-heavy sets" (dp <= gn1 && dp <= gn2));
-  List.iter (fun e -> Printf.printf "  paper: %s\n" e) (Experiment.Figures.expectations figure)
-
-(* extension: the 4-task vs 10-task contrast of Figures 3(a)/3(b) as a
-   single curve — acceptance vs task count at fixed system utilization *)
-let n_sweep () =
+let run () =
   Bench_env.section "Extension: acceptance vs task count at fixed US";
   let target_us = 25.0 in
   Printf.printf "US = %.0f, A(H) = 100, unconstrained profile, %d sets per point\n\n" target_us
@@ -77,30 +40,3 @@ let n_sweep () =
     [ 2; 3; 4; 6; 8; 10; 15; 20 ];
   Printf.printf
     "\n(the paper's observation: GN1's advantage at small N flips to DP's at large N)\n"
-
-let run () =
-  Bench_env.section "Figures 3-4: acceptance ratio vs total system utilization";
-  Printf.printf
-    "samples/point = %d (REDF_SAMPLES), sim horizon = %d units (REDF_HORIZON), seed = %d, jobs = %d (REDF_JOBS)\n"
-    Bench_env.samples Bench_env.horizon_units Bench_env.seed Bench_env.jobs;
-  List.iter
-    (fun figure ->
-      let cfg =
-        Experiment.Figures.config ~samples:Bench_env.samples ~seed:Bench_env.seed
-          ~sim_horizon:Bench_env.horizon figure
-      in
-      let t0 = Unix.gettimeofday () in
-      let progress = Bench_env.progress_printer (Experiment.Figures.id figure) in
-      let result = Experiment.Sweep.run ~progress ~jobs:Bench_env.jobs cfg in
-      Bench_env.clear_progress ();
-      Printf.printf "\n%s  (%.1f s)\n\n" (Experiment.Figures.caption figure)
-        (Unix.gettimeofday () -. t0);
-      print_string (Experiment.Sweep.to_table result);
-      print_newline ();
-      print_string (Experiment.Sweep.to_ascii_plot result);
-      check_claims figure result;
-      Bench_env.write_file (Experiment.Figures.id figure ^ ".csv") (Experiment.Sweep.to_csv result);
-      Printf.printf "  (series written to %s/%s.csv)\n" Bench_env.results_dir
-        (Experiment.Figures.id figure))
-    Experiment.Figures.all;
-  n_sweep ()

@@ -1,10 +1,12 @@
-(* Benchmark harness regenerating every table and figure of Guan et al.,
-   "Improved Schedulability Analysis of EDF Scheduling on Reconfigurable
-   Hardware Devices" (IPDPS 2007), plus the ablations, the parallel
-   scaling run and the observability-overhead timings documented in
-   DESIGN.md / EXPERIMENTS.md.  Analyzer cost per decide is measured by
-   [redf bench-core] (results/BENCH_core.json), the daemons by
-   perfbench/.
+(* Benchmark harness for what goes beyond Guan et al., "Improved
+   Schedulability Analysis of EDF Scheduling on Reconfigurable Hardware
+   Devices" (IPDPS 2007): rediscovered incomparability witnesses,
+   acceptance vs task count, the ablations, the parallel scaling run and
+   the observability-overhead timings documented in DESIGN.md /
+   EXPERIMENTS.md.  The paper's own Tables 1-3 and Figures 3-4 come from
+   [redf tables] and [redf sweep FIG --csv] alone.  Analyzer cost per
+   decide is measured by [redf bench-core] (results/BENCH_core.json),
+   the daemons by perfbench/.
 
    Knobs (environment variables):
      REDF_SAMPLES     tasksets per utilization point   (default 500)
@@ -17,8 +19,8 @@
 
 let sections =
   [
-    ("tables", Tables.run);
-    ("figures", Figures.run);
+    ("witnesses", Tables.run);
+    ("n-sweep", Figures.run);
     ("ablations", Ablations.run);
     ("parallel", Scaling.run);
     ("obs", Obs_bench.run);
@@ -44,4 +46,4 @@ let () =
   print_endline "reproducing: Guan et al., IPDPS 2007 (EDF on PRTR FPGAs)";
   List.iter (fun (name, run) -> if List.mem name requested then run ()) sections;
   print_newline ();
-  print_endline "done; CSV series in ./results/, interpretation in EXPERIMENTS.md"
+  print_endline "done; interpretation in EXPERIMENTS.md"

@@ -1,27 +1,11 @@
-(* Section 6, Tables 1-3: the three 2-task tasksets showing DP, GN1 and
-   GN2 pairwise incomparable on A(H) = 10. *)
+(* Beyond the paper's Tables 1-3 (reproduced by [redf tables] and
+   pinned by test_paper_tables.ml): show that the three tables are not
+   cherry-picked by rediscovering fresh witnesses at random, and
+   quantify how often each subset of tests accepts. *)
 
 let fpga_area = 10
 
-let task name c d t a = Model.Task.of_decimal ~name ~exec:c ~deadline:d ~period:t ~area:a ()
-
-let tables =
-  [
-    ( "Table 1 (accepted by DP, rejected by GN1 and GN2)",
-      Model.Taskset.of_list [ task "tau1" "1.26" "7" "7" 9; task "tau2" "0.95" "5" "5" 6 ],
-      (true, false, false) );
-    ( "Table 2 (accepted by GN1, rejected by DP and GN2)",
-      Model.Taskset.of_list [ task "tau1" "4.50" "8" "8" 3; task "tau2" "8.00" "9" "9" 5 ],
-      (false, true, false) );
-    ( "Table 3 (accepted by GN2, rejected by DP and GN1)",
-      Model.Taskset.of_list [ task "tau1" "2.10" "5" "5" 7; task "tau2" "2.00" "7" "7" 7 ],
-      (false, false, true) );
-  ]
-
-(* beyond the paper: show that the three tables are not cherry-picked by
-   rediscovering fresh witnesses at random, and quantify how often each
-   subset of tests accepts *)
-let discovered () =
+let run () =
   Bench_env.section "Discovered incomparability witnesses (extension)";
   let tests = [ ("DP", Core.Dp.accepts); ("GN1", Core.Gn1.accepts); ("GN2", Core.Gn2.accepts) ] in
   let profile =
@@ -49,29 +33,3 @@ let discovered () =
         (match accepting with [] -> "(none)" | l -> String.concat "+" l)
         count)
     (Experiment.Incomparability.incidence ~rng ~profile ~tests ())
-
-let run () =
-  Bench_env.section "Tables 1-3: pairwise incomparability of DP, GN1, GN2";
-  Printf.printf "(FPGA with A(H) = %d columns; exact rational arithmetic)\n" fpga_area;
-  List.iter
-    (fun (title, ts, (dp_exp, gn1_exp, gn2_exp)) ->
-      let dp = Core.Dp.accepts ~fpga_area ts in
-      let gn1 = Core.Gn1.accepts ~fpga_area ts in
-      let gn2 = Core.Gn2.accepts ~fpga_area ts in
-      let show b = if b then "ACCEPT" else "reject" in
-      let mark got expected = if got = expected then "" else "  << MISMATCH vs paper" in
-      Printf.printf "\n%s\n" title;
-      Format.printf "  %a@." Model.Taskset.pp ts;
-      Printf.printf "  UT = %s  US = %s\n"
-        (Rat.to_string (Model.Taskset.time_utilization ts))
-        (Rat.to_string (Model.Taskset.system_utilization ts));
-      Printf.printf "  DP : %s%s\n" (show dp) (mark dp dp_exp);
-      Printf.printf "  GN1: %s%s\n" (show gn1) (mark gn1 gn1_exp);
-      Printf.printf "  GN2: %s%s\n" (show gn2) (mark gn2 gn2_exp))
-    tables;
-  Printf.printf
-    "\nCombined (Section 6 advice): all three tasksets are accepted for EDF-NF\nby applying the tests together: %b %b %b\n"
-    (Core.Composite.edf_nf_any ~fpga_area (let _, t, _ = List.nth tables 0 in t))
-    (Core.Composite.edf_nf_any ~fpga_area (let _, t, _ = List.nth tables 1 in t))
-    (Core.Composite.edf_nf_any ~fpga_area (let _, t, _ = List.nth tables 2 in t));
-  discovered ()

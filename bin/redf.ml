@@ -839,15 +839,6 @@ let require_cache_size cache_size k =
   end
   else k ()
 
-let cache_shards_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "cache-shards" ] ~docv:"N"
-        ~doc:
-          "Split the verdict cache over $(docv) independently locked LRU shards (deterministic \
-           key hash), so worker domains do not serialize on one cache mutex. Sharding never \
-           changes response bytes.")
-
 (* HOST:PORT with a numeric host (rindex, so bracket-less IPv6 works)
    or "localhost"; validated here as a usage error like --jobs *)
 let parse_host_port s =
@@ -962,10 +953,9 @@ let run_transport tr ?limits ?(is_mutation = fun _ -> false) handle_lines =
     0
 
 let serve_cmd =
-  let run transport cache_size shards max_pending max_inflight jobs metrics =
+  let run transport cache_size max_pending max_inflight jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
     require_cache_size cache_size @@ fun () ->
-    require_positive "--cache-shards" shards @@ fun () ->
     require_positive "--max-pending" max_pending @@ fun () ->
     require_positive "--max-inflight" max_inflight @@ fun () ->
     match transport with
@@ -974,7 +964,7 @@ let serve_cmd =
       2
     | Ok transport ->
       with_metrics metrics @@ fun () ->
-      Server.Engine.with_engine ~cache_size ~shards ~jobs @@ fun engine ->
+      Server.Engine.with_engine ~cache_size ~jobs @@ fun engine ->
       let limits = { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight } in
       run_transport transport ~limits (Server.Engine.handle_lines engine)
   in
@@ -997,7 +987,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ transport_term $ cache_size_arg $ cache_shards_arg $ max_pending_arg
+      const run $ transport_term $ cache_size_arg $ max_pending_arg
       $ max_inflight_arg $ jobs_arg $ metrics_arg)
   in
   let info =
@@ -1219,10 +1209,10 @@ let admit_cmd =
           (if recovery.Admit.Store.torn_bytes > 0 then
              Printf.sprintf ", torn tail of %d bytes truncated" recovery.Admit.Store.torn_bytes
            else "");
-        let handle_lines lines =
-          Array.of_list (Admit.Daemon.handle_lines daemon (Array.to_list lines))
-        in
-        match run_transport transport ~is_mutation:Admit.Daemon.is_mutation handle_lines with
+        match
+          run_transport transport ~is_mutation:Admit.Daemon.is_mutation
+            (Admit.Daemon.handle_lines daemon)
+        with
         | code ->
           Admit.Daemon.close daemon;
           code

@@ -1,26 +1,11 @@
 [@@@redf.det]
 
-(* The admission daemon's brain: a live device model (analyzer +
-   fpga_area fixed at startup), the admitted taskset, and the
-   admit protocol over it.
+(* The admission daemon; its protocol and policy are in daemon.mli.
 
-   One JSON object per line:
-     {"op":"add-task","id":"r1","task":{"name":"tau1","C":"1.26","D":7,"T":7,"A":9}}
-     {"op":"remove-task","id":"r2","name":"tau1"}
-     {"op":"query"}
-     {"op":"what-if","add":[task…],"drop":["name"…]}
-
-   [id] is echoed in the reply and doubles as the idempotency key for
-   mutations: an acknowledged mutation's reply line is journaled with
-   its id, so a retried request whose reply got lost is answered with
-   the stored bytes instead of being applied twice.
-
-   Admission policy: a task is admitted iff the analyzer ACCEPTs the
-   candidate taskset (current + task) on the configured device; the
-   empty taskset is trivially schedulable (no analyzer call).  Removals
-   of present tasks are always admitted.  Rejected mutations are not
-   journaled — rejection is deterministic, so a retry re-evaluates to
-   the same answer.
+   Each line is decoded once, in one scan on Server.Protocol's task
+   reader, so admit and serve agree on what a task is and why it is
+   malformed; test/admit_reference.ml keeps the tree decoder this
+   replaced, and the tests hold the replies to its bytes.
 
    Verdicts always come from {!Cache.Verdicts} via the incremental
    {!Cache.Delta} key — byte-identical to a from-scratch analyzer run
@@ -52,8 +37,6 @@ let create ?faults ?snapshot_every ?(cache_capacity = 4096) ~analyzer ~fpga_area
 
 let state t = Store.state t.store
 let store t = t.store
-let analyzer t = t.analyzer
-let fpga_area t = t.fpga_area
 
 (* --- verdict evaluation --- *)
 
@@ -82,45 +65,103 @@ let verdict_fields t = function
       ("note", Json.String "empty taskset: trivially schedulable");
     ]
 
-(* --- wire parsing --- *)
+(* --- wire decoding --- *)
 
-(* same time conventions as the analyze protocol (decimal string or
-   integer units), but the daemon requires a unique, non-empty name:
-   names are how tasks are removed and deduplicated *)
-let time_field obj key =
-  match Protocol.time_value (Json.member key obj) with
-  | Ok t -> Ok t
-  | Error why -> Error (Printf.sprintf "task: %S: %s" key why)
+(* a request line, each field read into what its handler checks: the
+   value, or the error it gives when absent or malformed *)
+type request = {
+  mutable op : string option;
+  mutable id : Json.t option;
+  mutable task : (Model.Task.t, string) result;
+  mutable name : (string, string) result;
+  mutable add : (Model.Task.t list, string) result;
+  mutable drop : (string list, string) result;
+}
 
-let wire_task json =
-  let* name =
-    match Json.member "name" json with
-    | Some (Json.String "") -> Error "task: \"name\": must be non-empty"
-    | Some (Json.String s) -> Ok s
-    | _ -> Error "task: \"name\": required (admission is by name)"
+(* a task as the serve protocol reads it (Protocol's task reader), but
+   the daemon requires a non-empty name, checked first: names are how
+   tasks are removed and deduplicated *)
+let read_task tk =
+  Protocol.read_task tk;
+  match Protocol.task_name tk with
+  | None -> Error "task: \"name\": required (admission is by name)"
+  | Some "" -> Error "task: \"name\": must be non-empty"
+  | Some name -> (
+    match Protocol.task tk ~name with
+    | Ok task -> Ok task
+    | Error (Protocol.Field why) -> Error ("task: " ^ why)
+    | Error (Protocol.Invalid msg) -> Error (Printf.sprintf "task %S: %s" name msg))
+
+let bad_name = "remove-task: \"name\": expected a string"
+let bad_add = "what-if: \"add\": expected an array of tasks"
+let bad_drop = "what-if: \"drop\": expected an array of task names"
+let request_keys = [ "op"; "id"; "task"; "name"; "add"; "drop" ]
+
+(* One scan of the line, building no tree of it (a value no field
+   wants goes to [Json.value]): a syntax error anywhere is the line's
+   error, and the first occurrence of a key counts.  The handlers judge
+   the fields: the dedup lookup before the task, [drop] before [add]. *)
+let decode line =
+  let r =
+    {
+      op = None;
+      id = None;
+      task = Error "add-task: \"task\": missing";
+      name = Error bad_name;
+      add = Ok [];
+      drop = Ok [];
+    }
   in
-  let* exec = time_field json "C" in
-  let* deadline = time_field json "D" in
-  let* period = time_field json "T" in
-  let* area =
-    match Json.member "A" json with
-    | Some (Json.Int a) -> Ok a
-    | _ -> Error "task: \"A\": expected an integer area"
+  let seen = ref [] in
+  let scan c =
+    let tk = Protocol.task_reader c in
+    let string () =
+      if Json.peek c = '"' then Some (Json.string c)
+      else begin
+        ignore (Json.value c);
+        None
+      end
+    in
+    (* an array whose first rejected element is its error *)
+    let array read ~bad =
+      if Json.peek c <> '[' then begin
+        ignore (Json.value c);
+        Error bad
+      end
+      else
+        Json.fold_items c
+          (fun acc ->
+            match (acc, read ()) with
+            | Ok l, Ok x -> Ok (x :: l)
+            | Ok _, (Error _ as e) | (Error _ as e), _ -> e)
+          (Ok [])
+        |> Result.map List.rev
+    in
+    let member () key =
+      if List.mem key !seen then ignore (Json.value c)
+      else begin
+        seen := key :: !seen;
+        match key with
+        | "op" -> r.op <- string ()
+        | "id" -> r.id <- Protocol.read_id c
+        | "task" -> r.task <- read_task tk
+        | "name" -> r.name <- Option.to_result ~none:bad_name (string ())
+        | "add" -> r.add <- array (fun () -> read_task tk) ~bad:bad_add
+        | "drop" ->
+          r.drop <- array (fun () -> Option.to_result ~none:bad_drop (string ())) ~bad:bad_drop
+        | _ -> ignore (Json.value c)
+      end
+    in
+    if Json.peek c = '{' then Json.fold_members ~intern:request_keys c member ()
+    else ignore (Json.value c)
   in
-  match Model.Task.make ~name ~exec ~deadline ~period ~area () with
-  | task -> Ok task
-  | exception Invalid_argument msg -> Error (Printf.sprintf "task %S: %s" name msg)
-
-let request_id line = Protocol.request_id line
+  Result.map (fun () -> r) (Json.decode line scan)
 
 (* mutation lines get priority headroom when the loop sheds load *)
 let is_mutation line =
-  match Json.of_string line with
-  | Error _ -> false
-  | Ok json -> (
-    match Json.member "op" json with
-    | Some (Json.String ("add-task" | "remove-task")) -> true
-    | _ -> false)
+  match decode line with
+  | Ok { op = Some ("add-task" | "remove-task"); _ } -> true
+  | Ok _ | Error _ -> false
 
 (* --- handlers --- *)
 
@@ -131,89 +172,55 @@ let base_fields op st = [ ("op", Json.String op); ("seq", Json.Int (State.seq st
 let dedup t id =
   match id with None -> None | Some id -> State.reply_for (state t) (Json.to_string id)
 
-let handle_add t ~id json =
-  match dedup t id with
-  | Some stored -> stored
-  | None -> (
-    let attempt =
-      let* task_json =
-        match Json.member "task" json with
-        | Some j -> Ok j
-        | None -> Error "add-task: \"task\": missing"
-      in
-      let* task = wire_task task_json in
-      let name = task.Model.Task.name in
-      let st = state t in
-      if State.mem st name then
-        Error (Printf.sprintf "add-task: a task named %S is already admitted" name)
-      else
-        let candidate = Cache.Delta.add t.delta task in
-        let original = State.names st @ [ name ] in
-        let verdict = decide t candidate ~original in
-        let fields = verdict_fields t verdict in
-        if not (accepted verdict) then
-          Ok
-            (envelope ?id
-               (( "admitted", Json.Bool false )
-               :: base_fields "add-task" st
-               @ [ ("tasks", Json.Int (State.size st)) ]
-               @ fields))
-        else
-          let seq = State.seq st + 1 in
-          let reply =
-            envelope ?id
-              (( "admitted", Json.Bool true )
-              :: [ ("op", Json.String "add-task"); ("seq", Json.Int seq) ]
-              @ [ ("tasks", Json.Int (State.size st + 1)) ]
-              @ fields)
-          in
-          let record =
-            {
-              State.seq;
-              rid = Option.map Json.to_string id;
-              op = State.Add task;
-              reply;
-            }
-          in
-          let* () = Store.commit t.store record in
-          t.delta <- candidate;
-          Ok reply
-    in
-    match attempt with Ok reply -> reply | Error msg -> Protocol.error_response ?id msg)
+let answer ?id = function Ok reply -> reply | Error msg -> Protocol.error_response ?id msg
 
-let handle_remove t ~id json =
-  match dedup t id with
-  | Some stored -> stored
-  | None -> (
-    let attempt =
-      let* name =
-        match Json.member "name" json with
-        | Some (Json.String s) -> Ok s
-        | _ -> Error "remove-task: \"name\": expected a string"
-      in
-      let st = state t in
-      if not (State.mem st name) then
-        Error (Printf.sprintf "remove-task: no admitted task named %S" name)
-      else
-        let candidate = Cache.Delta.remove t.delta name in
-        let original = List.filter (fun n -> n <> name) (State.names st) in
-        let verdict = decide t candidate ~original in
-        let seq = State.seq st + 1 in
-        let reply =
-          envelope ?id
-            (( "admitted", Json.Bool true )
-            :: [ ("op", Json.String "remove-task"); ("seq", Json.Int seq) ]
-            @ [ ("tasks", Json.Int (State.size st - 1)) ]
-            @ verdict_fields t verdict)
-        in
-        let record =
-          { State.seq; rid = Option.map Json.to_string id; op = State.Remove name; reply }
-        in
-        let* () = Store.commit t.store record in
-        t.delta <- candidate;
-        Ok reply
-    in
-    match attempt with Ok reply -> reply | Error msg -> Protocol.error_response ?id msg)
+(* a retried mutation id gets its journaled reply back, unapplied *)
+let mutation t ~id attempt =
+  match dedup t id with Some stored -> stored | None -> answer ?id (attempt ())
+
+(* journal an admitted mutation with its reply, then apply it *)
+let commit t ~id op ~candidate ~tasks fields =
+  let seq = State.seq (state t) + 1 in
+  let name = match op with State.Add _ -> "add-task" | State.Remove _ -> "remove-task" in
+  let reply =
+    envelope ?id
+      (("admitted", Json.Bool true) :: ("op", Json.String name) :: ("seq", Json.Int seq)
+      :: ("tasks", Json.Int tasks) :: fields)
+  in
+  let* () = Store.commit t.store { State.seq; rid = Option.map Json.to_string id; op; reply } in
+  t.delta <- candidate;
+  Ok reply
+
+let handle_add t ~id task =
+  mutation t ~id @@ fun () ->
+  let* task = task in
+  let name = task.Model.Task.name in
+  let st = state t in
+  if State.mem st name then
+    Error (Printf.sprintf "add-task: a task named %S is already admitted" name)
+  else
+    let candidate = Cache.Delta.add t.delta task in
+    let verdict = decide t candidate ~original:(State.names st @ [ name ]) in
+    let fields = verdict_fields t verdict in
+    let tasks = State.size st + 1 in
+    if accepted verdict then commit t ~id (State.Add task) ~candidate ~tasks fields
+    else
+      Ok
+        (envelope ?id
+           ((("admitted", Json.Bool false) :: base_fields "add-task" st)
+           @ (("tasks", Json.Int (State.size st)) :: fields)))
+
+let handle_remove t ~id name =
+  mutation t ~id @@ fun () ->
+  let* name = name in
+  let st = state t in
+  if not (State.mem st name) then
+    Error (Printf.sprintf "remove-task: no admitted task named %S" name)
+  else
+    let candidate = Cache.Delta.remove t.delta name in
+    let original = List.filter (fun n -> n <> name) (State.names st) in
+    let fields = verdict_fields t (decide t candidate ~original) in
+    commit t ~id (State.Remove name) ~candidate ~tasks:(State.size st - 1) fields
 
 let handle_query t ~id =
   let st = state t in
@@ -226,35 +233,10 @@ let handle_query t ~id =
       ]
     @ verdict_fields t verdict)
 
-let handle_what_if t ~id json =
+let handle_what_if t ~id ~add ~drop =
   let attempt =
-    let* drops =
-      match Json.member "drop" json with
-      | None -> Ok []
-      | Some (Json.List l) ->
-        List.fold_left
-          (fun acc e ->
-            let* acc = acc in
-            match e with
-            | Json.String s -> Ok (s :: acc)
-            | _ -> Error "what-if: \"drop\": expected an array of task names")
-          (Ok []) l
-        |> Result.map List.rev
-      | Some _ -> Error "what-if: \"drop\": expected an array of task names"
-    in
-    let* adds =
-      match Json.member "add" json with
-      | None -> Ok []
-      | Some (Json.List l) ->
-        List.fold_left
-          (fun acc e ->
-            let* acc = acc in
-            let* task = wire_task e in
-            Ok (task :: acc))
-          (Ok []) l
-        |> Result.map List.rev
-      | Some _ -> Error "what-if: \"add\": expected an array of tasks"
-    in
+    let* drops = drop in
+    let* adds = add in
     let st = state t in
     let* candidate, original =
       List.fold_left
@@ -284,27 +266,23 @@ let handle_what_if t ~id json =
          @ [ ("tasks", Json.Int (Cache.Delta.size candidate)) ]
          @ verdict_fields t verdict))
   in
-  match attempt with Ok reply -> reply | Error msg -> Protocol.error_response ?id msg
+  answer ?id attempt
 
 let handle_line t line =
-  match Json.of_string line with
+  match decode line with
   | Error msg -> Protocol.error_response ("malformed JSON: " ^ msg)
-  | Ok json -> (
-    let id =
-      match Json.member "id" json with
-      | Some (Json.Int _ | Json.String _) as id -> id
-      | Some _ | None -> None
-    in
-    match Json.member "op" json with
-    | Some (Json.String "add-task") -> handle_add t ~id json
-    | Some (Json.String "remove-task") -> handle_remove t ~id json
-    | Some (Json.String "query") -> handle_query t ~id
-    | Some (Json.String "what-if") -> handle_what_if t ~id json
-    | Some (Json.String op) ->
+  | Ok r -> (
+    let id = r.id in
+    match r.op with
+    | Some "add-task" -> handle_add t ~id r.task
+    | Some "remove-task" -> handle_remove t ~id r.name
+    | Some "query" -> handle_query t ~id
+    | Some "what-if" -> handle_what_if t ~id ~add:r.add ~drop:r.drop
+    | Some op ->
       Protocol.error_response ?id
         (Printf.sprintf "unknown op %S (known: add-task, remove-task, query, what-if)" op)
-    | Some _ | None -> Protocol.error_response ?id "\"op\": expected a string")
+    | None -> Protocol.error_response ?id "\"op\": expected a string")
 
-let handle_lines t lines = List.map (handle_line t) lines
+let handle_lines t lines = Array.map (handle_line t) lines
 
 let close t = Store.close t.store

@@ -9,6 +9,11 @@
        {"op":"query"}
        {"op":"what-if","add":[task…],"drop":["name"…]} v}
 
+    A line is read in one scan: a syntax error anywhere is its error,
+    and the first occurrence of a key counts.  A task is read as
+    [redf serve] reads one ({!Server.Protocol.read_task}), with a
+    non-empty [name] required.
+
     Replies are {!Server.Protocol} envelopes of kind ["admit"] (or
     ["error"]), carrying [op], [seq], [tasks] and the full verdict of
     the resulting (or hypothetical) taskset.
@@ -39,19 +44,16 @@ val create :
 
 val state : t -> State.t
 val store : t -> Store.t
-val analyzer : t -> Core.Analyzer.t
-val fpga_area : t -> int
 
 val handle_line : t -> string -> string
 (** One reply line per request line (no trailing newline).  May raise
     {!Faults.Crash} when fault injection is active. *)
 
-val handle_lines : t -> string list -> string list
+val handle_lines : t -> string array -> string array
+(** {!handle_line} over a batch, in order. *)
 
 val is_mutation : string -> bool
 (** Whether a raw request line is an [add-task]/[remove-task] — the
     loop gives mutations shedding headroom over [what-if]/[query]. *)
-
-val request_id : string -> Wire.Json.t option
 
 val close : t -> unit

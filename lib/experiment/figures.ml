@@ -38,17 +38,3 @@ let config ?samples ?seed ?sim_horizon figure =
   in
   let reachable = Model.Generator.max_reachable_us p in
   { base with Sweep.targets = List.filter (fun u -> u <= reachable *. 0.95) base.Sweep.targets }
-
-let expectations = function
-  | Fig3a ->
-    [
-      "all three tests are pessimistic compared to simulation";
-      "GN1 performs best among the tests for a small number of tasks";
-    ]
-  | Fig3b ->
-    [
-      "all three tests are pessimistic compared to simulation";
-      "DP performs best among the tests for a large number of tasks";
-    ]
-  | Fig4a -> [ "all three tests exhibit poor performance on spatially-heavy tasksets" ]
-  | Fig4b -> [ "GN1 performs best and DP worst on temporally-heavy tasksets" ]

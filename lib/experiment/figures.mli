@@ -17,7 +17,3 @@ val config : ?samples:int -> ?seed:int -> ?sim_horizon:Model.Time.t -> figure ->
 (** The sweep reproducing the figure; defaults from
     {!Sweep.default_config}.  Utilization points above the profile's
     reachable maximum are pruned. *)
-
-val expectations : figure -> string list
-(** The qualitative claims the paper draws from this figure (used by
-    EXPERIMENTS.md and the bench harness's self-check output). *)

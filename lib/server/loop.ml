@@ -203,10 +203,11 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
     List.iter
       (fun step ->
         match step with
+        (* a mutation rides until twice the bound; below the bound no
+           line is asked whether it is one *)
         | Eval line
-          when !inflight
-               >= (if service.is_mutation line then 2 * limits.max_inflight
-                   else limits.max_inflight) ->
+          when !inflight >= limits.max_inflight
+               && (!inflight >= 2 * limits.max_inflight || not (service.is_mutation line)) ->
           Obs.Counter.incr m_shed;
           Queue.add (Emit (service.shed_response line)) c.steps
         | Eval _ as step ->

@@ -100,7 +100,8 @@ type service = {
   is_mutation : string -> bool;
       (** Lines for which shedding is deferred to [2 * max_inflight]:
           under overload the admission daemon keeps accepting
-          mutations while read-only traffic is shed first. *)
+          mutations while read-only traffic is shed first.  Asked only
+          once [max_inflight] lines are in flight. *)
 }
 (** What the loop needs to know about the thing it serves — the
     analysis engine ([redf serve]) and the admission daemon

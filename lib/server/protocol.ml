@@ -27,27 +27,13 @@ let decimal_reason = function
   | Model.Time.Malformed _ -> not_decimal
   | Model.Time.Out_of_range -> out_of_range
 
-let time_value = function
-  | None -> Error "missing"
-  | Some (Json.String s) -> Result.map_error decimal_reason (Model.Time.decimal s)
-  | Some (Json.Int n) -> (
-    match Model.Time.of_units n with t -> Ok t | exception Invalid_argument _ -> Error out_of_range)
-  | Some _ -> Error not_time
+(* --- the task reader, shared with the admission daemon --- *)
 
-(* what the first occurrence of a key held: later occurrences are read
-   and dropped, as [Json.member] returns the first *)
-type 'a first = Absent | Bad of string | Got of 'a
-
-let absent = function Absent -> true | Bad _ | Got _ -> false
-
-let skip c why =
-  ignore (Json.value c);
-  Bad why
-
-(* the task object being read: one per request, reset per task, so
-   reading a field allocates nothing.  A time field's [why] is the
-   reason it is rejected, "" once its ticks are valid *)
-type task = {
+(* a task object being read at a cursor: one per request line, reset
+   per task, so reading a field allocates nothing.  A time field's
+   [why] is the reason it is rejected, "" once its ticks are valid *)
+type task_reader = {
+  c : Json.cursor;
   mutable seen : int;  (* bit [i] set at the first occurrence of key [i] of [task_keys] *)
   mutable name : string;
   mutable named : bool;  (* the first "name" was a string *)
@@ -57,15 +43,19 @@ type task = {
   mutable area_ok : bool;
 }
 
+let task_reader c =
+  let ticks = Array.make 3 0 and why = Array.make 3 "" in
+  { c; seen = 0; name = ""; named = false; ticks; why; area = 0; area_ok = false }
+
 let task_keys = [ "name"; "C"; "D"; "T"; "A" ]
-let request_keys = [ "analyzer"; "fpga_area"; "id"; "tasks" ]
 
 (* a key's index in [task_keys], -1 for any other; time field [f] is
    key [f + 1] *)
 let task_field = function "name" -> 0 | "C" -> 1 | "D" -> 2 | "T" -> 3 | "A" -> 4 | _ -> -1
 let time_key f = List.nth task_keys (f + 1)
 
-let read_time c tk f =
+let read_time tk f =
+  let c = tk.c in
   match Json.peek c with
   | '"' -> (
     match Model.Time.decimal (Json.string c) with
@@ -83,7 +73,8 @@ let read_time c tk f =
     ignore (Json.value c);
     tk.why.(f) <- not_time
 
-let read_task_member c tk key =
+let read_task_member tk key =
+  let c = tk.c in
   let f = task_field key in
   if f < 0 || tk.seen land (1 lsl f) <> 0 then ignore (Json.value c)
   else begin
@@ -101,27 +92,69 @@ let read_task_member c tk key =
         tk.area <- Json.int c;
         tk.area_ok <- true
       | _ -> ignore (Json.value c))
-    | f -> read_time c tk (f - 1)
-  end
+    | f -> read_time tk (f - 1)
+  end;
+  tk
 
-(* the checks of the tree decoder, in its order: C, D, T, A, then
-   [Task.make]'s *)
-let rec time_error tk ~task f =
+let read_task tk =
+  tk.seen <- 0;
+  tk.named <- false;
+  tk.area_ok <- false;
+  if Json.peek tk.c = '{' then ignore (Json.fold_members ~intern:task_keys tk.c read_task_member tk)
+  else ignore (Json.value tk.c)
+
+let task_name tk = if tk.named then Some tk.name else None
+
+type task_error = Field of string | Invalid of string
+
+(* C, D, T, A, then [Task.make]'s checks: the order of the tree decoder
+   (test/protocol_reference.ml) *)
+let rec time_error tk f =
   if f = 3 then None
-  else if tk.seen land (1 lsl (f + 1)) = 0 then Some (Printf.sprintf "task %d: %S: missing" task (time_key f))
-  else if tk.why.(f) <> "" then Some (Printf.sprintf "task %d: %S: %s" task (time_key f) tk.why.(f))
-  else time_error tk ~task (f + 1)
+  else
+    let why = if tk.seen land (1 lsl (f + 1)) = 0 then "missing" else tk.why.(f) in
+    if why = "" then time_error tk (f + 1) else Some (Field (Printf.sprintf "%S: %s" (time_key f) why))
 
-let task_error tk ~task =
-  match time_error tk ~task 0 with
+let exec tk = Model.Time.of_ticks tk.ticks.(0)
+let deadline tk = Model.Time.of_ticks tk.ticks.(1)
+let period tk = Model.Time.of_ticks tk.ticks.(2)
+
+let task_error tk =
+  match time_error tk 0 with
   | Some _ as e -> e
-  | None -> (
-    if not tk.area_ok then Some (Printf.sprintf "task %d: \"A\": expected an integer area" task)
-    else
-      let time f = Model.Time.of_ticks tk.ticks.(f) in
-      match Model.Task.invalid ~exec:(time 0) ~deadline:(time 1) ~period:(time 2) ~area:tk.area with
-      | Some msg -> Some (Printf.sprintf "task %d: %s" task msg)
-      | None -> None)
+  | None when not tk.area_ok -> Some (Field "\"A\": expected an integer area")
+  | None ->
+    Option.map
+      (fun msg -> Invalid msg)
+      (Model.Task.invalid ~exec:(exec tk) ~deadline:(deadline tk) ~period:(period tk) ~area:tk.area)
+
+let task tk ~name =
+  match task_error tk with
+  | Some e -> Error e
+  | None ->
+    Ok (Model.Task.make ~name ~exec:(exec tk) ~deadline:(deadline tk) ~period:(period tk) ~area:tk.area ())
+
+let read_id c =
+  match Json.peek c with
+  | '"' -> Some (Json.String (Json.string c))
+  | '-' | '0' .. '9' -> Some (Json.Int (Json.int c))
+  | _ ->
+    ignore (Json.value c);
+    None
+
+(* --- requests --- *)
+
+(* what the first occurrence of a key held: later occurrences are read
+   and dropped, as [Json.member] returns the first *)
+type 'a first = Absent | Bad of string | Got of 'a
+
+let absent = function Absent -> true | Bad _ | Got _ -> false
+
+let skip c why =
+  ignore (Json.value c);
+  Bad why
+
+let request_keys = [ "analyzer"; "fpga_area"; "id"; "tasks" ]
 
 (* the tasks read, newest first, as columns *)
 let columns rev =
@@ -141,33 +174,19 @@ let columns rev =
    then the fields are checked in the order the tree decoder checked
    them (test/protocol_reference.ml). *)
 let decode line =
-  let analyzer = ref Absent and fpga_area = ref Absent and tasks = ref Absent and id = ref Absent in
+  let analyzer = ref Absent and fpga_area = ref Absent and tasks = ref Absent in
+  let id = ref None and id_seen = ref false in
   let read = ref [] and n = ref 0 in
-  let tk =
-    {
-      seen = 0;
-      name = "";
-      named = false;
-      ticks = Array.make 3 0;
-      why = Array.make 3 "";
-      area = 0;
-      area_ok = false;
-    }
-  in
   (* the first rejected task stops the columns; the scan goes on *)
   let failed = ref None in
   let scan c =
-    let member () key = read_task_member c tk key in
+    let tk = task_reader c in
     let read_task () =
-      tk.seen <- 0;
-      tk.named <- false;
-      tk.area_ok <- false;
-      if Json.peek c = '{' then Json.fold_members ~intern:task_keys c member ()
-      else ignore (Json.value c);
+      read_task tk;
       if Option.is_none !failed then begin
         incr n;
-        match task_error tk ~task:!n with
-        | Some _ as e -> failed := e
+        match task_error tk with
+        | Some (Field why | Invalid why) -> failed := Some (Printf.sprintf "task %d: %s" !n why)
         | None ->
           let name = if tk.named then tk.name else Printf.sprintf "t%d" !n in
           read := (name, tk.ticks.(0), tk.ticks.(1), tk.ticks.(2), tk.area) :: !read
@@ -182,15 +201,13 @@ let decode line =
           (match Json.peek c with
            | '-' | '0' .. '9' -> Got (Json.int c)
            | _ -> skip c "expected an integer")
-      | "id" when absent !id ->
-        id :=
-          (match Json.peek c with
-           | '"' -> Got (Json.String (Json.string c))
-           | '-' | '0' .. '9' -> Got (Json.Int (Json.int c))
-           | _ -> skip c "")
+      | "id" when not !id_seen ->
+        id_seen := true;
+        id := read_id c
       | "tasks" when absent !tasks ->
         tasks :=
-          if Json.peek c = '[' then Got (Json.fold_items c read_task ()) else skip c "expected an array"
+          if Json.peek c = '[' then Got (Json.fold_items c read_task ())
+          else skip c "expected an array"
       | _ -> ignore (Json.value c)
     in
     if Json.peek c = '{' then begin
@@ -206,7 +223,7 @@ let decode line =
   | Error msg -> Error (None, "malformed JSON: " ^ msg)
   | Ok false -> Error (None, "request must be a JSON object")
   | Ok true ->
-    let id = match !id with Got v -> Some v | Absent | Bad _ -> None in
+    let id = !id in
     let field key = function
       | Got v -> Ok v
       | Absent -> Error (Printf.sprintf "%S: missing" key)
@@ -289,13 +306,8 @@ let response (req : request) verdict =
 
 let error_response ?id msg = envelope ?id "error" [ ("error", Json.String msg) ]
 
-let request_id line =
-  match Json.of_string line with
-  | Error _ -> None
-  | Ok json -> (
-    match Json.member "id" json with
-    | Some (Json.Int _ | Json.String _) as id -> id
-    | Some _ | None -> None)
+(* a well-formed object's id comes back with its verdict or its error *)
+let request_id line = match decode line with Ok { id; _ } | Error (id, _) -> id
 
 let shed_message = "server overloaded: request shed"
 let shed_response line = error_response ?id:(request_id line) shed_message

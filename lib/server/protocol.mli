@@ -56,11 +56,33 @@ val decode : string -> (decoded, Wire.Json.t option * string) result
 val parse : string -> (request, Wire.Json.t option * string) result
 (** {!decode}, with the tasks as a {!Model.Taskset.t}. *)
 
-val time_value : Wire.Json.t option -> (Model.Time.t, string) result
-(** One task's [C], [D] or [T] field: a decimal string
-    ({!Model.Time.decimal}) or whole time units.  The error is the
-    reason alone (["missing"], ["out of range"], …); callers prefix
-    the task and field. *)
+(** {2 The task and id reader}
+
+    {!decode} reads tasks and ids with these, and so does the admission
+    daemon: one definition of a task and of why it is malformed. *)
+
+type task_reader
+(** Task objects at a {!Wire.Json.cursor}, one reader per line. *)
+
+val task_reader : Wire.Json.cursor -> task_reader
+
+val read_task : task_reader -> unit
+(** Read the next value as a task object: the first [name], [C], [D],
+    [T] and [A] count; any other value reads as an empty object. *)
+
+val task_name : task_reader -> string option
+(** The task's [name], when it was a string. *)
+
+type task_error =
+  | Field of string  (** a field and its reason: ["\"C\": missing"] *)
+  | Invalid of string  (** {!Model.Task.make}'s message *)
+
+val task : task_reader -> name:string -> (Model.Task.t, task_error) result
+(** The task read, or its first fault: [C], [D], [T] (a decimal string
+    or whole units), [A] (an integer), then {!Model.Task.make}'s rules. *)
+
+val read_id : Wire.Json.cursor -> Wire.Json.t option
+(** Read the next value as an [id]: an integer or a string, else [None]. *)
 
 val verdict_line :
   ?id:Wire.Json.t -> analyzer:Core.Analyzer.t -> fpga_area:int -> Core.Verdict.Rendered.t -> string
@@ -83,8 +105,8 @@ val error_response : ?id:Wire.Json.t -> string -> string
 
 val request_id : string -> Wire.Json.t option
 (** Best-effort [id] recovery from a raw request line (well-formed JSON
-    object with an [Int]/[String] [id]) — lets a response be correlated
-    without fully parsing the request. *)
+    object whose first [id] is an [Int]/[String]) — lets a response be
+    correlated without decoding the request. *)
 
 val shed_response : string -> string
 (** The load-shedding error line for a request the server refused to

@@ -5,8 +5,8 @@
    daemon's verdict byte-identity against a from-scratch analyzer run,
    request-id dedup, a cold replay of a 10^4-record journal, a small
    in-process chaos run, and random and byte-mutated lines, none of
-   which may raise, answer other than one line, or journal a
-   rejection. *)
+   which may raise, answer other than one line, journal a rejection,
+   or answer other bytes than test/admit_reference.ml. *)
 
 open Core_helpers
 
@@ -435,35 +435,84 @@ let daemon_replays_long_journal () =
 
 (* admit lines as a client spells them (names from a small pool, so
    removes, duplicates and what-if drops meet admitted tasks; ids from
-   a small pool, so retries meet stored replies), then mutated like the
-   service's request lines *)
+   a small pool, so retries meet stored replies), with their members
+   in any order, some keys repeated, tasks and drop elements of the
+   wrong kind, then mutated like the service's request lines *)
 let admit_lines =
   let open QCheck2.Gen in
   let name = oneofl [ "a"; "b"; "c"; "d"; ""; "q\"\\" ] in
-  let time = oneofl [ {|"1.26"|}; {|"0.5"|}; "7"; "5"; {|"12"|}; {|"0"|}; {|"x"|}; "-3" ] in
-  let task =
-    map3
-      (fun n (c, d, t) a -> Printf.sprintf {|{"name":"%s","C":%s,"D":%s,"T":%s,"A":%d}|} n c d t a)
-      name (triple time time time) (int_range 0 120)
-  in
-  let id = oneofl [ ""; {|"id":1,|}; {|"id":"r\"2",|}; {|"id":3,|}; {|"id":null,|}; {|"id":[4],|} ] in
-  let names = map (fun l -> String.concat "," (List.map (Printf.sprintf {|"%s"|}) l)) (list_size (int_range 0 2) name) in
-  let line =
-    oneof
+  let quoted = map (fun n -> Wire.Json.to_string (Wire.Json.String n)) name in
+  let time =
+    frequency
       [
-        map3 (fun id op t -> Printf.sprintf {|{%s"op":"%s","task":%s}|} id op t) id (oneofl [ "add-task"; "remove-task" ]) task;
-        map2 (fun id n -> Printf.sprintf {|{%s"op":"remove-task","name":"%s"}|} id n) id name;
-        map (fun id -> Printf.sprintf {|{%s"op":"query"}|} id) id;
-        map3
-          (fun id adds drops -> Printf.sprintf {|{%s"op":"what-if","add":[%s],"drop":[%s]}|} id (String.concat "," adds) drops)
-          id (list_size (int_range 0 2) task) names;
-        map (fun id -> Printf.sprintf {|{%s"op":"nope"}|} id) id;
+        (6, oneofl [ {|"1.26"|}; {|"0.5"|}; "7"; "5"; {|"12"|}; "1" ]);
+        (1, oneofl [ {|"0"|}; {|"x"|}; "-3"; {|"0.0001"|}; "null" ]);
       ]
   in
-  frequency [ (2, line); (3, line >>= Wire_gen.mutate); (1, string_size ~gen:char (int_range 0 40)) ]
+  let task =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun n (c, d, t) a ->
+              Printf.sprintf {|{"name":%s,"C":%s,"D":%s,"T":%s,"A":%d}|} n c d t a)
+            quoted (triple time time time)
+            (frequency [ (6, int_range 1 40); (1, int_range (-1) 120) ]) );
+        (1, oneofl [ "null"; "7"; {|"a"|}; "[]"; "{}" ]);
+      ]
+  in
+  let array item =
+    map (fun l -> "[" ^ String.concat "," l ^ "]") (list_size (int_range 0 2) item)
+  in
+  let value = function
+    | "op" ->
+      oneofl [ {|"add-task"|}; {|"remove-task"|}; {|"query"|}; {|"what-if"|}; {|"nope"|}; "1" ]
+    | "id" -> oneofl [ "1"; {|"r\"2"|}; "3"; "null"; "[4]" ]
+    | "task" -> task
+    | "name" -> frequency [ (4, quoted); (1, oneofl [ "null"; "[]" ]) ]
+    | "add" -> frequency [ (4, array task); (1, oneofl [ "{}"; {|"a"|} ]) ]
+    | _ (* drop *) ->
+      let element = frequency [ (4, quoted); (1, oneofl [ "1"; "null"; {|["a"]|} ]) ] in
+      frequency [ (4, array element); (1, return "7") ]
+  in
+  let member key = map (fun v -> Printf.sprintf {|"%s":%s|} key v) (value key) in
+  let op o = return (Printf.sprintf {|"op":"%s"|} o) in
+  let body =
+    oneof
+      [
+        flatten_l [ oneof [ op "add-task"; op "remove-task" ]; member "task" ];
+        flatten_l [ op "remove-task"; member "name" ];
+        flatten_l [ op "query" ];
+        flatten_l [ op "what-if"; member "add"; member "drop" ];
+        flatten_l [ op "what-if"; oneof [ member "add"; member "drop" ] ];
+        flatten_l [ op "nope" ];
+      ]
+  in
+  let repeated =
+    list_size
+      (frequency [ (3, return 0); (1, int_range 1 2) ])
+      (oneofl [ "op"; "id"; "task"; "name"; "add"; "drop" ] >>= member)
+  in
+  let line =
+    let* body = body and* id = opt ~ratio:0.8 (member "id") and* repeated = repeated in
+    let* members = shuffle_l (body @ Option.to_list id @ repeated) in
+    return ("{" ^ String.concat "," members ^ "}")
+  in
+  frequency
+    [ (4, line); (2, line >>= Wire_gen.mutate); (1, string_size ~gen:char (int_range 0 40)) ]
 
+(* the daemon and [Admit_reference], the tree-decoding handler it
+   replaced, each from an empty state over the same lines: the same
+   bytes for every line, and the same mutation verdict *)
 let admit_fuzz () =
   with_daemon "fuzz" (fun _dir d ->
+      let reference =
+        let dir = temp_dir "fuzz-reference" in
+        match Admit_reference.create ~analyzer ~fpga_area:100 ~dir () with
+        | Ok (r, _) -> r
+        | Error msg -> Alcotest.failf "reference create: %s" msg
+      in
+      Fun.protect ~finally:(fun () -> Admit_reference.close reference) @@ fun () ->
       let journal () = Admit.Store.journal_bytes (Admit.Daemon.store d) in
       let seq () = Admit.State.seq (Admit.Daemon.state d) in
       let rejected reply =
@@ -474,7 +523,7 @@ let admit_fuzz () =
         | Error _ -> false
       in
       QCheck2.Test.check_exn
-        (QCheck2.Test.make ~count:1500 ~name:"admit handle_line on hostile lines"
+        (QCheck2.Test.make ~count:2000 ~name:"admit handle_line on hostile lines"
            ~print:(Printf.sprintf "%S") admit_lines (fun line ->
              let bytes = journal () and seq0 = seq () in
              match Admit.Daemon.handle_line d line with
@@ -484,6 +533,12 @@ let admit_fuzz () =
                (match Wire.Json.of_string reply with
                 | Ok (Wire.Json.Obj _) -> ()
                 | Ok _ | Error _ -> QCheck2.Test.fail_reportf "reply is not a JSON object: %S" reply);
+               let want = Admit_reference.handle_line reference line in
+               if not (String.equal reply want) then
+                 QCheck2.Test.fail_reportf "reply differs from the reference:\n  got  %s\n  want %s"
+                   reply want;
+               if Admit.Daemon.is_mutation line <> Admit_reference.is_mutation line then
+                 QCheck2.Test.fail_report "is_mutation differs from the reference";
                (not (rejected reply)) || (journal () = bytes && seq () = seq0))))
 
 let chaos_smoke () =

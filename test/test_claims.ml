@@ -1,7 +1,7 @@
 (* The paper's Section 6 claims, asserted on the committed figure
    series.  CI regenerates results/fig{3a,3b,4a,4b}.csv byte for byte
    with [redf sweep]; this test reads them and holds each claim with
-   the margins bench/figures.ml's [check_claims] prints: a method's
+   the margins the bench harness used to print them with: a method's
    score is its mean acceptance over the utilization points that drew
    at least one taskset. *)
 

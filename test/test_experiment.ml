@@ -85,7 +85,6 @@ let figures_configs () =
       check_bool "has targets" true (cfg.Experiment.Sweep.targets <> []);
       check_bool "valid profile" true
         (Model.Generator.validate cfg.Experiment.Sweep.profile = Ok ());
-      check_bool "has expectations" true (Experiment.Figures.expectations figure <> []);
       check_bool "id well-formed" true (String.length (Experiment.Figures.id figure) = 5))
     Experiment.Figures.all
 

@@ -173,6 +173,99 @@ let same_everywhere () =
       check "admit what-if" (what_if c) want)
     cases
 
+(* A task object with one fault: a time field missing, not a decimal,
+   out of range or not a time; an area that is not an integer; or
+   parameters [Task.make] refuses.  With its name, which the daemon
+   puts in a [Task.make] error. *)
+let malformed_task_gen =
+  let open QCheck2.Gen in
+  let time_fault =
+    oneofl
+      [
+        None;
+        Some {|"1.2345"|};
+        Some {|"x"|};
+        Some {|""|};
+        Some {|"1e3"|};
+        Some {|"99999999999999999"|};
+        Some "9223372036854775";
+        Some "null";
+        Some "true";
+        Some "[7]";
+      ]
+  in
+  let area_fault = oneofl [ None; Some {|"3"|}; Some "null"; Some "[3]"; Some "false" ] in
+  let make_fault =
+    oneofl
+      [
+        ("C", Some "0");
+        ("C", Some {|"-0.5"|});
+        ("D", Some {|"0"|});
+        ("D", Some "-7");
+        ("T", Some "0");
+        ("T", Some {|"-0.001"|});
+        ("A", Some "0");
+        ("A", Some "-2");
+      ]
+  in
+  let* fault =
+    oneof
+      [
+        pair (oneofl [ "C"; "D"; "T" ]) time_fault;
+        map (fun v -> ("A", v)) area_fault;
+        make_fault;
+      ]
+  and* name = oneofl [ "n"; "tau1"; "q\"\\" ] in
+  let field (key, value) =
+    let value = if key = fst fault then snd fault else Some value in
+    Option.map (Printf.sprintf "%S:%s" key) value
+  in
+  let fields =
+    List.filter_map field [ ("C", {|"1.5"|}); ("D", "7"); ("T", {|"7"|}); ("A", "3") ]
+  in
+  let name_field = Printf.sprintf {|"name":%s|} (Json.to_string (Json.String name)) in
+  return (name, "{" ^ String.concat "," (name_field :: fields) ^ "}")
+
+(* the error message of a reply, with [prefix] removed *)
+let reason ~prefixes reply =
+  match Json.of_string reply with
+  | Ok json -> (
+    match Json.member "error" json with
+    | Some (Json.String msg) -> (
+      match List.find_opt (fun p -> String.starts_with ~prefix:p msg) prefixes with
+      | Some p -> String.sub msg (String.length p) (String.length msg - String.length p)
+      | None -> Alcotest.failf "%S has none of the prefixes %s" msg (String.concat ", " prefixes))
+    | _ -> Alcotest.failf "not an error: %s" reply)
+  | Error e -> Alcotest.failf "unreadable reply (%s): %s" e reply
+
+let one_reason () =
+  let cases = QCheck2.Gen.generate ~rand:(Random.State.make [| 22 |]) ~n:200 malformed_task_gen in
+  let dp = match Core.Analyzer.of_name "DP" with Ok a -> a | Error e -> failwith e in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  match Admit.Daemon.create ~analyzer:dp ~fpga_area:10 ~dir () with
+  | Error e -> Alcotest.failf "daemon: %s" e
+  | Ok (d, _) ->
+    Fun.protect ~finally:(fun () -> Admit.Daemon.close d) @@ fun () ->
+    Server.Engine.with_engine ~jobs:1 @@ fun engine ->
+    List.iter
+      (fun (name, task) ->
+        let served =
+          (Server.Engine.handle_lines engine
+             [| Printf.sprintf {|{"analyzer":"DP","fpga_area":10,"tasks":[%s]}|} task |]).(0)
+        in
+        let admitted =
+          Admit.Daemon.handle_line d (Printf.sprintf {|{"op":"add-task","task":%s}|} task)
+        in
+        let want = reason ~prefixes:[ "task 1: " ] served in
+        let got = reason ~prefixes:[ "task: "; Printf.sprintf "task %S: " name ] admitted in
+        if want = "" || not (String.equal got want) then
+          Alcotest.failf "task %s:\n  serve  %s\n  admit  %s" task served admitted)
+      cases
+
 let () =
   Alcotest.run "frontends"
-    [ ("verdicts", [ Alcotest.test_case "one verdict, every front end" `Quick same_everywhere ]) ]
+    [
+      ("verdicts", [ Alcotest.test_case "one verdict, every front end" `Quick same_everywhere ]);
+      ("tasks", [ Alcotest.test_case "one reason for a malformed task" `Quick one_reason ]);
+    ]

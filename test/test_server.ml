@@ -950,6 +950,43 @@ let dead_connection_returns_inflight_budget () =
         "a later client gets the whole budget" [ "done:x"; "done:y" ]
         (Array.to_list (roundtrip ~addr:(Unix.ADDR_UNIX path) [| "x"; "y" |])))
 
+let is_mutation_only_at_threshold () =
+  (* below max_inflight a line is admitted whatever it is, so the
+     service is not asked whether it is a mutation (the admission
+     daemon would decode the line for it); at the bound every line is *)
+  let run max_inflight =
+    let calls = ref 0 in
+    let service =
+      {
+        Server.Loop.handle_lines = Array.map (fun l -> "done:" ^ l);
+        stop_requested = (fun () -> false);
+        shed_response = (fun l -> "shed:" ^ l);
+        is_mutation =
+          (fun _ ->
+            incr calls;
+            false);
+      }
+    in
+    let limits = { Server.Loop.default_limits with Server.Loop.max_inflight } in
+    let r_in, w_in = Unix.pipe ~cloexec:true () in
+    let r_out, w_out = Unix.pipe ~cloexec:true () in
+    (* one write, so one read: the three lines are enqueued together *)
+    write_all w_in "a\nb\nc\n";
+    Unix.close w_in;
+    Server.Loop.serve_service service ~limits
+      [ Server.Loop.stdio_listener ~input:r_in ~output:w_out ];
+    Unix.close w_out;
+    let answered = read_all r_out in
+    List.iter Unix.close [ r_in; r_out ];
+    (!calls, answered)
+  in
+  let calls, answered = run 4 in
+  check_int "no is_mutation call below the bound" 0 calls;
+  check_str "all admitted" "done:a\ndone:b\ndone:c\n" answered;
+  let calls, answered = run 1 in
+  check_int "one is_mutation call per line at the bound" 2 calls;
+  check_str "the rest shed" "done:a\nshed:b\nshed:c\n" answered
+
 exception Service_down
 
 let service_exception_ends_loop () =
@@ -1051,6 +1088,7 @@ let () =
             idle_timeout_closes_idle_connection;
           Alcotest.test_case "retry client resumes suffix" `Quick retry_client_resumes_suffix;
           Alcotest.test_case "mutation shed deferred" `Quick mutation_shed_deferred;
+          Alcotest.test_case "is_mutation only at the bound" `Quick is_mutation_only_at_threshold;
           Alcotest.test_case "dead connection returns in-flight budget" `Quick
             dead_connection_returns_inflight_budget;
           Alcotest.test_case "service exception ends the loop" `Quick service_exception_ends_loop;
