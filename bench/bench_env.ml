@@ -1,10 +1,6 @@
-(* Environment knobs for the benchmark harness.
-
-   The paper averages >= 10000 tasksets per utilization point; that takes
-   hours with five methods per point, so the default here is a faithful
-   but smaller run: 500, the setting the committed results/fig*.csv were
-   made with ([redf sweep --samples 500]).  Set REDF_SAMPLES=10000 to
-   run at paper scale. *)
+(* Environment knobs for the benchmark harness; bench/main.ml lists
+   them.  A missing, malformed or non-positive value falls back to the
+   default. *)
 
 let int_env name default =
   match Sys.getenv_opt name with
@@ -12,19 +8,6 @@ let int_env name default =
   | None -> default
 
 let samples = int_env "REDF_SAMPLES" 500
-
-(* worker domains for the parallelised passes; 0 means one per core.
-   A malformed value stops the harness the way it stops the CLI. *)
-let jobs =
-  match Parallel.jobs_of_env () with
-  | Ok n -> Parallel.resolve_jobs n
-  | Error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
-(* simulation horizon in time units; the paper simulates "to the
-   hyper-period", which is astronomically large for random periods, so
-   any practical run truncates (see EXPERIMENTS.md) *)
-let horizon = Model.Time.of_units (int_env "REDF_HORIZON" 500)
 let seed = int_env "REDF_SEED" 42
 let skip_micro = Sys.getenv_opt "REDF_SKIP_MICRO" <> None
 

@@ -77,22 +77,4 @@ let () =
          | Sim.Engine.Miss m ->
            Printf.sprintf "miss at t=%s" (Model.Time.to_string m.Sim.Engine.at))
         r.Sim.Engine.stats.Sim.Engine.preemptions)
-    policies;
-
-  (* What would a reconfiguration overhead of 0.1 ms per column do to the
-     wideband certification? *)
-  Format.printf "@.wideband admission with reconfiguration overhead folded into C:@.";
-  List.iter
-    (fun (label, model) ->
-      let ok =
-        match Fpga.Overhead.inflate_taskset model wideband with
-        | None -> false
-        | Some ts -> Core.Composite.edf_nf_any ~fpga_area ts
-      in
-      Format.printf "  overhead %-14s admission %s@." label (if ok then "GRANTED" else "DENIED"))
-    [
-      ("zero", Fpga.Overhead.Zero);
-      ("0.005/column", Fpga.Overhead.Per_column (Model.Time.of_ticks 5));
-      ("0.02/column", Fpga.Overhead.Per_column (Model.Time.of_ticks 20));
-      ("0.1/column", Fpga.Overhead.Per_column (Model.Time.of_ticks 100));
-    ]
+    policies

@@ -128,8 +128,6 @@ let ordered_types =
     ("Obs.Snapshot.entry", "entries order by the canonical key sort; compare fields explicitly");
     ("Sim.Engine.outcome", "match on No_miss/Miss instead of structural equality");
     ("Sim.Engine.miss", "compare task_index/at fields monomorphically");
-    ("Sim2d.Engine2d.outcome", "match on the constructor instead of structural equality");
-    ("Sim2d.Engine2d.miss", "compare fields monomorphically");
   ]
 
 (* the polymorphic functions whose instantiation we inspect *)

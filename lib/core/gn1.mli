@@ -10,7 +10,9 @@
     {v beta_i = (N_i C_i + min(C_i, max(D_k - N_i T_i, 0))) / D_i
        N_i    = max(0, floor((D_k - D_i)/T_i) + 1) v}
 
-    and the taskset is accepted iff for every [k]
+    (the paper's Table 3 example divides by [D_i] too, where BCL divides
+    by [D_k]; DESIGN.md section 2), and the taskset is accepted iff for
+    every [k]
 
     {v sum_{i<>k} A_i min(beta_i, 1 - C_k/D_k)
          <  (A(H) - A_k + 1)(1 - C_k/D_k) v}

@@ -3,13 +3,15 @@
     Section 1 observes that global scheduling on [m] identical processors
     is the special case of 1-D FPGA scheduling where every task has width
     1 and [A(H) = m]; under that reduction EDF-FkF and EDF-NF coincide
-    with global EDF, DP specialises to Goossens/Funk/Baruah's GFB bound,
-    GN1 to Bertogna/Cirinei/Lipari's BCL, and GN2 to Baker's BAK2.  This
-    module exposes those multiprocessor tests both through the reduction
-    (reusing the FPGA implementations) and, for GFB, as the direct
-    textbook formula — the equality of the two is checked by the test
-    suite, which cross-validates the FPGA code against 20 years of
-    multiprocessor literature. *)
+    with global EDF, and DP specialises to Goossens/Funk/Baruah's GFB
+    bound.  GN1 keeps Bertogna/Cirinei/Lipari's BCL bound and workload,
+    but divides task [i]'s workload in task [k]'s window by [D_i] where
+    BCL divides by [D_k] (the paper's Table 3 example does the same), so
+    it is BCL only when all deadlines are equal (DESIGN.md section 2).
+    GN2 follows Baker's BAK2.  This module exposes these tests through
+    the reduction (reusing the FPGA implementations) and, for GFB, as the
+    direct textbook formula.  The test suite checks GFB against DP and
+    [bcl]'s left-hand sides against a textbook BCL. *)
 
 val width_one : Model.Taskset.t -> bool
 (** All task areas equal 1. *)
@@ -23,7 +25,8 @@ val gfb : m:int -> Model.Taskset.t -> Verdict.t
 (** DP under the width-1 reduction. *)
 
 val bcl : m:int -> Model.Taskset.t -> Verdict.t
-(** GN1 under the width-1 reduction. *)
+(** GN1 under the width-1 reduction: BCL's verdict whenever all
+    deadlines are equal. *)
 
 val bak2 : m:int -> Model.Taskset.t -> Verdict.t
 (** GN2 under the width-1 reduction. *)

@@ -1,7 +1,6 @@
 type t = {
   cache : Cache.Verdicts.rendered;
   pool : Parallel.Pool.t;
-  stop : bool Atomic.t;
 }
 
 (* request/error totals are functions of the input stream alone;
@@ -15,7 +14,6 @@ let create ?(cache_size = 4096) ?(shards = 8) ~jobs () =
   {
     cache = Cache.Verdicts.create_rendered ~shards ~capacity:cache_size ();
     pool = Parallel.Pool.create ~jobs:(Parallel.resolve_jobs jobs);
-    stop = Atomic.make false;
   }
 
 let shutdown t = Parallel.Pool.shutdown t.pool
@@ -25,8 +23,6 @@ let with_engine ?cache_size ?shards ~jobs f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let cache_stats t = Cache.Verdicts.stats t.cache
-let request_stop t = Atomic.set t.stop true
-let stop_requested t = Atomic.get t.stop
 
 (* The response lines of requests sharing analyzer and device area,
    decided as one batch through the cache.  A batch that raises is

@@ -44,10 +44,6 @@ val with_engine : ?cache_size:int -> ?shards:int -> jobs:int -> (t -> 'a) -> 'a
 
 val cache_stats : t -> Cache.Lru.stats
 
-val request_stop : t -> unit
-val stop_requested : t -> bool
-(** The engine's stop flag, which {!Loop.serve} polls once per tick. *)
-
 val handle_line : t -> string -> string
 (** One request line to one response line (no newline): {!handle_lines}
     on a one-line batch.  Never raises. *)

@@ -105,14 +105,6 @@ type service = {
          traffic is shed first *)
 }
 
-let engine_service engine =
-  {
-    handle_lines = (fun lines -> Engine.handle_lines engine lines);
-    stop_requested = (fun () -> Engine.stop_requested engine);
-    shed_response = Protocol.shed_response;
-    is_mutation = (fun _ -> false);
-  }
-
 (* --- connections --- *)
 
 type conn = {
@@ -407,6 +399,3 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
     let bt = Printexc.get_raw_backtrace () in
     close_all ();
     Printexc.raise_with_backtrace e bt
-
-let serve engine ?timeout ?idle_timeout ?limits listeners =
-  serve_service (engine_service engine) ?timeout ?idle_timeout ?limits listeners

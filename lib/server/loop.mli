@@ -15,12 +15,12 @@
     one [handle_lines] batch, stitching the responses back per
     connection in arrival order.
 
-    Determinism contract: per connection, the response bytes equal
-    {!Engine.handle_lines} (or the service's [handle_lines]) over that
-    connection's request lines, with each dropped line's error line in
-    its place — batching across connections changes wall-clock only,
-    never bytes.  (test_server.ml's concurrent-clients test checks
-    exactly this, over a Unix socket and over TCP.)
+    Determinism contract: per connection, the response bytes equal the
+    service's [handle_lines] over that connection's request lines, with
+    each dropped line's error line in its place — batching across
+    connections changes wall-clock only, never bytes.  (test_server.ml's
+    concurrent-clients test checks exactly this, over a Unix socket and
+    over TCP.)
 
     Backpressure and load shedding:
     - a connection whose pending-step queue reaches [max_pending], or
@@ -77,7 +77,7 @@ val stdio_listener : input:Unix.file_descr -> output:Unix.file_descr -> listener
 val unix_listener : path:string -> listener
 (** Bind and listen on a Unix-domain socket.  A stale socket file at
     [path] is replaced; any other kind of file is an error.  The socket
-    file is removed when {!serve} returns.
+    file is removed when {!serve_service} returns.
     @raise Unix.Unix_error / Failure on bind/listen problems. *)
 
 val tcp_listener : host:string -> port:int -> listener
@@ -126,7 +126,3 @@ val serve_service :
     limit (granularity: one loop tick, up to 0.5 s).  SIGPIPE is
     ignored for the process: a client that vanishes mid-write costs its
     connection, never the loop. *)
-
-val serve : Engine.t -> ?timeout:float -> ?idle_timeout:float -> ?limits:limits -> listener list -> unit
-(** {!serve_service} over the engine: [Engine.handle_lines] answers,
-    [Engine.stop_requested] stops, and nothing counts as a mutation. *)

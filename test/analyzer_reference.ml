@@ -8,7 +8,11 @@
    [Gn2.decide_exhaustive] evaluates every lambda candidate, and
    [Gn2.decide_cols] is the per-k event sweep over the exact-rational
    columnar view [Cols].  They count [core.gn2.lambda_evals] like the
-   code they were. *)
+   code they were.
+
+   [Bcl] is not lib code: it is the multiprocessor test GN1 generalizes,
+   written from its paper, to pin GN1's width-1 reduction against
+   (test_analysis.ml). *)
 
 open Core
 
@@ -190,6 +194,43 @@ module Gn1 = struct
     let qs = Params.of_taskset ts in
     check_indices qs ~k ~i;
     beta_q qs ~k ~i
+end
+
+(* Bertogna, Cirinei and Lipari's test for global EDF on m identical
+   processors ("Improved schedulability analysis of EDF on
+   multiprocessor platforms", ECRTS 2005), for constrained deadlines
+   (C <= D <= T).  Task i does at most
+
+     W_i(D_k) = N_i C_i + min(C_i, max(0, D_k - N_i T_i)),
+     N_i = floor((D_k - D_i)/T_i) + 1,
+
+   work in task k's window of length D_k: N_i jobs with their
+   deadlines inside it and one carried-in job.  The set is accepted
+   iff for every k
+
+     sum_{i<>k} min(W_i(D_k)/D_k, 1 - C_k/D_k) < m (1 - C_k/D_k). *)
+module Bcl = struct
+  let workload qs ~k ~i =
+    let qi = qs.(i) and qk = qs.(k) in
+    let open Rat.Infix in
+    let n =
+      Rat.of_bignum (Bignum.succ (Rat.floor ((qk.Params.d - qi.Params.d) / qi.Params.t)))
+    in
+    (n * qi.Params.c) + Rat.min qi.Params.c (Rat.max Rat.zero (qk.Params.d - (n * qi.Params.t)))
+
+  let accepts ~m ts =
+    let qs = Params.of_taskset ts in
+    let n = Array.length qs in
+    List.for_all
+      (fun k ->
+        let slack = Rat.sub Rat.one (Params.density qs.(k)) in
+        let lhs = ref Rat.zero in
+        for i = 0 to n - 1 do
+          if i <> k then
+            lhs := Rat.add !lhs (Rat.min (Rat.div (workload qs ~k ~i) qs.(k).Params.d) slack)
+        done;
+        Rat.compare !lhs (Rat.mul (Rat.of_int m) slack) < 0)
+      (List.init n Fun.id)
 end
 
 module Gn2 = struct

@@ -14,6 +14,29 @@ let check_bignum msg expected actual = Alcotest.check bignum_testable msg expect
 let time_testable = Alcotest.testable Model.Time.pp Model.Time.equal
 let check_time msg expected actual = Alcotest.check time_testable msg expected actual
 
+(* [rm -r path] *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f dir] on a new empty directory [redf-test-TAG-PID-N] under the
+   system temp dir, removed with everything in it when [f] returns or
+   raises *)
+let temp_dirs_made = ref 0
+
+let with_temp_dir tag f =
+  incr temp_dirs_made;
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "redf-test-%s-%d-%d" tag (Unix.getpid ()) !temp_dirs_made)
+  in
+  if Sys.file_exists dir then remove_tree dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
 (* qcheck -> alcotest bridge with a fixed test count *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

@@ -16,19 +16,6 @@ let check_str = Alcotest.(check string)
 
 let ( // ) = Filename.concat
 
-let temp_dir =
-  let counter = ref 0 in
-  fun tag ->
-    incr counter;
-    let dir =
-      Filename.get_temp_dir_name ()
-      // Printf.sprintf "redf-test-admit-%s-%d-%d" tag (Unix.getpid ()) !counter
-    in
-    if Sys.file_exists dir then
-      Array.iter (fun f -> Sys.remove (dir // f)) (Sys.readdir dir)
-    else Unix.mkdir dir 0o755;
-    dir
-
 let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
@@ -92,7 +79,7 @@ let journal_bytes payloads =
   Admit.Journal.header ^ String.concat "" (List.map Admit.Journal.frame payloads)
 
 let truncation_policy_exhaustive () =
-  let dir = temp_dir "trunc" in
+  with_temp_dir "trunc" @@ fun dir ->
   let path = dir // "journal.wal" in
   let payloads = [ "alpha"; ""; "a longer third record with more bytes in it"; "tail" ] in
   let full = journal_bytes payloads in
@@ -131,7 +118,7 @@ let truncation_policy_random =
   qtest ~count:60 "random journals truncate cleanly at every byte"
     QCheck2.Gen.(list_size (int_range 1 5) (string_size (int_range 0 24)))
     (fun payloads ->
-      let dir = temp_dir "qtrunc" in
+      with_temp_dir "qtrunc" @@ fun dir ->
       let path = dir // "journal.wal" in
       let full = journal_bytes payloads in
       let n = List.length payloads in
@@ -162,7 +149,7 @@ let truncation_policy_random =
       !ok)
 
 let corrupt_interior_rejected () =
-  let dir = temp_dir "corrupt" in
+  with_temp_dir "corrupt" @@ fun dir ->
   let path = dir // "journal.wal" in
   let payloads = [ "first-record"; "second-record"; "third-record" ] in
   let full = journal_bytes payloads in
@@ -271,7 +258,7 @@ let codec_roundtrips () =
 (* --- store: commit / rotate / recover --- *)
 
 let store_recovers_after_rotation () =
-  let dir = temp_dir "store" in
+  with_temp_dir "store" @@ fun dir ->
   let reopen () =
     match Admit.Store.open_dir ~snapshot_every:3 ~dir () with
     | Ok (st, recovery) -> (st, recovery)
@@ -331,7 +318,7 @@ let field reply name =
   | Error msg -> Alcotest.failf "reply is not JSON (%s): %s" msg reply
 
 let with_daemon ?snapshot_every tag f =
-  let dir = temp_dir tag in
+  with_temp_dir tag @@ fun dir ->
   match Admit.Daemon.create ?snapshot_every ~analyzer ~fpga_area:100 ~dir () with
   | Error msg -> Alcotest.failf "daemon create: %s" msg
   | Ok (d, _) ->
@@ -379,7 +366,7 @@ let daemon_verdict_byte_identity () =
       check_int "rejection not journaled" seq_before (Admit.State.seq (Admit.Daemon.state d)))
 
 let daemon_dedup_and_recovery () =
-  let dir = temp_dir "dedup" in
+  with_temp_dir "dedup" @@ fun dir ->
   let open_daemon () =
     match Admit.Daemon.create ~analyzer ~fpga_area:10 ~dir () with
     | Error msg -> Alcotest.failf "daemon create: %s" msg
@@ -403,7 +390,7 @@ let daemon_replays_long_journal () =
   (* a journal far longer than any snapshot interval the other tests
      use: every record replays on a cold open, none is lost or doubled *)
   let records = 10_000 in
-  let dir = temp_dir "replay" in
+  with_temp_dir "replay" @@ fun dir ->
   let final =
     match Admit.Store.open_dir ~snapshot_every:(records + 1) ~dir () with
     | Error msg -> Alcotest.failf "open_dir: %s" msg
@@ -506,8 +493,8 @@ let admit_lines =
    bytes for every line, and the same mutation verdict *)
 let admit_fuzz () =
   with_daemon "fuzz" (fun _dir d ->
+      with_temp_dir "fuzz-reference" @@ fun dir ->
       let reference =
-        let dir = temp_dir "fuzz-reference" in
         match Admit_reference.create ~analyzer ~fpga_area:100 ~dir () with
         | Ok (r, _) -> r
         | Error msg -> Alcotest.failf "reference create: %s" msg
@@ -542,7 +529,7 @@ let admit_fuzz () =
                (not (rejected reply)) || (journal () = bytes && seq () = seq0))))
 
 let chaos_smoke () =
-  let dir = temp_dir "chaos" in
+  with_temp_dir "chaos" @@ fun dir ->
   let cfg =
     { (Admit.Chaos.default ~analyzer ~fpga_area:10) with Admit.Chaos.cycles = 6; ops_per_cycle = 25 }
   in

@@ -165,6 +165,53 @@ let prop_gfb_reduction =
           Core.Multiproc.gfb_direct ~m t = Core.Verdict.accepted (Core.Multiproc.gfb ~m t))
         [ 1; 2; 4; 8 ])
 
+(* GN1 at width 1 on A(H) = m against Bertogna-Cirinei-Lipari's BCL
+   (Analyzer_reference.Bcl).  GN1 divides task i's workload in task k's
+   window by D_i, as the paper's Table 3 example does (beta_1 = 4.1/5),
+   where BCL divides by D_k (DESIGN.md section 2): each check's lhs is
+   BCL's workload over D_i, and the verdicts agree whenever every
+   deadline is equal.  Half the draws share one deadline. *)
+let prop_bcl_reduction =
+  let gen =
+    let open QCheck2.Gen in
+    let task ~d_lo ~d_hi =
+      let* d = int_range d_lo d_hi in
+      let* t = int_range d 12 in
+      let+ c_tenths = int_range 1 (10 * d) in
+      Model.Task.make ~exec:(Model.Time.of_ticks (c_tenths * 100)) ~deadline:(Model.Time.of_units d)
+        ~period:(Model.Time.of_units t) ~area:1 ()
+    in
+    let* m = int_range 1 4 in
+    let* n = int_range 2 6 in
+    let* shared = bool in
+    let* d = int_range 1 12 in
+    let+ tasks = list_repeat n (if shared then task ~d_lo:d ~d_hi:d else task ~d_lo:1 ~d_hi:12) in
+    (m, Model.Taskset.of_list tasks)
+  in
+  let print (m, t) = Format.asprintf "m=%d %a" m Model.Taskset.pp t in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"GN1 = BCL's workload over D_i" ~print gen (fun (m, t) ->
+         let module P = Analyzer_reference.Params in
+         let qs = P.of_taskset t in
+         let v = Core.Multiproc.bcl ~m t in
+         let lhs_is_bcl_over_di (c : Core.Verdict.task_check) =
+           let k = c.Core.Verdict.task_index in
+           let slack = Rat.sub Rat.one (P.density qs.(k)) in
+           let expected = ref Rat.zero in
+           Array.iteri
+             (fun i q ->
+               if i <> k then
+                 expected :=
+                   Rat.add !expected
+                     (Rat.min (Rat.div (Analyzer_reference.Bcl.workload qs ~k ~i) q.P.d) slack))
+             qs;
+           Rat.equal c.Core.Verdict.lhs !expected
+         in
+         let shared_deadline = Array.for_all (fun q -> Rat.equal q.P.d qs.(0).P.d) qs in
+         List.for_all lhs_is_bcl_over_di v.Core.Verdict.checks
+         && ((not shared_deadline)
+            || Core.Verdict.accepted v = Analyzer_reference.Bcl.accepts ~m t)))
+
 (* --- monotonicity under taskset extension (DP and GN1) --- *)
 
 let small_task_gen =
@@ -331,6 +378,7 @@ let () =
           Alcotest.test_case "GFB agrees with DP" `Quick gfb_agrees_with_dp;
           Alcotest.test_case "width check" `Quick mp_width_check;
           prop_gfb_reduction;
+          prop_bcl_reduction;
         ] );
       ("monotonicity", [ prop_dp_monotone; prop_gn1_monotone ]);
       ( "plumbing",

@@ -88,55 +88,6 @@ let figures_configs () =
       check_bool "id well-formed" true (String.length (Experiment.Figures.id figure) = 5))
     Experiment.Figures.all
 
-(* --- incomparability search --- *)
-
-let witness_profile =
-  {
-    (Model.Generator.unconstrained ~n:2) with
-    Model.Generator.fpga_area = 10;
-    area_hi = 10;
-    period_lo = 4.0;
-    period_hi = 10.0;
-  }
-
-let tests3 = [ ("DP", Core.Dp.accepts); ("GN1", Core.Gn1.accepts); ("GN2", Core.Gn2.accepts) ]
-
-let witness_is_unique () =
-  let rng = Rng.create ~seed:2025 in
-  match
-    Experiment.Incomparability.find_unique ~rng ~profile:witness_profile ~tests:tests3
-      ~target:"GN1" ()
-  with
-  | None -> Alcotest.fail "expected to find a GN1-unique witness"
-  | Some w ->
-    let ts = w.Experiment.Incomparability.taskset in
-    check_bool "GN1 accepts" true (Core.Gn1.accepts ~fpga_area:10 ts);
-    check_bool "DP rejects" false (Core.Dp.accepts ~fpga_area:10 ts);
-    check_bool "GN2 rejects" false (Core.Gn2.accepts ~fpga_area:10 ts)
-
-let unknown_target_rejected () =
-  let rng = Rng.create ~seed:1 in
-  Alcotest.check_raises "unknown target"
-    (Invalid_argument "Incomparability.find_unique: unknown target test") (fun () ->
-      ignore
-        (Experiment.Incomparability.find_unique ~rng ~profile:witness_profile ~tests:tests3
-           ~target:"BOGUS" ()))
-
-let incidence_sums () =
-  let rng = Rng.create ~seed:7 in
-  let draws = 500 in
-  let table =
-    Experiment.Incomparability.incidence ~draws ~rng ~profile:witness_profile ~tests:tests3 ()
-  in
-  Alcotest.(check int) "classes partition the draws" draws
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 table);
-  List.iter
-    (fun (accepting, _) ->
-      check_bool "class keys are sorted test names" true
-        (List.for_all (fun n -> List.mem_assoc n tests3) accepting
-        && List.sort compare accepting = accepting))
-    table
-
 let () =
   Alcotest.run "experiment"
     [
@@ -149,10 +100,4 @@ let () =
           Alcotest.test_case "outputs well-formed" `Quick outputs_wellformed;
         ] );
       ("figures", [ Alcotest.test_case "configs" `Quick figures_configs ]);
-      ( "incomparability",
-        [
-          Alcotest.test_case "witness uniqueness" `Quick witness_is_unique;
-          Alcotest.test_case "unknown target" `Quick unknown_target_rejected;
-          Alcotest.test_case "incidence partition" `Quick incidence_sums;
-        ] );
     ]

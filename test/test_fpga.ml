@@ -1,9 +1,6 @@
-(* Tests for the FPGA device models: 1-D contiguous allocator, 2-D grid,
-   and the reconfiguration-overhead model. *)
+(* Tests for the FPGA device model: the 1-D contiguous allocator. *)
 
 module Device = Fpga.Device
-module Grid2d = Fpga.Grid2d
-module Overhead = Fpga.Overhead
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -127,88 +124,6 @@ let prop_device_invariants =
           && Device.largest_free_block d <= Device.free_area d)
         ops)
 
-(* --- 2-D grid --- *)
-
-let grid_basics () =
-  let g : string Grid2d.t = Grid2d.create ~width:8 ~height:4 in
-  check_int "cells" 32 (Grid2d.cells g);
-  (match Grid2d.place g ~tag:"a" ~w:3 ~h:2 with
-   | Some r -> check_bool "bottom-left" true (r.Grid2d.x = 0 && r.Grid2d.y = 0)
-   | None -> Alcotest.fail "expected placement");
-  check_int "occupied" 6 (Grid2d.occupied_cells g);
-  (match Grid2d.place g ~tag:"b" ~w:5 ~h:1 with
-   | Some r -> check_bool "next free spot" true (r.Grid2d.x = 3 && r.Grid2d.y = 0)
-   | None -> Alcotest.fail "expected placement");
-  check_bool "cannot fit 8x3" false (Grid2d.can_place g ~w:8 ~h:3);
-  check_bool "remove a" true (Grid2d.remove g ~equal:String.equal "a");
-  check_int "freed" 5 (Grid2d.occupied_cells g)
-
-let grid_fragmentation () =
-  let g : int Grid2d.t = Grid2d.create ~width:4 ~height:4 in
-  (* checkerboard of 1x1 blocks at even positions: plenty of free cells,
-     no 2x2 square *)
-  List.iter
-    (fun (x, y) -> Grid2d.place_at g ~tag:(x + (10 * y)) { Grid2d.x; y; w = 1; h = 1 })
-    [ (1, 1); (3, 1); (1, 3); (3, 3) ];
-  check_int "12 free cells" 12 (Grid2d.free_cells g);
-  check_bool "no 2x2 wait, actually 2x2 at (0,0)?" true (Grid2d.can_place g ~w:2 ~h:1);
-  check_bool "fragmentation in [0,1]" true
-    (Grid2d.fragmentation g >= 0.0 && Grid2d.fragmentation g <= 1.0);
-  Grid2d.clear g;
-  check_int "cleared" 0 (Grid2d.occupied_cells g);
-  Alcotest.(check (float 0.0)) "empty grid fragmentation" 0.0 (Grid2d.fragmentation g)
-
-let grid_errors () =
-  let g : int Grid2d.t = Grid2d.create ~width:4 ~height:4 in
-  Grid2d.place_at g ~tag:1 { Grid2d.x = 0; y = 0; w = 2; h = 2 };
-  Alcotest.check_raises "overlap" (Invalid_argument "Grid2d.place_at: rectangle overlaps")
-    (fun () -> Grid2d.place_at g ~tag:2 { Grid2d.x = 1; y = 1; w = 2; h = 2 });
-  Alcotest.check_raises "oversize" (Invalid_argument "Grid2d: rectangle dimensions out of range")
-    (fun () -> ignore (Grid2d.place g ~tag:2 ~w:5 ~h:1))
-
-let prop_grid_accounting =
-  Core_helpers.qtest "grid occupancy accounting"
-    QCheck2.Gen.(list_size (int_range 1 40) (pair (int_range 1 3) (int_range 1 3)))
-    (fun rects ->
-      let g : int Grid2d.t = Grid2d.create ~width:10 ~height:10 in
-      let placed = ref 0 in
-      List.iteri
-        (fun i (w, h) ->
-          match Grid2d.place g ~tag:i ~w ~h with
-          | Some _ -> placed := !placed + (w * h)
-          | None -> ())
-        rects;
-      Grid2d.occupied_cells g = !placed
-      && Grid2d.free_cells g = 100 - !placed)
-
-(* --- overhead --- *)
-
-let overhead_models () =
-  let t = Core_helpers.task "x" "2" "10" "10" 5 in
-  Core_helpers.check_time "zero" Model.Time.zero (Overhead.cost Overhead.Zero ~area:5);
-  Core_helpers.check_time "constant" (Model.Time.of_units 1)
-    (Overhead.cost (Overhead.Constant (Model.Time.of_units 1)) ~area:5);
-  Core_helpers.check_time "per column" (Model.Time.of_ticks 500)
-    (Overhead.cost (Overhead.Per_column (Model.Time.of_ticks 100)) ~area:5);
-  let inflated = Overhead.inflate_task (Overhead.Constant (Model.Time.of_units 1)) t in
-  Core_helpers.check_time "exec inflated" (Model.Time.of_units 3) inflated.Model.Task.exec;
-  check_bool "other fields kept" true
-    (Model.Time.equal inflated.Model.Task.period t.Model.Task.period && inflated.Model.Task.area = 5)
-
-let overhead_overrun () =
-  let t = Core_helpers.task "x" "9.5" "10" "10" 5 in
-  Alcotest.check_raises "exceeds deadline"
-    (Invalid_argument "Overhead.inflate_task: inflated execution exceeds deadline or period")
-    (fun () -> ignore (Overhead.inflate_task (Overhead.Constant (Model.Time.of_units 1)) t));
-  let ts = Model.Taskset.of_list [ t ] in
-  check_bool "taskset version returns None" true
-    (Overhead.inflate_taskset (Overhead.Constant (Model.Time.of_units 1)) ts = None);
-  match Overhead.inflate_taskset (Overhead.Constant (Model.Time.of_ticks 500)) ts with
-  | Some ts' ->
-    Core_helpers.check_time "inflated within bounds" (Model.Time.of_units 10)
-      (Model.Taskset.nth ts' 0).Model.Task.exec
-  | None -> Alcotest.fail "0.5 overhead should fit"
-
 let () =
   Alcotest.run "fpga"
     [
@@ -220,17 +135,5 @@ let () =
           Alcotest.test_case "compaction" `Quick compaction;
           Alcotest.test_case "errors" `Quick place_at_errors;
           prop_device_invariants;
-        ] );
-      ( "grid2d",
-        [
-          Alcotest.test_case "basics" `Quick grid_basics;
-          Alcotest.test_case "fragmentation" `Quick grid_fragmentation;
-          Alcotest.test_case "errors" `Quick grid_errors;
-          prop_grid_accounting;
-        ] );
-      ( "overhead",
-        [
-          Alcotest.test_case "models" `Quick overhead_models;
-          Alcotest.test_case "overrun" `Quick overhead_overrun;
         ] );
     ]

@@ -92,30 +92,11 @@ let engine ?(cache_size = 64) c =
       let permuted = serve c.permuted in
       (cold, warm, permuted))
 
-let temp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "redf-test-frontends-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Unix.mkdir dir 0o755;
-    dir
-
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 (* admit the tasks in order while the daemon accepts them, then ask
    what-if for the rest: the hypothetical set is the taskset, in its
    own order *)
 let what_if c =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  Core_helpers.with_temp_dir "frontends" @@ fun dir ->
   match Admit.Daemon.create ~analyzer:c.analyzer ~fpga_area:c.fpga_area ~dir () with
   | Error e -> "daemon: " ^ e
   | Ok (d, _) ->
@@ -241,8 +222,7 @@ let reason ~prefixes reply =
 let one_reason () =
   let cases = QCheck2.Gen.generate ~rand:(Random.State.make [| 22 |]) ~n:200 malformed_task_gen in
   let dp = match Core.Analyzer.of_name "DP" with Ok a -> a | Error e -> failwith e in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  Core_helpers.with_temp_dir "frontends" @@ fun dir ->
   match Admit.Daemon.create ~analyzer:dp ~fpga_area:10 ~dir () with
   | Error e -> Alcotest.failf "daemon: %s" e
   | Ok (d, _) ->

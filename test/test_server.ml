@@ -566,11 +566,19 @@ let read_all fd =
    the loop returns by itself once the input ends *)
 let serve_script ?timeout script =
   with_engine (fun engine ->
+      let service =
+        {
+          Server.Loop.handle_lines = Server.Engine.handle_lines engine;
+          stop_requested = (fun () -> false);
+          shed_response = Server.Protocol.shed_response;
+          is_mutation = (fun _ -> false);
+        }
+      in
       let r_in, w_in = Unix.pipe ~cloexec:true () in
       let r_out, w_out = Unix.pipe ~cloexec:true () in
       let server =
         Domain.spawn (fun () ->
-            Server.Loop.serve engine ?timeout
+            Server.Loop.serve_service service ?timeout
               [ Server.Loop.stdio_listener ~input:r_in ~output:w_out ])
       in
       script (write_all w_in);
@@ -639,12 +647,21 @@ let temp_socket name =
    spawns, so clients can connect without retrying *)
 let with_loop ?limits ?idle_timeout ~jobs listeners f =
   let engine = Server.Engine.create ~cache_size:256 ~jobs () in
+  let stop = Atomic.make false in
+  let service =
+    {
+      Server.Loop.handle_lines = Server.Engine.handle_lines engine;
+      stop_requested = (fun () -> Atomic.get stop);
+      shed_response = Server.Protocol.shed_response;
+      is_mutation = (fun _ -> false);
+    }
+  in
   let server =
-    Domain.spawn (fun () -> Server.Loop.serve engine ?idle_timeout ?limits listeners)
+    Domain.spawn (fun () -> Server.Loop.serve_service service ?idle_timeout ?limits listeners)
   in
   Fun.protect
     ~finally:(fun () ->
-      Server.Engine.request_stop engine;
+      Atomic.set stop true;
       Domain.join server;
       Server.Engine.shutdown engine)
     (fun () -> f engine)
