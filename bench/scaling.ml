@@ -75,7 +75,7 @@ let audit_bench () =
   in
   report "audit" (List.map (fun (j, (_, s)) -> (j, s)) runs);
   check_identical "audit"
-    (List.map (fun (j, (r, _)) -> (j, Format.asprintf "%a" Audit.Driver.pp_sexp r)) runs)
+    (List.map (fun (j, (r, _)) -> (j, Wire.Json.to_string (Audit.Driver.to_json r))) runs)
 
 let exhaustive_taskset =
   (* the no-critical-instant witness from the test suite: synchronous

@@ -40,51 +40,41 @@ let retry_regressed ~tolerance ~baseline rows =
     in
     (rows, Bench.Core_bench.compare_rows ~tolerance ~baseline rows)
 
-let run ~budget_ms ~out ~compare ~tolerance =
-  match Bench.Core_bench.parse_tolerance tolerance with
-  | Error msg ->
-    prerr_endline ("bench-core: " ^ msg);
-    2
-  | Ok tol -> (
-    let baseline =
-      match compare with
-      | None -> Ok None
-      | Some path ->
-        if not (Sys.file_exists path) then
-          Error (Printf.sprintf "bench-core: baseline %s does not exist" path)
-        else (
-          match Bench.Env.parse_core (In_channel.with_open_bin path In_channel.input_all) with
-          | Ok rows -> Ok (Some rows)
-          | Error msg -> Error (Printf.sprintf "bench-core: cannot parse %s: %s" path msg))
-    in
+(* the --compare document, read before anything is measured or written *)
+let load_baseline = function
+  | None -> Ok None
+  | Some path ->
+    if not (Sys.file_exists path) then
+      Error (Printf.sprintf "bench-core: baseline %s does not exist" path)
+    else (
+      match Bench.Env.parse_core (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok rows -> Ok (Some rows)
+      | Error msg -> Error (Printf.sprintf "bench-core: cannot parse %s: %s" path msg))
+
+let run ?budget_ms ~out ~baseline ~tolerance () =
+  Printf.printf "analyzer cost matrix (ns/decide, seed-fixed workloads):\n%!";
+  let rows = Bench.Core_bench.collect ?budget_ms ~progress () in
+  let rows, compared =
     match baseline with
-    | Error msg ->
-      prerr_endline msg;
-      2
-    | Ok baseline ->
-      Printf.printf "analyzer cost matrix (ns/decide, seed-fixed workloads):\n%!";
-      let rows = Bench.Core_bench.collect ?budget_ms ~progress () in
-      let rows, compared =
-        match baseline with
-        | None -> (rows, None)
-        | Some baseline ->
-          let rows, compared = retry_regressed ~tolerance:tol ~baseline rows in
-          (rows, Some compared)
-      in
-      Bench.Env.ensure_parent_dir out;
-      Out_channel.with_open_bin out (fun oc -> output_string oc (Bench.Env.core_doc rows));
-      Printf.printf "  -> %s\n%!" out;
-      (match compared with
-      | None -> 0
-      | Some compared ->
-        Printf.printf "\nagainst baseline (tolerance %.2fx):\n" tol;
-        List.iter (fun c -> Printf.printf "  %s\n" (Bench.Core_bench.pretty_compared c)) compared;
-        let regressed = Bench.Core_bench.regressions compared in
-        if regressed = [] then begin
-          Printf.printf "\nno regressions.\n";
-          0
-        end
-        else begin
-          Printf.printf "\n%d row(s) regressed beyond %.2fx.\n" (List.length regressed) tol;
-          1
-        end))
+    | None -> (rows, None)
+    | Some baseline ->
+      let rows, compared = retry_regressed ~tolerance ~baseline rows in
+      (rows, Some compared)
+  in
+  Bench.Env.ensure_parent_dir out;
+  Out_channel.with_open_bin out (fun oc -> output_string oc (Bench.Env.core_doc rows));
+  Printf.printf "  -> %s\n%!" out;
+  match compared with
+  | None -> 0
+  | Some compared ->
+    Printf.printf "\nagainst baseline (tolerance %.2fx):\n" tolerance;
+    List.iter (fun c -> Printf.printf "  %s\n" (Bench.Core_bench.pretty_compared c)) compared;
+    let regressed = Bench.Core_bench.regressions compared in
+    if regressed = [] then begin
+      Printf.printf "\nno regressions.\n";
+      0
+    end
+    else begin
+      Printf.printf "\n%d row(s) regressed beyond %.2fx.\n" (List.length regressed) tolerance;
+      1
+    end

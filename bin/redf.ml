@@ -14,7 +14,7 @@
      admit        crash-safe online admission-control daemon (same event loop)
      chaos-admit  crash/restart torture of the admission daemon
      bench-core   analyzer cost matrix vs the committed baseline (CI perf gate)
-     batch        evaluate a file of service requests (in-process or --connect)
+     batch        send a file of service requests to a running server
      metrics-diff compare two --metrics snapshots
 
    Long-running subcommands accept --metrics[=FILE] to write a runtime
@@ -23,20 +23,85 @@
 open Cmdliner
 
 (* make the exact oracle and approx analyzers resolvable by name
-   everywhere (analyze, serve, batch, the cache) *)
+   everywhere (analyze, serve, the cache) *)
 let () = Exact.Registry.ensure ()
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* --- one error path --- *)
+
+(* A verb stops by raising [Stop (code, line)]: [guard] prints [line]
+   on stderr and returns [code] as the exit status.  Usage errors
+   (a flag value out of range) exit 2. *)
+exception Stop of int * string
+
+let stop code line = raise (Stop (code, line))
+let fail code fmt = Printf.ksprintf (fun msg -> stop code ("error: " ^ msg)) fmt
+let ok code = function Ok v -> v | Error msg -> fail code "%s" msg
+
+let guard run =
+  match run () with
+  | code -> code
+  | exception Stop (code, line) ->
+    Printf.eprintf "%s\n" line;
+    code
+
+(* a verb's term is its run function applied to every flag but a last
+   unit, so the flag checks inside it run under [guard] *)
+let verb ?description name ~doc term =
+  let man = Option.map (fun p -> [ `S Manpage.s_description; `P p ]) description in
+  Cmd.v (Cmd.info name ~doc ?man) Term.(const guard $ term)
+
+(* --- flag checks, the same in every verb that takes the flag --- *)
+
+let positive flag n = if n < 1 then fail 2 "invalid %s %d: expected a positive count" flag n else n
+
+let positive_float flag ~what x =
+  if x > 0. then x else fail 2 "invalid %s %g: expected a positive %s" flag x what
+
+let non_negative flag ~what n =
+  if n < 0 then fail 2 "invalid %s %d: expected a non-negative %s" flag n what else n
+
+(* a flag in whole time units must be representable in ticks;
+   [Model.Time.of_units] rejects what would wrap around *)
+let units flag n =
+  match Model.Time.of_units n with
+  | t -> t
+  | exception Invalid_argument _ -> fail 2 "invalid %s %d: out of range" flag n
+
+(* -j / REDF_JOBS: a negative count or a garbage environment value is
+   a usage error, not a silent fall-back to serial; 0 = one per core *)
+let jobs = function
+  | Some n when n >= 0 -> n
+  | Some n -> fail 2 "invalid --jobs %d: expected a positive worker count or 0 (one per core)" n
+  | None -> ok 2 (Parallel.jobs_of_env ())
+
+(* the simulator rejects a task wider than the device; name it here
+   instead of letting the engine's Invalid_argument escape *)
+let fits ~fpga_area ts =
+  List.iteri
+    (fun i (t : Model.Task.t) ->
+      if t.area > fpga_area then
+        fail 1 "task %d (%s) is %d columns wide, wider than --area %d" (i + 1) t.name t.area
+          fpga_area)
+    (Model.Taskset.to_list ts)
+
+(* --- files --- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let load_taskset path =
   try Ok (Model.Taskset.of_csv (read_file path)) with
   | Sys_error msg -> Error msg
   | Invalid_argument msg -> Error msg
+
+let taskset path = ok 1 (load_taskset path)
+
+(* open [path] for writing (truncated unless [flags] says otherwise),
+   or stop with "cannot write WHAT PATH: REASON" *)
+let open_write ?(flags = [ Unix.O_TRUNC ]) ~code what path =
+  match Unix.openfile path (Unix.O_WRONLY :: O_CREAT :: O_CLOEXEC :: flags) 0o644 with
+  | fd -> fd
+  | exception Unix.Unix_error (e, _, _) ->
+    fail code "cannot write %s %s: %s" what path (Unix.error_message e)
 
 (* --- common args --- *)
 
@@ -74,56 +139,6 @@ let policy_arg =
     & opt (enum [ ("nf", Sim.Policy.edf_nf); ("fkf", Sim.Policy.edf_fkf) ]) Sim.Policy.edf_nf
     & info [ "policy" ] ~docv:"nf|fkf" ~doc:"Scheduling policy: EDF-NF or EDF-FkF.")
 
-(* -j / REDF_JOBS is validated here at the CLI boundary: a negative
-   count or a garbage environment value is a usage error (exit 2), not
-   a silent fall-back to serial *)
-let validate_jobs jobs_opt =
-  match jobs_opt with
-  | Some n when n >= 0 -> Ok n
-  | Some n ->
-    Error (Printf.sprintf "invalid --jobs %d: expected a positive worker count or 0 (one per core)" n)
-  | None -> Parallel.jobs_of_env ()
-
-(* run [f ~jobs] with the validated worker count, or report the usage
-   error; [~jobs] keeps the CLI's 0 = one-per-core convention *)
-let with_jobs jobs_opt f =
-  match validate_jobs jobs_opt with
-  | Error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
-  | Ok jobs -> f ~jobs
-
-let require_positive flag n k =
-  if n < 1 then begin
-    Printf.eprintf "error: invalid %s %d: expected a positive count\n" flag n;
-    2
-  end
-  else k ()
-
-(* a flag in whole time units must be representable in ticks;
-   [Model.Time.of_units] rejects what would wrap around *)
-let with_units flag n k =
-  match Model.Time.of_units n with
-  | t -> k t
-  | exception Invalid_argument _ ->
-    Printf.eprintf "error: invalid %s %d: out of range\n" flag n;
-    2
-
-(* the simulator rejects a task wider than the device; name it here
-   instead of letting the engine's Invalid_argument escape *)
-let require_fits ~fpga_area ts k =
-  let wide =
-    List.find_opt
-      (fun (_, (t : Model.Task.t)) -> t.area > fpga_area)
-      (List.mapi (fun i t -> (i + 1, t)) (Model.Taskset.to_list ts))
-  in
-  match wide with
-  | Some (i, t) ->
-    Printf.eprintf "error: task %d (%s) is %d columns wide, wider than --area %d\n" i
-      t.Model.Task.name t.Model.Task.area fpga_area;
-    1
-  | None -> k ()
-
 (* --- metrics --- *)
 
 let metrics_arg =
@@ -139,31 +154,22 @@ let metrics_arg =
 (* the destination is opened before the work starts, so an unwritable
    path is an error up front rather than a crash after a daemon has
    answered its whole session; the snapshot is then emitted even when
-   the wrapped command fails, so a non-zero exit still leaves its cost
-   profile behind *)
-let with_metrics metrics f =
+   the wrapped command fails, after its error line, so a non-zero exit
+   still leaves its cost profile behind *)
+let with_metrics metrics run =
   match metrics with
-  | None -> f ()
-  | Some dest -> (
-    match
-      if dest = "-" then Ok stderr
-      else
-        try
-          Ok
-            (Unix.out_channel_of_descr
-               (Unix.openfile dest [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644))
-        with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    with
-    | Error reason ->
-      Printf.eprintf "error: cannot write metrics to %s: %s\n" dest reason;
-      2
-    | Ok oc ->
-      Obs.set_enabled true;
-      let emit () =
-        output_string oc (Obs.Snapshot.to_jsonl (Obs.Snapshot.take ()));
-        if dest = "-" then flush oc else close_out oc
-      in
-      Fun.protect ~finally:emit f)
+  | None -> run ()
+  | Some dest ->
+    let oc =
+      if dest = "-" then stderr
+      else Unix.out_channel_of_descr (open_write ~code:2 "metrics to" dest)
+    in
+    Obs.set_enabled true;
+    let emit () =
+      output_string oc (Obs.Snapshot.to_jsonl (Obs.Snapshot.take ()));
+      if dest = "-" then flush oc else close_out oc
+    in
+    Fun.protect ~finally:emit (fun () -> guard run)
 
 (* progress printer shared by the parallel-capable subcommands: called
    from worker domains (already serialized and monotonic, see
@@ -185,9 +191,6 @@ let clear_progress () =
 
 (* --- lint / audit --- *)
 
-let sexp_arg =
-  Arg.(value & flag & info [ "sexp" ] ~doc:"Machine-readable sexp output instead of human form.")
-
 let strict_arg =
   Arg.(value & flag & info [ "strict" ] ~doc:"Treat warnings as errors for the exit status.")
 
@@ -200,14 +203,14 @@ let format_arg =
           "Output format: the default human rendering, or the canonical JSON the analysis \
            service emits (one key-sorted object; see $(b,redf serve)).")
 
-let print_report ~label ~sexp ?(json = false) report =
-  if json then print_endline (Wire.Json.to_string (Audit.Driver.to_json ~kind:label report))
-  else if sexp then Format.printf "%a@." Audit.Driver.pp_sexp report
-  else Format.printf "%a@." (Audit.Driver.pp ~label) report
+let print_report ~label ~format report =
+  match format with
+  | `Json -> print_endline (Wire.Json.to_string (Audit.Driver.to_json ~kind:label report))
+  | `Human -> Format.printf "%a@." (Audit.Driver.pp ~label) report
 
 (* a malformed taskset is itself a lint finding: report it in the same
    formats and exit 2 like any other error-level diagnostic *)
-let parse_failure ~label ~sexp ?json msg =
+let parse_failure ~label ~format msg =
   let report =
     {
       Audit.Driver.fpga_area = 0;
@@ -215,48 +218,57 @@ let parse_failure ~label ~sexp ?json msg =
       findings = [];
     }
   in
-  print_report ~label ~sexp ?json report;
+  print_report ~label ~format report;
   2
 
 let lint_cmd =
-  let run path fpga_area sexp format strict =
-    let json = format = `Json in
+  let run path fpga_area format strict () =
+    let fpga_area = positive "--area" fpga_area in
     match load_taskset path with
-    | Error msg -> parse_failure ~label:"lint" ~sexp ~json msg
+    | Error msg -> parse_failure ~label:"lint" ~format msg
     | Ok ts ->
       let report = Audit.Driver.lint_only ~fpga_area ts in
-      print_report ~label:"lint" ~sexp ~json report;
+      print_report ~label:"lint" ~format report;
       Audit.Driver.exit_code ~strict report
   in
-  let term = Term.(const run $ taskset_arg $ area_arg $ sexp_arg $ format_arg $ strict_arg) in
-  let info =
-    Cmd.info "lint"
-      ~doc:"Statically lint a taskset"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Checks the structural invariants the analyzers assume (per-task C <= min(D,T), \
-             tasks no wider than the device, necessary feasibility conditions) plus hygiene \
-             rules (duplicate names, degenerate utilizations, vacuous analyzer preconditions). \
-             Exit status 0 when no error-level diagnostic fires (with $(b,--strict): no warning \
-             either), 2 otherwise.";
-        ]
-  in
-  Cmd.v info term
+  verb "lint" ~doc:"Statically lint a taskset"
+    ~description:
+      "Checks the structural invariants the analyzers assume (per-task C <= min(D,T), tasks no \
+       wider than the device, necessary feasibility conditions) plus hygiene rules (duplicate \
+       names, degenerate utilizations, vacuous analyzer preconditions). Exit status 0 when no \
+       error-level diagnostic fires (with $(b,--strict): no warning either), 2 otherwise."
+    Term.(const run $ taskset_arg $ area_arg $ format_arg $ strict_arg)
+
+(* each shrunk counterexample as a regression-fixture CSV in [dir] *)
+let write_fixtures ~dir ~prefix report =
+  List.iteri
+    (fun i f ->
+      match Audit.Consistency.fixture f with
+      | None -> ()
+      | Some csv ->
+        let name =
+          Printf.sprintf "%scounterexample-%d-%s.csv" prefix i
+            (String.lowercase_ascii (Option.value f.Audit.Consistency.analyzer ~default:"x"))
+        in
+        let path = Filename.concat dir name in
+        let oc = Unix.out_channel_of_descr (open_write ~code:1 "fixture" path) in
+        output_string oc csv;
+        close_out oc;
+        Printf.eprintf "wrote regression fixture %s\n" path)
+    report.Audit.Driver.findings
 
 let audit_cmd =
-  let run paths fpga_area sexp format strict cap_units seed inject_unsound no_shrink fixture_dir
-      jobs metrics =
-    let json = format = `Json in
-    with_jobs jobs @@ fun ~jobs ->
-    with_units "--horizon-cap" cap_units @@ fun horizon_cap ->
+  let run paths fpga_area format strict cap_units sporadic_seed inject_unsound no_shrink
+      fixture_dir jobs_opt metrics () =
+    let jobs = jobs jobs_opt in
+    let fpga_area = positive "--area" fpga_area in
+    let horizon_cap = units "--horizon-cap" cap_units in
     with_metrics metrics @@ fun () ->
     let config =
       {
         (Audit.Consistency.default_config ~fpga_area) with
         Audit.Consistency.horizon_cap;
-        sporadic_seed = seed;
+        sporadic_seed;
         shrink = not no_shrink;
       }
     in
@@ -275,9 +287,9 @@ let audit_cmd =
        domain per taskset (each audit serial).  Either way the reports
        are deterministic and printed in argument order. *)
     let audit_one inner_jobs path =
-      match load_taskset path with
-      | Error msg -> Error msg
-      | Ok ts -> Ok (Audit.Driver.run ~analyzers ~config ~jobs:inner_jobs ~fpga_area ts)
+      Result.map
+        (Audit.Driver.run ~analyzers ~config ~jobs:inner_jobs ~fpga_area)
+        (load_taskset path)
     in
     let results =
       if multi then
@@ -289,32 +301,16 @@ let audit_cmd =
         (fun path result ->
           let label = if multi then "audit " ^ Filename.basename path else "audit" in
           match result with
-          | Error msg -> parse_failure ~label ~sexp ~json msg
+          | Error msg -> parse_failure ~label ~format msg
           | Ok report ->
-            print_report ~label ~sexp ~json report;
-            (match fixture_dir with
-             | None -> ()
-             | Some dir ->
-               List.iteri
-                 (fun i f ->
-                   match Audit.Consistency.fixture f with
-                   | None -> ()
-                   | Some csv ->
-                     let name =
-                       Printf.sprintf "%scounterexample-%d-%s.csv"
-                         (if multi then
-                            Filename.remove_extension (Filename.basename path) ^ "-"
-                          else "")
-                         i
-                         (String.lowercase_ascii
-                            (Option.value f.Audit.Consistency.analyzer ~default:"x"))
-                     in
-                     let fixture_path = Filename.concat dir name in
-                     let oc = open_out fixture_path in
-                     output_string oc csv;
-                     close_out oc;
-                     Printf.eprintf "wrote regression fixture %s\n" fixture_path)
-                 report.Audit.Driver.findings);
+            print_report ~label ~format report;
+            Option.iter
+              (fun dir ->
+                let prefix =
+                  if multi then Filename.remove_extension (Filename.basename path) ^ "-" else ""
+                in
+                write_fixtures ~dir ~prefix report)
+              fixture_dir;
             Audit.Driver.exit_code ~strict report)
         paths results
     in
@@ -326,12 +322,13 @@ let audit_cmd =
       & info [ "horizon-cap" ] ~docv:"UNITS"
           ~doc:"Simulate min(hyper-period, $(docv)) time units.")
   in
-  let seed_opt_arg =
+  let sporadic_seed_arg =
     Arg.(
-      value
-      & opt (some int) (Some 97)
+      value & opt int 97
       & info [ "sporadic-seed" ] ~docv:"SEED"
-          ~doc:"Also audit a sporadic release pattern with this seed (omit via --no-sporadic).")
+          ~doc:
+            "Seed of the sporadic release pattern audited beside the synchronous one (each \
+             release delayed by up to 3 time units).")
   in
   let inject_arg =
     Arg.(
@@ -357,155 +354,112 @@ let audit_cmd =
       & pos_all file []
       & info [] ~docv:"TASKSET.csv" ~doc:"Taskset files (header name,C,D,T,A).")
   in
-  let term =
+  verb "audit" ~doc:"Lint a taskset and audit analyzer verdicts against simulation"
+    ~description:
+      "Runs the static lint pass, then cross-checks DP / GN1 / GN2 against the EDF-NF and \
+       EDF-FkF simulator on the same taskset: an ACCEPT paired with an observed deadline miss \
+       under a scheduler the test covers (DP and GN2 cover both schedulers, GN1 covers EDF-NF; \
+       Theorem 3 makes GN2-ACCEPT imply EDF-NF schedulability) is a hard error, and every \
+       recorded trace must satisfy the Lemma 1 / Lemma 2 occupancy floors and the physical \
+       trace invariants. Counterexamples are shrunk to minimal tasksets. Several tasksets can \
+       be audited in one invocation; with $(b,-j) the audits fan out over worker domains (one \
+       domain per taskset, or across the analyzer/scheduler/release units of a single \
+       taskset) with deterministic, order-preserving output. Exit status 0 when every taskset \
+       is clean, 2 otherwise."
     Term.(
-      const run $ tasksets_arg $ area_arg $ sexp_arg $ format_arg $ strict_arg $ cap_arg
-      $ seed_opt_arg $ inject_arg $ no_shrink_arg $ fixture_dir_arg $ jobs_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "audit"
-      ~doc:"Lint a taskset and audit analyzer verdicts against simulation"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Runs the static lint pass, then cross-checks DP / GN1 / GN2 against the EDF-NF and \
-             EDF-FkF simulator on the same taskset: an ACCEPT paired with an observed deadline \
-             miss under a scheduler the test covers (DP and GN2 cover both schedulers, GN1 \
-             covers EDF-NF; Theorem 3 makes GN2-ACCEPT imply EDF-NF schedulability) is a hard \
-             error, and every recorded trace must satisfy the Lemma 1 / Lemma 2 occupancy \
-             floors and the physical trace invariants. Counterexamples are shrunk to minimal \
-             tasksets. Several tasksets can be audited in one invocation; with $(b,-j) the \
-             audits fan out over worker domains (one domain per taskset, or across the \
-             analyzer/scheduler/release units of a single taskset) with deterministic, \
-             order-preserving output. Exit status 0 when every taskset is clean, 2 otherwise.";
-        ]
-  in
-  Cmd.v info term
+      const run $ tasksets_arg $ area_arg $ format_arg $ strict_arg $ cap_arg $ sporadic_seed_arg
+      $ inject_arg $ no_shrink_arg $ fixture_dir_arg $ jobs_arg $ metrics_arg)
 
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let run path fpga_area all analyzer_names format metrics =
+  let run path fpga_area analyzer_names format metrics () =
+    let fpga_area = positive "--area" fpga_area in
     with_metrics metrics @@ fun () ->
-    match load_taskset path with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | Ok ts -> (
-      let analyzers =
-        match analyzer_names with
-        | Some names -> Core.Analyzer.of_names names
-        | None ->
-          Ok
-            (if all then Core.Analyzer.[ dp; dp_original; gn1; gn1_printed; gn2 ]
-             else Core.Analyzer.defaults)
-      in
-      match analyzers with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        2
-      | Ok analyzers ->
-        let report = Core.Report.run ~analyzers ~fpga_area ts in
-        let any_accepted = List.exists Core.Verdict.accepted report.Core.Report.verdicts in
-        (match format with
-         | `Json -> print_endline (Wire.Json.to_string (Core.Report.to_json report))
-         | `Human ->
-           Format.printf "%a@." Core.Report.pp report;
-           (match Core.Feasibility.check ~fpga_area ts with
-            | [] -> Format.printf "necessary conditions: all satisfied@."
-            | violations ->
-              Format.printf "INFEASIBLE under any scheduler:@.";
-              List.iter (Format.printf "  %a@." Core.Feasibility.pp_violation) violations);
-           let plan = Core.Partitioned.first_fit_decreasing ~fpga_area ts in
-           Format.printf "partitioned, density test (first-fit decreasing): %s@,%a@."
-             (if Core.Partitioned.schedulable plan then "ACCEPT" else "REJECT")
-             Core.Partitioned.pp plan;
-           Format.printf "partitioned, exact demand-bound test: %s@."
-             (if Core.Partitioned.accepts ~test:Core.Partitioned.Demand_bound ~fpga_area ts then
-                "ACCEPT"
-              else "REJECT"));
-        if any_accepted then 0 else 2)
-  in
-  let all_arg =
-    Arg.(value & flag & info [ "all" ] ~doc:"Also run the uncorrected/printed test variants.")
+    let ts = taskset path in
+    let analyzers =
+      match analyzer_names with
+      | Some names -> ok 2 (Core.Analyzer.of_names names)
+      | None -> Core.Analyzer.defaults
+    in
+    let report = Core.Report.run ~analyzers ~fpga_area ts in
+    (match format with
+     | `Json -> print_endline (Wire.Json.to_string (Core.Report.to_json report))
+     | `Human ->
+       Format.printf "%a@." Core.Report.pp report;
+       (match Core.Feasibility.check ~fpga_area ts with
+        | [] -> Format.printf "necessary conditions: all satisfied@."
+        | violations ->
+          Format.printf "INFEASIBLE under any scheduler:@.";
+          List.iter (Format.printf "  %a@." Core.Feasibility.pp_violation) violations);
+       let plan = Core.Partitioned.first_fit_decreasing ~fpga_area ts in
+       Format.printf "partitioned, density test (first-fit decreasing): %s@,%a@."
+         (if Core.Partitioned.schedulable plan then "ACCEPT" else "REJECT")
+         Core.Partitioned.pp plan;
+       Format.printf "partitioned, exact demand-bound test: %s@."
+         (if Core.Partitioned.accepts ~test:Core.Partitioned.Demand_bound ~fpga_area ts then
+            "ACCEPT"
+          else "REJECT"));
+    if List.exists Core.Verdict.accepted report.Core.Report.verdicts then 0 else 2
   in
   let analyzer_names_arg =
     let doc =
       Printf.sprintf
         "Comma-separated registry names to run instead of the defaults (registered analyzers: \
-         %s; case-insensitive). Overrides $(b,--all)."
+         %s; case-insensitive)."
         (String.concat ", " (Core.Analyzer.known_names ()))
     in
     Arg.(value & opt (some string) None & info [ "analyzer" ] ~docv:"NAMES" ~doc)
   in
-  let term =
-    Term.(
-      const run $ taskset_arg $ area_arg $ all_arg $ analyzer_names_arg $ format_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "analyze"
-      ~doc:"Run the schedulability tests on a taskset"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Runs DP (Theorem 1), GN1 (Theorem 2), GN2 (Theorem 3) and the partitioned \
-             first-fit-decreasing baseline on the taskset, printing per-task exact \
-             left/right-hand sides. $(b,--analyzer) selects any registered analyzers instead, \
-             including the exact oracle ($(b,exact), $(b,exact-fkf)) and the approximate \
-             demand test ($(b,approx[EPS])). With $(b,--format json) the report is one \
-             canonical JSON object whose per-analyzer verdicts are byte-identical to the \
-             analysis service's responses ($(b,redf serve)). Exit status 0 when at least one \
-             selected analyzer accepts, 2 when all reject.";
-        ]
-  in
-  Cmd.v info term
+  verb "analyze" ~doc:"Run the schedulability tests on a taskset"
+    ~description:
+      "Runs DP (Theorem 1), GN1 (Theorem 2), GN2 (Theorem 3) and the partitioned \
+       first-fit-decreasing baseline on the taskset, printing per-task exact left/right-hand \
+       sides. $(b,--analyzer) selects any registered analyzers instead, including the \
+       uncorrected and printed variants ($(b,dp-original), $(b,gn1-printed)), the exact oracle \
+       ($(b,exact), $(b,exact-fkf)) and the approximate demand test ($(b,approx[EPS])). With \
+       $(b,--format json) the report is one canonical JSON object whose per-analyzer verdicts \
+       are byte-identical to the analysis service's responses ($(b,redf serve)). Exit status \
+       0 when at least one selected analyzer accepts, 2 when all reject."
+    Term.(const run $ taskset_arg $ area_arg $ analyzer_names_arg $ format_arg $ metrics_arg)
 
 (* --- simulate --- *)
 
 let simulate_cmd =
-  let run path fpga_area horizon policy gantt contiguous metrics =
-    require_positive "--area" fpga_area @@ fun () ->
-    require_positive "--horizon" horizon @@ fun () ->
-    with_units "--horizon" horizon @@ fun horizon_t ->
+  let run path fpga_area horizon policy gantt contiguous metrics () =
+    let fpga_area = positive "--area" fpga_area in
+    let horizon = positive "--horizon" horizon in
+    let horizon_t = units "--horizon" horizon in
     with_metrics metrics @@ fun () ->
-    match load_taskset path with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | Ok ts ->
-      require_fits ~fpga_area ts @@ fun () ->
-      let cfg = Sim.Engine.default_config ~fpga_area ~policy in
-      let cfg =
-        {
-          cfg with
-          Sim.Engine.horizon = horizon_t;
-          record_trace = gantt;
-          placement =
-            (if contiguous then Sim.Engine.Contiguous Fpga.Device.First_fit
-             else Sim.Engine.Migrating);
-        }
-      in
-      let result = Sim.Engine.run cfg ts in
-      Format.printf "policy: %a, placement: %s, horizon: %d units@." Sim.Policy.pp policy
-        (if contiguous then "contiguous first-fit" else "migrating")
-        horizon;
-      (match result.Sim.Engine.outcome with
-       | Sim.Engine.No_miss -> Format.printf "no deadline miss observed@."
-       | Sim.Engine.Miss m ->
-         Format.printf "DEADLINE MISS: task %d at t=%s@." (m.Sim.Engine.task_index + 1)
-           (Model.Time.to_string m.Sim.Engine.at));
-      let s = result.Sim.Engine.stats in
-      Format.printf
-        "jobs: %d released, %d completed; preemptions: %d; contended time: %s units@."
-        s.Sim.Engine.jobs_released s.Sim.Engine.jobs_completed s.Sim.Engine.preemptions
-        (Model.Time.to_string (Model.Time.of_ticks s.Sim.Engine.contended_ticks));
-      Format.printf "mean occupied area: %.1f / %d columns@."
-        (Sim.Engine.average_busy_area result)
-        fpga_area;
-      if gantt then print_string (Trace.Gantt.render ~fpga_area ts result);
-      (match result.Sim.Engine.outcome with Sim.Engine.No_miss -> 0 | Sim.Engine.Miss _ -> 2)
+    let ts = taskset path in
+    fits ~fpga_area ts;
+    let cfg =
+      {
+        (Sim.Engine.default_config ~fpga_area ~policy) with
+        Sim.Engine.horizon = horizon_t;
+        record_trace = gantt;
+        placement =
+          (if contiguous then Sim.Engine.Contiguous Fpga.Device.First_fit else Sim.Engine.Migrating);
+      }
+    in
+    let result = Sim.Engine.run cfg ts in
+    Format.printf "policy: %a, placement: %s, horizon: %d units@." Sim.Policy.pp policy
+      (if contiguous then "contiguous first-fit" else "migrating")
+      horizon;
+    (match result.Sim.Engine.outcome with
+     | Sim.Engine.No_miss -> Format.printf "no deadline miss observed@."
+     | Sim.Engine.Miss m ->
+       Format.printf "DEADLINE MISS: task %d at t=%s@." (m.Sim.Engine.task_index + 1)
+         (Model.Time.to_string m.Sim.Engine.at));
+    let s = result.Sim.Engine.stats in
+    Format.printf "jobs: %d released, %d completed; preemptions: %d; contended time: %s units@."
+      s.Sim.Engine.jobs_released s.Sim.Engine.jobs_completed s.Sim.Engine.preemptions
+      (Model.Time.to_string (Model.Time.of_ticks s.Sim.Engine.contended_ticks));
+    Format.printf "mean occupied area: %.1f / %d columns@."
+      (Sim.Engine.average_busy_area result)
+      fpga_area;
+    if gantt then print_string (Trace.Gantt.render ~fpga_area ts result);
+    match result.Sim.Engine.outcome with Sim.Engine.No_miss -> 0 | Sim.Engine.Miss _ -> 2
   in
   let gantt_arg = Arg.(value & flag & info [ "gantt" ] ~doc:"Render an ASCII Gantt chart.") in
   let contiguous_arg =
@@ -514,17 +468,17 @@ let simulate_cmd =
       & info [ "contiguous" ]
           ~doc:"Contiguous first-fit placement instead of unrestricted migration.")
   in
-  let term =
+  verb "simulate" ~doc:"Simulate EDF-NF or EDF-FkF scheduling of a taskset"
     Term.(
       const run $ taskset_arg $ area_arg $ horizon_arg $ policy_arg $ gantt_arg $ contiguous_arg
       $ metrics_arg)
-  in
-  Cmd.v (Cmd.info "simulate" ~doc:"Simulate EDF-NF or EDF-FkF scheduling of a taskset") term
 
 (* --- generate --- *)
 
 let generate_cmd =
-  let run profile n seed target =
+  let run profile n seed target () =
+    let n = positive "-n" n in
+    let target = Option.map (positive_float "--target-us" ~what:"utilization") target in
     let profile =
       match profile with
       | `Unconstrained -> Model.Generator.unconstrained ~n
@@ -538,9 +492,7 @@ let generate_cmd =
       | Some t -> Model.Generator.draw_with_target_us rng profile ~target_us:t
     in
     match ts with
-    | None ->
-      Printf.eprintf "target utilization unreachable for this profile\n";
-      1
+    | None -> stop 1 "target utilization unreachable for this profile"
     | Some ts ->
       print_string (Model.Taskset.to_csv ts);
       0
@@ -566,38 +518,37 @@ let generate_cmd =
       & opt (some float) None
       & info [ "target-us" ] ~docv:"US" ~doc:"Condition the draw on this total system utilization.")
   in
-  let term = Term.(const run $ profile_arg $ n_arg $ seed_arg $ target_arg) in
-  Cmd.v (Cmd.info "generate" ~doc:"Generate a synthetic taskset CSV on stdout") term
+  verb "generate" ~doc:"Generate a synthetic taskset CSV on stdout"
+    Term.(const run $ profile_arg $ n_arg $ seed_arg $ target_arg)
 
 (* --- sweep --- *)
 
 let sweep_cmd =
-  let run figure_name samples seed horizon csv jobs metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_positive "--samples" samples @@ fun () ->
-    require_positive "--horizon" horizon @@ fun () ->
-    with_units "--horizon" horizon @@ fun sim_horizon ->
+  let run figure_name samples seed horizon csv jobs_opt metrics () =
+    let jobs = jobs jobs_opt in
+    let samples = positive "--samples" samples in
+    let sim_horizon = units "--horizon" (positive "--horizon" horizon) in
     with_metrics metrics @@ fun () ->
-    match
-      List.find_opt (fun f -> Experiment.Figures.id f = figure_name) Experiment.Figures.all
-    with
-    | None ->
-      Printf.eprintf "unknown figure %S (use fig3a, fig3b, fig4a or fig4b)\n" figure_name;
-      1
-    | Some figure ->
-      let cfg =
-        Experiment.Figures.config ~samples ~seed ~sim_horizon figure
-      in
-      let result = Experiment.Sweep.run ~progress:(progress_printer ()) ~jobs cfg in
-      clear_progress ();
-      print_endline (Experiment.Figures.caption figure);
-      if csv then print_string (Experiment.Sweep.to_csv result)
-      else begin
-        print_string (Experiment.Sweep.to_table result);
-        print_newline ();
-        print_string (Experiment.Sweep.to_ascii_plot result)
-      end;
-      0
+    let figure =
+      match
+        List.find_opt (fun f -> Experiment.Figures.id f = figure_name) Experiment.Figures.all
+      with
+      | Some figure -> figure
+      | None ->
+        stop 1
+          (Printf.sprintf "unknown figure %S (use fig3a, fig3b, fig4a or fig4b)" figure_name)
+    in
+    let cfg = Experiment.Figures.config ~samples ~seed ~sim_horizon figure in
+    let result = Experiment.Sweep.run ~progress:(progress_printer ()) ~jobs cfg in
+    clear_progress ();
+    print_endline (Experiment.Figures.caption figure);
+    if csv then print_string (Experiment.Sweep.to_csv result)
+    else begin
+      print_string (Experiment.Sweep.to_table result);
+      print_newline ();
+      print_string (Experiment.Sweep.to_ascii_plot result)
+    end;
+    0
   in
   let figure_arg =
     Arg.(
@@ -609,49 +560,38 @@ let sweep_cmd =
     Arg.(value & opt int 300 & info [ "samples" ] ~docv:"N" ~doc:"Tasksets per utilization point.")
   in
   let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
-  let term =
+  verb "sweep" ~doc:"Regenerate one of the paper's figures"
     Term.(
       const run $ figure_arg $ samples_arg $ seed_arg $ horizon_arg $ csv_arg $ jobs_arg
       $ metrics_arg)
-  in
-  Cmd.v (Cmd.info "sweep" ~doc:"Regenerate one of the paper's figures") term
 
 (* --- exhaustive --- *)
 
 let exhaustive_cmd =
-  let run path fpga_area policy grid_ticks max_combinations jobs metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_positive "--area" fpga_area @@ fun () ->
-    require_positive "--grid" grid_ticks @@ fun () ->
+  let run path fpga_area policy grid_ticks max_combinations jobs_opt metrics () =
+    let jobs = jobs jobs_opt in
+    let fpga_area = positive "--area" fpga_area in
+    let grid = Model.Time.of_ticks (positive "--grid" grid_ticks) in
     with_metrics metrics @@ fun () ->
-    match load_taskset path with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | Ok ts ->
-      require_fits ~fpga_area ts @@ fun () ->
-      (match
-         Sim.Exhaustive.search
-           ~grid:(Model.Time.of_ticks grid_ticks)
-           ~max_combinations ~jobs ~fpga_area ~policy ts
-       with
-       | Sim.Exhaustive.Schedulable_all_offsets { combinations } ->
-         Format.printf "no deadline miss for any of the %d offset assignments on the grid@."
-           combinations;
-         0
-       | Sim.Exhaustive.Miss_with_offsets { offsets; miss } ->
-         Format.printf "MISS with first-release offsets (%s): task %d at t=%s@."
-           (String.concat ", " (List.map Model.Time.to_string offsets))
-           (miss.Sim.Engine.task_index + 1)
-           (Model.Time.to_string miss.Sim.Engine.at);
-         2
-       | Sim.Exhaustive.Too_many_combinations { combinations } ->
-         Printf.eprintf "search space too large (%d combinations); coarsen --grid or raise --max\n"
-           combinations;
-         1
-       | Sim.Exhaustive.Hyperperiod_too_large ->
-         Printf.eprintf "hyper-period exceeds the simulation cap; not searchable\n";
-         1)
+    let ts = taskset path in
+    fits ~fpga_area ts;
+    match Sim.Exhaustive.search ~grid ~max_combinations ~jobs ~fpga_area ~policy ts with
+    | Sim.Exhaustive.Schedulable_all_offsets { combinations } ->
+      Format.printf "no deadline miss for any of the %d offset assignments on the grid@."
+        combinations;
+      0
+    | Sim.Exhaustive.Miss_with_offsets { offsets; miss } ->
+      Format.printf "MISS with first-release offsets (%s): task %d at t=%s@."
+        (String.concat ", " (List.map Model.Time.to_string offsets))
+        (miss.Sim.Engine.task_index + 1)
+        (Model.Time.to_string miss.Sim.Engine.at);
+      2
+    | Sim.Exhaustive.Too_many_combinations { combinations } ->
+      stop 1
+        (Printf.sprintf "search space too large (%d combinations); coarsen --grid or raise --max"
+           combinations)
+    | Sim.Exhaustive.Hyperperiod_too_large ->
+      stop 1 "hyper-period exceeds the simulation cap; not searchable"
   in
   let grid_arg =
     Arg.(
@@ -663,14 +603,9 @@ let exhaustive_cmd =
       value & opt int 20000
       & info [ "max" ] ~docv:"N" ~doc:"Maximum number of offset combinations to simulate.")
   in
-  let term =
+  verb "exhaustive" ~doc:"Exhaustively search release offsets for a deadline miss (small tasksets)"
     Term.(
       const run $ taskset_arg $ area_arg $ policy_arg $ grid_arg $ max_arg $ jobs_arg $ metrics_arg)
-  in
-  Cmd.v
-    (Cmd.info "exhaustive"
-       ~doc:"Exhaustively search release offsets for a deadline miss (small tasksets)")
-    term
 
 (* --- tables --- *)
 
@@ -689,29 +624,27 @@ let tables_cmd =
       (Model.Taskset.of_list [ task "tau1" "2.10" "5" "5" 7; task "tau2" "2.00" "7" "7" 7 ]);
     0
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Reproduce the paper's Tables 1-3") Term.(const run $ const ())
+  verb "tables" ~doc:"Reproduce the paper's Tables 1-3" Term.(const run)
 
 (* --- metrics-diff --- *)
 
 let metrics_diff_cmd =
-  let run path_a path_b det_only =
+  let run path_a path_b det_only () =
     let load path =
       match read_file path with
-      | exception Sys_error msg -> Error msg
-      | contents -> Result.map_error (fun msg -> path ^ ": " ^ msg) (Obs.Snapshot.of_jsonl contents)
+      | exception Sys_error msg -> fail 3 "%s" msg
+      | contents ->
+        ok 3 (Result.map_error (fun msg -> path ^ ": " ^ msg) (Obs.Snapshot.of_jsonl contents))
     in
-    match (load path_a, load path_b) with
-    | Error msg, _ | _, Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      3
-    | Ok a, Ok b -> (
-      match Obs.Snapshot.diff ~det_only a b with
-      | [] ->
-        print_endline (if det_only then "identical (deterministic metrics)" else "identical");
-        0
-      | lines ->
-        List.iter print_endline lines;
-        1)
+    let a = load path_a in
+    let b = load path_b in
+    match Obs.Snapshot.diff ~det_only a b with
+    | [] ->
+      print_endline (if det_only then "identical (deterministic metrics)" else "identical");
+      0
+    | lines ->
+      List.iter print_endline lines;
+      1
   in
   let snapshot_arg i docv =
     Arg.(required & pos i (some file) None & info [] ~docv ~doc:"Metrics snapshot (JSON lines).")
@@ -724,61 +657,39 @@ let metrics_diff_cmd =
             "Compare only deterministic counters and gauges — the values that must not depend on \
              the worker count; timers and occupancy metrics are ignored.")
   in
-  let term =
+  verb "metrics-diff" ~doc:"Compare two metrics snapshots"
+    ~description:
+      "Compares two snapshots written by $(b,--metrics). Exit status 0 when they agree, 1 when \
+       they differ (one line per difference on stdout), 3 when a snapshot cannot be read. With \
+       $(b,--det-only) the comparison is restricted to metrics that are deterministic by \
+       construction, which must be identical across $(b,-j) settings for the same command."
     Term.(const run $ snapshot_arg 0 "A.jsonl" $ snapshot_arg 1 "B.jsonl" $ det_only_arg)
-  in
-  let info =
-    Cmd.info "metrics-diff"
-      ~doc:"Compare two metrics snapshots"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Compares two snapshots written by $(b,--metrics). Exit status 0 when they agree, 1 \
-             when they differ (one line per difference on stdout), 3 when a snapshot cannot be \
-             read. With $(b,--det-only) the comparison is restricted to metrics that are \
-             deterministic by construction, which must be identical across $(b,-j) settings for \
-             the same command.";
-        ]
-  in
-  Cmd.v info term
 
 (* --- check-src --- *)
 
 let check_src_cmd =
-  let run paths strict format rule_names =
+  let run paths strict format rule_names () =
+    let rule name =
+      match Check.Rules.of_name name with
+      | Some r -> r
+      | None ->
+        fail 3 "unknown rule %S (known rules: %s)" name
+          (String.concat ", " (List.map Check.Rules.name Check.Rules.all))
+    in
     let rules =
       match rule_names with
-      | None -> Ok Check.Rules.all
+      | None -> Check.Rules.all
       | Some names ->
         String.split_on_char ',' names
         |> List.map String.trim
         |> List.filter (fun s -> s <> "")
-        |> List.fold_left
-             (fun acc name ->
-               match (acc, Check.Rules.of_name name) with
-               | Error _, _ -> acc
-               | Ok _, None ->
-                 Error
-                   (Printf.sprintf "unknown rule %S (known rules: %s)" name
-                      (String.concat ", " (List.map Check.Rules.name Check.Rules.all)))
-               | Ok rules, Some r -> Ok (rules @ [ r ]))
-             (Ok [])
+        |> List.map rule
     in
-    match rules with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      3
-    | Ok rules -> (
-      match Check.Driver.run ~rules paths with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        3
-      | Ok report ->
-        (match format with
-         | `Json -> print_endline (Wire.Json.to_string (Check.Driver.to_json report))
-         | `Human -> Format.printf "@[<v>%a@]@." Check.Driver.pp report);
-        Check.Driver.exit_code ~strict report)
+    let report = ok 3 (Check.Driver.run ~rules paths) in
+    (match format with
+     | `Json -> print_endline (Wire.Json.to_string (Check.Driver.to_json report))
+     | `Human -> Format.printf "@[<v>%a@]@." Check.Driver.pp report);
+    Check.Driver.exit_code ~strict report
   in
   let paths_arg =
     Arg.(
@@ -798,58 +709,19 @@ let check_src_cmd =
             "Comma-separated rule families to run instead of all four: det-purity, \
              domain-safety, exact-arith, poly-compare.")
   in
-  let term = Term.(const run $ paths_arg $ strict_arg $ format_arg $ rule_arg) in
-  let info =
-    Cmd.info "check-src"
-      ~doc:"Statically check the repository's own sources against its invariants"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "A typedtree-based static analysis over the repo's compiled .cmt files enforcing the \
-             three contracts nothing else checks statically: byte-identical determinism for any \
-             -j (rule $(b,det-purity): no Hashtbl.iter/fold, wall-clock reads or environment \
-             reads in deterministic modules), domain-safety of shared state (rule \
-             $(b,domain-safety): module-level mutable state must be Atomic/Mutex-guarded), and \
-             exact integer/rational arithmetic in the decide paths (rules $(b,exact-arith) and \
-             $(b,poly-compare): no float literals/comparisons, no polymorphic compare on types \
-             with a custom ordering). A finding is silenced by [@redf.allow \"rule\" \
-             \"justification\"] on the enclosing expression, binding or module; the \
-             justification is mandatory. Exit status 0 when clean (with $(b,--strict): no \
-             warnings either), 1 on findings, 3 when an input is unusable.";
-        ]
-  in
-  Cmd.v info term
-
-(* --- serve / batch --- *)
-
-let cache_size_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "cache-size" ] ~docv:"N"
-        ~doc:
-          "Verdict-cache capacity in entries (canonical tasksets, LRU eviction); 0 disables \
-           caching. Cached answers are byte-identical to uncached ones.")
-
-let require_cache_size cache_size k =
-  if cache_size < 0 then begin
-    Printf.eprintf "error: invalid --cache-size %d: expected a non-negative entry count\n"
-      cache_size;
-    2
-  end
-  else k ()
-
-(* HOST:PORT with a numeric host (rindex, so bracket-less IPv6 works)
-   or "localhost"; validated here as a usage error like --jobs *)
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | None -> Error (Printf.sprintf "invalid --listen %s: expected HOST:PORT" s)
-  | Some i -> (
-    let host = String.sub s 0 i in
-    let port = String.sub s (i + 1) (String.length s - i - 1) in
-    match int_of_string_opt port with
-    | Some p when p >= 0 && p <= 65535 -> Ok (host, p)
-    | _ -> Error (Printf.sprintf "invalid --listen %s: port must be an integer in 0..65535" s))
+  verb "check-src" ~doc:"Statically check the repository's own sources against its invariants"
+    ~description:
+      "A typedtree-based static analysis over the repo's compiled .cmt files enforcing the \
+       three contracts nothing else checks statically: byte-identical determinism for any -j \
+       (rule $(b,det-purity): no Hashtbl.iter/fold, wall-clock reads or environment reads in \
+       deterministic modules), domain-safety of shared state (rule $(b,domain-safety): \
+       module-level mutable state must be Atomic/Mutex-guarded), and exact integer/rational \
+       arithmetic in the decide paths (rules $(b,exact-arith) and $(b,poly-compare): no float \
+       literals/comparisons, no polymorphic compare on types with a custom ordering). A finding \
+       is silenced by [@redf.allow \"rule\" \"justification\"] on the enclosing expression, \
+       binding or module; the justification is mandatory. Exit status 0 when clean (with \
+       $(b,--strict): no warnings either), 1 on findings, 3 when an input is unusable."
+    Term.(const run $ paths_arg $ strict_arg $ format_arg $ rule_arg)
 
 (* --- the transport flags and loop runner serve and admit share --- *)
 
@@ -860,6 +732,18 @@ type transport = {
   idle_timeout : float option;
 }
 
+(* HOST:PORT with a numeric host (rindex, so bracket-less IPv6 works)
+   or "localhost" *)
+let parse_host_port s =
+  match String.rindex_opt s ':' with
+  | None -> fail 2 "invalid --listen %s: expected HOST:PORT" s
+  | Some i -> (
+    let host = String.sub s 0 i in
+    match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+    | Some p when p >= 0 && p <= 65535 -> (host, p)
+    | _ -> fail 2 "invalid --listen %s: port must be an integer in 0..65535" s)
+
+(* the term's value checks the flags when the verb calls it *)
 let transport_term =
   let socket_arg =
     Arg.(
@@ -900,10 +784,14 @@ let transport_term =
              received, nothing owed — for $(docv) seconds (granularity: one loop tick, up to \
              0.5s). Off by default: idle connections are free to linger.")
   in
-  let make socket listen timeout idle_timeout =
-    Result.map
-      (fun listen -> { socket; listen; timeout; idle_timeout })
-      (match listen with None -> Ok None | Some s -> Result.map Option.some (parse_host_port s))
+  let make socket listen timeout idle_timeout () =
+    let seconds flag = Option.map (positive_float flag ~what:"number of seconds") in
+    {
+      socket;
+      listen = Option.map parse_host_port listen;
+      timeout = seconds "--timeout" timeout;
+      idle_timeout = seconds "--idle-timeout" idle_timeout;
+    }
   in
   Term.(const make $ socket_arg $ listen_arg $ timeout_arg $ idle_timeout_arg)
 
@@ -914,59 +802,62 @@ let transport_term =
    before any endpoint exists, so a supervisor that sees the socket can
    already TERM it. *)
 let run_transport tr ?limits ?(is_mutation = fun _ -> false) handle_lines =
-  let stop = Atomic.make false in
-  let on_stop = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  let stop_flag = Atomic.make false in
+  let on_stop = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
   Sys.set_signal Sys.sigint on_stop;
   Sys.set_signal Sys.sigterm on_stop;
-  match
-    match (tr.socket, tr.listen) with
-    | None, None -> [ Server.Loop.stdio_listener ~input:Unix.stdin ~output:Unix.stdout ]
-    | socket, listen ->
-      let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
-      let tcp_l =
-        Option.map
-          (fun (host, port) ->
-            let l = Server.Loop.tcp_listener ~host ~port in
-            Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
-            l)
-          listen
-      in
-      List.filter_map Fun.id [ unix_l; tcp_l ]
-  with
-  | exception Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
-    1
-  | listeners ->
-    let service =
-      {
-        Server.Loop.handle_lines;
-        stop_requested = (fun () -> Atomic.get stop);
-        shed_response = Server.Protocol.shed_response;
-        is_mutation;
-      }
-    in
-    Server.Loop.serve_service service ?timeout:tr.timeout ?idle_timeout:tr.idle_timeout ?limits
-      listeners;
-    0
+  let listeners =
+    try
+      match (tr.socket, tr.listen) with
+      | None, None -> [ Server.Loop.stdio_listener ~input:Unix.stdin ~output:Unix.stdout ]
+      | socket, listen ->
+        let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
+        let tcp_l =
+          Option.map
+            (fun (host, port) ->
+              let l = Server.Loop.tcp_listener ~host ~port in
+              Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
+              l)
+            listen
+        in
+        List.filter_map Fun.id [ unix_l; tcp_l ]
+    with
+    | Failure msg -> fail 1 "%s" msg
+    | Unix.Unix_error (e, fn, arg) -> fail 1 "%s(%s): %s" fn arg (Unix.error_message e)
+  in
+  let service =
+    {
+      Server.Loop.handle_lines;
+      stop_requested = (fun () -> Atomic.get stop_flag);
+      shed_response = Server.Protocol.shed_response;
+      is_mutation;
+    }
+  in
+  Server.Loop.serve_service service ?timeout:tr.timeout ?idle_timeout:tr.idle_timeout ?limits
+    listeners;
+  0
+
+(* --- serve / batch --- *)
 
 let serve_cmd =
-  let run transport cache_size max_pending max_inflight jobs metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_cache_size cache_size @@ fun () ->
-    require_positive "--max-pending" max_pending @@ fun () ->
-    require_positive "--max-inflight" max_inflight @@ fun () ->
-    match transport with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-    | Ok transport ->
-      with_metrics metrics @@ fun () ->
-      Server.Engine.with_engine ~cache_size ~jobs @@ fun engine ->
-      let limits = { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight } in
-      run_transport transport ~limits (Server.Engine.handle_lines engine)
+  let run transport cache_size max_pending max_inflight jobs_opt metrics () =
+    let jobs = jobs jobs_opt in
+    let cache_size = non_negative "--cache-size" ~what:"entry count" cache_size in
+    let max_pending = positive "--max-pending" max_pending in
+    let max_inflight = positive "--max-inflight" max_inflight in
+    let transport = transport () in
+    with_metrics metrics @@ fun () ->
+    Server.Engine.with_engine ~cache_size ~jobs @@ fun engine ->
+    let limits = { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight } in
+    run_transport transport ~limits (Server.Engine.handle_lines engine)
+  in
+  let cache_size_arg =
+    Arg.(
+      value & opt int 4096
+      & info [ "cache-size" ] ~docv:"N"
+          ~doc:
+            "Verdict-cache capacity in entries (canonical tasksets, LRU eviction); 0 disables \
+             caching. Cached answers are byte-identical to uncached ones.")
   in
   let max_pending_arg =
     Arg.(
@@ -985,87 +876,52 @@ let serve_cmd =
              further requests are answered immediately with a well-formed \
              $(b,server overloaded) error (load shedding) instead of queueing.")
   in
-  let term =
+  verb "serve" ~doc:"Run the analysis service (line-oriented JSON requests)"
+    ~description:
+      "Reads one JSON request per line — \
+       {\"analyzer\":\"GN2\",\"fpga_area\":10,\"tasks\":[{\"C\":\"1.26\",\"D\":\"7\",\"T\":\"7\",\"A\":9},...]} \
+       — and writes one JSON verdict line per request, in request order, over stdin/stdout, or \
+       over a Unix-domain socket ($(b,--socket)) and/or TCP ($(b,--listen)). One event loop \
+       serves every connection, stdin/stdout included, with the same framing (a 16 MiB line \
+       cap), timeouts, backpressure and shedding, fanning request evaluation out over $(b,-j) \
+       worker domains; per connection, responses are byte-identical whatever the transport, \
+       so $(b,redf serve < FILE) answers a file of requests as $(b,redf batch FILE --connect) \
+       does over a socket. Verdicts are cached under a canonical taskset key (task order and \
+       names do not matter) in a sharded LRU, so repeated queries are answered from cache with \
+       byte-identical output. A malformed request yields an error response and never \
+       terminates the service; SIGINT/SIGTERM drain the requests already received before \
+       exiting. Responses match $(b,redf analyze --format json) verdict for verdict."
     Term.(
-      const run $ transport_term $ cache_size_arg $ max_pending_arg
-      $ max_inflight_arg $ jobs_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "serve"
-      ~doc:"Run the analysis service (line-oriented JSON requests)"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Reads one JSON request per line — \
-             {\"analyzer\":\"GN2\",\"fpga_area\":10,\"tasks\":[{\"C\":\"1.26\",\"D\":\"7\",\"T\":\"7\",\"A\":9},...]} \
-             — and writes one JSON verdict line per request, in request order, over stdin/stdout, \
-             or over a Unix-domain socket ($(b,--socket)) and/or TCP ($(b,--listen)). One event \
-             loop serves every connection, stdin/stdout included, with the same framing, \
-             timeouts, backpressure and shedding, fanning request evaluation out over $(b,-j) \
-             worker domains; per connection, responses are byte-identical to $(b,redf batch) on \
-             the same lines. Verdicts are cached under a \
-             canonical taskset key (task order and names do not matter) in a sharded LRU, so \
-             repeated queries are answered from cache with byte-identical output. A malformed \
-             request yields an error response and never terminates the service; SIGINT/SIGTERM \
-             drain the requests already received before exiting. Responses match $(b,redf \
-             analyze --format json) verdict for verdict.";
-        ]
-  in
-  Cmd.v info term
+      const run $ transport_term $ cache_size_arg $ max_pending_arg $ max_inflight_arg $ jobs_arg
+      $ metrics_arg)
 
 let batch_cmd =
-  let run file connect retries backoff_ms hold cache_size jobs metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_cache_size cache_size @@ fun () ->
-    if retries < 0 then begin
-      Printf.eprintf "error: invalid --retries %d: expected a non-negative count\n" retries;
-      2
-    end
-    else
-      require_positive "--backoff-ms" backoff_ms @@ fun () ->
-      with_metrics metrics @@ fun () ->
-      match
-        if file = "-" then Ok (In_channel.input_all stdin)
-        else match read_file file with s -> Ok s | exception Sys_error msg -> Error msg
-      with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-      | Ok contents -> (
-        let lines =
-          String.split_on_char '\n' contents
-          |> List.filter (fun l -> String.trim l <> "")
-          |> Array.of_list
-        in
-        let ending = ref None in
-        let responses =
-          match connect with
-          | Some path -> (
-            let addr = Unix.ADDR_UNIX path in
-            match hold with
-            | Some hold ->
-              Result.map
-                (fun (responses, how) ->
-                  ending := Some how;
-                  responses)
-                (Server.Engine.client_hold ~addr ~hold lines)
-            | None -> Server.Engine.client_roundtrip_retry ~addr ~retries ~backoff_ms lines)
-          | None ->
-            Server.Engine.with_engine ~cache_size ~jobs @@ fun engine ->
-            Ok (Server.Engine.handle_lines engine lines)
-        in
-        match responses with
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          1
-        | Ok responses ->
-          Array.iter print_endline responses;
-          (match !ending with
-          | None -> ()
-          | Some `Closed_by_server -> print_endline "connection closed by server"
-          | Some `Hold_expired -> print_endline "hold expired");
-          0)
+  let run file connect retries backoff_ms hold () =
+    let retries = non_negative "--retries" ~what:"count" retries in
+    let backoff_ms = positive "--backoff-ms" backoff_ms in
+    let contents =
+      if file = "-" then In_channel.input_all stdin
+      else try read_file file with Sys_error msg -> fail 1 "%s" msg
+    in
+    let lines =
+      String.split_on_char '\n' contents
+      |> List.filter (fun l -> String.trim l <> "")
+      |> Array.of_list
+    in
+    let addr = Unix.ADDR_UNIX connect in
+    match hold with
+    | None ->
+      Array.iter print_endline
+        (ok 1 (Server.Engine.client_roundtrip_retry ~addr ~retries ~backoff_ms lines));
+      0
+    | Some hold ->
+      let responses, ending = ok 1 (Server.Engine.client_hold ~addr ~hold lines) in
+      Array.iter print_endline responses;
+      print_endline
+        (match ending with
+         | `Closed_by_server -> "connection closed by server"
+         | `Hold_expired -> "hold expired");
+      0
   in
   let file_arg =
     Arg.(
@@ -1076,23 +932,23 @@ let batch_cmd =
   in
   let connect_arg =
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "connect" ] ~docv:"PATH"
           ~doc:
-            "Send the batch to a running $(b,redf serve --socket) (or $(b,redf admit --socket)) \
-             $(docv) instead of evaluating in-process. Exits 1 when the connection ends before \
-             every request is answered.")
+            "The Unix-domain socket of a running $(b,redf serve --socket) (or $(b,redf admit \
+             --socket)) to send the batch to. Exits 1 when the connection ends before every \
+             request is answered.")
   in
   let retries_arg =
     Arg.(
       value & opt int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "With $(b,--connect): on a lost connection, reconnect and re-send only the \
-             unanswered suffix of the batch, up to $(docv) times, with exponential backoff \
-             (from $(b,--backoff-ms)) and jitter. Requests that already got a response are \
-             never re-sent; re-sent admit mutations are deduplicated server-side by request id.")
+            "On a lost connection, reconnect and re-send only the unanswered suffix of the \
+             batch, up to $(docv) times, with exponential backoff (from $(b,--backoff-ms)) and \
+             jitter. Requests that already got a response are never re-sent; re-sent admit \
+             mutations are deduplicated server-side by request id.")
   in
   let backoff_ms_arg =
     Arg.(
@@ -1105,30 +961,17 @@ let batch_cmd =
       & opt (some float) None
       & info [ "hold" ] ~docv:"SECONDS"
           ~doc:
-            "With $(b,--connect): after the responses arrive, keep the connection open and idle \
-             for up to $(docv) seconds, then report whether the server closed it (the probe for \
+            "After the responses arrive, keep the connection open and idle for up to $(docv) \
+             seconds, then report whether the server closed it (the probe for \
              $(b,--idle-timeout)).")
   in
-  let term =
-    Term.(
-      const run $ file_arg $ connect_arg $ retries_arg $ backoff_ms_arg $ hold_arg
-      $ cache_size_arg $ jobs_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "batch"
-      ~doc:"Evaluate a file of analysis-service requests"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Answers every request line of the file (blank lines ignored) and prints one \
-             response line per request, in request order — exactly the lines $(b,redf serve) \
-             would produce. By default the batch is evaluated in-process, sharing the verdict \
-             cache and fanning out over $(b,-j) worker domains; with $(b,--connect) it is \
-             pipelined to a running server over its Unix-domain socket.";
-        ]
-  in
-  Cmd.v info term
+  verb "batch" ~doc:"Send a file of analysis-service requests to a running server"
+    ~description:
+      "Pipelines every request line of the file (blank lines ignored) to a running server over \
+       its Unix-domain socket ($(b,--connect)) and prints one response line per request, in \
+       request order. To answer a file without a server, run $(b,redf serve < FILE): the same \
+       engine behind the same framing, on stdin/stdout."
+    Term.(const run $ file_arg $ connect_arg $ retries_arg $ backoff_ms_arg $ hold_arg)
 
 (* --- admit / chaos-admit --- *)
 
@@ -1175,58 +1018,44 @@ let resolve_faults faults fault_seed =
     | None -> (
       match Sys.getenv_opt "REDF_ADMIT_FAULTS" with Some "" | None -> None | Some s -> Some s)
   in
-  match spec_string with
-  | None -> Ok None
-  | Some s ->
-    Result.map (fun spec -> Some (Admit.Faults.create ~seed:fault_seed spec)) (Admit.Faults.parse_spec s)
+  Option.map
+    (fun s -> Admit.Faults.create ~seed:fault_seed (ok 2 (Admit.Faults.parse_spec s)))
+    spec_string
 
 let admit_cmd =
-  let run dir analyzer fpga_area transport snapshot_every faults fault_seed metrics =
-    require_positive "--fpga-area" fpga_area @@ fun () ->
-    require_positive "--snapshot-every" snapshot_every @@ fun () ->
+  let run dir analyzer fpga_area transport snapshot_every faults fault_seed metrics () =
+    let fpga_area = positive "--fpga-area" fpga_area in
+    let snapshot_every = positive "--snapshot-every" snapshot_every in
+    let transport = transport () in
+    let analyzer = ok 2 (Core.Analyzer.of_name analyzer) in
+    let faults = resolve_faults faults fault_seed in
+    with_metrics metrics @@ fun () ->
+    let daemon, recovery =
+      ok 1 (Admit.Daemon.create ?faults ~snapshot_every ~analyzer ~fpga_area ~dir ())
+    in
+    Printf.eprintf "admit: %s: recovered seq %d, %d tasks (%d journal records replayed%s)\n%!" dir
+      (Admit.State.seq (Admit.Daemon.state daemon))
+      (Admit.State.size (Admit.Daemon.state daemon))
+      recovery.Admit.Store.replayed
+      (if recovery.Admit.Store.torn_bytes > 0 then
+         Printf.sprintf ", torn tail of %d bytes truncated" recovery.Admit.Store.torn_bytes
+       else "");
+    Fun.protect ~finally:(fun () -> Admit.Daemon.close daemon) @@ fun () ->
     match
-      let ( let* ) = Result.bind in
-      let* transport = transport in
-      let* analyzer = Core.Analyzer.of_name analyzer in
-      let* faults = resolve_faults faults fault_seed in
-      Ok (transport, analyzer, faults)
+      run_transport transport ~is_mutation:Admit.Daemon.is_mutation
+        (Admit.Daemon.handle_lines daemon)
     with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-    | Ok (transport, analyzer, faults) -> (
-      with_metrics metrics @@ fun () ->
-      match Admit.Daemon.create ?faults ~snapshot_every ~analyzer ~fpga_area ~dir () with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-      | Ok (daemon, recovery) -> (
-        Printf.eprintf "admit: %s: recovered seq %d, %d tasks (%d journal records replayed%s)\n%!"
-          dir
-          (Admit.State.seq (Admit.Daemon.state daemon))
-          (Admit.State.size (Admit.Daemon.state daemon))
-          recovery.Admit.Store.replayed
-          (if recovery.Admit.Store.torn_bytes > 0 then
-             Printf.sprintf ", torn tail of %d bytes truncated" recovery.Admit.Store.torn_bytes
-           else "");
-        match
-          run_transport transport ~is_mutation:Admit.Daemon.is_mutation
-            (Admit.Daemon.handle_lines daemon)
-        with
-        | code ->
-          Admit.Daemon.close daemon;
-          code
-        | exception Admit.Faults.Crash (fate, msg) ->
-          (* injected kill -9: leave the journal exactly as-is and die
-             loudly; recovery on the next start is the point *)
-          Admit.Daemon.close daemon;
-          Printf.eprintf "admit: injected crash (%s): %s\n"
-            (match fate with
+    | code -> code
+    | exception Admit.Faults.Crash (fate, msg) ->
+      (* injected kill -9: leave the journal exactly as-is and die
+         loudly; recovery on the next start is the point *)
+      stop 7
+        (Printf.sprintf "admit: injected crash (%s): %s"
+           (match fate with
             | Admit.Faults.Torn -> "torn"
             | Admit.Faults.Lost -> "lost"
             | Admit.Faults.After_append -> "after-append")
-            msg;
-          7))
+           msg)
   in
   let dir_arg =
     Arg.(
@@ -1238,75 +1067,55 @@ let admit_cmd =
              replays it on start; kill the daemon at any point and restart it on the same \
              $(docv) to get the last acknowledged state back.")
   in
-  let term =
+  verb "admit" ~doc:"Run the crash-safe online admission-control daemon"
+    ~description:
+      "Holds a live device model (one analyzer, one FPGA area) and the admitted taskset, and \
+       answers one JSON request per line: $(b,add-task) (admitted iff the analyzer accepts the \
+       grown taskset; the empty taskset is trivially schedulable), $(b,remove-task), \
+       $(b,query), and $(b,what-if) (hypothetical adds/drops, nothing mutated). Admitted \
+       mutations are appended to a CRC-framed write-ahead journal and fsync'd $(i,before) the \
+       reply is sent, with periodic snapshot rotation; restarting on the same $(b,--dir) \
+       replays journal + snapshot back to exactly the last acknowledged state (a torn trailing \
+       record from a mid-write crash is truncated; a corrupt interior record is refused with a \
+       diagnostic). Replies to mutations are stored under their request $(b,id), so a client \
+       retrying after a lost reply gets the original bytes back instead of a double apply. \
+       Serves stdin/stdout, or $(b,--socket) and/or $(b,--listen), over the same event loop as \
+       $(b,redf serve); under overload, mutations are shed only at twice the read-query \
+       threshold."
     Term.(
       const run $ dir_arg $ admit_analyzer_arg $ admit_area_arg $ transport_term
       $ snapshot_every_arg $ faults_arg $ fault_seed_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "admit"
-      ~doc:"Run the crash-safe online admission-control daemon"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Holds a live device model (one analyzer, one FPGA area) and the admitted taskset, \
-             and answers one JSON request per line: $(b,add-task) (admitted iff the analyzer \
-             accepts the grown taskset; the empty taskset is trivially schedulable), \
-             $(b,remove-task), $(b,query), and $(b,what-if) (hypothetical adds/drops, nothing \
-             mutated). Admitted mutations are appended to a CRC-framed write-ahead journal and \
-             fsync'd $(i,before) the reply is sent, with periodic snapshot rotation; restarting \
-             on the same $(b,--dir) replays journal + snapshot back to exactly the last \
-             acknowledged state (a torn trailing record from a mid-write crash is truncated; a \
-             corrupt interior record is refused with a diagnostic). Replies to mutations are \
-             stored under their request $(b,id), so a client retrying after a lost reply gets \
-             the original bytes back instead of a double apply. Serves stdin/stdout, or \
-             $(b,--socket) and/or $(b,--listen), over the same event loop as $(b,redf serve); \
-             under overload, mutations are shed only at twice the read-query threshold.";
-        ]
-  in
-  Cmd.v info term
 
 let chaos_admit_cmd =
-  let run dir seed cycles ops faults analyzer fpga_area snapshot_every quiet =
-    require_positive "--cycles" cycles @@ fun () ->
-    require_positive "--ops" ops @@ fun () ->
-    require_positive "--fpga-area" fpga_area @@ fun () ->
-    require_positive "--snapshot-every" snapshot_every @@ fun () ->
-    match
-      let ( let* ) = Result.bind in
-      let* analyzer = Core.Analyzer.of_name analyzer in
-      let* spec =
-        match faults with
-        | None -> Ok Admit.Chaos.default_spec
-        | Some s -> Admit.Faults.parse_spec s
-      in
-      Ok (analyzer, spec)
-    with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-    | Ok (analyzer, spec) -> (
-      let cfg =
-        {
-          (Admit.Chaos.default ~analyzer ~fpga_area) with
-          Admit.Chaos.seed;
-          cycles;
-          ops_per_cycle = ops;
-          spec;
-          snapshot_every;
-        }
-      in
-      let progress i =
-        if (not quiet) && i mod 10 = 0 then Printf.eprintf "chaos-admit: cycle %d/%d\n%!" i cycles
-      in
-      match Admit.Chaos.run ~progress ~dir cfg with
-      | Error msg ->
-        Printf.eprintf "chaos-admit: FAIL (seed %d): %s\n" seed msg;
-        1
-      | Ok stats ->
-        Format.printf "chaos-admit: ok (seed %d): %a@." seed Admit.Chaos.pp_stats stats;
-        0)
+  let run dir seed cycles ops faults analyzer fpga_area snapshot_every quiet () =
+    let cycles = positive "--cycles" cycles in
+    let ops_per_cycle = positive "--ops" ops in
+    let fpga_area = positive "--fpga-area" fpga_area in
+    let snapshot_every = positive "--snapshot-every" snapshot_every in
+    let analyzer = ok 2 (Core.Analyzer.of_name analyzer) in
+    let spec =
+      match faults with
+      | None -> Admit.Chaos.default_spec
+      | Some s -> ok 2 (Admit.Faults.parse_spec s)
+    in
+    let cfg =
+      {
+        (Admit.Chaos.default ~analyzer ~fpga_area) with
+        Admit.Chaos.seed;
+        cycles;
+        ops_per_cycle;
+        spec;
+        snapshot_every;
+      }
+    in
+    let progress i =
+      if (not quiet) && i mod 10 = 0 then Printf.eprintf "chaos-admit: cycle %d/%d\n%!" i cycles
+    in
+    match Admit.Chaos.run ~progress ~dir cfg with
+    | Error msg -> stop 1 (Printf.sprintf "chaos-admit: FAIL (seed %d): %s" seed msg)
+    | Ok stats ->
+      Format.printf "chaos-admit: ok (seed %d): %a@." seed Admit.Chaos.pp_stats stats;
+      0
   in
   let dir_arg =
     Arg.(
@@ -1328,34 +1137,40 @@ let chaos_admit_cmd =
       & info [ "ops" ] ~docv:"N" ~doc:"Protocol-line budget per lifetime when no crash fires.")
   in
   let quiet_arg = Arg.(value & flag & info [ "quiet" ] ~doc:"No per-cycle progress on stderr.") in
-  let term =
+  verb "chaos-admit"
+    ~doc:"Crash/restart-torture the admission daemon and check its recovery invariant"
+    ~description:
+      "Drives seeded random admit traffic against an in-process daemon whose journal has fault \
+       injection armed (torn appends, failed fsyncs, crashes between append and reply), killing \
+       and recovering it for $(b,--cycles) lifetimes over one state directory. After every \
+       recovery the state must equal a reference model built from acknowledged replies only \
+       (plus, for an after-append crash, exactly the one durable-but-unacknowledged mutation, \
+       whose stored reply a duplicate-id retry must return verbatim); every verdict on the \
+       wire is also checked field-for-field against a from-scratch analyzer run. Any violation \
+       exits 1 with the seed to replay."
     Term.(
       const run $ dir_arg $ seed_arg $ cycles_arg $ ops_arg $ faults_arg $ admit_analyzer_arg
       $ admit_area_arg $ snapshot_every_arg $ quiet_arg)
-  in
-  let info =
-    Cmd.info "chaos-admit"
-      ~doc:"Crash/restart-torture the admission daemon and check its recovery invariant"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Drives seeded random admit traffic against an in-process daemon whose journal has \
-             fault injection armed (torn appends, failed fsyncs, crashes between append and \
-             reply), killing and recovering it for $(b,--cycles) lifetimes over one state \
-             directory. After every recovery the state must equal a reference model built from \
-             acknowledged replies only (plus, for an after-append crash, exactly the one \
-             durable-but-unacknowledged mutation, whose stored reply a duplicate-id retry must \
-             return verbatim); every verdict on the wire is also checked field-for-field \
-             against a from-scratch analyzer run. Any violation exits 1 with the seed to \
-             replay.";
-        ]
-  in
-  Cmd.v info term
+
+(* --- bench-core --- *)
 
 let bench_core_cmd =
-  let run budget_ms out compare tolerance =
-    Bench_core.run ~budget_ms ~out ~compare ~tolerance
+  let run budget_ms out compare tolerance () =
+    let budget_ms = Option.map (positive "--budget-ms") budget_ms in
+    let tolerance =
+      match Bench.Core_bench.parse_tolerance tolerance with
+      | Ok tol -> tol
+      | Error msg -> stop 2 ("bench-core: " ^ msg)
+    in
+    let baseline =
+      match Bench_core.load_baseline compare with Ok b -> b | Error line -> stop 2 line
+    in
+    (* the matrix can take minutes: find an unusable --out before it.
+       Not truncated here, since --compare may name the same file; a
+       parent that cannot be made fails the open with its reason *)
+    (try Bench.Env.ensure_parent_dir out with Sys_error _ -> ());
+    Unix.close (open_write ~flags:[] ~code:2 "--out" out);
+    Bench_core.run ?budget_ms ~out ~baseline ~tolerance ()
   in
   let budget_arg =
     Arg.(
@@ -1387,25 +1202,16 @@ let bench_core_cmd =
       & info [ "tolerance" ] ~docv:"RATIO"
           ~doc:"Allowed current/baseline slowdown per row, e.g. $(b,1.5x).")
   in
-  let term = Term.(const run $ budget_arg $ out_arg $ compare_arg $ tolerance_arg) in
-  let info =
-    Cmd.info "bench-core"
-      ~doc:"Measure analyzer cost per decide; optionally gate on a committed baseline"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Times every analyzer (DP, GN1, GN2, approx, the exact oracle) on seed-fixed \
-             workloads across taskset sizes, in single-decide and batch ($(b,decide_all)) \
-             modes, and writes results/BENCH_core.json. With $(b,--compare), rows are matched \
-             to the baseline by (analyzer, n, mode): a row slower than tolerance times its \
-             baseline (and by a small absolute floor, to ignore micro-row jitter) is a \
-             regression and the command exits 1 — the CI perf leg. A tripping row is \
-             re-measured once and the faster run kept, so a one-off scheduling hiccup on a \
-             shared runner does not fail the gate.";
-        ]
-  in
-  Cmd.v info term
+  verb "bench-core" ~doc:"Measure analyzer cost per decide; optionally gate on a committed baseline"
+    ~description:
+      "Times every analyzer (DP, GN1, GN2, approx, the exact oracle) on seed-fixed workloads \
+       across taskset sizes, in single-decide and batch ($(b,decide_all)) modes, and writes \
+       results/BENCH_core.json. With $(b,--compare), rows are matched to the baseline by \
+       (analyzer, n, mode): a row slower than tolerance times its baseline (and by a small \
+       absolute floor, to ignore micro-row jitter) is a regression and the command exits 1 — \
+       the CI perf leg. A tripping row is re-measured once and the faster run kept, so a \
+       one-off scheduling hiccup on a shared runner does not fail the gate."
+    Term.(const run $ budget_arg $ out_arg $ compare_arg $ tolerance_arg)
 
 let main_cmd =
   let doc = "schedulability analysis of EDF scheduling on reconfigurable hardware" in

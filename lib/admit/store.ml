@@ -110,16 +110,29 @@ let replay base payloads =
       Ok (st, if record.State.seq > State.seq base then n + 1 else n))
     (Ok (base, 0)) payloads
 
+(* a directory that cannot hold the store (a regular file, a missing
+   parent, no permission) is refused like a corrupt journal *)
+let unusable dir e = Error (Printf.sprintf "%s: %s" dir (Unix.error_message e))
+
 let open_dir ?(faults = Faults.none) ?(snapshot_every = default_snapshot_every) ~dir () =
-  (match Unix.mkdir dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let* () =
+    match Unix.mkdir dir 0o755 with
+    | () -> Ok ()
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> unusable dir e
+  in
   let journal_path = dir // journal_file in
   let* snapshot = load_snapshot (dir // snapshot_file) in
   let base = Option.value snapshot ~default:State.empty in
   let* scan = Journal.scan ~path:journal_path in
   let* st, replayed = replay base scan.Journal.records in
-  let journal = Journal.open_append ~faults ~path:journal_path ~valid_bytes:scan.Journal.valid_bytes () in
+  let* journal =
+    match
+      Journal.open_append ~faults ~path:journal_path ~valid_bytes:scan.Journal.valid_bytes ()
+    with
+    | journal -> Ok journal
+    | exception Unix.Unix_error (e, _, _) -> unusable dir e
+  in
   let t =
     {
       dir;

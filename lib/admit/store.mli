@@ -23,7 +23,9 @@ val open_dir :
   (t * recovery, string) result
 (** Create [dir] if needed, run recovery, open the journal for
     appending.  [snapshot_every] (default 1024) is the journal record
-    count that triggers snapshot rotation. *)
+    count that triggers snapshot rotation.  A directory that cannot be
+    created or cannot hold the journal is an [Error "DIR: reason"],
+    like a corrupt journal. *)
 
 val state : t -> State.t
 val dir : t -> string

@@ -78,12 +78,12 @@ let unit_timer = Obs.Timer.make "audit.consistency.unit"
 type config = {
   fpga_area : int;
   horizon_cap : Model.Time.t;
-  sporadic_seed : int option;
+  sporadic_seed : int;
   shrink : bool;
 }
 
 let default_config ~fpga_area =
-  { fpga_area; horizon_cap = Time.of_units 10_000; sporadic_seed = Some 97; shrink = true }
+  { fpga_area; horizon_cap = Time.of_units 10_000; sporadic_seed = 97; shrink = true }
 
 (* --- simulation helpers --- *)
 
@@ -301,9 +301,7 @@ let audit ?(analyzers = paper_analyzers) ?(jobs = 1) config ts =
         ]
       else []
     in
-    let releases =
-      Synchronous :: (match config.sporadic_seed with None -> [] | Some s -> [ Sporadic s ])
-    in
+    let releases = [ Synchronous; Sporadic config.sporadic_seed ] in
     let works =
       List.concat_map
         (fun analyzer ->

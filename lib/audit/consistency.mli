@@ -74,8 +74,9 @@ type config = {
   fpga_area : int;
   horizon_cap : Model.Time.t;
       (** simulate over [min(hyperperiod, horizon_cap)] *)
-  sporadic_seed : int option;
-      (** also audit a sporadic release pattern with this seed *)
+  sporadic_seed : int;
+      (** seed of the sporadic release pattern audited beside the
+          synchronous one *)
   shrink : bool;  (** shrink unsound-accept counterexamples *)
 }
 

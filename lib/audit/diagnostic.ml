@@ -31,30 +31,4 @@ let pp fmt d =
   | Some i -> Format.fprintf fmt "%s[%s] task %d: %s" (severity_name d.severity) d.rule (i + 1) d.message
   | None -> Format.fprintf fmt "%s[%s]: %s" (severity_name d.severity) d.rule d.message
 
-(* minimal sexp string escaping: always quote the message atom *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let pp_sexp fmt d =
-  Format.fprintf fmt "((severity %s) (rule %s)" (severity_name d.severity) d.rule;
-  (match d.task_index with
-   | Some i -> Format.fprintf fmt " (task %d)" (i + 1)
-   | None -> ());
-  Format.fprintf fmt " (message \"%s\"))" (escape d.message)
-
 let pp_list fmt ds = List.iter (fun d -> Format.fprintf fmt "%a@," pp d) ds
-
-let pp_sexp_list fmt ds =
-  Format.fprintf fmt "@[<v 1>(diagnostics";
-  List.iter (fun d -> Format.fprintf fmt "@,%a" pp_sexp d) ds;
-  Format.fprintf fmt ")@]"

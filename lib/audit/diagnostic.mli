@@ -2,9 +2,9 @@
     cross-analyzer consistency auditor.
 
     A diagnostic names the rule that fired, optionally the task it is
-    about, and a human-readable message.  Two renderings are provided:
-    a compiler-style human form ([error[rule] task 3: ...]) and a
-    machine-readable sexp form for tooling ([((severity error) ...)]). *)
+    about, and a human-readable message.  It renders in a
+    compiler-style human form ([error[rule] task 3: ...]) here, and as
+    canonical JSON through {!Driver.to_json}. *)
 
 type severity = Error | Warning | Info
 
@@ -38,12 +38,5 @@ val by_severity : t list -> t list
 val pp : Format.formatter -> t -> unit
 (** Human form, e.g. [warning[duplicate-task-name] task 2: ...]. *)
 
-val pp_sexp : Format.formatter -> t -> unit
-(** Machine form, e.g.
-    [((severity warning) (rule duplicate-task-name) (task 2) (message "..."))]. *)
-
 val pp_list : Format.formatter -> t list -> unit
 (** One human-form diagnostic per line. *)
-
-val pp_sexp_list : Format.formatter -> t list -> unit
-(** The whole list as one sexp: [(diagnostics <d1> <d2> ...)]. *)

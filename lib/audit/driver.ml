@@ -45,8 +45,6 @@ let summary ~label r =
 let pp ?(label = "audit") fmt r =
   Format.fprintf fmt "@[<v>%a%s@]" Diagnostic.pp_list (diagnostics r) (summary ~label r)
 
-let pp_sexp fmt r = Diagnostic.pp_sexp_list fmt (diagnostics r)
-
 let diagnostic_json (d : Diagnostic.t) =
   let open Wire.Json in
   Obj

@@ -37,8 +37,6 @@ val pp : ?label:string -> Format.formatter -> report -> unit
     ("audit: 1 error, 2 warnings, 0 infos" or "audit: clean").
     [label] defaults to ["audit"]. *)
 
-val pp_sexp : Format.formatter -> report -> unit
-
 val to_json : ?kind:string -> report -> Wire.Json.t
 (** The report as canonical JSON (the [--format json] form): the
     shared [schema_version], [kind] (default ["audit"]; [redf lint]

@@ -22,20 +22,6 @@ let of_name s =
   | "poly-compare" -> Some Poly_compare
   | _ -> None
 
-let describe = function
-  | Det_purity ->
-    "no wall-clock, environment or hash-order-dependent primitives in deterministic modules \
-     (the lib/parallel split-PRNG contract: byte-identical output for any -j)"
-  | Domain_safety ->
-    "module-level mutable state in pool-reachable modules must be Atomic/Mutex-guarded or \
-     explicitly allow-listed with a justification"
-  | Exact_arith ->
-    "no float literals, float comparisons or float_of_string in the exact decide paths \
-     (verdicts must never depend on float rounding)"
-  | Poly_compare ->
-    "no polymorphic =/compare on types carrying a custom ordering (verdicts, diagnostics, \
-     simulator outcomes)"
-
 (* --- module classification --- *)
 
 let has_prefix ~prefix s =

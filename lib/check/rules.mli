@@ -15,9 +15,6 @@ val name : rule -> string
 val of_name : string -> rule option
 (** Case-insensitive kebab-case lookup, e.g. ["det-purity"]. *)
 
-val describe : rule -> string
-(** One-line statement of the invariant the rule enforces. *)
-
 val tag_of_attribute : string -> rule option
 (** [tag_of_attribute "redf.det"] is [Some Det_purity], etc. *)
 

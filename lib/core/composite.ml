@@ -10,4 +10,3 @@ let accepting tests ~fpga_area ts =
   List.filter_map (fun (name, test) -> if test ~fpga_area ts then Some name else None) tests
 
 let edf_nf_any ~fpga_area ts = any for_edf_nf ~fpga_area ts
-let edf_fkf_any ~fpga_area ts = any for_edf_fkf ~fpga_area ts

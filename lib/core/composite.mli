@@ -21,4 +21,3 @@ val accepting : named_test list -> fpga_area:int -> Model.Taskset.t -> string li
 (** Names of the tests that accept. *)
 
 val edf_nf_any : fpga_area:int -> Model.Taskset.t -> bool
-val edf_fkf_any : fpga_area:int -> Model.Taskset.t -> bool

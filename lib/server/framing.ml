@@ -16,7 +16,6 @@ let create ?(max_line_bytes = default_max_line_bytes) ?timeout () =
   { max_line_bytes; timeout; buf = Buffer.create 256; discarding = false; deadline = None }
 
 let deadline t = t.deadline
-let has_partial t = Buffer.length t.buf > 0 || t.discarding
 let not_blank line = String.trim line <> ""
 
 let feed t ~now chunk =

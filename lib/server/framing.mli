@@ -66,7 +66,3 @@ val check_deadline : t -> now:float -> item list
 val deadline : t -> float option
 (** The armed deadline, when a partial is pending and [timeout] was
     given — what a select loop should wake up by. *)
-
-val has_partial : t -> bool
-(** Whether bytes of an incomplete line (or of a line being discarded)
-    are pending. *)

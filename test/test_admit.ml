@@ -292,6 +292,22 @@ let store_recovers_after_rotation () =
     (Admit.State.reply_for (Admit.Store.state st2) "5" = Some "ok-5");
   Admit.Store.close st2
 
+(* a path that cannot hold the store is an Error naming it, never a
+   Unix_error escaping the open *)
+let store_refuses_unusable_dir () =
+  with_temp_dir "unusable" @@ fun dir ->
+  let refused what path reason =
+    match Admit.Store.open_dir ~dir:path () with
+    | Ok (st, _) ->
+      Admit.Store.close st;
+      Alcotest.failf "%s: opened" what
+    | Error msg -> check_str what (path ^ ": " ^ reason) msg
+  in
+  let file = dir // "afile" in
+  write_file file "not a directory";
+  refused "regular file" file "Not a directory";
+  refused "missing parent" (dir // "missing" // "sub") "No such file or directory"
+
 (* --- daemon: verdicts, dedup, recovery --- *)
 
 let line fields = Wire.Json.to_string (Wire.Json.Obj fields)
@@ -562,7 +578,10 @@ let () =
           Alcotest.test_case "codec roundtrips" `Quick codec_roundtrips;
         ] );
       ( "store",
-        [ Alcotest.test_case "recovers after rotation" `Quick store_recovers_after_rotation ] );
+        [
+          Alcotest.test_case "recovers after rotation" `Quick store_recovers_after_rotation;
+          Alcotest.test_case "refuses an unusable dir" `Quick store_refuses_unusable_dir;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "verdict byte-identity" `Quick daemon_verdict_byte_identity;

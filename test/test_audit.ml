@@ -1,8 +1,8 @@
 (* Tests for the audit subsystem: one case per lint diagnostic, the
-   diagnostic renderers, the counterexample shrinker, and the
-   cross-analyzer consistency auditor — including the required negative
-   control, a deliberately-unsound analyzer stub the auditor must
-   flag. *)
+   diagnostic renderers (human and JSON), the counterexample shrinker,
+   and the cross-analyzer consistency auditor — including the required
+   negative control, a deliberately-unsound analyzer stub the auditor
+   must flag. *)
 
 module D = Audit.Diagnostic
 module Lint = Audit.Lint
@@ -104,16 +104,18 @@ let renders () =
   let d = D.warning ~task_index:1 ~rule:"some-rule" "quote \" and\nnewline" in
   let human = Format.asprintf "%a" D.pp d in
   check_bool "human names severity" true (String.length human > 7 && String.sub human 0 7 = "warning");
-  let sexp = Format.asprintf "%a" D.pp_sexp d in
+  let json =
+    Wire.Json.to_string (Driver.to_json { Driver.fpga_area; lint = [ d ]; findings = [] })
+  in
   let contains sub s =
     let n = String.length sub in
     let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
     scan 0
   in
-  check_bool "sexp has rule" true (contains "(rule some-rule)" sexp);
-  check_bool "sexp has 1-based task" true (contains "(task 2)" sexp);
-  check_bool "sexp escapes quotes" true (contains "\\\"" sexp);
-  check_bool "sexp escapes newlines" true (contains "\\n" sexp)
+  check_bool "json has rule" true (contains {|"rule":"some-rule"|} json);
+  check_bool "json has 1-based task" true (contains {|"task":2|} json);
+  check_bool "json escapes quotes" true (contains {|quote \" and|} json);
+  check_bool "json escapes newlines" true (contains {|and\nnewline|} json)
 
 let ordering () =
   let ds = [ D.info ~rule:"i" "m"; D.error ~rule:"e" "m"; D.warning ~rule:"w" "m" ] in

@@ -3,9 +3,9 @@
    them: the verdict object [redf analyze --format json] prints
    ([Core.Report.verdict_json] of a fresh decide), the service engine
    ([Server.Engine.handle_lines]: cold, warm, with the tasks permuted
-   and renamed, and with the cache off), the [redf batch] executable,
-   and the admission daemon's [what-if] after it admitted the other
-   tasks.  Each must give the same [accepted], [analyzer],
+   and renamed, and with the cache off), the [redf serve] executable
+   with the requests on its stdin, and the admission daemon's
+   [what-if] after it admitted the other tasks.  Each must give the same [accepted], [analyzer],
    [analyzer_version] and [checks]. *)
 
 module Json = Wire.Json
@@ -119,21 +119,21 @@ let what_if c =
          (Json.to_string
             (Json.Obj [ ("op", Json.String "what-if"); ("add", Json.List (List.map task rest)) ])))
 
-let batch lines =
+let serve lines =
   let file = Filename.temp_file "redf-test-frontends" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   Out_channel.with_open_bin file (fun oc -> Array.iter (fun l -> output_string oc (l ^ "\n")) lines);
-  let ic = Unix.open_process_args_in redf [| redf; "batch"; file |] in
+  let ic = Unix.open_process_in (Filename.quote_command redf ~stdin:file [ "serve" ]) in
   let out = In_channel.input_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 ->
     String.split_on_char '\n' out |> List.filter (fun l -> l <> "") |> Array.of_list
-  | _ -> Alcotest.failf "redf batch %s failed" file
+  | _ -> Alcotest.failf "redf serve < %s failed" file
 
 let same_everywhere () =
   let cases = QCheck2.Gen.generate ~rand:(Random.State.make [| 21 |]) ~n:150 case_gen in
-  let batched = batch (Array.of_list (List.map (fun c -> line c c.taskset) cases)) in
-  Alcotest.(check int) "one batch reply per request" (List.length cases) (Array.length batched);
+  let served = serve (Array.of_list (List.map (fun c -> line c c.taskset) cases)) in
+  Alcotest.(check int) "one served reply per request" (List.length cases) (Array.length served);
   List.iteri
     (fun i c ->
       let want = analyze c c.taskset and want_permuted = analyze c c.permuted in
@@ -150,7 +150,7 @@ let same_everywhere () =
       check "engine, permuted and renamed" permuted want_permuted;
       check "engine, no cache" off want;
       check "engine, no cache, permuted" permuted_off want_permuted;
-      check "redf batch" (verdict_of_line batched.(i)) want;
+      check "redf serve" (verdict_of_line served.(i)) want;
       check "admit what-if" (what_if c) want)
     cases
 
