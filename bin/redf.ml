@@ -12,7 +12,6 @@
      check-src    typedtree static analysis of the repo's own sources (.cmt files)
      serve        analysis service: line-oriented JSON over stdio, socket and/or TCP
      admit        crash-safe online admission-control daemon (same event loop)
-     chaos-admit  crash/restart torture of the admission daemon
      bench-core   analyzer cost matrix vs the committed baseline (CI perf gate)
      batch        send a file of service requests to a running server
      metrics-diff compare two --metrics snapshots
@@ -203,32 +202,36 @@ let format_arg =
           "Output format: the default human rendering, or the canonical JSON the analysis \
            service emits (one key-sorted object; see $(b,redf serve)).")
 
-let print_report ~label ~format report =
+(* [verb] is the JSON [kind]; the human label adds the [file] a
+   report of several is about, which JSON carries in its own member *)
+let print_report ~verb ?file ~format report =
   match format with
-  | `Json -> print_endline (Wire.Json.to_string (Audit.Driver.to_json ~kind:label report))
-  | `Human -> Format.printf "%a@." (Audit.Driver.pp ~label) report
+  | `Json -> print_endline (Wire.Json.to_string (Audit.Driver.to_json ~kind:verb ?file report))
+  | `Human ->
+    let label = match file with Some f -> verb ^ " " ^ f | None -> verb in
+    Format.printf "%a@." (Audit.Driver.pp ~label) report
 
 (* a malformed taskset is itself a lint finding: report it in the same
    formats and exit 2 like any other error-level diagnostic *)
-let parse_failure ~label ~format msg =
+let parse_failure ~verb ?file ~format ~fpga_area msg =
   let report =
     {
-      Audit.Driver.fpga_area = 0;
+      Audit.Driver.fpga_area;
       lint = [ Audit.Diagnostic.error ~rule:"taskset-parse" msg ];
       findings = [];
     }
   in
-  print_report ~label ~format report;
+  print_report ~verb ?file ~format report;
   2
 
 let lint_cmd =
   let run path fpga_area format strict () =
     let fpga_area = positive "--area" fpga_area in
     match load_taskset path with
-    | Error msg -> parse_failure ~label:"lint" ~format msg
+    | Error msg -> parse_failure ~verb:"lint" ~format ~fpga_area msg
     | Ok ts ->
       let report = Audit.Driver.lint_only ~fpga_area ts in
-      print_report ~label:"lint" ~format report;
+      print_report ~verb:"lint" ~format report;
       Audit.Driver.exit_code ~strict report
   in
   verb "lint" ~doc:"Statically lint a taskset"
@@ -299,11 +302,11 @@ let audit_cmd =
     let codes =
       List.map2
         (fun path result ->
-          let label = if multi then "audit " ^ Filename.basename path else "audit" in
+          let file = if multi then Some (Filename.basename path) else None in
           match result with
-          | Error msg -> parse_failure ~label ~format msg
+          | Error msg -> parse_failure ~verb:"audit" ?file ~format ~fpga_area msg
           | Ok report ->
-            print_report ~label ~format report;
+            print_report ~verb:"audit" ?file ~format report;
             Option.iter
               (fun dir ->
                 let prefix =
@@ -973,62 +976,18 @@ let batch_cmd =
        engine behind the same framing, on stdin/stdout."
     Term.(const run $ file_arg $ connect_arg $ retries_arg $ backoff_ms_arg $ hold_arg)
 
-(* --- admit / chaos-admit --- *)
-
-let admit_analyzer_arg =
-  Arg.(
-    value & opt string "GN2"
-    & info [ "analyzer" ] ~docv:"NAME"
-        ~doc:"Admission-policy analyzer (registry name, case-insensitive).")
-
-let admit_area_arg =
-  Arg.(
-    value & opt int 100
-    & info [ "fpga-area" ] ~docv:"N" ~doc:"Device area A(H) the daemon admits against.")
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          "Arm journal fault injection: comma-separated per-mille probabilities, e.g. \
-           $(b,torn=5,fsync=2,after-append=10). Also read from $(b,REDF_ADMIT_FAULTS) when the \
-           flag is absent. Chaos-testing machinery: an injected fault makes the process die \
-           like $(b,kill -9) would.")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "fault-seed" ] ~docv:"N"
-        ~doc:"Seed for the fault plan; equal (spec, seed) pairs fire identically.")
-
-let snapshot_every_arg =
-  Arg.(
-    value & opt int 1024
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:
-          "Rewrite the snapshot and reset the journal after $(docv) journaled mutations \
-           (bounds both journal growth and replay time).")
-
-let resolve_faults faults fault_seed =
-  let spec_string =
-    match faults with
-    | Some s -> Some s
-    | None -> (
-      match Sys.getenv_opt "REDF_ADMIT_FAULTS" with Some "" | None -> None | Some s -> Some s)
-  in
-  Option.map
-    (fun s -> Admit.Faults.create ~seed:fault_seed (ok 2 (Admit.Faults.parse_spec s)))
-    spec_string
+(* --- admit --- *)
 
 let admit_cmd =
-  let run dir analyzer fpga_area transport snapshot_every faults fault_seed metrics () =
+  let run dir analyzer fpga_area transport snapshot_every faults metrics () =
     let fpga_area = positive "--fpga-area" fpga_area in
     let snapshot_every = positive "--snapshot-every" snapshot_every in
     let transport = transport () in
     let analyzer = ok 2 (Core.Analyzer.of_name analyzer) in
-    let faults = resolve_faults faults fault_seed in
+    (* the plan seed is fixed: a spec fires identically on every run *)
+    let faults =
+      Option.map (fun s -> Admit.Faults.create ~seed:1 (ok 2 (Admit.Faults.parse_spec s))) faults
+    in
     with_metrics metrics @@ fun () ->
     let daemon, recovery =
       ok 1 (Admit.Daemon.create ?faults ~snapshot_every ~analyzer ~fpga_area ~dir ())
@@ -1067,6 +1026,35 @@ let admit_cmd =
              replays it on start; kill the daemon at any point and restart it on the same \
              $(docv) to get the last acknowledged state back.")
   in
+  let analyzer_arg =
+    Arg.(
+      value & opt string "GN2"
+      & info [ "analyzer" ] ~docv:"NAME"
+          ~doc:"Admission-policy analyzer (registry name, case-insensitive).")
+  in
+  let area_arg =
+    Arg.(
+      value & opt int 100
+      & info [ "fpga-area" ] ~docv:"N" ~doc:"Device area A(H) the daemon admits against.")
+  in
+  let faults_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "faults" ] ~docv:"SPEC"
+          ~doc:
+            "Arm journal fault injection: comma-separated per-mille probabilities, e.g. \
+             $(b,torn=5,fsync=2,after-append=10). Chaos-testing machinery: an injected fault makes \
+             the process die like $(b,kill -9) would.")
+  in
+  let snapshot_every_arg =
+    Arg.(
+      value & opt int 1024
+      & info [ "snapshot-every" ] ~docv:"N"
+          ~doc:
+            "Rewrite the snapshot and reset the journal after $(docv) journaled mutations \
+             (bounds both journal growth and replay time).")
+  in
   verb "admit" ~doc:"Run the crash-safe online admission-control daemon"
     ~description:
       "Holds a live device model (one analyzer, one FPGA area) and the admitted taskset, and \
@@ -1083,74 +1071,8 @@ let admit_cmd =
        $(b,redf serve); under overload, mutations are shed only at twice the read-query \
        threshold."
     Term.(
-      const run $ dir_arg $ admit_analyzer_arg $ admit_area_arg $ transport_term
-      $ snapshot_every_arg $ faults_arg $ fault_seed_arg $ metrics_arg)
-
-let chaos_admit_cmd =
-  let run dir seed cycles ops faults analyzer fpga_area snapshot_every quiet () =
-    let cycles = positive "--cycles" cycles in
-    let ops_per_cycle = positive "--ops" ops in
-    let fpga_area = positive "--fpga-area" fpga_area in
-    let snapshot_every = positive "--snapshot-every" snapshot_every in
-    let analyzer = ok 2 (Core.Analyzer.of_name analyzer) in
-    let spec =
-      match faults with
-      | None -> Admit.Chaos.default_spec
-      | Some s -> ok 2 (Admit.Faults.parse_spec s)
-    in
-    let cfg =
-      {
-        (Admit.Chaos.default ~analyzer ~fpga_area) with
-        Admit.Chaos.seed;
-        cycles;
-        ops_per_cycle;
-        spec;
-        snapshot_every;
-      }
-    in
-    let progress i =
-      if (not quiet) && i mod 10 = 0 then Printf.eprintf "chaos-admit: cycle %d/%d\n%!" i cycles
-    in
-    match Admit.Chaos.run ~progress ~dir cfg with
-    | Error msg -> stop 1 (Printf.sprintf "chaos-admit: FAIL (seed %d): %s" seed msg)
-    | Ok stats ->
-      Format.printf "chaos-admit: ok (seed %d): %a@." seed Admit.Chaos.pp_stats stats;
-      0
-  in
-  let dir_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR" ~doc:"State directory the tortured daemon lives in.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Run seed; equal seeds replay identically.")
-  in
-  let cycles_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "cycles" ] ~docv:"N" ~doc:"Daemon lifetimes (crash or drain, then recover) to drive.")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 40
-      & info [ "ops" ] ~docv:"N" ~doc:"Protocol-line budget per lifetime when no crash fires.")
-  in
-  let quiet_arg = Arg.(value & flag & info [ "quiet" ] ~doc:"No per-cycle progress on stderr.") in
-  verb "chaos-admit"
-    ~doc:"Crash/restart-torture the admission daemon and check its recovery invariant"
-    ~description:
-      "Drives seeded random admit traffic against an in-process daemon whose journal has fault \
-       injection armed (torn appends, failed fsyncs, crashes between append and reply), killing \
-       and recovering it for $(b,--cycles) lifetimes over one state directory. After every \
-       recovery the state must equal a reference model built from acknowledged replies only \
-       (plus, for an after-append crash, exactly the one durable-but-unacknowledged mutation, \
-       whose stored reply a duplicate-id retry must return verbatim); every verdict on the \
-       wire is also checked field-for-field against a from-scratch analyzer run. Any violation \
-       exits 1 with the seed to replay."
-    Term.(
-      const run $ dir_arg $ seed_arg $ cycles_arg $ ops_arg $ faults_arg $ admit_analyzer_arg
-      $ admit_area_arg $ snapshot_every_arg $ quiet_arg)
+      const run $ dir_arg $ analyzer_arg $ area_arg $ transport_term $ snapshot_every_arg
+      $ faults_arg $ metrics_arg)
 
 (* --- bench-core --- *)
 
@@ -1239,7 +1161,6 @@ let main_cmd =
       check_src_cmd;
       serve_cmd;
       admit_cmd;
-      chaos_admit_cmd;
       bench_core_cmd;
       batch_cmd;
       metrics_diff_cmd;

@@ -4,9 +4,11 @@
    processors is exactly 1-D FPGA scheduling with every task one column
    wide and A(H) = m.  Under that reduction the FPGA tests specialise to
    the classic multiprocessor bounds: DP to GFB (Goossens/Funk/Baruah),
-   GN1 to BCL (Bertogna/Cirinei/Lipari), GN2 to BAK2 (Baker).
+   GN1 to BCL (Bertogna/Cirinei/Lipari) when all deadlines are equal,
+   GN2 to BAK2 (Baker).  No separate code is needed: the analyzers run
+   on a width-1 taskset with [~fpga_area:m].
 
-   This example runs the reductions on two classic workloads:
+   This example runs the reductions on three classic workloads:
 
    - the Dhall effect: m light tasks plus one heavy task defeat GFB's
      utilization bound even though total utilization is barely above 1;
@@ -17,15 +19,13 @@
 
 let cpu name c t = Model.Task.of_decimal ~name ~exec:c ~deadline:t ~period:t ~area:1 ()
 
-let verdict v = if Core.Verdict.accepted v then "accept" else "reject"
-
 let analyse ~m ts =
   Format.printf "  m = %d processors@." m;
-  Format.printf "    GFB (direct formula): %s@."
-    (if Core.Multiproc.gfb_direct ~m ts then "accept" else "reject");
-  Format.printf "    GFB  (= DP reduced) : %s@." (verdict (Core.Multiproc.gfb ~m ts));
-  Format.printf "    BCL  (= GN1 reduced): %s@." (verdict (Core.Multiproc.bcl ~m ts));
-  Format.printf "    BAK2 (= GN2 reduced): %s@." (verdict (Core.Multiproc.bak2 ~m ts));
+  List.iter
+    (fun (bound, a) ->
+      Format.printf "    %-4s (= %-3s reduced): %s@." bound a.Core.Analyzer.name
+        (if Core.Analyzer.accepts a ~fpga_area:m ts then "accept" else "reject"))
+    [ ("GFB", Core.Analyzer.dp); ("BCL", Core.Analyzer.gn1); ("BAK2", Core.Analyzer.gn2) ];
   let cfg = Sim.Engine.default_config ~fpga_area:m ~policy:Sim.Policy.edf_nf in
   let cfg = { cfg with Sim.Engine.horizon = Model.Time.of_units 500 } in
   Format.printf "    simulation (sync)   : %s@."
@@ -48,8 +48,8 @@ let () =
   analyse ~m:3 dhall;
 
   (* A pair of heavy tasks on two processors: trivially schedulable (one
-     processor each); GFB's bound is defeated by umax, BCL and BAK2
-     accept. *)
+     processor each); GFB's bound is defeated by umax and BAK2 rejects
+     too, BCL accepts. *)
   Format.printf "@.--- two heavy tasks on two processors ---@.";
   let heavy = Model.Taskset.of_list [ cpu "h1" "9" "10"; cpu "h2" "9" "10" ] in
   Format.printf "%a@." Model.Taskset.pp heavy;

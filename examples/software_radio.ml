@@ -38,12 +38,13 @@ let certify name ts =
   Format.printf "%a@." Model.Taskset.pp ts;
   let report = Core.Report.run ~fpga_area ts in
   Format.printf "verdicts: %s@." (Core.Report.summary_line report);
-  match Core.Composite.accepting Core.Composite.for_edf_nf ~fpga_area ts with
+  match List.filter (fun a -> Core.Analyzer.accepts a ~fpga_area ts) Core.Analyzer.defaults with
   | [] ->
     Format.printf "ADMISSION DENIED: no bound certifies the mode@.";
     false
-  | names ->
-    Format.printf "admitted (certified by %s)@." (String.concat ", " names);
+  | certifying ->
+    Format.printf "admitted (certified by %s)@."
+      (String.concat ", " (List.map (fun a -> a.Core.Analyzer.name) certifying));
     true
 
 let () =

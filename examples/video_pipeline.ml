@@ -41,7 +41,9 @@ let () =
     Rat.pp_approx
     (Model.Taskset.system_utilization pipeline);
 
-  Format.printf "%8s %6s %6s %6s %10s %10s@." "A(H)" "DP" "GN1" "GN2" "combined" "sim-NF";
+  Format.printf "%8s" "A(H)";
+  List.iter (fun a -> Format.printf " %6s" a.Core.Analyzer.name) Core.Analyzer.defaults;
+  Format.printf " %10s %10s@." "combined" "sim-NF";
   let sim_ok fpga_area =
     let cfg = Sim.Engine.default_config ~fpga_area ~policy:Sim.Policy.edf_nf in
     Sim.Engine.schedulable { cfg with Sim.Engine.horizon = Model.Time.of_units 2000 } pipeline
@@ -51,16 +53,18 @@ let () =
   let first_combined = ref None in
   let first_sim = ref None in
   for fpga_area = amax to 100 do
-    let dp = Core.Dp.accepts ~fpga_area pipeline in
-    let gn1 = Core.Gn1.accepts ~fpga_area pipeline in
-    let gn2 = Core.Gn2.accepts ~fpga_area pipeline in
-    let combined = dp || gn1 || gn2 in
+    let accepts =
+      List.map (fun a -> Core.Analyzer.accepts a ~fpga_area pipeline) Core.Analyzer.defaults
+    in
+    let combined = List.mem true accepts in
     let sim = sim_ok fpga_area in
     if combined && !first_combined = None then first_combined := Some fpga_area;
     if sim && !first_sim = None then first_sim := Some fpga_area;
-    if fpga_area mod 5 = 0 || combined <> (dp || gn1 || gn2) then
-      Format.printf "%8d %6s %6s %6s %10s %10s@." fpga_area (show dp) (show gn1) (show gn2)
-        (show combined) (show sim)
+    if fpga_area mod 5 = 0 then begin
+      Format.printf "%8d" fpga_area;
+      List.iter (fun b -> Format.printf " %6s" (show b)) accepts;
+      Format.printf " %10s %10s@." (show combined) (show sim)
+    end
   done;
   (match (!first_combined, !first_sim) with
    | Some a, Some s ->

@@ -6,7 +6,7 @@
    each fault site, the seed drives a private Rng stream, so a chaos
    run replays byte-identically.  All probabilities are integers in
    [0, 1000] — no floats, no wall clock, no environment reads here
-   (the CLI/env gating lives in bin/).
+   (the CLI gating lives in bin/).
 
    A fault that fires models a process death: the journal is left in
    the on-disk state the fault dictates (a torn prefix, a lost record,
@@ -30,7 +30,6 @@ type t = { spec : spec; rng : Rng.t option }
 
 let none = { spec = no_faults; rng = None }
 let create ~seed spec = { spec; rng = Some (Rng.create ~seed) }
-let active t = t.spec <> no_faults
 
 let parse_spec s =
   let parse_field acc field =

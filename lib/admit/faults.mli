@@ -1,11 +1,10 @@
 (** Deterministic fault injection for the write-ahead journal.
 
-    Built for the chaos harness ([redf chaos-admit]) and gated off by
+    Built for the chaos harness (test/chaos.ml) and gated off by
     default: {!none} never fires, and the daemon only ever sees faults
-    when the CLI (or [REDF_ADMIT_FAULTS]) passes a spec through
-    [redf admit --faults].  A plan is a spec of per-mille probabilities
-    plus a seed; equal (spec, seed) pairs fire identically, so every
-    chaos failure replays.
+    when [redf admit --faults] passes a spec.  A plan is a spec of
+    per-mille probabilities plus a seed; equal (spec, seed) pairs fire
+    identically, so every chaos failure replays.
 
     A firing fault models [kill -9] at a specific byte boundary: the
     journal is left exactly as the dying process would leave it, and
@@ -34,8 +33,6 @@ type spec = {
           the case request-id deduplication exists for. *)
 }
 
-val no_faults : spec
-
 val parse_spec : string -> (spec, string) result
 (** Parse ["torn=5,fsync=2,after-append=10"] (integers per mille). *)
 
@@ -45,7 +42,6 @@ val none : t
 (** Never fires (no Rng is even consulted). *)
 
 val create : seed:int -> spec -> t
-val active : t -> bool
 
 val on_append : t -> len:int -> [ `Ok | `Torn of int | `Lost | `Crash_after ]
 (** The fate of the [len]-byte framed record about to be appended.

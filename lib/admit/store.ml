@@ -43,7 +43,6 @@ let ( let* ) = Result.bind
 let ( // ) = Filename.concat
 
 let state t = t.state
-let dir t = t.dir
 
 let read_file path =
   match open_in_bin path with

@@ -28,7 +28,6 @@ val open_dir :
     like a corrupt journal. *)
 
 val state : t -> State.t
-val dir : t -> string
 
 val commit : ?fsync:bool -> t -> State.record -> (unit, string) result
 (** Journal the record (fsync'd by default), then apply it to the

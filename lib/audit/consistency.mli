@@ -33,16 +33,11 @@
 
 type scheduler = Edf_nf | Edf_fkf
 
-val scheduler_name : scheduler -> string
-
 type analyzer = {
   base : Core.Analyzer.t;  (** the registry analyzer under audit *)
   sound_for : scheduler list;
       (** schedulers under which an ACCEPT claims schedulability *)
 }
-
-val analyzer_name : analyzer -> string
-val analyzer_decide : analyzer -> fpga_area:int -> Model.Taskset.t -> Core.Verdict.t
 
 val dp : analyzer
 val gn1 : analyzer

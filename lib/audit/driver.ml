@@ -55,13 +55,14 @@ let diagnostic_json (d : Diagnostic.t) =
     @ (match d.task_index with Some i -> [ ("task", Int (i + 1)) ] | None -> [])
     @ [ ("message", String d.message) ])
 
-let to_json ?(kind = "audit") r =
+let to_json ?(kind = "audit") ?file r =
   let open Wire.Json in
   Obj
-    [
-      ("schema_version", Int Core.Verdict.schema_version);
-      ("kind", String kind);
-      ("fpga_area", Int r.fpga_area);
-      ("clean", Bool (clean r));
-      ("diagnostics", List (List.map diagnostic_json (diagnostics r)));
-    ]
+    ([
+       ("schema_version", Int Core.Verdict.schema_version);
+       ("kind", String kind);
+       ("fpga_area", Int r.fpga_area);
+       ("clean", Bool (clean r));
+       ("diagnostics", List (List.map diagnostic_json (diagnostics r)));
+     ]
+    @ match file with Some f -> [ ("file", String f) ] | None -> [])

@@ -37,9 +37,10 @@ val pp : ?label:string -> Format.formatter -> report -> unit
     ("audit: 1 error, 2 warnings, 0 infos" or "audit: clean").
     [label] defaults to ["audit"]. *)
 
-val to_json : ?kind:string -> report -> Wire.Json.t
+val to_json : ?kind:string -> ?file:string -> report -> Wire.Json.t
 (** The report as canonical JSON (the [--format json] form): the
     shared [schema_version], [kind] (default ["audit"]; [redf lint]
     passes ["lint"]), [fpga_area], [clean] (non-strict), and the
     severity-sorted diagnostics — [task] fields are 1-based, matching
-    the human rendering. *)
+    the human rendering.  [file], when given, names the taskset file
+    the report is about (an audit of several files). *)

@@ -25,8 +25,6 @@
     - [hyperperiod-exceeds-cap] (info): simulation-backed audits of
       this set will be truncated *)
 
-val default_hyperperiod_cap : Model.Time.t
-
 val lint : ?hyperperiod_cap:Model.Time.t -> fpga_area:int -> Model.Taskset.t -> Diagnostic.t list
 (** All diagnostics, most severe first. *)
 

@@ -21,18 +21,19 @@ let taskset_of_size ?(seed = 1234) n =
   let rng = Rng.create ~seed in
   Model.Generator.draw rng (Model.Generator.unconstrained ~n)
 
-let single_analyzers =
-  [
-    ("DP", fun ts -> ignore (Core.Dp.accepts ~fpga_area ts));
-    ("GN1", fun ts -> ignore (Core.Gn1.accepts ~fpga_area ts));
-    ("GN2", fun ts -> ignore (Core.Gn2.accepts ~fpga_area ts));
-    ( "approx[1/10]",
-      fun ts -> ignore (Exact.Approx.analyze ~eps:(Rat.of_ints 1 10) ~fpga_area ts) );
-    ( "approx[1/100]",
-      fun ts -> ignore (Exact.Approx.analyze ~eps:(Rat.of_ints 1 100) ~fpga_area ts) );
-  ]
+(* DP, GN1 and GN2 *)
+let batch_analyzers = Core.Analyzer.defaults
 
-let batch_analyzers = [ Core.Analyzer.dp; Core.Analyzer.gn1; Core.Analyzer.gn2 ]
+let single_analyzers =
+  List.map
+    (fun (a : Core.Analyzer.t) -> (a.name, fun ts -> ignore (Core.Analyzer.accepts a ~fpga_area ts)))
+    batch_analyzers
+  @ [
+      ( "approx[1/10]",
+        fun ts -> ignore (Exact.Approx.analyze ~eps:(Rat.of_ints 1 10) ~fpga_area ts) );
+      ( "approx[1/100]",
+        fun ts -> ignore (Exact.Approx.analyze ~eps:(Rat.of_ints 1 100) ~fpga_area ts) );
+    ]
 
 (* wide rows: one fixed taskset whose times have 16 digits (periods of
    10^12 to 10^13 units on a one-tick grid), so every product of two

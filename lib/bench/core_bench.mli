@@ -4,17 +4,9 @@
 
     The matrix: DP/GN1/GN2/approx at N in {8, 64, 256} in single mode;
     DP/GN1/GN2 additionally in batch mode ({!Core.Analyzer.t.decide_all}
-    over {!batch_width} distinct tasksets) at N in {8, 64}; the exact
+    over 16 distinct tasksets) at N in {8, 64}; the exact
     oracle on crafted tasksets at N in {2, 3}.  Workloads derive from
     fixed seeds, so successive runs measure the same decides. *)
-
-val fpga_area : int
-val core_sizes : int list
-val batch_sizes : int list
-val batch_width : int
-val exact_sizes : int list
-
-val taskset_of_size : ?seed:int -> int -> Model.Taskset.t
 
 val collect :
   ?budget_ms:int ->

@@ -12,8 +12,6 @@
 val results_dir : string
 (** ["results"] — where the committed benchmark artifacts live. *)
 
-val ensure_results_dir : unit -> unit
-
 val write_file : string -> string -> unit
 (** [write_file name contents] writes [results_dir/name] (creating the
     directory first). *)

@@ -25,9 +25,6 @@ let size t = t.size
 
 let mem t name = List.exists (fun e -> e.name = name) t.entries
 
-let find t name =
-  List.find_map (fun e -> if e.name = name then Some e.task else None) t.entries
-
 let add t (task : Model.Task.t) =
   let name = task.Model.Task.name in
   if name = "" then invalid_arg "Delta.add: task must be named";
@@ -77,5 +74,3 @@ let order t ~original =
     go 0 original
   in
   Array.of_list (List.map (fun e -> index_of e.name) t.entries)
-
-let names t = List.map (fun e -> e.name) t.entries

@@ -33,10 +33,6 @@ val remove : t -> string -> t
     @raise Invalid_argument when no task has it. *)
 
 val mem : t -> string -> bool
-val find : t -> string -> Model.Task.t option
-
-val names : t -> string list
-(** Names in canonical order. *)
 
 val key : t -> analyzer:Core.Analyzer.t -> fpga_area:int -> string
 (** The canonical cache key, equal to {!Canonical.key} of

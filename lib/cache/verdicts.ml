@@ -85,5 +85,4 @@ let decide_canonical t ~analyzer ~fpga_area ~key ~canonical ~order =
   t.remap order e
 
 let stats t = Sharded.stats t.lru
-let length t = Sharded.length t.lru
 let shards t = Sharded.shards t.lru

@@ -80,7 +80,5 @@ val decide_canonical :
 val stats : _ store -> Lru.stats
 (** Hit/miss/eviction totals summed across shards. *)
 
-val length : _ store -> int
-
 val shards : _ store -> int
 (** Number of shards backing the store. *)

@@ -24,8 +24,6 @@ val exit_code : ?strict:bool -> report -> int
 val pp : Format.formatter -> report -> unit
 (** Findings one per line, then a summary line. *)
 
-val schema_version : int
-
 val to_json : report -> Wire.Json.t
 (** The report as canonical JSON: [schema_version], [kind]
     ["check-src"], [clean], error/warning counts, module count and the

@@ -62,7 +62,10 @@ val nec : t
     taskset gets the permuted verdict.  Version ["2"]. *)
 
 val defaults : t list
-(** [[dp; gn1; gn2]] — the paper's three sufficient tests. *)
+(** [[dp; gn1; gn2]] — the paper's three sufficient tests.  Section 6
+    applies them together: a taskset is certified when one of them
+    accepts, and refuted by none of them.  Every one is sound for
+    EDF-NF; GN1 is not for EDF-FkF. *)
 
 val all : unit -> t list
 (** Every known analyzer: the builtins above ([defaults] first), then
@@ -99,3 +102,8 @@ val of_names : string -> (t list, string) result
 (** Comma-separated list of names ("dp,gn2"); empty input is an error. *)
 
 val accepts : t -> fpga_area:int -> Model.Taskset.t -> bool
+(** [Verdict.accepted (a.decide ~fpga_area ts)].  At width 1 on
+    [fpga_area = m] this is global EDF on [m] identical processors
+    (Section 1): DP is Goossens, Funk and Baruah's GFB bound, GN1 is
+    Bertogna, Cirinei and Lipari's BCL when all deadlines are equal
+    (DESIGN.md section 2), and GN2 follows Baker's BAK2. *)

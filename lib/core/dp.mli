@@ -23,9 +23,6 @@ val applicable : Model.Taskset.t -> bool
 (** All deadlines implicit. *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
-val accepts : fpga_area:int -> Model.Taskset.t -> bool
 
 val decide_original : fpga_area:int -> Model.Taskset.t -> Verdict.t
 (** Danne & Platzner's original bound with [A(H) - Amax] (no [+1]). *)
-
-val accepts_original : fpga_area:int -> Model.Taskset.t -> bool

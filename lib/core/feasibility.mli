@@ -18,9 +18,6 @@
     In sweeps this bounds the true schedulability curve from above
     independently of the simulation horizon. *)
 
-val exclusive : fpga_area:int -> Model.Task.t -> Model.Task.t -> bool
-(** The two tasks can never execute concurrently. *)
-
 val exclusion_cliques : fpga_area:int -> Model.Taskset.t -> int list list
 (** Greedy maximal cliques (task indices) of the pairwise-exclusion
     graph; singleton cliques are omitted. *)

@@ -33,9 +33,6 @@
     where one would overflow, {!Bignum} ({!Ticks}). *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
-val accepts : fpga_area:int -> Model.Taskset.t -> bool
 
 val decide_printed : fpga_area:int -> Model.Taskset.t -> Verdict.t
 (** The variant exactly as printed in Theorem 2. *)
-
-val accepts_printed : fpga_area:int -> Model.Taskset.t -> bool

@@ -257,5 +257,3 @@ let decide_one ~fpga_area ts =
 
 let decide ~fpga_area ts =
   Obs.Span.with_ ~name:"core.gn2.decide" (fun () -> decide_one ~fpga_area ts)
-
-let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)

@@ -39,4 +39,3 @@
     evaluated. *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
-val accepts : fpga_area:int -> Model.Taskset.t -> bool

@@ -20,8 +20,8 @@
     The conclusion is deterministic for any [jobs] (the offset search's
     smallest-miss-index discipline), and {!Registry} wraps [decide] as
     the registered [exact] / [exact-fkf] analyzers.  The audit
-    ({!Audit.Consistency}) uses {!simulate} / {!witness} as its only
-    source of reference schedules. *)
+    ({!Audit.Consistency}) uses {!simulate} as its only source of
+    reference schedules. *)
 
 type pattern =
   | Synchronous  (** all first releases at 0 — the paper's model *)
@@ -41,15 +41,6 @@ val simulate :
     10^4 units); the flag reports horizon truncation.  [record] keeps
     the per-segment trace for lemma checking.
     @raise Invalid_argument when a task is wider than the device. *)
-
-val witness :
-  ?horizon_cap:Model.Time.t ->
-  fpga_area:int ->
-  policy:Sim.Policy.t ->
-  pattern ->
-  Model.Taskset.t ->
-  Sim.Engine.miss option
-(** The first deadline miss {!simulate} observes, if any. *)
 
 type certificate =
   | All_offsets of { combinations : int; grid : Model.Time.t }

@@ -15,10 +15,6 @@
     the audit — picks these up through {!Core.Analyzer.of_name} once
     [ensure] has run (the [redf] binary calls it at startup). *)
 
-val wider_note : string
-(** The shared precondition-failure note, ["a task is wider than the
-    FPGA"], matching the builtin analyzers. *)
-
 val exact_nf : Core.Analyzer.t
 (** [exact]: ACCEPT is an exact certificate for the synchronous release
     (and for all grid offsets when the offset search completes); REJECT
@@ -26,21 +22,8 @@ val exact_nf : Core.Analyzer.t
     An {!Oracle.conclusion.Inconclusive} decision is reported as REJECT
     with an explanatory note, per the sufficient-test convention. *)
 
-val exact_fkf : Core.Analyzer.t
-(** [exact-fkf]: the oracle under EDF-FkF. *)
-
-val approx_name : Rat.t -> string
-(** ["approx\[" ^ Rat.to_string eps ^ "\]"] — ε is part of the analyzer
-    name, hence of the cache key. *)
-
 val approx_with : Rat.t -> Core.Analyzer.t
 (** The approximate analyzer at a given ε (must be positive). *)
-
-val parse_approx : string -> (Core.Analyzer.t, string) result option
-(** The registered parser: accepts ["approx"] (default ε) and
-    ["approx\[EPS\]"] with EPS a fraction (["1/100"]) or decimal
-    (["0.01"]); [Some (Error _)] on a malformed or non-positive ε,
-    [None] for names of any other shape. *)
 
 val ensure : unit -> unit
 (** Register everything above.  Safe to call repeatedly. *)

@@ -11,7 +11,6 @@ val id : figure -> string
 (** e.g. ["fig3a"]. *)
 
 val caption : figure -> string
-val profile : figure -> Model.Generator.profile
 
 val config : ?samples:int -> ?seed:int -> ?sim_horizon:Model.Time.t -> figure -> Sweep.config
 (** The sweep reproducing the figure; defaults from

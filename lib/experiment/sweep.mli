@@ -12,12 +12,6 @@ type method_kind =
   | Simulation of string * Sim.Policy.t
       (** synchronous release, migrating placement — the paper's setup *)
 
-val standard_methods : method_kind list
-(** DP, GN1, GN2, the EDF-NF / EDF-FkF simulations (the five series the
-    paper's figures compare), plus the necessary-condition bound
-    {!Core.Feasibility.feasible_maybe} as a horizon-independent upper
-    bound on the true curve. *)
-
 type conditioning =
   | Scaled
       (** per-point: draw tasksets rescaled to hit each target exactly
@@ -38,11 +32,12 @@ type config = {
   conditioning : conditioning;
 }
 
-val default_targets : float list
-(** 10, 15, ..., 100 (the paper plots US up to the device area 100). *)
-
 val default_config : profile:Model.Generator.profile -> config
-(** [standard_methods], [default_targets], 300 samples, seed 42,
+(** DP, GN1, GN2, the EDF-NF / EDF-FkF simulations (the five series the
+    paper's figures compare) and the necessary-condition bound
+    {!Core.Feasibility.feasible_maybe} as a horizon-independent upper
+    bound on the true curve; US targets 10, 15, ..., 100 (the paper
+    plots US up to the device area 100); 300 samples, seed 42,
     horizon 1000 time units.  The paper uses >= 10000 samples; see
     EXPERIMENTS.md for the runtime trade-off and the env knobs the bench
     harness exposes. *)

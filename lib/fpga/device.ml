@@ -9,11 +9,6 @@ let create ~area =
   if area < 1 then invalid_arg "Device.create: area must be >= 1";
   { total = area; placed = [] }
 
-let area t = t.total
-let placements t = t.placed
-let occupied_area t = List.fold_left (fun acc (_, r) -> acc + r.width) 0 t.placed
-let free_area t = t.total - occupied_area t
-
 let free_blocks t =
   let rec go cursor = function
     | [] -> if cursor < t.total then [ { start = cursor; width = t.total - cursor } ] else []
@@ -23,12 +18,6 @@ let free_blocks t =
       if gap > 0 then { start = cursor; width = gap } :: tail else tail
   in
   go 0 t.placed
-
-let largest_free_block t = List.fold_left (fun acc r -> max acc r.width) 0 (free_blocks t)
-
-let fragmentation t =
-  let free = free_area t in
-  if free = 0 then 0.0 else 1.0 -. (float_of_int (largest_free_block t) /. float_of_int free)
 
 type strategy = First_fit | Best_fit | Worst_fit
 
@@ -69,19 +58,4 @@ let place_at t ~tag region =
     invalid_arg "Device.place_at: region overlaps an existing placement";
   insert_sorted t tag region
 
-let remove t ~equal tag =
-  let before = List.length t.placed in
-  t.placed <- List.filter (fun (tg, _) -> not (equal tg tag)) t.placed;
-  List.length t.placed < before
-
-let compact t =
-  let _, compacted =
-    List.fold_left
-      (fun (cursor, acc) (tag, r) -> (cursor + r.width, (tag, { start = cursor; width = r.width }) :: acc))
-      (0, []) t.placed
-  in
-  t.placed <- List.rev compacted
-
-let fits_contiguous t width = largest_free_block t >= width
-let fits_total t width = free_area t >= width
 let clear t = t.placed <- []

@@ -5,8 +5,8 @@
     unrestricted migration — a job fits iff its width is at most the total
     free area, because active jobs can be rearranged at zero cost — but
     this module also implements real contiguous allocation (first/best/
-    worst-fit) and explicit compaction so the simulator can quantify what
-    restricted migration costs (a future-work item of Section 7). *)
+    worst-fit) so the simulator can quantify what restricted migration
+    costs (a future-work item of Section 7). *)
 
 type region = { start : int; width : int }
 (** Columns [\[start, start + width)]. *)
@@ -17,21 +17,6 @@ type 'a t
 val create : area:int -> 'a t
 (** @raise Invalid_argument when [area < 1]. *)
 
-val area : _ t -> int
-val free_area : _ t -> int
-val occupied_area : _ t -> int
-val placements : 'a t -> ('a * region) list
-(** Current placements, ordered by start column. *)
-
-val largest_free_block : _ t -> int
-(** Width of the widest contiguous free region. *)
-
-val free_blocks : _ t -> region list
-
-val fragmentation : _ t -> float
-(** [1 - largest_free_block / free_area]; [0] when the device is empty,
-    fully occupied, or the free space is one block. *)
-
 type strategy = First_fit | Best_fit | Worst_fit
 
 val place : ?strategy:strategy -> 'a t -> tag:'a -> width:int -> region option
@@ -40,23 +25,10 @@ val place : ?strategy:strategy -> 'a t -> tag:'a -> width:int -> region option
     @raise Invalid_argument when [width < 1] or [width > area]. *)
 
 val place_at : 'a t -> tag:'a -> region -> unit
-(** Forced placement at a specific region (used by compaction and tests).
+(** Forced placement at a specific region (a job keeping its columns
+    across a scheduling point).
     @raise Invalid_argument when the region overlaps an existing placement
     or exceeds the device. *)
 
-val remove : 'a t -> equal:('a -> 'a -> bool) -> 'a -> bool
-(** Remove the placement whose tag matches; [false] when absent. *)
-
-val compact : 'a t -> unit
-(** Defragment: slide every placement as far left as possible, preserving
-    order.  Models the paper's zero-cost unrestricted migration; afterwards
-    the free area is one contiguous block. *)
-
-val fits_contiguous : _ t -> int -> bool
-(** Is there a single free block of at least this width? *)
-
-val fits_total : _ t -> int -> bool
-(** Is the total free area at least this width?  Under unrestricted
-    migration this is the paper's fit criterion. *)
-
 val clear : _ t -> unit
+(** Remove every placement. *)

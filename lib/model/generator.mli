@@ -23,9 +23,6 @@ type profile = {
   period_grid : int;  (** periods are multiples of this many ticks *)
 }
 
-val default_period_grid : int
-(** 250 ticks = 0.25 time units. *)
-
 val unconstrained : n:int -> profile
 (** Figure 3 profile: [A(H)=100], areas on [1,100], utilization (0,1),
     periods (5,20). *)

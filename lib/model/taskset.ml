@@ -106,8 +106,6 @@ module Columns = struct
              ~deadline:(Time.of_ticks c.deadline.(i))
              ~period:(Time.of_ticks c.period.(i))
              ~area:c.area.(i) ()))
-
-  let size c = c.n
 end
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Task.equal a b

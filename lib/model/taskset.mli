@@ -59,8 +59,6 @@ module Columns : sig
   val to_taskset : t -> taskset
   (** Inverse of {!of_taskset}: [to_taskset (of_taskset ts)] equals [ts]
       task for task, names included. *)
-
-  val size : t -> int
 end
 
 val to_csv : t -> string

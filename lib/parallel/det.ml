@@ -15,7 +15,3 @@ let seeds ~seed n = gens (Rng.create ~seed) n
 let init ?chunk ?progress pool ~seed n f =
   let g = seeds ~seed n in
   Pool.init ?chunk ?progress pool n (fun i -> f g.(i) i)
-
-let map ?chunk ?progress pool ~seed f a =
-  let g = seeds ~seed (Array.length a) in
-  Pool.init ?chunk ?progress pool (Array.length a) (fun i -> f g.(i) a.(i))

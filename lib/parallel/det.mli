@@ -13,9 +13,6 @@ val gens : Rng.t -> int -> Rng.t array
     generators, derived by [n] {!Rng.split}s in index order.  Calling it
     twice on equal master states yields equal arrays. *)
 
-val seeds : seed:int -> int -> Rng.t array
-(** [seeds ~seed n] is [gens (Rng.create ~seed) n]. *)
-
 val init :
   ?chunk:int ->
   ?progress:(int -> int -> unit) ->
@@ -25,17 +22,7 @@ val init :
   (Rng.t -> int -> 'a) ->
   'a array
 (** [init pool ~seed n f] is
-    [[| f g.(0) 0; ...; f g.(n-1) (n-1) |]] for [g = seeds ~seed n],
+    [[| f g.(0) 0; ...; f g.(n-1) (n-1) |]] for
+    [g = gens (Rng.create ~seed) n],
     computed on the pool.  Each generator is used by exactly one item,
     so [f] may consume it freely. *)
-
-val map :
-  ?chunk:int ->
-  ?progress:(int -> int -> unit) ->
-  Pool.t ->
-  seed:int ->
-  (Rng.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** [map pool ~seed f a] pairs [a.(i)] with the [i]-th derived
-    generator; same contract as {!init}. *)

@@ -4,8 +4,6 @@
 type 'a t = { cmp : 'a -> 'a -> int; mutable data : 'a array; mutable size : int }
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
-let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -57,17 +55,3 @@ let pop_exn t =
     data.(!i) <- x
   end;
   top
-
-let pop t = if t.size = 0 then None else Some (pop_exn t)
-
-let drain t =
-  let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in
-  go []
-
-let of_list ~cmp l =
-  let t = create ~cmp in
-  List.iter (push t) l;
-  t
-
-let to_list t = Array.to_list (Array.sub t.data 0 t.size)
-let clear t = t.size <- 0

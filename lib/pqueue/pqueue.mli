@@ -1,33 +1,18 @@
 (** Polymorphic binary min-heap.
 
     Event queue substrate for the discrete-event scheduler simulator: the
-    simulator keeps job releases and completions ordered by timestamp, and
-    the ready queue ordered by absolute deadline. *)
+    simulator keeps job releases and completions ordered by timestamp. *)
 
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** An empty heap ordered by [cmp] (minimum first). *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
 (** Minimum element without removing it. *)
 
-val pop : 'a t -> 'a option
-(** Removes and returns the minimum element. *)
-
 val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
-
-val drain : 'a t -> 'a list
-(** Removes all elements in ascending order. *)
-
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-val to_list : 'a t -> 'a list
-(** Snapshot in unspecified order; the heap is unchanged. *)
-
-val clear : 'a t -> unit
+(** Removes and returns the minimum element.
+    @raise Invalid_argument on an empty heap. *)

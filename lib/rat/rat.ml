@@ -15,8 +15,6 @@ let make num den =
 let zero = { num = B.zero; den = B.one }
 let of_int n = { num = B.of_int n; den = B.one }
 let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
 let of_ints n d = make (B.of_int n) (B.of_int d)
 let of_bignum n = { num = n; den = B.one }
 let num t = t.num
@@ -44,13 +42,10 @@ let neg a = { a with num = B.neg a.num }
 let sub a b = add a (neg b)
 let mul a b = make (B.mul a.num b.num) (B.mul a.den b.den)
 let div a b = if B.is_zero b.num then raise Division_by_zero else make (B.mul a.num b.den) (B.mul a.den b.num)
-let inv a = div one a
-let abs a = { a with num = B.abs a.num }
 let compare a b = B.compare (B.mul a.num b.den) (B.mul b.num a.den)
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
-let clamp ~lo ~hi x = min hi (max lo x)
 let floor t = B.fdiv t.num t.den
 
 let ceil t =

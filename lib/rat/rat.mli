@@ -1,10 +1,10 @@
 (** Exact rational arithmetic over {!Bignum}.
 
-    Every schedulability bound in the paper (DP, GN1, GN2 and the
-    multiprocessor specialisations) is evaluated in this field so that
-    accept/reject decisions at exact equality points — e.g. the DP test on
-    the paper's Table 1, where utilization and bound are both exactly
-    [69/25] — are certified rather than subject to floating-point rounding.
+    Every schedulability bound in the paper (DP, GN1, GN2) is stated in
+    this field, so that accept/reject decisions at exact equality points —
+    e.g. the DP test on the paper's Table 1, where utilization and bound
+    are both exactly [69/25] — are certified rather than subject to
+    floating-point rounding.
 
     Values are kept normalised: positive denominator, numerator and
     denominator coprime, zero represented as [0/1]. *)
@@ -13,8 +13,6 @@ type t
 
 val zero : t
 val one : t
-val two : t
-val minus_one : t
 
 val make : Bignum.t -> Bignum.t -> t
 (** [make num den] is the normalised rational [num/den].
@@ -40,19 +38,14 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero when dividing by zero. *)
 
-val inv : t -> t
-(** @raise Division_by_zero on zero. *)
-
 val min : t -> t -> t
 val max : t -> t -> t
-val clamp : lo:t -> hi:t -> t -> t
 
 val floor : t -> Bignum.t
 (** Largest integer [<= t]. *)

@@ -130,20 +130,3 @@ let search_inner ?(grid = Time.of_units 1) ?(max_combinations = 20_000) ?(jobs =
 let search ?grid ?max_combinations ?jobs ~fpga_area ~policy ts =
   Obs.Span.with_ ~name:"sim.exhaustive.search" (fun () ->
       search_inner ?grid ?max_combinations ?jobs ~fpga_area ~policy ts)
-
-let sync_is_not_worst_case ?grid ?jobs ~fpga_area ~policy ts =
-  let cfg = Engine.default_config ~fpga_area ~policy in
-  let sync_ok =
-    match Model.Taskset.hyperperiod ts with
-    | Model.Taskset.Exceeds_cap -> None
-    | Model.Taskset.Finite hyper ->
-      Some (Engine.schedulable { cfg with Engine.horizon = hyper } ts)
-  in
-  match sync_ok with
-  | None -> None
-  | Some false -> Some false (* sync already misses: it is a worst case here *)
-  | Some true -> (
-    match search ?grid ?jobs ~fpga_area ~policy ts with
-    | Miss_with_offsets _ -> Some true
-    | Schedulable_all_offsets _ -> Some false
-    | Too_many_combinations _ | Hyperperiod_too_large -> None)

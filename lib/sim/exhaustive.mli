@@ -42,17 +42,3 @@ val search :
     that prunes branches above the smallest miss index found.  The
     reported miss is the lexicographically first one — the same
     assignment the serial enumeration finds — for any worker count. *)
-
-val sync_is_not_worst_case :
-  ?grid:Model.Time.t ->
-  ?jobs:int ->
-  fpga_area:int ->
-  policy:Policy.t ->
-  Model.Taskset.t ->
-  bool option
-(** [Some true] when the synchronous release pattern meets all deadlines
-    but some other offset assignment on the grid misses — i.e. this
-    taskset witnesses the paper's no-critical-instant remark.  [Some
-    false] when the search is conclusive and no such witness exists;
-    [None] when the search was inconclusive (too many combinations or
-    unbounded hyper-period). *)

@@ -29,7 +29,3 @@ let compare_edf a b =
     if c <> 0 then c else Int.compare a.id b.id
 
 let area j = j.task.Model.Task.area
-
-let pp fmt j =
-  Format.fprintf fmt "J%d[%s r=%a d=%a rem=%a]" j.id j.task.Model.Task.name Time.pp j.release
-    Time.pp j.abs_deadline Time.pp j.remaining

@@ -19,4 +19,3 @@ val compare_edf : t -> t -> int
     total order). *)
 
 val area : t -> int
-val pp : Format.formatter -> t -> unit

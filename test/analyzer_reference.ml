@@ -10,9 +10,9 @@
    columnar view [Cols].  They count [core.gn2.lambda_evals] like the
    code they were.
 
-   [Bcl] is not lib code: it is the multiprocessor test GN1 generalizes,
-   written from its paper, to pin GN1's width-1 reduction against
-   (test_analysis.ml). *)
+   [Bcl] and [Gfb] are not lib code: they are the multiprocessor tests
+   GN1 and DP generalize, written from their papers, to pin the width-1
+   reductions against (test_analysis.ml, test_properties.ml). *)
 
 open Core
 
@@ -231,6 +231,26 @@ module Bcl = struct
         done;
         Rat.compare !lhs (Rat.mul (Rat.of_int m) slack) < 0)
       (List.init n Fun.id)
+end
+
+(* Goossens, Funk and Baruah's utilization bound for global EDF on m
+   identical processors ("Priority-driven scheduling of periodic task
+   systems on multiprocessors", Real-Time Systems 2003): accept iff
+
+     UT <= m (1 - umax) + umax,   umax = max C_i/T_i.
+
+   Deadlines are taken as implicit (C/T is used).  DP on a width-1
+   taskset on A(H) = m is this bound. *)
+module Gfb = struct
+  let accepts ~m ts =
+    let tasks = Model.Taskset.to_list ts in
+    if not (List.for_all (fun (t : Model.Task.t) -> t.area = 1) tasks) then
+      invalid_arg "Gfb.accepts: taskset must have all areas = 1";
+    let umax =
+      List.fold_left (fun acc t -> Rat.max acc (Model.Task.time_utilization t)) Rat.zero tasks
+    in
+    let bound = Rat.add (Rat.mul (Rat.of_int m) (Rat.sub Rat.one umax)) umax in
+    Rat.compare (Model.Taskset.time_utilization ts) bound <= 0
 end
 
 module Gn2 = struct
@@ -495,7 +515,7 @@ module Gn2 = struct
     if !first > !last then check_no_candidate ~k
     else begin
       let dk = d.(k) in
-      let inv_dk = Rat.inv dk in
+      let inv_dk = Rat.div Rat.one dk in
       let mk = Rat.max Rat.one (Rat.div t.(k) dk) in
       let neg_mk = Rat.neg mk in
       let two = Rat.of_int 2 in

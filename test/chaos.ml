@@ -1,6 +1,5 @@
-[@@@redf.det]
-
-(* The crash/restart torture harness behind [redf chaos-admit].
+(* The crash/restart torture harness of the admission daemon, run by
+   test_admit.ml.
 
    One run = [cycles] daemon lifetimes over a single state directory.
    Each lifetime drives random admit-protocol traffic (from the run
@@ -23,9 +22,21 @@
    query, what-if) is compared field-for-field against a from-scratch
    [analyzer.decide] on the taskset the harness knows that verdict
    describes — the byte-identity contract of the Delta/Verdicts
-   incremental path, checked end to end through the wire format. *)
+   incremental path, checked end to end through the wire format.
+
+   Fully deterministic from [config.seed]: a failing run replays.  A
+   run returns [Error] for an invariant violation, a recovery that
+   refuses the directory included, and raises {!Setup} when the first
+   daemon cannot be opened on [dir] at all, so a failure says which of
+   the two it was. *)
 
 module Json = Wire.Json
+module Daemon = Admit.Daemon
+module Faults = Admit.Faults
+module State = Admit.State
+module Store = Admit.Store
+
+exception Setup of string
 
 type config = {
   seed : int;
@@ -154,7 +165,19 @@ let reply_is_error reply =
 
 (* --- the run --- *)
 
-let run ?(progress = fun _ -> ()) ~dir cfg =
+(* The first open of [dir] is set-up: its failure raises [Setup].  A
+   later one recovers what the harness's crashes left, so its failure
+   is a violation of the recovery invariant. *)
+let open_daemon ?faults ~first ~dir cfg =
+  match
+    Daemon.create ?faults ~snapshot_every:cfg.snapshot_every ~analyzer:cfg.analyzer
+      ~fpga_area:cfg.fpga_area ~dir ()
+  with
+  | Ok opened -> Ok opened
+  | Error msg when first -> raise (Setup msg)
+  | Error msg -> Error ("recovery refused the state directory: " ^ msg)
+
+let run ~dir cfg =
   let gen = { rng = Rng.create ~seed:cfg.seed; next_task = 0; next_id = 0 } in
   let stats =
     ref
@@ -342,12 +365,8 @@ let run ?(progress = fun _ -> ()) ~dir cfg =
   let rec cycle i =
     if i > cfg.cycles then Ok ()
     else begin
-      progress i;
       let faults = Faults.create ~seed:(cfg.seed + (7919 * i)) cfg.spec in
-      let* d, recovery =
-        Daemon.create ~faults ~snapshot_every:cfg.snapshot_every ~analyzer:cfg.analyzer
-          ~fpga_area:cfg.fpga_area ~dir ()
-      in
+      let* d, recovery = open_daemon ~faults ~first:(i = 1) ~dir cfg in
       bump (fun s -> { s with cycles = s.cycles + 1 });
       let outcome =
         match check_recovery d recovery with
@@ -365,10 +384,7 @@ let run ?(progress = fun _ -> ()) ~dir cfg =
   in
   let* () = cycle 1 in
   (* one last fault-free recovery so the run ends on a verified state *)
-  let* d, recovery =
-    Daemon.create ~snapshot_every:cfg.snapshot_every ~analyzer:cfg.analyzer
-      ~fpga_area:cfg.fpga_area ~dir ()
-  in
+  let* d, recovery = open_daemon ~first:(cfg.cycles < 1) ~dir cfg in
   let r = check_recovery d recovery in
   Daemon.close d;
   let* () = r in

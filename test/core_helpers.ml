@@ -5,6 +5,10 @@ let task name c d t a =
 
 let taskset rows = Model.Taskset.of_list (List.map (fun (n, c, d, t, a) -> task n c d t a) rows)
 
+(* Section 6's combined test: accept iff DP, GN1 or GN2 accepts *)
+let any_accepts ~fpga_area ts =
+  List.exists (fun a -> Core.Analyzer.accepts a ~fpga_area ts) Core.Analyzer.defaults
+
 let rat_testable = Alcotest.testable Rat.pp Rat.equal
 let check_rat msg expected actual = Alcotest.check rat_testable msg expected actual
 

@@ -3,8 +3,8 @@
    at every byte boundary of the last record), state/record codecs and
    idempotent replay, snapshot rotation through the store, the
    daemon's verdict byte-identity against a from-scratch analyzer run,
-   request-id dedup, a cold replay of a 10^4-record journal, a small
-   in-process chaos run, and random and byte-mutated lines, none of
+   request-id dedup, a cold replay of a 10^4-record journal, four
+   fixed-seed chaos runs, and random and byte-mutated lines, none of
    which may raise, answer other than one line, journal a rejection,
    or answer other bytes than test/admit_reference.ml. *)
 
@@ -544,16 +544,59 @@ let admit_fuzz () =
                  QCheck2.Test.fail_report "is_mutation differs from the reference";
                (not (rejected reply)) || (journal () = bytes && seq () = seq0))))
 
-let chaos_smoke () =
-  with_temp_dir "chaos" @@ fun dir ->
-  let cfg =
-    { (Admit.Chaos.default ~analyzer ~fpga_area:10) with Admit.Chaos.cycles = 6; ops_per_cycle = 25 }
+(* The chaos harness (test/chaos.ml) on four fixed runs: a short one
+   at A(H) = 10, two 50-lifetime runs at A(H) = 100 (the default fault
+   mix, and a heavier one), and a 12-lifetime run.  Each row pins the
+   run's stats, so a change in the traffic the harness drives, or in
+   what recovery replays, fails the row even when no invariant breaks. *)
+let chaos_rows =
+  let at_100 = { (Chaos.default ~analyzer ~fpga_area:100) with Chaos.snapshot_every = 1024 } in
+  let heavy =
+    match Admit.Faults.parse_spec "torn=120,fsync=80,after-append=120" with
+    | Ok spec -> spec
+    | Error msg -> failwith msg
   in
-  match Admit.Chaos.run ~dir cfg with
-  | Error msg -> Alcotest.failf "chaos: %s" msg
-  | Ok stats ->
-    check_int "all cycles ran" 6 stats.Admit.Chaos.cycles;
-    check_bool "verdicts were checked" true (stats.Admit.Chaos.verdicts_checked > 0)
+  let stats cycles crashes torn_recoveries replayed ops admitted rejected dedup_hits
+      verdicts_checked =
+    {
+      Chaos.cycles;
+      crashes;
+      torn_recoveries;
+      replayed;
+      ops;
+      admitted;
+      rejected;
+      dedup_hits;
+      verdicts_checked;
+    }
+  in
+  [
+    ( "6 x 25 ops at A(H) = 10",
+      { (Chaos.default ~analyzer ~fpga_area:10) with Chaos.cycles = 6; ops_per_cycle = 25 },
+      stats 6 4 2 89 112 38 33 3 115 );
+    ("seed 7", { at_100 with Chaos.seed = 7 }, stats 50 47 13 7780 846 257 280 35 850);
+    ( "seed 1234, heavy faults",
+      { at_100 with Chaos.seed = 1234; spec = heavy },
+      stats 50 50 26 3624 438 120 127 9 439 );
+    ("seed 42", { at_100 with Chaos.seed = 42; cycles = 12 }, stats 12 12 7 382 165 51 52 10 166);
+  ]
+
+let chaos_smoke () =
+  let stats_t = Alcotest.testable Chaos.pp_stats ( = ) in
+  List.iter
+    (fun (row, cfg, expected) ->
+      with_temp_dir "chaos" @@ fun dir ->
+      match Chaos.run ~dir cfg with
+      | Error msg -> Alcotest.failf "chaos %s: %s" row msg
+      | Ok stats -> Alcotest.check stats_t ("chaos " ^ row) expected stats)
+    chaos_rows;
+  (* an unusable state directory is a setup failure, not a violation *)
+  with_temp_dir "chaos-setup" @@ fun dir ->
+  let file = dir // "afile" in
+  write_file file "";
+  match Chaos.run ~dir:file (Chaos.default ~analyzer ~fpga_area:10) with
+  | exception Chaos.Setup _ -> ()
+  | Ok _ | Error _ -> Alcotest.fail "an unusable directory must raise Chaos.Setup"
 
 let () =
   Alcotest.run "admit"

@@ -10,25 +10,25 @@ let fpga_area = 10
 (* A lone fitting task with C <= D = T is accepted by every test. *)
 let single_task_accepted () =
   let t = ts [ ("a", "3", "5", "5", 7) ] in
-  check_bool "DP" true (Core.Dp.accepts ~fpga_area t);
-  check_bool "GN1" true (Core.Gn1.accepts ~fpga_area t);
-  check_bool "GN2" true (Core.Gn2.accepts ~fpga_area t);
+  check_bool "DP" true (Core.Analyzer.(accepts dp) ~fpga_area t);
+  check_bool "GN1" true (Core.Analyzer.(accepts gn1) ~fpga_area t);
+  check_bool "GN2" true (Core.Analyzer.(accepts gn2) ~fpga_area t);
   check_bool "partitioned" true (Core.Partitioned.accepts ~fpga_area t)
 
 (* C > T makes even a lone task infeasible. *)
 let overloaded_single_rejected () =
   let t = ts [ ("a", "6", "5", "5", 7) ] in
-  check_bool "DP" false (Core.Dp.accepts ~fpga_area t);
-  check_bool "GN1" false (Core.Gn1.accepts ~fpga_area t);
-  check_bool "GN2" false (Core.Gn2.accepts ~fpga_area t);
+  check_bool "DP" false (Core.Analyzer.(accepts dp) ~fpga_area t);
+  check_bool "GN1" false (Core.Analyzer.(accepts gn1) ~fpga_area t);
+  check_bool "GN2" false (Core.Analyzer.(accepts gn2) ~fpga_area t);
   check_bool "partitioned" false (Core.Partitioned.accepts ~fpga_area t)
 
 (* A task wider than the device is a rejection, not an exception. *)
 let too_wide_rejected () =
   let t = ts [ ("a", "1", "5", "5", 11) ] in
-  check_bool "DP" false (Core.Dp.accepts ~fpga_area t);
-  check_bool "GN1" false (Core.Gn1.accepts ~fpga_area t);
-  check_bool "GN2" false (Core.Gn2.accepts ~fpga_area t);
+  check_bool "DP" false (Core.Analyzer.(accepts dp) ~fpga_area t);
+  check_bool "GN1" false (Core.Analyzer.(accepts gn1) ~fpga_area t);
+  check_bool "GN2" false (Core.Analyzer.(accepts gn2) ~fpga_area t);
   let v = Core.Dp.decide ~fpga_area t in
   Alcotest.(check (list int)) "all tasks flagged" [ 0 ] (Core.Verdict.failing_tasks v)
 
@@ -122,30 +122,33 @@ let prop_gn2_candidates_complete =
                    grid)
       in
       (* grid acceptance implies candidate acceptance *)
-      (not all_k_ok_via_grid) || Core.Gn2.accepts ~fpga_area t)
+      (not all_k_ok_via_grid) || Core.Analyzer.(accepts gn2) ~fpga_area t)
 
-(* --- multiprocessor specialisations --- *)
+(* --- multiprocessor specialisations ---
+
+   Global EDF on m identical processors is a width-1 taskset on
+   A(H) = m (Section 1): the analyzers run on it unchanged. *)
 
 let mp_tasks l = ts (List.map (fun (n, c, t) -> (n, c, t, t, 1)) l)
 
 let gfb_agrees_with_dp () =
   (* three unit-speed tasks on 2 processors *)
   let t = mp_tasks [ ("a", "1", "2"); ("b", "1", "2"); ("c", "1", "5") ] in
-  check_bool "gfb_direct" (Core.Multiproc.gfb_direct ~m:2 t)
-    (Core.Verdict.accepted (Core.Multiproc.gfb ~m:2 t));
+  check_bool "gfb_direct" (Analyzer_reference.Gfb.accepts ~m:2 t)
+    (Core.Analyzer.(accepts dp) ~fpga_area:2 t);
   let heavy = mp_tasks [ ("a", "9", "10"); ("b", "9", "10"); ("c", "9", "10") ] in
-  check_bool "heavy set agrees too" (Core.Multiproc.gfb_direct ~m:3 heavy)
-    (Core.Verdict.accepted (Core.Multiproc.gfb ~m:3 heavy))
+  check_bool "heavy set agrees too" (Analyzer_reference.Gfb.accepts ~m:3 heavy)
+    (Core.Analyzer.(accepts dp) ~fpga_area:3 heavy)
 
 let mp_width_check () =
   let bad = ts [ ("a", "1", "2", "2", 2) ] in
   Alcotest.check_raises "width enforced"
-    (Invalid_argument "Multiproc.gfb: taskset must have all areas = 1") (fun () ->
-      ignore (Core.Multiproc.gfb ~m:2 bad))
+    (Invalid_argument "Gfb.accepts: taskset must have all areas = 1") (fun () ->
+      ignore (Analyzer_reference.Gfb.accepts ~m:2 bad))
 
 let prop_gfb_reduction =
-  (* random width-1 tasksets: the direct GFB formula and DP under the
-     width-1 reduction must agree exactly *)
+  (* random width-1 tasksets: the direct GFB formula and DP at width 1
+     must agree exactly *)
   let gen =
     QCheck2.Gen.(
       list_size (int_range 1 6)
@@ -161,8 +164,7 @@ let prop_gfb_reduction =
   in
   Core_helpers.qtest "GFB = DP on width-1 tasksets" gen (fun t ->
       List.for_all
-        (fun m ->
-          Core.Multiproc.gfb_direct ~m t = Core.Verdict.accepted (Core.Multiproc.gfb ~m t))
+        (fun m -> Analyzer_reference.Gfb.accepts ~m t = Core.Analyzer.(accepts dp) ~fpga_area:m t)
         [ 1; 2; 4; 8 ])
 
 (* GN1 at width 1 on A(H) = m against Bertogna-Cirinei-Lipari's BCL
@@ -193,7 +195,7 @@ let prop_bcl_reduction =
     (QCheck2.Test.make ~count:500 ~name:"GN1 = BCL's workload over D_i" ~print gen (fun (m, t) ->
          let module P = Analyzer_reference.Params in
          let qs = P.of_taskset t in
-         let v = Core.Multiproc.bcl ~m t in
+         let v = Core.Analyzer.gn1.decide ~fpga_area:m t in
          let lhs_is_bcl_over_di (c : Core.Verdict.task_check) =
            let k = c.Core.Verdict.task_index in
            let slack = Rat.sub Rat.one (P.density qs.(k)) in
@@ -212,7 +214,16 @@ let prop_bcl_reduction =
          && ((not shared_deadline)
             || Core.Verdict.accepted v = Analyzer_reference.Bcl.accepts ~m t)))
 
-(* --- monotonicity under taskset extension (DP and GN1) --- *)
+(* --- monotonicity: taskset extension and device area ---
+
+   Two relations every closed-form analyzer must keep:
+   ACCEPT(S + tau) => ACCEPT(S), since a task more can only hurt, and
+   ACCEPT at A(H) => ACCEPT at A(H) + 1, since a column more can only
+   help.  approx is left out (its test points move with the taskset),
+   and so is the exact oracle (open to scheduling anomalies). *)
+
+let closed_form =
+  Core.Analyzer.[ dp; dp_original; gn1; gn1_printed; gn2; nec ]
 
 let small_task_gen =
   QCheck2.Gen.(
@@ -225,16 +236,88 @@ let small_task_gen =
 let small_taskset_gen =
   QCheck2.Gen.(list_size (int_range 1 4) small_task_gen >|= Model.Taskset.of_list)
 
-let prop_extension_monotone name accepts =
-  Core_helpers.qtest name
-    QCheck2.Gen.(pair small_taskset_gen small_task_gen)
-    (fun (t, extra) ->
-      let extended = Model.Taskset.of_list (Model.Taskset.to_list t @ [ extra ]) in
-      (* adding a task can only hurt *)
-      (not (accepts ~fpga_area extended)) || accepts ~fpga_area t)
+(* as [small_task_gen], but a third of the tasks have D < T, and three
+   in four are at most 5 columns wide, so that every analyzer accepts
+   some 4- and 5-task sets on 10 columns *)
+let constrained_task_gen =
+  QCheck2.Gen.(
+    let* t_units = oneofl [ 2; 4; 5; 8; 10 ] in
+    let* d_units = frequency [ (2, return t_units); (1, int_range 1 t_units) ] in
+    let deadline = Model.Time.of_units d_units in
+    let* c_ticks = int_range 1 (Model.Time.ticks deadline) in
+    let* area = frequency [ (3, int_range 1 5); (1, int_range 6 10) ] in
+    return
+      (Model.Task.make ~exec:(Model.Time.of_ticks c_ticks) ~deadline
+         ~period:(Model.Time.of_units t_units) ~area ()))
 
-let prop_dp_monotone = prop_extension_monotone "DP monotone under extension" Core.Dp.accepts
-let prop_gn1_monotone = prop_extension_monotone "GN1 monotone under extension" Core.Gn1.accepts
+let constrained_taskset_gen =
+  QCheck2.Gen.(list_size (int_range 1 4) constrained_task_gen >|= Model.Taskset.of_list)
+
+let extend t extra = Model.Taskset.of_list (Model.Taskset.to_list t @ [ extra ])
+
+let prop_extension_monotone ?(gen = small_taskset_gen) ?(task = small_task_gen) name analyzer =
+  let accepts = Core.Analyzer.accepts analyzer in
+  Core_helpers.qtest name
+    QCheck2.Gen.(pair gen task)
+    (fun (t, extra) ->
+      (* adding a task can only hurt *)
+      (not (accepts ~fpga_area (extend t extra))) || accepts ~fpga_area t)
+
+let prop_dp_monotone = prop_extension_monotone "DP monotone under extension" Core.Analyzer.dp
+let prop_gn1_monotone = prop_extension_monotone "GN1 monotone under extension" Core.Analyzer.gn1
+
+let prop_constrained_extension_monotone (analyzer : Core.Analyzer.t) =
+  prop_extension_monotone ~gen:constrained_taskset_gen ~task:constrained_task_gen
+    (analyzer.Core.Analyzer.name ^ " monotone under extension")
+    analyzer
+
+let prop_area_monotone (analyzer : Core.Analyzer.t) =
+  let accepts = Core.Analyzer.accepts analyzer in
+  Core_helpers.qtest
+    (analyzer.Core.Analyzer.name ^ " monotone in A(H)")
+    QCheck2.Gen.(pair constrained_taskset_gen (int_range 1 12))
+    (fun (t, fpga_area) ->
+      (* a column more can only help *)
+      (not (accepts ~fpga_area t)) || accepts ~fpga_area:(fpga_area + 1) t)
+
+(* Both relations above the oracle's reach: 200 generator sets (Figure
+   3's profile, N = 2..32, US drawn on [1, 50)) on A(H) = 100.  A set
+   that an analyzer accepts must stay accepted without one of its
+   tasks, and on 101 columns.  Each analyzer must accept at least 10
+   of the sets (DP accepts 28), or the relations would hold almost
+   vacuously. *)
+let generator_sets_monotone () =
+  let rng = Rng.create ~seed:2007 in
+  let accepted = Array.make (List.length closed_form) 0 in
+  for case = 0 to 199 do
+    let n = 2 + (case mod 31) in
+    let target_us = Rng.float_range rng 1. 50. in
+    match Model.Generator.draw_with_target_us rng (Model.Generator.unconstrained ~n) ~target_us with
+    | None -> Alcotest.failf "case %d: US %g unreachable at N = %d" case target_us n
+    | Some t ->
+      let drop = Rng.int rng n in
+      let smaller =
+        Model.Taskset.of_list (List.filteri (fun i _ -> i <> drop) (Model.Taskset.to_list t))
+      in
+      List.iteri
+        (fun ai (a : Core.Analyzer.t) ->
+          let accepts = Core.Analyzer.accepts a in
+          if accepts ~fpga_area:100 t then begin
+            accepted.(ai) <- accepted.(ai) + 1;
+            if not (accepts ~fpga_area:100 smaller) then
+              Alcotest.failf "case %d: %s accepts %a but not its task %d removed" case a.name
+                Model.Taskset.pp t (drop + 1);
+            if not (accepts ~fpga_area:101 t) then
+              Alcotest.failf "case %d: %s accepts %a on 100 columns, not on 101" case a.name
+                Model.Taskset.pp t
+          end)
+        closed_form
+  done;
+  List.iteri
+    (fun ai (a : Core.Analyzer.t) ->
+      if accepted.(ai) < 10 then
+        Alcotest.failf "%s accepted only %d of the 200 sets" a.name accepted.(ai))
+    closed_form
 
 (* --- verdict and report plumbing --- *)
 
@@ -259,12 +342,14 @@ let composite_is_disjunction () =
   List.iter
     (fun t ->
       let expected =
-        Core.Dp.accepts ~fpga_area t || Core.Gn1.accepts ~fpga_area t
-        || Core.Gn2.accepts ~fpga_area t
+        Core.Analyzer.(accepts dp) ~fpga_area t || Core.Analyzer.(accepts gn1) ~fpga_area t
+        || Core.Analyzer.(accepts gn2) ~fpga_area t
       in
-      check_bool "any-of = disjunction" expected (Core.Composite.edf_nf_any ~fpga_area t);
-      let names = Core.Composite.accepting Core.Composite.for_edf_nf ~fpga_area t in
-      check_bool "names consistent" expected (names <> []))
+      check_bool "any-of = disjunction" expected (Core_helpers.any_accepts ~fpga_area t);
+      (* the report over the defaults, whose any-of is redf analyze's exit status *)
+      let report = Core.Report.run ~fpga_area t in
+      check_bool "report consistent" expected
+        (List.exists Core.Verdict.accepted report.Core.Report.verdicts))
     sets
 
 (* --- necessary feasibility conditions --- *)
@@ -380,7 +465,15 @@ let () =
           prop_gfb_reduction;
           prop_bcl_reduction;
         ] );
-      ("monotonicity", [ prop_dp_monotone; prop_gn1_monotone ]);
+      ( "monotonicity",
+        [ prop_dp_monotone; prop_gn1_monotone ]
+        @ List.map prop_constrained_extension_monotone
+            Core.Analyzer.[ dp_original; gn1_printed; gn2; nec ]
+        @ List.map prop_area_monotone closed_form
+        @ [
+            Alcotest.test_case "generator sets, N <= 32, A(H) = 100" `Quick
+              generator_sets_monotone;
+          ] );
       ( "plumbing",
         [
           Alcotest.test_case "verdict utilities" `Quick verdict_utilities;

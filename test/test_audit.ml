@@ -54,7 +54,7 @@ let wider_than_device () =
   check_bool "is error" true (severity_of "task-wider-than-device" ds = Some D.Error);
   (* the analyzers indeed reject vacuously on such a set *)
   check_bool "DP rejects vacuously" false
-    (Core.Dp.accepts ~fpga_area (ts [ ("a", "1", "5", "5", 11) ]))
+    (Core.Analyzer.(accepts dp) ~fpga_area (ts [ ("a", "1", "5", "5", 11) ]))
 
 let deadline_exceeds_period () =
   let ds = Lint.lint ~fpga_area (ts [ ("a", "1", "9", "5", 4); ("b", "1", "5", "5", 2) ]) in

@@ -1,11 +1,11 @@
 (* Executable audits of the paper's deferred lemmas (Sections 2-5) on
    real simulated schedules, using the Section-2 quantities computed by
-   Trace.Measure.  The paper proves Lemmas 5-10 only in a technical
-   report; here each statement is checked on hundreds of random traces. *)
+   Measure (test/measure.ml).  The paper proves Lemmas 5-10 only in a
+   technical report; here each statement is checked on hundreds of
+   random traces. *)
 
 module Time = Model.Time
 module Engine = Sim.Engine
-module Measure = Trace.Measure
 
 let check_bool = Alcotest.(check bool)
 let ts = Core_helpers.taskset

@@ -20,9 +20,9 @@ let check_rat = Core_helpers.check_rat
 
 let decisions () =
   let expect name ts ~dp ~gn1 ~gn2 =
-    check_bool (name ^ " DP") dp (Core.Dp.accepts ~fpga_area ts);
-    check_bool (name ^ " GN1") gn1 (Core.Gn1.accepts ~fpga_area ts);
-    check_bool (name ^ " GN2") gn2 (Core.Gn2.accepts ~fpga_area ts)
+    check_bool (name ^ " DP") dp (Core.Analyzer.(accepts dp) ~fpga_area ts);
+    check_bool (name ^ " GN1") gn1 (Core.Analyzer.(accepts gn1) ~fpga_area ts);
+    check_bool (name ^ " GN2") gn2 (Core.Analyzer.(accepts gn2) ~fpga_area ts)
   in
   expect "table1" table1 ~dp:true ~gn1:false ~gn2:false;
   expect "table2" table2 ~dp:false ~gn1:true ~gn2:false;
@@ -87,24 +87,24 @@ let table1_equality_points () =
 (* The printed Theorem-2 variant is more pessimistic but must agree on the
    three tables except where the tie matters. *)
 let gn1_printed_variant () =
-  check_bool "table1 printed" false (Core.Gn1.accepts_printed ~fpga_area table1);
-  check_bool "table2 printed" true (Core.Gn1.accepts_printed ~fpga_area table2);
-  check_bool "table3 printed" false (Core.Gn1.accepts_printed ~fpga_area table3)
+  check_bool "table1 printed" false (Core.Analyzer.(accepts gn1_printed) ~fpga_area table1);
+  check_bool "table2 printed" true (Core.Analyzer.(accepts gn1_printed) ~fpga_area table2);
+  check_bool "table3 printed" false (Core.Analyzer.(accepts gn1_printed) ~fpga_area table3)
 
 (* The uncorrected Danne-Platzner bound is strictly more pessimistic than
    the integer-corrected DP. *)
 let dp_original_more_pessimistic () =
   List.iter
     (fun ts ->
-      let corrected = Core.Dp.accepts ~fpga_area ts in
-      let original = Core.Dp.accepts_original ~fpga_area ts in
+      let corrected = Core.Analyzer.(accepts dp) ~fpga_area ts in
+      let original = Core.Analyzer.(accepts dp_original) ~fpga_area ts in
       check_bool "original => corrected" true ((not original) || corrected))
     [ table1; table2; table3 ]
 
 (* The combined test of Section 6 accepts all three tables for EDF-NF. *)
 let composite_accepts_all () =
   List.iter
-    (fun ts -> check_bool "any-of accepts" true (Core.Composite.edf_nf_any ~fpga_area ts))
+    (fun ts -> check_bool "any-of accepts" true (Core_helpers.any_accepts ~fpga_area ts))
     [ table1; table2; table3 ]
 
 let () =

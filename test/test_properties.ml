@@ -57,17 +57,23 @@ let soundness name accepts policy =
   Core_helpers.qtest ~count:500 name light_taskset_gen (fun ts ->
       (not (accepts ~fpga_area ts)) || miss_free (run_sim ~policy ts))
 
-let prop_dp_sound_fkf = soundness "DP accept => EDF-FkF miss-free" Core.Dp.accepts Policy.edf_fkf
-let prop_dp_sound_nf = soundness "DP accept => EDF-NF miss-free" Core.Dp.accepts Policy.edf_nf
-let prop_gn1_sound_nf = soundness "GN1 accept => EDF-NF miss-free" Core.Gn1.accepts Policy.edf_nf
+let prop_dp_sound_fkf =
+  soundness "DP accept => EDF-FkF miss-free" Core.Analyzer.(accepts dp) Policy.edf_fkf
+
+let prop_dp_sound_nf =
+  soundness "DP accept => EDF-NF miss-free" Core.Analyzer.(accepts dp) Policy.edf_nf
+
+let prop_gn1_sound_nf =
+  soundness "GN1 accept => EDF-NF miss-free" Core.Analyzer.(accepts gn1) Policy.edf_nf
 
 let prop_gn2_sound_fkf =
-  soundness "GN2 accept => EDF-FkF miss-free" Core.Gn2.accepts Policy.edf_fkf
+  soundness "GN2 accept => EDF-FkF miss-free" Core.Analyzer.(accepts gn2) Policy.edf_fkf
 
-let prop_gn2_sound_nf = soundness "GN2 accept => EDF-NF miss-free" Core.Gn2.accepts Policy.edf_nf
+let prop_gn2_sound_nf =
+  soundness "GN2 accept => EDF-NF miss-free" Core.Analyzer.(accepts gn2) Policy.edf_nf
 
 let prop_composite_sound =
-  soundness "composite accept => EDF-NF miss-free" Core.Composite.edf_nf_any Policy.edf_nf
+  soundness "composite accept => EDF-NF miss-free" Core_helpers.any_accepts Policy.edf_nf
 
 (* the tests cover sporadic tasks: acceptance must survive randomly
    delayed arrivals too (periods become minimum inter-arrival times) *)
@@ -86,13 +92,16 @@ let sporadic_soundness name accepts policy =
       miss_free (Engine.run cfg ts))
 
 let prop_dp_sound_sporadic =
-  sporadic_soundness "DP accept => sporadic EDF-FkF miss-free" Core.Dp.accepts Policy.edf_fkf
+  sporadic_soundness "DP accept => sporadic EDF-FkF miss-free" Core.Analyzer.(accepts dp)
+    Policy.edf_fkf
 
 let prop_gn1_sound_sporadic =
-  sporadic_soundness "GN1 accept => sporadic EDF-NF miss-free" Core.Gn1.accepts Policy.edf_nf
+  sporadic_soundness "GN1 accept => sporadic EDF-NF miss-free" Core.Analyzer.(accepts gn1)
+    Policy.edf_nf
 
 let prop_gn2_sound_sporadic =
-  sporadic_soundness "GN2 accept => sporadic EDF-FkF miss-free" Core.Gn2.accepts Policy.edf_fkf
+  sporadic_soundness "GN2 accept => sporadic EDF-FkF miss-free" Core.Analyzer.(accepts gn2)
+    Policy.edf_fkf
 
 (* Danne et al. [9]: if a taskset is EDF-FkF-schedulable it is also
    EDF-NF-schedulable.  We observe it per synchronous release pattern. *)
@@ -150,14 +159,16 @@ let prop_sim_deterministic =
    at least as accepting as Danne's original. *)
 let prop_gn1_forms_ordered =
   Core_helpers.qtest ~count:300 "GN1 printed => GN1 lemma-3 form" light_taskset_gen (fun ts ->
-      (not (Core.Gn1.accepts_printed ~fpga_area ts)) || Core.Gn1.accepts ~fpga_area ts)
+      (not (Core.Analyzer.(accepts gn1_printed) ~fpga_area ts))
+      || Core.Analyzer.(accepts gn1) ~fpga_area ts)
 
 let prop_dp_forms_ordered =
   Core_helpers.qtest ~count:300 "DP original => DP corrected" light_taskset_gen (fun ts ->
-      (not (Core.Dp.accepts_original ~fpga_area ts)) || Core.Dp.accepts ~fpga_area ts)
+      (not (Core.Analyzer.(accepts dp_original) ~fpga_area ts))
+      || Core.Analyzer.(accepts dp) ~fpga_area ts)
 
 (* Width-1 reduction on random sets: DP coincides with the direct GFB
-   formula. *)
+   formula (Analyzer_reference.Gfb). *)
 let width1_taskset_gen =
   QCheck2.Gen.(
     list_size (int_range 1 6) task_gen
@@ -167,7 +178,7 @@ let width1_taskset_gen =
 let prop_width1_gfb =
   Core_helpers.qtest ~count:300 "width-1 DP = direct GFB" width1_taskset_gen (fun ts ->
       List.for_all
-        (fun m -> Core.Verdict.accepted (Core.Multiproc.gfb ~m ts) = Core.Multiproc.gfb_direct ~m ts)
+        (fun m -> Core.Analyzer.(accepts dp) ~fpga_area:m ts = Analyzer_reference.Gfb.accepts ~m ts)
         [ 1; 2; 3; 5 ])
 
 (* The audit subsystem on the same generators: the consistency auditor

@@ -39,7 +39,7 @@ let gn1_boundary_cases () =
     (fun (name, rows) ->
       let t = ts rows in
       (* the strict GN1 must reject *)
-      check_bool (name ^ ": GN1 rejects") false (Core.Gn1.accepts ~fpga_area t);
+      check_bool (name ^ ": GN1 rejects") false (Core.Analyzer.(accepts gn1) ~fpga_area t);
       (* at least one per-task check sits exactly on the boundary, which
          is what the non-strict reading would have accepted *)
       let v = Core.Gn1.decide ~fpga_area t in
@@ -58,9 +58,10 @@ let others_reject_too () =
   List.iter
     (fun (name, rows) ->
       let t = ts rows in
-      check_bool (name ^ ": DP rejects") false (Core.Dp.accepts ~fpga_area t);
-      check_bool (name ^ ": GN2 rejects") false (Core.Gn2.accepts ~fpga_area t);
-      check_bool (name ^ ": printed GN1 rejects") false (Core.Gn1.accepts_printed ~fpga_area t))
+      check_bool (name ^ ": DP rejects") false (Core.Analyzer.(accepts dp) ~fpga_area t);
+      check_bool (name ^ ": GN2 rejects") false (Core.Analyzer.(accepts gn2) ~fpga_area t);
+      check_bool (name ^ ": printed GN1 rejects") false
+        (Core.Analyzer.(accepts gn1_printed) ~fpga_area t))
     counterexamples
 
 let () =
