@@ -10,7 +10,10 @@
    Verdicts always come from {!Cache.Verdicts} via the incremental
    {!Cache.Delta} key — byte-identical to a from-scratch analyzer run
    by the cache's contract, which the chaos harness re-checks against
-   [analyzer.decide] directly.
+   [analyzer.decide] directly.  The cache holds serve's rendered form,
+   and every success reply is written straight into one buffer around
+   the stored check fragments, so a cache hit prints no rational and
+   builds no JSON tree.
 
    Handlers are serial by design: mutations order the journal, and the
    event loop ([Server.Loop]) batches lines through {!handle_lines} on
@@ -18,13 +21,15 @@
 
 module Json = Wire.Json
 module Protocol = Server.Protocol
+module Rendered = Core.Verdict.Rendered
 
 type t = {
   store : Store.t;
-  cache : Cache.Verdicts.t;
+  cache : Cache.Verdicts.rendered;
   analyzer : Core.Analyzer.t;
   fpga_area : int;
   mutable delta : Cache.Delta.t;  (* mirrors Store.state's taskset *)
+  reply : Buffer.t;  (* each reply is written here, then copied out *)
 }
 
 let ( let* ) = Result.bind
@@ -32,8 +37,10 @@ let ( let* ) = Result.bind
 let create ?faults ?snapshot_every ?(cache_capacity = 4096) ~analyzer ~fpga_area ~dir () =
   let* store, recovery = Store.open_dir ?faults ?snapshot_every ~dir () in
   let delta = Cache.Delta.of_tasks (State.tasks (Store.state store)) in
-  let cache = Cache.Verdicts.create ~metrics_prefix:"admit_cache" ~capacity:cache_capacity () in
-  Ok ({ store; cache; analyzer; fpga_area; delta }, recovery)
+  let cache =
+    Cache.Verdicts.create_rendered ~metrics_prefix:"admit_cache" ~capacity:cache_capacity ()
+  in
+  Ok ({ store; cache; analyzer; fpga_area; delta; reply = Buffer.create 4096 }, recovery)
 
 let state t = Store.state t.store
 let store t = t.store
@@ -51,19 +58,7 @@ let decide t delta ~original =
       (Cache.Verdicts.decide_canonical t.cache ~analyzer:t.analyzer ~fpga_area:t.fpga_area ~key
          ~canonical ~order)
 
-let accepted = function None -> true | Some v -> Core.Verdict.accepted v
-
-let verdict_fields t = function
-  | Some v -> (
-    match Core.Report.verdict_json t.analyzer v with Json.Obj fields -> fields | _ -> [])
-  | None ->
-    [
-      ("analyzer_version", Json.String t.analyzer.Core.Analyzer.version);
-      ("analyzer", Json.String t.analyzer.Core.Analyzer.name);
-      ("accepted", Json.Bool true);
-      ("checks", Json.List []);
-      ("note", Json.String "empty taskset: trivially schedulable");
-    ]
+let accepted = function None -> true | Some (r : Rendered.t) -> r.accepted
 
 (* --- wire decoding --- *)
 
@@ -163,11 +158,44 @@ let is_mutation line =
   | Ok { op = Some ("add-task" | "remove-task"); _ } -> true
   | Ok _ | Error _ -> false
 
+(* --- replies --- *)
+
+(* A success reply, written in the key order [Json.to_string] sorts an
+   envelope into: accepted, admitted (mutations), analyzer,
+   analyzer_version, checks, id, kind, names (query), note (the empty
+   set), op, schema_version, seq, tasks.  The empty set's verdict names
+   the analyzer and has no checks. *)
+let reply t ?id ?admitted ?names ~op ~seq ~tasks verdict =
+  let buf = t.reply in
+  let add = Buffer.add_string buf and add_json = Json.add buf in
+  Buffer.clear buf;
+  let r =
+    Option.value verdict
+      ~default:{ Rendered.accepted = true; test_name = t.analyzer.name; tasks = [||]; checks = [||] }
+  in
+  add (if r.accepted then {|{"accepted":true,|} else {|{"accepted":false,|});
+  Option.iter (fun a -> add (if a then {|"admitted":true,|} else {|"admitted":false,|})) admitted;
+  Protocol.add_verdict buf ~analyzer:t.analyzer r;
+  Option.iter (fun id -> add {|,"id":|}; add_json id) id;
+  add {|,"kind":"admit"|};
+  Option.iter
+    (fun names ->
+      add {|,"names":|};
+      add_json (Json.List (List.map (fun n -> Json.String n) names)))
+    names;
+  if Option.is_none verdict then add {|,"note":"empty taskset: trivially schedulable"|};
+  add {|,"op":|};
+  add_json (Json.String op);
+  add {|,"schema_version":|};
+  add_json (Json.Int Core.Verdict.schema_version);
+  add {|,"seq":|};
+  add_json (Json.Int seq);
+  add {|,"tasks":|};
+  add_json (Json.Int tasks);
+  add "}";
+  Buffer.contents buf
+
 (* --- handlers --- *)
-
-let envelope ?id fields = Protocol.envelope ?id "admit" fields
-
-let base_fields op st = [ ("op", Json.String op); ("seq", Json.Int (State.seq st)) ]
 
 let dedup t id =
   match id with None -> None | Some id -> State.reply_for (state t) (Json.to_string id)
@@ -179,14 +207,10 @@ let mutation t ~id attempt =
   match dedup t id with Some stored -> stored | None -> answer ?id (attempt ())
 
 (* journal an admitted mutation with its reply, then apply it *)
-let commit t ~id op ~candidate ~tasks fields =
+let commit t ~id op ~candidate ~tasks verdict =
   let seq = State.seq (state t) + 1 in
   let name = match op with State.Add _ -> "add-task" | State.Remove _ -> "remove-task" in
-  let reply =
-    envelope ?id
-      (("admitted", Json.Bool true) :: ("op", Json.String name) :: ("seq", Json.Int seq)
-      :: ("tasks", Json.Int tasks) :: fields)
-  in
+  let reply = reply t ?id ~admitted:true ~op:name ~seq ~tasks verdict in
   let* () = Store.commit t.store { State.seq; rid = Option.map Json.to_string id; op; reply } in
   t.delta <- candidate;
   Ok reply
@@ -201,14 +225,12 @@ let handle_add t ~id task =
   else
     let candidate = Cache.Delta.add t.delta task in
     let verdict = decide t candidate ~original:(State.names st @ [ name ]) in
-    let fields = verdict_fields t verdict in
-    let tasks = State.size st + 1 in
-    if accepted verdict then commit t ~id (State.Add task) ~candidate ~tasks fields
+    if accepted verdict then
+      commit t ~id (State.Add task) ~candidate ~tasks:(State.size st + 1) verdict
     else
       Ok
-        (envelope ?id
-           ((("admitted", Json.Bool false) :: base_fields "add-task" st)
-           @ (("tasks", Json.Int (State.size st)) :: fields)))
+        (reply t ?id ~admitted:false ~op:"add-task" ~seq:(State.seq st) ~tasks:(State.size st)
+           verdict)
 
 let handle_remove t ~id name =
   mutation t ~id @@ fun () ->
@@ -219,19 +241,14 @@ let handle_remove t ~id name =
   else
     let candidate = Cache.Delta.remove t.delta name in
     let original = List.filter (fun n -> n <> name) (State.names st) in
-    let fields = verdict_fields t (decide t candidate ~original) in
-    commit t ~id (State.Remove name) ~candidate ~tasks:(State.size st - 1) fields
+    commit t ~id (State.Remove name) ~candidate ~tasks:(State.size st - 1)
+      (decide t candidate ~original)
 
 let handle_query t ~id =
   let st = state t in
-  let verdict = decide t t.delta ~original:(State.names st) in
-  envelope ?id
-    (base_fields "query" st
-    @ [
-        ("tasks", Json.Int (State.size st));
-        ("names", Json.List (List.map (fun n -> Json.String n) (State.names st)));
-      ]
-    @ verdict_fields t verdict)
+  let names = State.names st in
+  reply t ?id ~names ~op:"query" ~seq:(State.seq st) ~tasks:(State.size st)
+    (decide t t.delta ~original:names)
 
 let handle_what_if t ~id ~add ~drop =
   let attempt =
@@ -259,12 +276,9 @@ let handle_what_if t ~id ~add ~drop =
         (Ok (candidate, original))
         adds
     in
-    let verdict = decide t candidate ~original in
     Ok
-      (envelope ?id
-         (base_fields "what-if" st
-         @ [ ("tasks", Json.Int (Cache.Delta.size candidate)) ]
-         @ verdict_fields t verdict))
+      (reply t ?id ~op:"what-if" ~seq:(State.seq st) ~tasks:(Cache.Delta.size candidate)
+         (decide t candidate ~original))
   in
   answer ?id attempt
 

@@ -16,7 +16,10 @@
 
     Replies are {!Server.Protocol} envelopes of kind ["admit"] (or
     ["error"]), carrying [op], [seq], [tasks] and the full verdict of
-    the resulting (or hypothetical) taskset.
+    the resulting (or hypothetical) taskset.  Verdicts are cached in
+    their rendered form, as [redf serve] caches them, and a success
+    reply is written in key order around the stored check bytes
+    ({!Server.Protocol.add_verdict}).
 
     A task is admitted iff the analyzer ACCEPTs the candidate taskset
     on the configured device; the empty taskset is trivially

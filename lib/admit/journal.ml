@@ -41,12 +41,13 @@ let u32le_of s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
-let frame payload =
-  let buf = Buffer.create (String.length payload + frame_overhead) in
+let frame_header payload =
+  let buf = Buffer.create frame_overhead in
   u32le_to_bytes buf (String.length payload);
   u32le_to_bytes buf (Crc32.string payload);
-  Buffer.add_string buf payload;
   Buffer.contents buf
+
+let frame payload = frame_header payload ^ payload
 
 (* inverse of [frame] for a single exactly-framed blob (the snapshot
    file reuses the journal's frame for its one record) *)

@@ -50,8 +50,13 @@ val frame_overhead : int
 (** Bytes of framing per record ([len] + [crc]). *)
 
 val frame : string -> string
-(** [[len:u32le][crc32:u32le][payload]] — the snapshot file reuses this
-    for its single record; the torture tests build journals from it. *)
+(** [[len:u32le][crc32:u32le][payload]] — the torture tests build
+    journals from it. *)
+
+val frame_header : string -> string
+(** The [[len:u32le][crc32:u32le]] {!frame} puts before a payload: the
+    snapshot file writes it and then its one payload, so a snapshot is
+    never copied whole to be framed. *)
 
 val unframe : string -> (string, string) result
 (** Inverse of {!frame} for one exactly-framed blob. *)

@@ -88,14 +88,15 @@ let write_snapshot dir st =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let contents = snapshot_magic ^ Journal.frame (State.to_snapshot_string st) in
-      let rec write_all off =
-        if off < String.length contents then
-          match Unix.write_substring fd contents off (String.length contents - off) with
-          | n -> write_all (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
+      let rec write_all s off =
+        if off < String.length s then
+          match Unix.write_substring fd s off (String.length s - off) with
+          | n -> write_all s (off + n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all s off
       in
-      write_all 0;
+      let payload = State.to_snapshot_string st in
+      write_all (snapshot_magic ^ Journal.frame_header payload) 0;
+      write_all payload 0;
       Unix.fsync fd);
   Unix.rename tmp (dir // snapshot_file);
   fsync_dir dir

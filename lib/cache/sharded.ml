@@ -22,7 +22,9 @@ let create ?metrics_prefix ?(shards = 8) ~capacity () =
 
 let shards t = Array.length t.shards
 let shard_of_key t key = fnv1a key mod Array.length t.shards
-let shard t key = t.shards.(shard_of_key t key)
+(* one shard needs no hash: the key could only map to it *)
+let shard t key =
+  if Array.length t.shards = 1 then t.shards.(0) else t.shards.(shard_of_key t key)
 let find t key = Lru.find (shard t key) key
 let put t key value = Lru.put (shard t key) key value
 

@@ -18,13 +18,13 @@
     shards so worker domains stop serializing on one cache mutex —
     sharding changes lock granularity only, never answers.
 
-    Two owners, two stored forms, one dedup/batch-decide path: a
-    {!t} ([create]) holds each canonical verdict as a
-    {!Core.Verdict.t}, for the admission daemon and every caller that
-    wants verdicts; a {!rendered} store ([create_rendered]) holds it as
-    {!Core.Verdict.Rendered.t}, the service's response fragments, so a
-    hit prints no rational and a warm entry holds bytes instead of
-    [Rat] trees.  A miss converts the fresh verdict once, on insert. *)
+    Two stored forms, one dedup/batch-decide path: a {!t} ([create])
+    holds each canonical verdict as a {!Core.Verdict.t}, for callers
+    that want verdicts; a {!rendered} store ([create_rendered]) holds
+    it as {!Core.Verdict.Rendered.t}, the response fragments both
+    daemons ([redf serve] and [redf admit]) print, so a hit prints no
+    rational and a warm entry holds bytes instead of [Rat] trees.  A
+    miss converts the fresh verdict once, on insert. *)
 
 type 'v store
 (** A cache whose entries have the form ['v]. *)
@@ -63,19 +63,21 @@ val decide_all :
     mapping it: {!decide_columns} on the columnar views. *)
 
 val decide_canonical :
-  t ->
+  'v store ->
   analyzer:Core.Analyzer.t ->
   fpga_area:int ->
   key:string ->
   canonical:Model.Taskset.t ->
   order:int array ->
-  Core.Verdict.t
-(** {!decide} for callers that already hold the canonical form — e.g.
-    the admission daemon, whose {!Delta} maintains [key], [canonical]
-    and [order] incrementally across mutations.  The caller promises
-    the three are consistent ({!Canonical.key} / {!Canonical.apply} /
-    {!Canonical.order} of some original taskset); given that, the
-    result is byte-identical to [decide] on that original. *)
+  'v
+(** The entry of one taskset for callers that already hold its
+    canonical form — e.g. the admission daemon, whose {!Delta}
+    maintains [key], [canonical] and [order] incrementally across
+    mutations.  The caller promises the three are consistent
+    ({!Canonical.key} / {!Canonical.apply} / {!Canonical.order} of some
+    original taskset); given that, the result is byte-identical to
+    {!decide_columns} on that original.  A hit probes once and remaps;
+    [canonical] is decided only on a miss. *)
 
 val stats : _ store -> Lru.stats
 (** Hit/miss/eviction totals summed across shards. *)

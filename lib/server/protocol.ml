@@ -270,13 +270,12 @@ let envelope ?id kind fields =
   let base = match id with Some id -> ("id", id) :: base | None -> base in
   Json.to_string (Json.Obj (merge base fields))
 
-(* The bytes [envelope] prints for a verdict, written in key order from
-   the rendered checks: accepted, analyzer, analyzer_version, checks,
-   fpga_area, id, kind, schema_version. *)
-let verdict_line ?id ~(analyzer : Core.Analyzer.t) ~fpga_area (r : Core.Verdict.Rendered.t) =
-  let buf = Buffer.create (Array.fold_left (fun n s -> n + String.length s + 8) 160 r.checks) in
-  Buffer.add_string buf
-    (if r.accepted then {|{"accepted":true,"analyzer":|} else {|{"accepted":false,"analyzer":|});
+(* The members every success reply carries for its verdict, in key
+   order: analyzer, analyzer_version, checks.  Serve's verdict line and
+   the admission daemon's replies both write them here, from the
+   rendered checks. *)
+let add_verdict buf ~(analyzer : Core.Analyzer.t) (r : Core.Verdict.Rendered.t) =
+  Buffer.add_string buf {|"analyzer":|};
   Json.add_string buf r.test_name;
   Buffer.add_string buf {|,"analyzer_version":|};
   Json.add_string buf analyzer.Core.Analyzer.version;
@@ -288,7 +287,16 @@ let verdict_line ?id ~(analyzer : Core.Analyzer.t) ~fpga_area (r : Core.Verdict.
       Bignum.add_int buf (r.tasks.(i) + 1);
       Buffer.add_char buf '}')
     r.checks;
-  Buffer.add_string buf {|],"fpga_area":|};
+  Buffer.add_char buf ']'
+
+(* The bytes [envelope] prints for a verdict, written in key order:
+   accepted, analyzer, analyzer_version, checks, fpga_area, id, kind,
+   schema_version. *)
+let verdict_line ?id ~analyzer ~fpga_area (r : Core.Verdict.Rendered.t) =
+  let buf = Buffer.create (Array.fold_left (fun n s -> n + String.length s + 8) 160 r.checks) in
+  Buffer.add_string buf (if r.accepted then {|{"accepted":true,|} else {|{"accepted":false,|});
+  add_verdict buf ~analyzer r;
+  Buffer.add_string buf {|,"fpga_area":|};
   Bignum.add_int buf fpga_area;
   (match id with
    | Some id ->

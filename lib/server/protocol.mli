@@ -84,6 +84,12 @@ val task : task_reader -> name:string -> (Model.Task.t, task_error) result
 val read_id : Wire.Json.cursor -> Wire.Json.t option
 (** Read the next value as an [id]: an integer or a string, else [None]. *)
 
+val add_verdict : Buffer.t -> analyzer:Core.Analyzer.t -> Core.Verdict.Rendered.t -> unit
+(** Append a rendered verdict's members as a success response carries
+    them, in key order: ["analyzer":…,"analyzer_version":…,"checks":[…]].
+    The one writer of the check array: {!verdict_line} and the
+    admission daemon's replies both use it. *)
+
 val verdict_line :
   ?id:Wire.Json.t -> analyzer:Core.Analyzer.t -> fpga_area:int -> Core.Verdict.Rendered.t -> string
 (** The success response line (no trailing newline) of a rendered
@@ -95,10 +101,11 @@ val response : request -> Core.Verdict.t -> string
 
 val envelope : ?id:Wire.Json.t -> string -> (string * Wire.Json.t) list -> string
 (** [envelope ?id kind fields]: a response line with the standard
-    [schema_version]/[kind] (and optional echoed [id]) preamble —
-    the shared frame for every service speaking this wire format,
-    including the admission daemon's [kind = "admit"] replies.
-    [fields] given in key order are printed without a sort. *)
+    [schema_version]/[kind] (and optional echoed [id]) preamble, keys
+    sorted — the frame of both daemons' error lines.  Success replies
+    ({!verdict_line}, the admission daemon's) print these bytes
+    without building the tree.  [fields] given in key order are
+    printed without a sort. *)
 
 val error_response : ?id:Wire.Json.t -> string -> string
 (** The error response line (no trailing newline). *)

@@ -4,9 +4,11 @@
    idempotent replay, snapshot rotation through the store, the
    daemon's verdict byte-identity against a from-scratch analyzer run,
    request-id dedup, a cold replay of a 10^4-record journal, four
-   fixed-seed chaos runs, and random and byte-mutated lines, none of
-   which may raise, answer other than one line, journal a rejection,
-   or answer other bytes than test/admit_reference.ml. *)
+   fixed-seed chaos runs, random and byte-mutated lines, none of which
+   may raise, answer other than one line, journal a rejection, or
+   answer other bytes than test/admit_reference.ml, and a seeded
+   stream of well-formed ops at admit-churn's scale held to that
+   reference byte for byte. *)
 
 open Core_helpers
 
@@ -544,6 +546,193 @@ let admit_fuzz () =
                  QCheck2.Test.fail_report "is_mutation differs from the reference";
                (not (rejected reply)) || (journal () = bytes && seq () = seq0))))
 
+(* --- admit-churn scale: the daemon against the reference handler --- *)
+
+(* names a JSON string escapes (quote, backslash, control bytes) and
+   one it passes through (UTF-8) *)
+let escaped_names = [| "q\"uote"; "back\\slash"; "tab\tname"; "new\nline"; "ctl\001"; "caf\xc3\xa9" |]
+
+(* One seeded stream of well-formed ops, driven into the daemon and
+   into [Admit_reference] from the same empty state: queries and
+   what-ifs on the empty set, a fill to 24 residents at A(H) = 100,
+   then churn that keeps 20–32 residents, then a drain back to the
+   empty set.  The churn mixes queries; what-ifs that add and drop
+   together; admitted adds, and adds rejected as wider than the device
+   or as an overload; removes, and rounds that remove a task and add it
+   back, so the same canonical set is asked for in another admission
+   order and a cache hit is remapped; and retries by id of acknowledged
+   and of rejected mutations.  After each op the replies, the seq and
+   the journal size must agree, and at the end the journal and snapshot
+   files. *)
+let churn_matches_reference () =
+  let module Json = Wire.Json in
+  with_temp_dir "churn" @@ fun dir ->
+  let snapshot_every = 128 in
+  let d =
+    match
+      Admit.Daemon.create ~snapshot_every ~analyzer ~fpga_area:100 ~dir:(dir // "daemon") ()
+    with
+    | Ok (d, _) -> d
+    | Error msg -> Alcotest.failf "daemon create: %s" msg
+  in
+  Fun.protect ~finally:(fun () -> Admit.Daemon.close d) @@ fun () ->
+  let r =
+    match
+      Admit_reference.create ~snapshot_every ~analyzer ~fpga_area:100 ~dir:(dir // "reference") ()
+    with
+    | Ok (r, _) -> r
+    | Error msg -> Alcotest.failf "reference create: %s" msg
+  in
+  Fun.protect ~finally:(fun () -> Admit_reference.close r) @@ fun () ->
+  let rng = Random.State.make [| 30 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  (* a name always spells the same light task *)
+  let pool =
+    List.init 48 (fun i ->
+        let name =
+          if i < Array.length escaped_names then escaped_names.(i) else Printf.sprintf "t%d" i
+        in
+        let c = 5 * (1 + Random.State.int rng 12) in
+        let t = string_of_int (5 + Random.State.int rng 16) in
+        (name, Printf.sprintf "0.%02d" c, t, t, 1 + Random.State.int rng 8))
+  in
+  let task_json (name, c, d, t, a) =
+    Json.Obj
+      [
+        ("name", Json.String name); ("C", Json.String c); ("D", Json.String d); ("T", Json.String t);
+        ("A", Json.Int a);
+      ]
+  in
+  let residents () = Admit.State.names (Admit.Daemon.state d) in
+  let absent () = List.filter (fun (n, _, _, _, _) -> not (List.mem n (residents ()))) pool in
+  let resident_tasks () = List.filter (fun (n, _, _, _, _) -> List.mem n (residents ())) pool in
+  let ids = ref 0 in
+  let next_id () =
+    incr ids;
+    match !ids mod 3 with
+    | 0 -> Json.String (Printf.sprintf "m%d" !ids)
+    | 1 -> Json.Int !ids
+    | _ -> Json.String (Printf.sprintf "m\"%d\\" !ids)
+  in
+  let tally = Hashtbl.create 16 in
+  let sent_as what = Option.value ~default:0 (Hashtbl.find_opt tally what) in
+  let sent = ref 0 in
+  let send what fields =
+    let line = line fields in
+    Hashtbl.replace tally what (sent_as what + 1);
+    incr sent;
+    let got = Admit.Daemon.handle_line d line in
+    let want = Admit_reference.handle_line r line in
+    if not (String.equal got want) then
+      Alcotest.failf "op %d (%s) %s:\n  got  %s\n  want %s" !sent what line got want;
+    let agree thing a b =
+      if a <> b then Alcotest.failf "op %d (%s) %s: %s differs" !sent what line thing
+    in
+    agree "seq" (Admit.State.seq (Admit.Daemon.state d)) (Admit.State.seq (Admit_reference.state r));
+    agree "the journal size"
+      (Admit.Store.journal_bytes (Admit.Daemon.store d))
+      (Admit.Store.journal_bytes (Admit_reference.store r));
+    got
+  in
+  (* every mutation line sent, acknowledged or not *)
+  let acknowledged = ref [] and unacknowledged = ref [] in
+  let mutate what fields =
+    let reply = send what fields in
+    let list = if field reply "admitted" = Some (Json.Bool true) then acknowledged else unacknowledged in
+    list := fields :: !list;
+    reply
+  in
+  let with_id fields = ("id", next_id ()) :: fields in
+  let add ?(what = "add") task =
+    mutate what (with_id [ ("op", Json.String "add-task"); ("task", task_json task) ])
+  in
+  let remove name =
+    mutate "remove" (with_id [ ("op", Json.String "remove-task"); ("name", Json.String name) ])
+  in
+  let query what =
+    let fields = [ ("op", Json.String "query") ] in
+    ignore (send what (if Random.State.bool rng then with_id fields else fields))
+  in
+  let what_if what ~add ~drop =
+    let fields =
+      (if add = [] then [] else [ ("add", Json.List (List.map task_json add)) ])
+      @ (if drop = [] then [] else [ ("drop", Json.List (List.map (fun n -> Json.String n) drop)) ])
+    in
+    ignore (send what (with_id (("op", Json.String "what-if") :: fields)))
+  in
+  let rejected what reply =
+    if field reply "admitted" <> Some (Json.Bool false) then
+      Alcotest.failf "%s must be rejected: %s" what reply
+  in
+  (* the empty set *)
+  query "query (empty)";
+  query "query (empty)";
+  what_if "what-if (empty)" ~add:[] ~drop:[];
+  what_if "what-if add (empty)" ~add:[ pick pool ] ~drop:[];
+  ignore (remove (match pick pool with name, _, _, _, _ -> name));
+  (* the fill, escaped names first *)
+  List.iteri
+    (fun i task ->
+      if i < 24 then begin
+        ignore (add task);
+        if i mod 4 = 3 then query "query"
+      end)
+    pool;
+  (* the churn *)
+  while !sent < 1100 do
+    let size = List.length (residents ()) in
+    let roll = Random.State.int rng 100 in
+    if size < 20 || (roll < 8 && size < 32) then ignore (add (pick (absent ())))
+    else if size > 32 || roll < 14 then ignore (remove (pick (residents ())))
+    else if roll < 26 then begin
+      (* the set S, then S without x, then S again with x last *)
+      let x = pick (resident_tasks ()) in
+      let name, _, _, _, _ = x in
+      query "query";
+      ignore (remove name);
+      query "query";
+      what_if "what-if add" ~add:[ pick (absent ()) ] ~drop:[];
+      ignore (add ~what:"re-add" x);
+      query "query"
+    end
+    else if roll < 30 then
+      rejected "a wide task"
+        (add ~what:"add wide" ("wide", "1", "4", "4", 101 + Random.State.int rng 50))
+    else if roll < 34 then
+      rejected "an overload" (add ~what:"add overload" ("hog", "1", "1", "1", 100))
+    else if roll < 40 then ignore (send "retry acknowledged" (pick !acknowledged))
+    else if roll < 44 then ignore (send "retry rejected" (pick !unacknowledged))
+    else if roll < 66 then query "query"
+    else if roll < 86 then
+      let some l = List.sort_uniq compare (List.init (1 + Random.State.int rng 2) (fun _ -> pick l)) in
+      what_if "what-if add+drop" ~add:(some (absent ())) ~drop:(some (residents ()))
+    else if roll < 93 then what_if "what-if add" ~add:[ pick (absent ()) ] ~drop:[]
+    else what_if "what-if drop" ~add:[] ~drop:[ pick (residents ()) ]
+  done;
+  (* the drain *)
+  List.iter (fun name -> ignore (remove name)) (residents ());
+  query "query (empty)";
+  what_if "what-if (empty)" ~add:[] ~drop:[];
+  let at_least what n =
+    if sent_as what < n then
+      Alcotest.failf "the stream sent %d %S ops (want >= %d)" (sent_as what) what n
+  in
+  List.iter
+    (fun (what, n) -> at_least what n)
+    [
+      ("query", 200); ("query (empty)", 3); ("what-if (empty)", 2); ("what-if add+drop", 100);
+      ("what-if add", 50); ("what-if drop", 20); ("add", 50); ("remove", 100); ("re-add", 40);
+      ("add wide", 10); ("add overload", 10); ("retry acknowledged", 20); ("retry rejected", 10);
+    ];
+  check_bool "at least 1,000 ops" true (!sent >= 1000);
+  let read sub file =
+    let path = dir // sub // file in
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
+  in
+  check_bool "a snapshot rotated" true (read "daemon" "snapshot.bin" <> "");
+  check_str "journal file" (read "reference" "journal.wal") (read "daemon" "journal.wal");
+  check_str "snapshot file" (read "reference" "snapshot.bin") (read "daemon" "snapshot.bin")
+
 (* The chaos harness (test/chaos.ml) on four fixed runs: a short one
    at A(H) = 10, two 50-lifetime runs at A(H) = 100 (the default fault
    mix, and a heavier one), and a 12-lifetime run.  Each row pins the
@@ -632,5 +821,6 @@ let () =
           Alcotest.test_case "replays a 10^4-record journal" `Quick daemon_replays_long_journal;
           Alcotest.test_case "chaos smoke" `Quick chaos_smoke;
           Alcotest.test_case "hostile lines" `Quick admit_fuzz;
+          Alcotest.test_case "churn matches the reference" `Quick churn_matches_reference;
         ] );
     ]

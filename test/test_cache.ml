@@ -239,18 +239,28 @@ let cached_equals_fresh () =
     batch
     (Cache.Verdicts.decide_all cache ~analyzer:counting ~fpga_area:10 batch);
   check_int "the new taskset decided once" 1 !decided;
-  let canonical ts =
+  let decide_canonical store ts =
     let order = Cache.Canonical.order ts in
     let key = Cache.Canonical.key ~analyzer:counting ~fpga_area:10 ts in
-    verdict_str
-      (Cache.Verdicts.decide_canonical cache ~analyzer:counting ~fpga_area:10 ~key
-         ~canonical:(Cache.Canonical.apply order ts) ~order)
+    Cache.Verdicts.decide_canonical store ~analyzer:counting ~fpga_area:10 ~key
+      ~canonical:(Cache.Canonical.apply order ts) ~order
   in
+  let canonical ts = verdict_str (decide_canonical cache ts) in
   check_str "decide_canonical hit" (fresh other_swapped) (canonical other_swapped);
   check_int "a hit decides nothing" 1 !decided;
   let third = taskset [ ("g", "3", "8", "9", 4); ("h", "1", "2", "3", 1) ] in
   check_str "decide_canonical miss" (fresh third) (canonical third);
-  check_int "a miss decides once" 2 !decided
+  check_int "a miss decides once" 2 !decided;
+  (* the same on a rendered store, the admission daemon's: the entry is
+     the fresh verdict rendered, remapped to the request's task order *)
+  let store = Cache.Verdicts.create_rendered ~metrics_prefix:"t.v1r" ~capacity:16 () in
+  let bytes r = Server.Protocol.verdict_line ~analyzer:gn2 ~fpga_area:10 r in
+  let fresh ts = bytes (Core.Verdict.Rendered.of_verdict (gn2.Core.Analyzer.decide ~fpga_area:10 ts)) in
+  let rendered ts = bytes (decide_canonical store ts) in
+  check_str "rendered decide_canonical miss" (fresh other) (rendered other);
+  check_int "a rendered miss decides once" 3 !decided;
+  check_str "rendered decide_canonical hit" (fresh other_swapped) (rendered other_swapped);
+  check_int "a rendered hit decides nothing" 3 !decided
 
 (* random (C, D, T, A) rows with C <= min(D, T), as integers so any
    permutation is still a valid taskset *)
