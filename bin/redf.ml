@@ -1049,7 +1049,7 @@ let admit_cmd =
   in
   let snapshot_every_arg =
     Arg.(
-      value & opt int 1024
+      value & opt int Admit.Store.default_snapshot_every
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "Rewrite the snapshot and reset the journal after $(docv) journaled mutations \

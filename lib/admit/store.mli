@@ -15,6 +15,11 @@ type recovery = {
   snapshot_seq : int;  (** seq restored from the snapshot (0 = none) *)
 }
 
+val default_snapshot_every : int
+(** 1024: the journal record count that triggers snapshot rotation
+    when [open_dir] is given none, and [redf admit --snapshot-every]'s
+    default. *)
+
 val open_dir :
   ?faults:Faults.t ->
   ?snapshot_every:int ->
@@ -22,8 +27,8 @@ val open_dir :
   unit ->
   (t * recovery, string) result
 (** Create [dir] if needed, run recovery, open the journal for
-    appending.  [snapshot_every] (default 1024) is the journal record
-    count that triggers snapshot rotation.  A directory that cannot be
+    appending.  [snapshot_every] (default {!default_snapshot_every})
+    is the journal record count that triggers snapshot rotation.  A directory that cannot be
     created or cannot hold the journal is an [Error "DIR: reason"],
     like a corrupt journal. *)
 

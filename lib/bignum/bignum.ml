@@ -223,26 +223,10 @@ let of_small n =
     { sign; mag }
   end
 
+(* every int but min_int has a magnitude [of_small] takes; min_int,
+   whose [abs] overflows, is twice min_int / 2 *)
 let of_int n =
-  if n = 0 then zero
-  else begin
-    let sign = if n > 0 then 1 else -1 in
-    (* careful with min_int: work with a non-negative accumulator via abs on
-       the fly using the division loop below, which handles min_int because
-       we negate digit-wise *)
-    let rec digits n acc = if n = 0 then acc else digits (n lsr base_bits) ((n land base_mask) :: acc) in
-    let n_abs = abs n in
-    if n_abs >= 0 then
-      let ds = List.rev (digits n_abs []) in
-      make sign (Array.of_list ds)
-    else begin
-      (* n = min_int: abs overflowed.  min_int = -2^62 on 64-bit. *)
-      let m = -(n / 2) in
-      let half = digits m [] |> List.rev |> Array.of_list in
-      let dbl = mag_mul_small half 2 in
-      make sign dbl
-    end
-  end
+  if n <> min_int then of_small n else { sign = -1; mag = mag_mul_small (of_small (-(n / 2))).mag 2 }
 
 let one = of_int 1
 let two = of_int 2

@@ -1,8 +1,10 @@
-(* One pass over one cmt.  The walk is a Tast_iterator with three
+(* One pass over one cmt.  The walk is a Tast_iterator with four
    overrides: [structure] (floating-allow scope + module tags), [expr]
-   (denied identifiers, float literals, polymorphic-compare
-   instantiations, allow frames on expressions) and [value_binding]
-   (module-level mutable state, allow frames on bindings).
+   (denied identifiers, the plain-int Ticks instance, float literals,
+   polymorphic-compare instantiations, allow frames on expressions),
+   [module_expr] (the plain-int Ticks instance named as a module) and
+   [value_binding] (module-level mutable state, allow frames on
+   bindings).
 
    Everything here is deterministic by construction: cmts are read one
    at a time, findings accumulate in traversal order and are sorted
@@ -196,8 +198,11 @@ let meta_error st ~loc msg =
   let line, col = position loc in
   add_finding st (Finding.error ~rule:"allow-syntax" ~file:st.file ~line ~col msg)
 
-let emit st rule ~loc msg =
-  if List.mem rule st.enabled && Rules.in_scope rule ~file:st.file ~tags:st.tags then begin
+let emit ?scope st rule ~loc msg =
+  let in_scope =
+    match scope with Some s -> s | None -> Rules.in_scope rule ~file:st.file ~tags:st.tags
+  in
+  if List.mem rule st.enabled && in_scope then begin
     match List.find_opt (fun f -> f.f_rule = rule) st.allows with
     | Some frame -> frame.f_used <- true
     | None ->
@@ -249,6 +254,16 @@ let check_ident st ~loc path =
         emit st Rules.Exact_arith ~loc (Printf.sprintf "%s in an exact decide path: %s" denied why))
     Rules.exact_denied_idents
 
+(* a value or module path inside the plain-int Ticks instance *)
+let check_plain_int st ~loc path =
+  if list_prefix ~prefix:(components Rules.plain_int_module) (components (Path.name path)) then
+    emit st Rules.Exact_arith ~loc
+      ~scope:(Rules.plain_int_scope ~file:st.file ~tags:st.tags)
+      (Printf.sprintf
+         "%s outside the generated ranged instances: its ints wrap silently, so only a decide \
+          behind a range check may use it"
+         Rules.plain_int_module)
+
 let check_poly_compare st ~loc path ty =
   let n = normalize (Path.name path) in
   if List.exists (fun d -> String.equal (normalize d) n) Rules.poly_compare_idents then begin
@@ -294,6 +309,7 @@ let make_iterator st =
      | Typedtree.Texp_ident (path, lid, _) ->
        let loc = lid.Location.loc in
        check_ident st ~loc path;
+       check_plain_int st ~loc path;
        check_poly_compare st ~loc path e.Typedtree.exp_type
      | Typedtree.Texp_constant (Asttypes.Const_float lit) ->
        emit st Rules.Exact_arith ~loc:e.Typedtree.exp_loc
@@ -303,6 +319,12 @@ let make_iterator st =
     Tast_iterator.default_iterator.Tast_iterator.expr sub e;
     st.expr_depth <- st.expr_depth - 1;
     pop_allows st before
+  in
+  let module_expr sub (m : Typedtree.module_expr) =
+    (match m.Typedtree.mod_desc with
+     | Typedtree.Tmod_ident (path, lid) -> check_plain_int st ~loc:lid.Location.loc path
+     | _ -> ());
+    Tast_iterator.default_iterator.Tast_iterator.module_expr sub m
   in
   let value_binding sub (vb : Typedtree.value_binding) =
     let before = push_allows st vb.Typedtree.vb_attributes in
@@ -326,7 +348,7 @@ let make_iterator st =
       str.Typedtree.str_items;
     pop_allows st before
   in
-  { Tast_iterator.default_iterator with Tast_iterator.expr; value_binding; structure }
+  { Tast_iterator.default_iterator with Tast_iterator.expr; module_expr; value_binding; structure }
 
 let run_cmt ~rules path =
   match Cmt_format.read_cmt path with

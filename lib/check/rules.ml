@@ -44,6 +44,17 @@ let det_scope file =
 let exact_scope file =
   List.exists (fun p -> has_prefix ~prefix:p file) [ "lib/core/"; "lib/cache/"; "lib/audit/" ]
 
+(* Ticks.Native's plain ints wrap silently, so only the generated
+   ranged instances, which Ticks.run enters behind a range check, may
+   name it: anywhere else in lib/, and in a module tagged
+   [@@@redf.exact], naming it is an exact-arith error *)
+let plain_int_module = "Core.Ticks.Native"
+let ranged_instances = [ "lib/core/dp_ranged.ml"; "lib/core/gn1_ranged.ml"; "lib/core/gn2_ranged.ml" ]
+
+let plain_int_scope ~file ~tags =
+  (List.mem Exact_arith tags || has_prefix ~prefix:"lib/" file)
+  && not (List.mem file ranged_instances)
+
 (* every lib module is reachable from a Parallel.Pool work item (audit
    units run analyzers, simulator, trace checks and cache lookups on
    worker domains), so the whole library tree is shared-state scope *)

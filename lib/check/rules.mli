@@ -22,6 +22,16 @@ val in_scope : rule -> file:string -> tags:rule list -> bool
 (** Does [rule] apply to the module compiled from [file]?  [tags] are
     the module's in-source tags. *)
 
+val plain_int_module : string
+(** ["Core.Ticks.Native"]: the plain-int instance whose operations
+    wrap silently. *)
+
+val plain_int_scope : file:string -> tags:rule list -> bool
+(** Where naming {!plain_int_module} is an [exact-arith] error: every
+    module of [lib/] and every module tagged [[\@\@\@redf.exact]],
+    except the three generated ranged instances
+    ([lib/core/{dp,gn1,gn2}_ranged.ml]). *)
+
 val det_denied_idents : (string * string) list
 (** Normalized full identifier path, and why it is nondeterministic. *)
 

@@ -4,36 +4,24 @@ let applicable ts = Model.Taskset.all_implicit_deadline ts
 
 let wider_note = "a task is wider than the FPGA"
 let implicit_note = "DP assumes implicit deadlines (D = T)"
+let plus_one_note = "US(Gamma) vs (A(H)-Amax+1)(1-UT_k)+US_k"
+let original_note = "US(Gamma) vs (A(H)-Amax)(1-UT_k)+US_k"
 
-(* US(Gamma) = U / L with L = lcm(T_i) and U = sum A_i C_i (L / T_i),
-   once per taskset.  Check k's bound is r_k / T_k with
-   r_k = a (T_k - C_k) + A_k C_k, so US <= bound iff U <= r_k (L / T_k). *)
-module Make (I : Ticks.INT) = struct
-  let checks ~a ~note (cols : Columns.t) =
-    let n = cols.Columns.n and area = cols.Columns.area in
-    let c = Array.map I.of_int cols.Columns.exec and t = Array.map I.of_int cols.Columns.period in
-    let l = Array.fold_left (fun l ti -> I.mul (I.fdiv l (I.gcd l ti)) ti) (I.of_int 1) t in
-    let cof = Array.map (fun ti -> I.fdiv l ti) t in
-    let u = ref (I.of_int 0) in
-    for i = 0 to n - 1 do
-      u := I.add !u (I.mul (I.mul (I.of_int area.(i)) c.(i)) cof.(i))
-    done;
-    let u = !u in
-    let us = Rat.make (I.to_bignum u) (I.to_bignum l) in
-    let a = I.of_int a in
-    List.init n (fun k ->
-        let r = I.add (I.mul a (I.sub t.(k) c.(k))) (I.mul (I.of_int area.(k)) c.(k)) in
-        {
-          Verdict.task_index = k;
-          satisfied = I.compare u (I.mul r cof.(k)) <= 0;
-          lhs = us;
-          rhs = Rat.make (I.to_bignum r) (I.to_bignum t.(k));
-          note;
-        })
-end
+module Fast = Dp_ranged.Make (Ticks.Checked)
+module Wide = Dp_ranged.Make (Ticks.Wide)
 
-module Fast = Make (Ticks.Checked)
-module Wide = Make (Ticks.Wide)
+(* The range check of dp_checks.ml.  With M the largest tick, A the
+   larger of A(H) and Amax, and L = lcm(T_i):
+   - the partial lcms and the cofactors L / T_i are at most L;
+   - each A_i C_i (L / T_i) is at most A M L, so U <= N A M L;
+   - a <= A(H) - Amax + 1 <= A, so |r_k| <= a |T_k - C_k| + A_k C_k
+     <= 2 A M, and |r_k (L / T_k)| <= 2 A M L;
+   - [ratio] divides these by their gcd.
+   So every intermediate is at most (N + 2) A M L. *)
+let bound ~fpga_area (cols : Columns.t) =
+  let open Ticks.Checked in
+  let a = max fpga_area (Array.fold_left max 0 cols.area) in
+  mul (mul (of_int (cols.n + 2)) a) (mul (Ticks.max_tick cols) (Ticks.lcm cols.period))
 
 let decide_one ~test_name ~plus_one ~fpga_area ts =
   let cols = Columns.of_taskset ts in
@@ -43,8 +31,11 @@ let decide_one ~test_name ~plus_one ~fpga_area ts =
   else if not (applicable ts) then Verdict.reject_all_n ~test_name ~note:implicit_note n
   else begin
     let a = fpga_area - amax + if plus_one then 1 else 0 in
-    let note = "US(Gamma) vs (A(H)-Amax" ^ (if plus_one then "+1" else "") ^ ")(1-UT_k)+US_k" in
-    Verdict.make ~test_name ~checks:(Ticks.run ~fast:(Fast.checks ~a ~note) ~wide:(Wide.checks ~a ~note) cols)
+    let note = if plus_one then plus_one_note else original_note in
+    Verdict.make ~test_name
+      ~checks:
+        (Ticks.run ~bound:(bound ~fpga_area) ~native:(Dp_ranged.Native.checks ~a ~note)
+           ~fast:(Fast.checks ~a ~note) ~wide:(Wide.checks ~a ~note) cols)
   end
 
 let decide ~fpga_area ts =

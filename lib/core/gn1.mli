@@ -29,8 +29,9 @@
     Every term is a ratio of int ticks over [D_i] or [D_k], so check
     [k] accumulates its lhs as one numerator over [lcm(D_1..D_N)]
     (computed once per taskset), compares numerators, and normalizes
-    the printed lhs once.  The arithmetic runs over native ints or,
-    where one would overflow, {!Bignum} ({!Ticks}). *)
+    the printed lhs once.  The arithmetic runs over plain ints where
+    the range check [M (M + A + 1) + N A L] fits, else over checked
+    ints or, where one would overflow, {!Bignum} ({!Ticks}). *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
 

@@ -33,8 +33,11 @@
     [lambda = p/q], both condition sums become sums of [A_i m_i / T_i]
     with int [m_i], decided from their floors, and exactly (over
     [lcm(T_i)], in {!Bignum}) only when the floors leave it open, for
-    the tie-break, and for the lhs a check prints.  The arithmetic runs
-    over native ints or, where one would overflow, {!Bignum} ({!Ticks}).
+    the tie-break, and for the lhs a check prints (in checked ints
+    where [lcm(T_i)] and the numerator fit).  The arithmetic runs over
+    plain ints where the range check [(N + 2) A M^3 + N M] fits, else
+    over checked ints or, where one would overflow, {!Bignum}
+    ({!Ticks}).
     The [core.gn2.lambda_evals] counter counts the candidates
     evaluated. *)
 

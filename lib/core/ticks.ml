@@ -7,11 +7,15 @@ module type INT = sig
   val add : t -> t -> t
   val sub : t -> t -> t
   val mul : t -> t -> t
-  val fdiv : t -> t -> t
+  val div : t -> t -> t
   val compare : t -> t -> int
   val gcd : t -> t -> t
+  val to_int : t -> int
   val to_bignum : t -> Bignum.t
+  val ratio : t -> t -> Rat.t
 end
+
+let rec euclid a b = if b = 0 then a else euclid b (a mod b)
 
 module Checked = struct
   type t = int
@@ -40,23 +44,38 @@ module Checked = struct
       if p / a = b && not (a = -1 && b = min_int) then p else raise Overflow
     end
 
-  let fdiv a b =
-    if a >= 0 && b > 0 then a / b
-    else if b = -1 then if a = min_int then raise Overflow else -a
-    else begin
-      let q = a / b in
-      if a mod b <> 0 && a lxor b < 0 then q - 1 else q
-    end
-
+  (* a non-negative dividend over a positive divisor cannot overflow *)
+  let div a b = a / b
   let compare = Int.compare
 
   let gcd a b =
     if a = min_int || b = min_int then raise Overflow;
-    let rec go a b = if b = 0 then a else go b (a mod b) in
-    go (abs a) (abs b)
+    euclid (abs a) (abs b)
+
+  let to_int x = x
+  let to_bignum = Bignum.of_int
+  let ratio = Rat.of_ints
+end
+
+module Native = struct
+  type t = int
+
+  external of_int : int -> t = "%identity"
+  external add : t -> t -> t = "%addint"
+  external sub : t -> t -> t = "%subint"
+  external mul : t -> t -> t = "%mulint"
+  external div : t -> t -> t = "%divint"
+  external compare : t -> t -> int = "%compare"
+
+  let gcd a b = euclid (abs a) (abs b)
+
+  external to_int : t -> int = "%identity"
 
   let to_bignum = Bignum.of_int
+  let ratio = Rat.of_ints
 end
+
+module _ : INT = Native
 
 module Wide = struct
   type t = Bignum.t
@@ -65,10 +84,37 @@ module Wide = struct
   let add = Bignum.add
   let sub = Bignum.sub
   let mul = Bignum.mul
-  let fdiv = Bignum.fdiv
+  let div = Bignum.div
   let compare = Bignum.compare
   let gcd = Bignum.gcd
+  let to_int x = match Bignum.to_int_opt x with Some n -> n | None -> raise Overflow
   let to_bignum x = x
+  let ratio = Rat.make
 end
 
-let run ~fast ~wide x = try fast x with Overflow -> wide x
+let max_tick (cols : Model.Taskset.Columns.t) =
+  let top = Array.fold_left max in
+  top (top (top 0 cols.exec) cols.deadline) cols.period
+
+let lcm ticks = Array.fold_left (fun l x -> Checked.mul (l / euclid l x) x) 1 ticks
+
+(* the path that finished each decide *)
+let m_native = Obs.Counter.make "core.ticks.native"
+let m_checked = Obs.Counter.make "core.ticks.checked"
+let m_wide = Obs.Counter.make "core.ticks.wide"
+
+let run ~bound ~native ~fast ~wide x =
+  match bound x with
+  | (_ : int) ->
+    let r = native x in
+    Obs.Counter.incr m_native;
+    r
+  | exception Overflow -> (
+    match fast x with
+    | r ->
+      Obs.Counter.incr m_checked;
+      r
+    | exception Overflow ->
+      let r = wide x in
+      Obs.Counter.incr m_wide;
+      r)

@@ -72,6 +72,9 @@ module Rendered : sig
   }
 
   val of_verdict : verdict -> t
+  (** Each check's bytes written into one buffer reused across the
+      verdict, a side that fits an int through {!Bignum.add_int}: the
+      bytes {!to_json} prints. *)
 
   val remap : int array -> t -> t
   (** {!remap} (the verdict's) on the rendered form. *)

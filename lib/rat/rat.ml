@@ -15,7 +15,17 @@ let make num den =
 let zero = { num = B.zero; den = B.one }
 let of_int n = { num = B.of_int n; den = B.one }
 let one = of_int 1
-let of_ints n d = make (B.of_int n) (B.of_int d)
+(* one native gcd; min_int, whose magnitude is no int, goes through
+   [make] *)
+let of_ints n d =
+  if d = 0 then raise Division_by_zero
+  else if n = min_int || d = min_int then make (B.of_int n) (B.of_int d)
+  else begin
+    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+    let g = gcd (abs n) (abs d) in
+    let g = if d < 0 then -g else g in
+    { num = B.of_int (n / g); den = B.of_int (d / g) }
+  end
 let of_bignum n = { num = n; den = B.one }
 let num t = t.num
 let den t = t.den

@@ -20,7 +20,8 @@ val make : Bignum.t -> Bignum.t -> t
 
 val of_int : int -> t
 val of_ints : int -> int -> t
-(** [of_ints n d] = [n/d]. @raise Division_by_zero when [d = 0]. *)
+(** [of_ints n d] = [n/d], normalized with one native gcd.
+    @raise Division_by_zero when [d = 0]. *)
 
 val of_bignum : Bignum.t -> t
 

@@ -59,6 +59,17 @@ let exact_arith () =
     ]
     (quads (findings "Fix_exact"))
 
+(* naming the plain-int Ticks instance, as a value and as a module,
+   is flagged; the checked instance is not *)
+let plain_int () =
+  check_quads "fix_ranged findings"
+    [ ("exact-arith", 6, 16, true); ("exact-arith", 8, 11, true) ]
+    (quads (findings "Fix_ranged"));
+  check_bool "a ranged instance may name it" false
+    (Check.Rules.plain_int_scope ~file:"lib/core/gn2_ranged.ml" ~tags:[]);
+  check_bool "any other lib module may not" true
+    (Check.Rules.plain_int_scope ~file:"lib/server/engine.ml" ~tags:[])
+
 let poly_compare () =
   check_quads "fix_poly findings"
     [ ("poly-compare", 4, 63, true); ("poly-compare", 5, 64, true) ]
@@ -94,8 +105,8 @@ let driver_report () =
   match Check.Driver.run [ cmt_dir ] with
   | Error e -> Alcotest.failf "driver: %s" e
   | Ok report ->
-    check_int "modules" 8 report.Check.Driver.modules;
-    check_int "errors" 11 (Check.Driver.errors report);
+    check_int "modules" 9 report.Check.Driver.modules;
+    check_int "errors" 13 (Check.Driver.errors report);
     check_int "warnings" 2 (Check.Driver.warnings report);
     check_bool "not clean" false (Check.Driver.clean report);
     check_int "exit 1" 1 (Check.Driver.exit_code report)
@@ -147,6 +158,7 @@ let () =
           Alcotest.test_case "det-purity" `Quick det_purity;
           Alcotest.test_case "domain-safety" `Quick domain_safety;
           Alcotest.test_case "exact-arith" `Quick exact_arith;
+          Alcotest.test_case "exact-arith: plain ints" `Quick plain_int;
           Alcotest.test_case "poly-compare" `Quick poly_compare;
           Alcotest.test_case "suppression" `Quick suppression;
           Alcotest.test_case "clean module" `Quick clean_module;

@@ -246,6 +246,114 @@ let prop_time_scaling =
           String.equal (verdict_bytes (decide ~fpga_area ts)) (verdict_bytes (decide ~fpga_area (scale k ts))))
         analyzers)
 
+(* --- the range check: the plain-int path and the exact paths agree
+   on both sides of every bound --- *)
+
+type path = Native | Checked | Wide
+
+let path_counters =
+  [
+    (Native, Obs.Counter.make "core.ticks.native");
+    (Checked, Obs.Counter.make "core.ticks.checked");
+    (Wide, Obs.Counter.make "core.ticks.wide");
+  ]
+
+(* [counted]'s bytes and lambda_evals, and the path that finished the
+   decide (None when it was rejected before any arithmetic) *)
+let observed decide ~fpga_area ts =
+  let before = List.map (fun (_, m) -> Obs.Counter.value m) path_counters in
+  let seen = counted decide ~fpga_area ts in
+  let path =
+    List.fold_left2
+      (fun acc (p, m) b -> if Obs.Counter.value m > b then Some p else acc)
+      None path_counters before
+  in
+  (seen, path)
+
+(* the largest k in [0, kmax] with [native k], for a predicate that
+   holds up to some k and fails above it *)
+let threshold native kmax =
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      if native mid then go mid hi else go lo mid
+    end
+  in
+  go 0 (kmax + 1)
+
+(* [case_gen]'s sets, or sets whose C, D and T are any ticks up to 20
+   units (C > D and C > T included); half of the draws have implicit
+   deadlines, so DP reaches its arithmetic too *)
+let ranged_case_gen =
+  QCheck2.Gen.(
+    let free_task =
+      let tick = int_range 1 20_000 in
+      let* c = tick and* d = tick and* t = tick and* area = int_range 1 12 in
+      return
+        (Model.Task.make ~exec:(Time.of_ticks c) ~deadline:(Time.of_ticks d) ~period:(Time.of_ticks t) ~area ())
+    in
+    let free_case = pair (list_size (int_range 1 7) free_task >>= taskset_of_tasks) area_gen in
+    let* ts, fpga_area = frequency [ (2, case_gen); (1, free_case) ] and* implicit = bool in
+    let implicit_deadlines ts =
+      Model.Taskset.of_list
+        (List.map (fun (task : Model.Task.t) -> { task with deadline = task.period }) (Model.Taskset.to_list ts))
+    in
+    return ((if implicit then implicit_deadlines ts else ts), fpga_area))
+
+(* Every time scaled by k: the bounds grow with k, so each analyzer
+   takes its plain-int path up to a threshold k* and not above it.
+   At k*/2, k*, k* + 1 and the largest k whose ticks fit an int the
+   bytes and lambda_evals equal the reference's, and the path is
+   native exactly up to k*.  [tally] counts the paths met. *)
+let agree_across_bounds ~tally (ts, fpga_area) =
+  let kmax = max_int / Core.Ticks.max_tick (Columns.of_taskset ts) in
+  List.for_all
+    (fun (name, decide, reference) ->
+      let native k = snd (observed decide ~fpga_area (scale k ts)) = Some Native in
+      let k_star = threshold native kmax in
+      let scales =
+        List.sort_uniq Int.compare
+          (List.filter (fun k -> k >= 1 && k <= kmax) [ max 1 (k_star / 2); k_star; k_star + 1; kmax ])
+      in
+      List.for_all
+        (fun k ->
+          let ts = scale k ts in
+          let seen, path = observed decide ~fpga_area ts in
+          tally name path;
+          seen = counted reference ~fpga_area ts && path = Some Native = (k <= k_star))
+        scales)
+    analyzers
+
+let range_check () =
+  let met = Hashtbl.create 8 in
+  let tally name path =
+    match path with
+    | Some p -> Hashtbl.replace met (name, p = Native) ()
+    | None -> ()
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 31 |])
+    (QCheck2.Test.make ~count:100 ~name:"plain-int and exact paths agree across each bound"
+       ~print:(fun (ts, fpga_area) -> Format.asprintf "%a on A(H) = %d" Model.Taskset.pp ts fpga_area)
+       ranged_case_gen (agree_across_bounds ~tally));
+  List.iter
+    (fun (name, _, _) ->
+      Alcotest.(check bool) (name ^ ": a native decide") true (Hashtbl.mem met (name, true));
+      Alcotest.(check bool) (name ^ ": a checked or wide decide") true (Hashtbl.mem met (name, false)))
+    analyzers
+
+(* serve-miss's request stream (perfbench): fresh tasksets of 4-8
+   tasks from the unconstrained generator on A(H) = 100.  GN2's bound
+   holds on every one, so each decide takes the plain-int path *)
+let serve_miss_native () =
+  let rng = Rng.create ~seed:1 in
+  for _ = 1 to 300 do
+    let profile = Model.Generator.unconstrained ~n:(Rng.int_incl rng 4 8) in
+    let ts = Model.Generator.draw rng { profile with Model.Generator.fpga_area = 100 } in
+    let _, path = observed Core.Gn2.decide ~fpga_area:100 ts in
+    if path <> Some Native then Alcotest.failf "GN2 left the plain-int path on %a" Model.Taskset.pp ts
+  done
+
 (* --- approx: columnar demand scan == record scan --- *)
 
 let prop_approx_demand =
@@ -314,5 +422,10 @@ let () =
           Alcotest.test_case "GN2 conditions settled in the exact band" `Quick exact_band;
         ] );
       ("time scaling", [ prop_time_scaling ]);
+      ( "range check",
+        [
+          Alcotest.test_case "plain-int and exact paths agree across each bound" `Quick range_check;
+          Alcotest.test_case "GN2 decides serve-miss's stream in plain ints" `Quick serve_miss_native;
+        ] );
       ("batch == single bytes", [ prop_decide_all_ident; prop_cache_batch_ident ]);
     ]

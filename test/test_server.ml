@@ -489,6 +489,33 @@ let prop_response_reference =
        QCheck2.Gen.(pair requests verdicts)
        (fun (req, v) -> String.equal (Server.Protocol.response req v) (Protocol_reference.response req v)))
 
+(* the verdict object assembled from its rendered checks, as the
+   service does *)
+let rendered_json (r : Core.Verdict.Rendered.t) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (if r.accepted then {|{"accepted":true,"analyzer":|} else {|{"accepted":false,"analyzer":|});
+  Json.add_string buf r.test_name;
+  Buffer.add_string buf {|,"checks":[|};
+  Array.iteri
+    (fun i check ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf check;
+      Bignum.add_int buf (r.tasks.(i) + 1);
+      Buffer.add_char buf '}')
+    r.checks;
+  Buffer.add_string buf "]}";
+  Buffer.contents buf
+
+(* the two check writers: Rendered.of_verdict's buffer and to_json's
+   tree, on notes that need escapes and sides wider than an int *)
+let prop_rendered_to_json =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"rendered checks == Verdict.to_json bytes"
+       ~print:(fun v -> Json.to_string (Core.Verdict.to_json v))
+       verdicts
+       (fun v ->
+         String.equal (rendered_json (Core.Verdict.Rendered.of_verdict v)) (Json.to_string (Core.Verdict.to_json v))))
+
 (* the rendered remap against the verdict's, on checks in any order
    with repeated task indices (where only stability decides) *)
 let prop_rendered_remap =
@@ -1067,6 +1094,7 @@ let () =
           prop_decode_requests;
           prop_decode_mutated;
           prop_response_reference;
+          prop_rendered_to_json;
           prop_rendered_remap;
           prop_cached_equals_fresh;
         ] );
