@@ -1077,37 +1077,22 @@ let admit_cmd =
 (* --- bench-core --- *)
 
 let bench_core_cmd =
-  let run budget_ms out compare tolerance () =
-    let budget_ms = Option.map (positive "--budget-ms") budget_ms in
-    let tolerance =
-      match Bench.Core_bench.parse_tolerance tolerance with
-      | Ok tol -> tol
-      | Error msg -> stop 2 ("bench-core: " ^ msg)
-    in
+  let run out compare () =
     let baseline =
-      match Bench_core.load_baseline compare with Ok b -> b | Error line -> stop 2 line
+      match Bench.Core_bench.load_baseline compare with Ok b -> b | Error line -> stop 2 line
     in
-    (* the matrix can take minutes: find an unusable --out before it.
-       Not truncated here, since --compare may name the same file; a
-       parent that cannot be made fails the open with its reason *)
-    (try Bench.Env.ensure_parent_dir out with Sys_error _ -> ());
+    (* find an unusable --out before the matrix runs.  Not truncated
+       here, since --compare may name the same file; a parent that
+       cannot be made fails the open with its reason *)
+    (try Bench.Core_bench.ensure_parent_dir out with Sys_error _ -> ());
     Unix.close (open_write ~flags:[] ~code:2 "--out" out);
-    Bench_core.run ?budget_ms ~out ~baseline ~tolerance ()
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock budget for the whole matrix. Rows cut short or skipped when it expires \
-             are flagged $(b,truncated) in the JSON and excluded from comparison.")
+    Bench.Core_bench.run ~out ~baseline
   in
   let out_arg =
     Arg.(
       value
-      & opt string Bench_core.default_out
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the schema-v3 bench-core document.")
+      & opt string Bench.Core_bench.default_out
+      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the schema-v4 bench-core document.")
   in
   let compare_arg =
     Arg.(
@@ -1115,25 +1100,20 @@ let bench_core_cmd =
       & opt (some string) None
       & info [ "compare" ] ~docv:"FILE"
           ~doc:
-            "Baseline bench-core document (schema v3) to diff against; read before \
+            "Baseline bench-core document (schema v4) to diff against; read before \
              $(b,--out) is written, so both may name the same committed file.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt string "1.5x"
-      & info [ "tolerance" ] ~docv:"RATIO"
-          ~doc:"Allowed current/baseline slowdown per row, e.g. $(b,1.5x).")
   in
   verb "bench-core" ~doc:"Measure analyzer cost per decide; optionally gate on a committed baseline"
     ~description:
       "Times every analyzer (DP, GN1, GN2, approx, the exact oracle) on seed-fixed workloads \
        across taskset sizes, in single-decide and batch ($(b,decide_all)) modes, and writes \
-       results/BENCH_core.json. With $(b,--compare), rows are matched to the baseline by \
-       (analyzer, n, mode): a row slower than tolerance times its baseline (and by a small \
-       absolute floor, to ignore micro-row jitter) is a regression and the command exits 1 — \
-       the CI perf leg. A tripping row is re-measured once and the faster run kept, so a \
-       one-off scheduling hiccup on a shared runner does not fail the gate."
-    Term.(const run $ budget_arg $ out_arg $ compare_arg $ tolerance_arg)
+       results/BENCH_core.json. Each row makes one warm-up call, then calls until 200 ms have \
+       passed. With $(b,--compare), rows are matched to the baseline by (analyzer, n, mode): a \
+       row more than 1.5 times slower than its baseline (and by a small absolute floor, to \
+       ignore micro-row jitter) is a regression and the command exits 1 — the CI perf leg. A \
+       tripping row is re-measured once and the faster run kept, so a one-off scheduling \
+       hiccup on a shared runner does not fail the gate."
+    Term.(const run $ out_arg $ compare_arg)
 
 let main_cmd =
   let doc = "schedulability analysis of EDF scheduling on reconfigurable hardware" in

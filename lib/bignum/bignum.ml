@@ -229,7 +229,6 @@ let of_int n =
   if n <> min_int then of_small n else { sign = -1; mag = mag_mul_small (of_small (-(n / 2))).mag 2 }
 
 let one = of_int 1
-let two = of_int 2
 let sign t = t.sign
 let is_zero t = t.sign = 0
 
@@ -239,7 +238,6 @@ let compare a b =
   else mag_compare b.mag a.mag
 
 let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (t.sign, t.mag)
 let neg t = if t.sign = 0 then t else { t with sign = -t.sign }
 let abs t = if t.sign < 0 then neg t else t
 
@@ -308,20 +306,21 @@ let pow b n =
   in
   go one b n
 
-let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
+(* the magnitude as a non-negative int, or -1 when it does not fit; a
+   top-level loop, so a call allocates neither a closure nor an option *)
+let rec mag_to_int mag i acc =
+  if i < 0 then acc
+  else if acc > (max_int - mag.(i)) / base then -1
+  else mag_to_int mag (i - 1) ((acc * base) + mag.(i))
+
 let to_int_opt t =
-  let rec go i acc =
-    if i < 0 then Some acc
-    else if acc > (max_int - t.mag.(i)) / base then None
-    else go (i - 1) ((acc * base) + t.mag.(i))
-  in
-  match go (Array.length t.mag - 1) 0 with
-  | None ->
+  match mag_to_int t.mag (Array.length t.mag - 1) 0 with
+  | -1 ->
     (* the magnitude of min_int does not fit in a positive int; special-case *)
     if t.sign < 0 && equal t (of_int Stdlib.min_int) then Some Stdlib.min_int else None
-  | Some m -> Some (if t.sign < 0 then -m else m)
+  | m -> Some (if t.sign < 0 then -m else m)
 
 let to_int_exn t =
   match to_int_opt t with
@@ -381,6 +380,11 @@ let to_string t =
        Buffer.add_string buf (string_of_int first);
        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
     Buffer.contents buf
+
+let add_decimal buf t =
+  match mag_to_int t.mag (Array.length t.mag - 1) 0 with
+  | -1 -> Buffer.add_string buf (to_string t)
+  | m -> add_int buf (if t.sign < 0 then -m else m)
 
 let of_string s =
   let n = String.length s in

@@ -15,7 +15,6 @@ type t
 
 val zero : t
 val one : t
-val two : t
 
 val of_int : int -> t
 
@@ -31,7 +30,6 @@ val sign : t -> int
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val neg : t -> t
 val abs : t -> t
@@ -39,7 +37,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val succ : t -> t
-val pred : t -> t
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r], truncated towards zero and
@@ -63,7 +60,6 @@ val lcm : t -> t -> t
 val pow : t -> int -> t
 (** [pow b n] for [n >= 0]. @raise Invalid_argument on negative exponent. *)
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val of_string : string -> t
@@ -71,17 +67,18 @@ val of_string : string -> t
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
-(** Decimal digits.  A value that fits in an [int] prints through
-    {!string_of_int}. *)
-
-val string_of_int : int -> string
-(** The bytes of [Stdlib.string_of_int], written by a digit loop
-    instead of a C format call: the native-int printer of the response
-    and cache-key paths. *)
+(** Decimal digits.  A value that fits in an [int] prints through a
+    digit loop that writes the bytes of [Stdlib.string_of_int] without
+    a C format call. *)
 
 val add_int : Buffer.t -> int -> unit
-(** [add_int buf n] appends the bytes of {!string_of_int}[ n] to [buf]
-    without building the string. *)
+(** [add_int buf n] appends the bytes of [Stdlib.string_of_int n] to
+    [buf] without building the string: the native-int printer of the
+    response and cache-key paths. *)
+
+val add_decimal : Buffer.t -> t -> unit
+(** [add_decimal buf x] appends the bytes of {!to_string}[ x] to [buf];
+    a value that fits in an [int] allocates nothing. *)
 
 val to_float : t -> float
 val pp : Format.formatter -> t -> unit

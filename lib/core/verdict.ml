@@ -45,20 +45,14 @@ module Rendered = struct
   type verdict = t
   type t = { accepted : bool; test_name : string; tasks : int array; checks : string array }
 
-  (* the bytes of [Bignum.to_string] *)
-  let add_bignum buf b =
-    match Bignum.to_int_opt b with
-    | Some n -> Bignum.add_int buf n
-    | None -> Buffer.add_string buf (Bignum.to_string b)
-
   (* the bytes of [Json.String (Rat.to_string r)]: a rational's
      digits, sign and slash need no escape *)
   let add_rat buf r =
     Buffer.add_char buf '"';
-    add_bignum buf (Rat.num r);
+    Bignum.add_decimal buf (Rat.num r);
     if not (Bignum.equal (Rat.den r) Bignum.one) then begin
       Buffer.add_char buf '/';
-      add_bignum buf (Rat.den r)
+      Bignum.add_decimal buf (Rat.den r)
     end;
     Buffer.add_char buf '"'
 

@@ -73,8 +73,8 @@ module Rendered : sig
 
   val of_verdict : verdict -> t
   (** Each check's bytes written into one buffer reused across the
-      verdict, a side that fits an int through {!Bignum.add_int}: the
-      bytes {!to_json} prints. *)
+      verdict, each side through {!Bignum.add_decimal}: the bytes
+      {!to_json} prints. *)
 
   val remap : int array -> t -> t
   (** {!remap} (the verdict's) on the rendered form. *)

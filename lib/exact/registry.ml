@@ -6,9 +6,9 @@ module Taskset = Model.Taskset
 
 let wider_note = "a task is wider than the FPGA"
 
-(* the oracle runs on the canonical taskset and the checks are remapped
-   through the canonical order, replicating Core.Verdict.remap: a
-   fresh verdict is byte-for-byte the cached one, for any task order *)
+(* the oracle runs on the canonical taskset and its checks are remapped
+   through the canonical order, as the cache remaps a hit: a fresh
+   verdict is byte-for-byte the cached one, for any task order *)
 let exact_verdict ~name ~policy ~fpga_area ts =
   if not (Taskset.fits ts ~fpga_area) then
     Core.Verdict.reject_all ~test_name:name ~note:wider_note ts
@@ -54,12 +54,9 @@ let exact_verdict ~name ~policy ~fpga_area ts =
     let checks =
       List.init (Taskset.size ts) (fun p ->
           let satisfied, note = check p in
-          { Core.Verdict.task_index = order.(p); satisfied; lhs = Rat.zero; rhs = Rat.zero; note })
+          { Core.Verdict.task_index = p; satisfied; lhs = Rat.zero; rhs = Rat.zero; note })
     in
-    let checks =
-      List.sort (fun a b -> compare a.Core.Verdict.task_index b.Core.Verdict.task_index) checks
-    in
-    Core.Verdict.make ~test_name:name ~checks
+    Core.Verdict.remap order (Core.Verdict.make ~test_name:name ~checks)
   end
 
 let cite = "Goossens & Meumeu Yomsi; Section 6's exact-test remark"

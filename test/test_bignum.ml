@@ -68,8 +68,6 @@ let gcd_lcm_cases () =
 let misc_operations () =
   let module B = Bignum in
   check_b "succ" (B.of_int 8) (B.succ (B.of_int 7));
-  check_b "pred" (B.of_int 6) (B.pred (B.of_int 7));
-  check_b "min" (B.of_int (-3)) (B.min (B.of_int (-3)) (B.of_int 2));
   check_b "max" (B.of_int 2) (B.max (B.of_int (-3)) (B.of_int 2));
   check_b "abs neg" (B.of_int 5) (B.abs (B.of_int (-5)));
   check_b "neg zero" B.zero (B.neg B.zero);
@@ -78,9 +76,7 @@ let misc_operations () =
   check_b "pow zero exponent" B.one (B.pow (B.of_int 9) 0);
   check_b "pow of zero" B.zero (B.pow B.zero 5);
   Alcotest.check_raises "pow negative" (Invalid_argument "Bignum.pow: negative exponent")
-    (fun () -> ignore (B.pow B.two (-1)));
-  (* hash consistent with equality on normalised values *)
-  check_bool "hash equal" true (B.hash (B.of_int 42) = B.hash (B.of_string "42"));
+    (fun () -> ignore (B.pow (B.of_int 2) (-1)));
   (* infix operators *)
   let open B.Infix in
   check_bool "infix" true
@@ -183,7 +179,7 @@ let prop_divmod_reference =
    the first quotient-limb estimate is one too large and only the
    add-back step repairs it *)
 let divmod_add_back () =
-  let a = B.pow B.two 90 and b = B.succ (B.pow B.two 60) in
+  let a = B.pow (B.of_int 2) 90 and b = B.succ (B.pow (B.of_int 2) 60) in
   let q, r = B.divmod a b in
   check_b "quotient 2^30 - 1" (B.of_int ((1 lsl 30) - 1)) q;
   check_b "remainder 2^60 - 2^30 + 1" (B.of_int ((1 lsl 60) - (1 lsl 30) + 1)) r;
@@ -235,7 +231,12 @@ let prop_to_string_general =
     (QCheck2.Test.make ~count:2000 ~name:"to_string == general path near the int limits"
        ~print:general_to_string around_limits (fun x ->
          let s = B.to_string x in
+         (* [add_decimal] appends the same bytes, after what the buffer holds *)
+         let buf = Buffer.create 4 in
+         Buffer.add_char buf '[';
+         B.add_decimal buf x;
          String.equal s (general_to_string x)
+         && String.equal (Buffer.contents buf) ("[" ^ s)
          && (match B.to_int_opt x with Some n -> String.equal s (string_of_int n) | None -> true)))
 
 let prop_string_of_int =
@@ -253,7 +254,7 @@ let prop_string_of_int =
          let buf = Buffer.create 4 in
          Buffer.add_char buf '[';
          B.add_int buf n;
-         String.equal (B.string_of_int n) (string_of_int n)
+         String.equal (B.to_string (B.of_int n)) (string_of_int n)
          && String.equal (Buffer.contents buf) ("[" ^ string_of_int n)))
 
 let () =

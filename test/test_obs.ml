@@ -47,6 +47,42 @@ let disabled_is_noop () =
   check_int "timer runs body" 41 (Obs.Timer.time tm (fun () -> 41));
   check_int "span runs body" 42 (Obs.Span.with_ ~name:"t.noop.span" (fun () -> 42))
 
+(* 10,000 calls of each primitive while disabled add no minor words
+   beyond an empty loop.  The closures are built before counting, and
+   the calls run inside a span entered while enabled, so a disabled
+   Span.with_ that built its "outer/inner" path would allocate *)
+let disabled_allocates_nothing () =
+  let c = Obs.Counter.make "t.alloc.counter" in
+  let g = Obs.Gauge.make "t.alloc.gauge" in
+  let tm = Obs.Timer.make "t.alloc.timer" in
+  let body () = () in
+  let calls =
+    [
+      ("Counter.incr", fun _ -> Obs.Counter.incr c);
+      ("Counter.add", fun i -> Obs.Counter.add c i);
+      ("Gauge.set", fun i -> Obs.Gauge.set g i);
+      ("Gauge.set_max", fun i -> Obs.Gauge.set_max g i);
+      ("Timer.record_ns", fun i -> Obs.Timer.record_ns tm i);
+      ("Timer.time", fun _ -> Obs.Timer.time tm body);
+      ("Span.with_", fun _ -> Obs.Span.with_ ~name:"t.alloc.inner" body);
+    ]
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f i
+    done;
+    Gc.minor_words () -. before
+  in
+  let extra =
+    with_enabled (fun () ->
+        Obs.Span.with_ ~name:"t.alloc.outer" (fun () ->
+            Obs.set_enabled false;
+            let empty = words (fun _ -> ()) in
+            List.map (fun (name, f) -> (name, words f -. empty)) calls))
+  in
+  List.iter (fun (name, words) -> Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. words) extra
+
 let counter_updates () =
   with_enabled (fun () ->
       let c = Obs.Counter.make "t.counter" in
@@ -285,6 +321,7 @@ let () =
         [
           Alcotest.test_case "registration and kinds" `Quick registration;
           Alcotest.test_case "disabled is a no-op" `Quick disabled_is_noop;
+          Alcotest.test_case "disabled allocates nothing" `Quick disabled_allocates_nothing;
           Alcotest.test_case "counter updates" `Quick counter_updates;
           Alcotest.test_case "gauge updates" `Quick gauge_updates;
           Alcotest.test_case "timer updates" `Quick timer_updates;

@@ -526,6 +526,29 @@ let prop_rendered_remap =
          Core.Verdict.Rendered.remap order (Core.Verdict.Rendered.of_verdict v)
          = Core.Verdict.Rendered.of_verdict (Core.Verdict.remap order v)))
 
+(* minor words per rendered check of DP, GN1 and GN2 on serve-miss's
+   request stream (fresh tasksets of 4-8 tasks on A(H) = 100): about
+   30-37, mostly the check's own bytes.  The count depends only on the
+   build and the input.  A side printed through an allocating int
+   conversion (9 words a call, four sides a check) puts every analyzer
+   above 60 *)
+let rendered_check_words () =
+  let rng = Rng.create ~seed:1 in
+  let sets =
+    Array.init 2000 (fun _ ->
+        let profile = Model.Generator.unconstrained ~n:(Rng.int_incl rng 4 8) in
+        Model.Generator.draw rng { profile with Model.Generator.fpga_area = 100 })
+  in
+  List.iter
+    (fun (a : Core.Analyzer.t) ->
+      let verdicts = Array.map (a.decide ~fpga_area:100) sets in
+      let checks = Array.fold_left (fun n v -> n + List.length v.Core.Verdict.checks) 0 verdicts in
+      let before = Gc.minor_words () in
+      Array.iter (fun v -> ignore (Sys.opaque_identity (Core.Verdict.Rendered.of_verdict v))) verdicts;
+      let words = (Gc.minor_words () -. before) /. float_of_int checks in
+      if words > 48. then Alcotest.failf "%s: %.1f minor words per rendered check" a.name words)
+    Core.Analyzer.defaults
+
 (* the cache's bytes against a fresh decide printed by the reference
    writer: the same taskset cold, then permuted and renamed (a hit),
    and with the cache off *)
@@ -1096,6 +1119,7 @@ let () =
           prop_response_reference;
           prop_rendered_to_json;
           prop_rendered_remap;
+          Alcotest.test_case "words per rendered check" `Quick rendered_check_words;
           prop_cached_equals_fresh;
         ] );
       ( "framing",
