@@ -1061,11 +1061,13 @@ let admit_cmd =
        answers one JSON request per line: $(b,add-task) (admitted iff the analyzer accepts the \
        grown taskset; the empty taskset is trivially schedulable), $(b,remove-task), \
        $(b,query), and $(b,what-if) (hypothetical adds/drops, nothing mutated). Admitted \
-       mutations are appended to a CRC-framed write-ahead journal and fsync'd $(i,before) the \
-       reply is sent, with periodic snapshot rotation; restarting on the same $(b,--dir) \
-       replays journal + snapshot back to exactly the last acknowledged state (a torn trailing \
-       record from a mid-write crash is truncated; a corrupt interior record is refused with a \
-       diagnostic). Replies to mutations are stored under their request $(b,id), so a client \
+       mutations are appended to a CRC-framed write-ahead journal and fsync'd, once per batch of \
+       lines read together, $(i,before) any of their replies is sent, with periodic snapshot \
+       rotation; restarting on the same $(b,--dir) replays journal + snapshot back to the last \
+       acknowledged state, plus possibly some mutations of the batch in flight, whose replies \
+       were never sent (a torn trailing record from a mid-write crash is truncated; a corrupt \
+       interior record is refused with a diagnostic). Replies to mutations are stored under \
+       their request $(b,id), so a client \
        retrying after a lost reply gets the original bytes back instead of a double apply. \
        Serves stdin/stdout, or $(b,--socket) and/or $(b,--listen), over the same event loop as \
        $(b,redf serve); under overload, mutations are shed only at twice the read-query \

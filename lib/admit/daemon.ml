@@ -17,7 +17,7 @@
 
    Handlers are serial by design: mutations order the journal, and the
    event loop ([Server.Loop]) batches lines through {!handle_lines} on
-   one domain. *)
+   one domain, which fsyncs once per batch. *)
 
 module Json = Wire.Json
 module Protocol = Server.Protocol
@@ -206,12 +206,15 @@ let answer ?id = function Ok reply -> reply | Error msg -> Protocol.error_respon
 let mutation t ~id attempt =
   match dedup t id with Some stored -> stored | None -> answer ?id (attempt ())
 
-(* journal an admitted mutation with its reply, then apply it *)
+(* journal an admitted mutation with its reply, then apply it; the
+   batch's one fsync comes in [handle_lines] *)
 let commit t ~id op ~candidate ~tasks verdict =
   let seq = State.seq (state t) + 1 in
   let name = match op with State.Add _ -> "add-task" | State.Remove _ -> "remove-task" in
   let reply = reply t ?id ~admitted:true ~op:name ~seq ~tasks verdict in
-  let* () = Store.commit t.store { State.seq; rid = Option.map Json.to_string id; op; reply } in
+  let* () =
+    Store.commit ~fsync:false t.store { State.seq; rid = Option.map Json.to_string id; op; reply }
+  in
   t.delta <- candidate;
   Ok reply
 
@@ -282,7 +285,7 @@ let handle_what_if t ~id ~add ~drop =
   in
   answer ?id attempt
 
-let handle_line t line =
+let handle t line =
   match decode line with
   | Error msg -> Protocol.error_response ("malformed JSON: " ^ msg)
   | Ok r -> (
@@ -297,6 +300,14 @@ let handle_line t line =
         (Printf.sprintf "unknown op %S (known: add-task, remove-task, query, what-if)" op)
     | None -> Protocol.error_response ?id "\"op\": expected a string")
 
-let handle_lines t lines = Array.map (handle_line t) lines
+(* Group commit: each line sees the mutations of the lines before it,
+   and one fsync, before any reply is returned, makes the batch's
+   records durable *)
+let handle_lines t lines =
+  let replies = Array.map (handle t) lines in
+  Store.sync t.store;
+  replies
+
+let handle_line t line = (handle_lines t [| line |]).(0)
 
 let close t = Store.close t.store

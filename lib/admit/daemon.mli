@@ -23,11 +23,12 @@
 
     A task is admitted iff the analyzer ACCEPTs the candidate taskset
     on the configured device; the empty taskset is trivially
-    schedulable.  Admitted mutations are journaled (fsync'd) {e before}
-    the reply, with the reply bytes stored under the request [id]: a
-    retried mutation whose reply was lost gets the stored bytes back
-    and is never applied twice.  Rejected mutations are not journaled —
-    rejection is deterministic and a retry re-evaluates identically.
+    schedulable.  Admitted mutations are journaled, and fsync'd once
+    per batch of lines {e before} any reply of the batch, with the
+    reply bytes stored under the request [id]: a retried mutation whose
+    reply was lost gets the stored bytes back and is never applied
+    twice.  Rejected mutations are not journaled — rejection is
+    deterministic and a retry re-evaluates identically.
 
     Handlers are serial: the journal orders mutations. *)
 
@@ -48,12 +49,25 @@ val create :
 val state : t -> State.t
 val store : t -> Store.t
 
-val handle_line : t -> string -> string
-(** One reply line per request line (no trailing newline).  May raise
-    {!Faults.Crash} when fault injection is active. *)
-
 val handle_lines : t -> string array -> string array
-(** {!handle_line} over a batch, in order. *)
+(** One reply line per request line (no trailing newline), in order.
+    Group commit: each line sees the mutations admitted by the lines
+    before it, whose records are appended without an fsync; one fsync,
+    only if the batch journaled something, ends the batch before any
+    reply is returned.
+
+    A failed write or fsync raises ([Unix.Unix_error], or
+    {!Faults.Crash} when fault injection is active) before any reply is
+    returned; the in-memory state is then ahead of the disk, so the
+    daemon must not be used again — [Server.Loop] re-raises and
+    [redf admit] exits.  After a [kill -9] mid-batch, recovery yields
+    the last acknowledged state plus a prefix of the batch's admitted
+    mutations, each with its never-sent reply stored under its id: a
+    retry by id gets those bytes, and nothing is applied twice. *)
+
+val handle_line : t -> string -> string
+(** {!handle_lines} on a one-line batch: one fsync per admitted
+    mutation. *)
 
 val is_mutation : string -> bool
 (** Whether a raw request line is an [add-task]/[remove-task] — the

@@ -10,9 +10,10 @@
 
    A fault that fires models a process death: the journal is left in
    the on-disk state the fault dictates (a torn prefix, a lost record,
-   or a fully durable record) and {!Crash} is raised.  The chaos
-   harness catches it, "restarts" by re-running recovery over the same
-   directory, and checks the recovery invariant. *)
+   a fully durable record, or a torn prefix of a batch's records) and
+   {!Crash} is raised.  The chaos harness catches it, "restarts" by
+   re-running recovery over the same directory, and checks the
+   recovery invariant. *)
 
 type fate = Torn | Lost | After_append
 
@@ -20,11 +21,12 @@ exception Crash of fate * string
 
 type spec = {
   torn_append : int;  (* crash mid-append: a strict prefix of the record hits disk *)
-  fsync_fail : int;  (* fsync fails at append: the whole record is lost *)
+  fsync_fail : int;  (* write or fsync fails at append: the whole record is lost *)
   crash_after_append : int;  (* crash between append and reply: record durable, reply lost *)
+  torn_sync : int;  (* power lost in a batch's fsync: a strict prefix of its bytes survives *)
 }
 
-let no_faults = { torn_append = 0; fsync_fail = 0; crash_after_append = 0 }
+let no_faults = { torn_append = 0; fsync_fail = 0; crash_after_append = 0; torn_sync = 0 }
 
 type t = { spec : spec; rng : Rng.t option }
 
@@ -70,3 +72,9 @@ let on_append t ~len =
   else if fires t t.spec.fsync_fail then `Lost
   else if fires t t.spec.crash_after_append then `Crash_after
   else `Ok
+
+(* What the batch's fsync leaves of the [len] bytes appended since the
+   last one.  At 0 per mille [fires] draws nothing, so the append sites'
+   draws do not depend on how lines are batched. *)
+let on_sync t ~len =
+  if fires t t.spec.torn_sync then `Torn (Rng.int (Option.get t.rng) len) else `Ok

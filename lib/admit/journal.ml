@@ -5,18 +5,19 @@
    On-disk layout: an 8-byte magic header, then framed records
    [len:u32le][crc32:u32le][payload] — payload is one canonical-JSON
    mutation record (Store's business; the journal only sees bytes).
-   Append = one write of the whole frame + fsync, and the daemon only
-   replies after the fsync returned, so an acknowledged mutation is on
-   disk whatever happens next.
+   Append = one write of the whole frame; [sync] fsyncs everything
+   appended since the last sync, once per batch of lines, and the
+   daemon sends none of a batch's replies before that fsync returned,
+   so an acknowledged mutation is on disk whatever happens next.
 
    Recovery contract ({!scan}):
    - a *torn tail* — the file ends inside a frame, the signature of a
      crash mid-append — is reported so the opener truncates it away:
-     the half-written record was never acknowledged, dropping it
-     recovers exactly the last acknowledged state;
+     the half-written record was never acknowledged, so dropping it
+     loses nothing acknowledged;
    - a *corrupt interior record* — a CRC or framing violation with
-     more journal after it — cannot come from a crash (appends are
-     sequential, so a crash only ever leaves a prefix) and is rejected
+     more journal after it — cannot come from a process crash (appends
+     are sequential, so a crash only ever leaves a prefix) and is rejected
      with a diagnostic naming the record and offset: silently skipping
      acknowledged history would be worse than refusing to start.
 
@@ -41,31 +42,35 @@ let u32le_of s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
-let frame_header payload =
+let frame_header ~len ~crc =
   let buf = Buffer.create frame_overhead in
-  u32le_to_bytes buf (String.length payload);
-  u32le_to_bytes buf (Crc32.string payload);
+  u32le_to_bytes buf len;
+  u32le_to_bytes buf crc;
   Buffer.contents buf
 
-let frame payload = frame_header payload ^ payload
+let frame payload =
+  frame_header ~len:(String.length payload) ~crc:(Crc32.string payload) ^ payload
 
-(* inverse of [frame] for a single exactly-framed blob (the snapshot
-   file reuses the journal's frame for its one record) *)
-let unframe framed =
-  if String.length framed < frame_overhead then Error "framed record too short"
+(* the one frame that fills [s] from [off] to its end (the snapshot
+   file reuses the journal's frame for its one record), checked where
+   it lies: its payload's length *)
+let framed_at s off =
+  let follow = String.length s - off - frame_overhead in
+  if follow < 0 then Error "framed record too short"
   else
-    let len = u32le_of framed 0 in
-    let crc = u32le_of framed 4 in
-    if String.length framed <> frame_overhead + len then
+    let len = u32le_of s off in
+    let crc = u32le_of s (off + 4) in
+    if follow <> len then
       Error
         (Printf.sprintf "framed record length mismatch (header says %d, %d bytes follow)" len
-           (String.length framed - frame_overhead))
+           follow)
     else
-      let payload = String.sub framed frame_overhead len in
-      let computed = Crc32.string payload in
+      let computed = Crc32.update 0 s (off + frame_overhead) len in
       if computed <> crc then
         Error (Printf.sprintf "CRC mismatch (stored %08x, computed %08x)" crc computed)
-      else Ok payload
+      else Ok len
+
+let unframe framed = Result.map (String.sub framed frame_overhead) (framed_at framed 0)
 
 (* --- scanning --- *)
 
@@ -156,7 +161,20 @@ let scan ~path =
 
 (* --- appending --- *)
 
-type t = { fd : Unix.file_descr; faults : Faults.t; mutable bytes : int }
+(* non-det: the loop's batches, hence the syncs, depend on arrival timing *)
+let m_fsyncs = Obs.Counter.make ~det:false "admit.journal.fsyncs"
+
+type t = {
+  fd : Unix.file_descr;
+  faults : Faults.t;
+  mutable bytes : int;
+  mutable synced : int;  (* file length at the last fsync *)
+}
+
+let fsync_file t =
+  Unix.fsync t.fd;
+  Obs.Counter.incr m_fsyncs;
+  t.synced <- t.bytes
 
 let rec write_all fd s off =
   if off < String.length s then begin
@@ -175,8 +193,9 @@ let open_append ?(faults = Faults.none) ~path ~valid_bytes () =
     if keep = 0 then write_all fd header 0;
     let size = (Unix.fstat fd).Unix.st_size in
     ignore (Unix.lseek fd size Unix.SEEK_SET);
-    Unix.fsync fd;
-    { fd; faults; bytes = size }
+    let t = { fd; faults; bytes = size; synced = 0 } in
+    fsync_file t;
+    t
   with
   | t -> t
   | exception e ->
@@ -186,29 +205,43 @@ let open_append ?(faults = Faults.none) ~path ~valid_bytes () =
 let bytes t = t.bytes
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+(* the fsync that ends a batch: nothing to do when the batch journaled
+   nothing, or when a snapshot already made its records durable *)
+let sync t =
+  let len = t.bytes - t.synced in
+  if len > 0 then
+    match Faults.on_sync t.faults ~len with
+    | `Ok -> fsync_file t
+    | `Torn k ->
+      t.bytes <- t.synced + k;
+      Unix.ftruncate t.fd t.bytes;
+      fsync_file t;
+      raise
+        (Faults.Crash (Faults.Torn, Printf.sprintf "torn sync: %d of %d bytes synced" k len))
+
 let append ?(fsync = true) t payload =
   let framed = frame payload in
   match Faults.on_append t.faults ~len:(String.length framed) with
   | `Ok ->
     write_all t.fd framed 0;
-    if fsync then Unix.fsync t.fd;
-    t.bytes <- t.bytes + String.length framed
+    t.bytes <- t.bytes + String.length framed;
+    if fsync then sync t
   | `Torn k ->
     write_all t.fd (String.sub framed 0 k) 0;
-    Unix.fsync t.fd;
+    fsync_file t;
     raise
       (Faults.Crash
          (Faults.Torn, Printf.sprintf "torn append: %d of %d bytes written" k (String.length framed)))
   | `Lost -> raise (Faults.Crash (Faults.Lost, "fsync failed: record lost"))
   | `Crash_after ->
     write_all t.fd framed 0;
-    Unix.fsync t.fd;
     t.bytes <- t.bytes + String.length framed;
+    fsync_file t;
     raise (Faults.Crash (Faults.After_append, "crash between append and reply"))
 
 (* empty the journal after a snapshot made its records redundant *)
 let reset t =
   Unix.ftruncate t.fd header_len;
   ignore (Unix.lseek t.fd header_len Unix.SEEK_SET);
-  Unix.fsync t.fd;
-  t.bytes <- header_len
+  t.bytes <- header_len;
+  fsync_file t

@@ -213,3 +213,32 @@ let of_snapshot_string s =
   | Ok json -> of_snapshot_json json
 
 let to_snapshot_string t = Json.to_string (to_snapshot_json t)
+
+(* [to_snapshot_string]'s bytes without its tree: the keys in the order
+   [Json.to_string] sorts them into, and each element, a reply pair or
+   a task, handed on by [flush] as soon as it is written *)
+let stream_snapshot t buf ~flush =
+  Buffer.add_string buf {|{"replies":[|};
+  ignore
+    (Replies.fold
+       (fun rid reply first ->
+         if not first then Buffer.add_char buf ',';
+         Buffer.add_char buf '[';
+         Json.add_string buf rid;
+         Buffer.add_char buf ',';
+         Json.add_string buf reply;
+         Buffer.add_char buf ']';
+         flush ();
+         false)
+       t.replies true);
+  Buffer.add_string buf {|],"seq":|};
+  Json.add buf (Json.Int t.seq);
+  Buffer.add_string buf {|,"tasks":[|};
+  List.iteri
+    (fun i (_, task) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.add buf (task_to_json task);
+      flush ())
+    t.tasks;
+  Buffer.add_string buf "]}";
+  flush ()

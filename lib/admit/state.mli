@@ -42,4 +42,12 @@ val record_to_string : record -> string
 val record_of_string : string -> (record, string) result
 
 val to_snapshot_string : t -> string
+(** The snapshot payload, printed from a {!Wire.Json.t} tree: the
+    reference {!stream_snapshot} is held to. *)
+
+val stream_snapshot : t -> Buffer.t -> flush:(unit -> unit) -> unit
+(** Append {!to_snapshot_string}'s bytes to the buffer, calling
+    [flush ()] after each reply pair, each task and the closing brace,
+    so the caller can move them on and never hold the whole payload. *)
+
 val of_snapshot_string : string -> (t, string) result

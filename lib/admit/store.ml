@@ -3,19 +3,21 @@
 (* The durable store: one directory holding the snapshot and the
    write-ahead journal, and the coordination between them.
 
-   Commit path: frame + append + fsync the record, only then apply it
-   to the in-memory state — so a record on disk is exactly an
-   acknowledged (or about-to-be-acknowledged) mutation, and the crash
-   window between append and reply loses at most the reply, never the
-   state (rid dedup gives the retrying client the stored reply).
+   Commit path: frame + append the record, only then apply it to the
+   in-memory state; [sync] fsyncs the batch's records before any of its
+   replies leaves — so a record on disk is exactly an acknowledged (or
+   about-to-be-acknowledged) mutation, and the crash window between
+   append and reply loses at most the replies, never the state (rid
+   dedup gives the retrying client the stored reply).
 
    Snapshot rotation: every [snapshot_every] journaled records, the
-   full state is written to [snapshot.bin.tmp], fsync'd, renamed over
-   [snapshot.bin], the directory fsync'd, and only then the journal is
-   reset.  Every step is crash-safe: dying before the rename leaves the
-   old snapshot + full journal; dying between rename and reset leaves
-   the new snapshot + a journal whose records replay as no-ops
-   (State.apply_record skips seq <= snapshot seq).
+   full state is streamed to [snapshot.bin.tmp] under a placeholder
+   frame header, the real header written over it, the file fsync'd,
+   renamed over [snapshot.bin], the directory fsync'd, and only then
+   the journal is reset.  Every step is crash-safe: dying before the
+   rename leaves the old snapshot + full journal; dying between rename
+   and reset leaves the new snapshot + a journal whose records replay
+   as no-ops (State.apply_record skips seq <= snapshot seq).
 
    Recovery: load the snapshot (if any), scan the journal, refuse on
    interior corruption, truncate a torn tail, replay the rest. *)
@@ -62,7 +64,9 @@ let fsync_dir dir =
 
 (* the snapshot is one CRC-framed canonical-JSON state under its own
    magic; rename makes it atomic, so unlike the journal any damage here
-   is corruption, never a torn write — refuse loudly *)
+   is corruption, never a torn write — refuse loudly.  The frame is
+   checked where it lies in the file, and only the payload is copied
+   out, for the parser. *)
 let load_snapshot path =
   match read_file path with
   | None -> Ok None
@@ -70,17 +74,21 @@ let load_snapshot path =
     let magic_len = String.length snapshot_magic in
     if
       String.length contents < magic_len + Journal.frame_overhead
-      || String.sub contents 0 magic_len <> snapshot_magic
+      || not (String.starts_with ~prefix:snapshot_magic contents)
     then Error (Printf.sprintf "%s: not a redf snapshot (bad magic)" path)
     else
-      let framed = String.sub contents magic_len (String.length contents - magic_len) in
-      let* payload =
-        match Journal.unframe framed with
-        | Ok p -> Ok p
-        | Error msg -> Error (Printf.sprintf "%s: %s — corrupt snapshot" path msg)
+      let* len =
+        Result.map_error
+          (fun msg -> Printf.sprintf "%s: %s — corrupt snapshot" path msg)
+          (Journal.framed_at contents magic_len)
       in
-      let* st = State.of_snapshot_string payload in
+      let* st =
+        State.of_snapshot_string (String.sub contents (magic_len + Journal.frame_overhead) len)
+      in
       Ok (Some st)
+
+(* the payload goes to disk in pieces of this many bytes *)
+let piece_bytes = 65536
 
 let write_snapshot dir st =
   let tmp = dir // (snapshot_file ^ ".tmp") in
@@ -88,15 +96,47 @@ let write_snapshot dir st =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let rec write_all s off =
-        if off < String.length s then
-          match Unix.write_substring fd s off (String.length s - off) with
-          | n -> write_all s (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all s off
+      let rec write_all b off len =
+        if len > 0 then
+          match Unix.write fd b off len with
+          | n -> write_all b (off + n) (len - n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all b off len
       in
-      let payload = State.to_snapshot_string st in
-      write_all (snapshot_magic ^ Journal.frame_header payload) 0;
-      write_all payload 0;
+      let write_string s = write_all (Bytes.of_string s) 0 (String.length s) in
+      (* the frame header's length and CRC are known only at the end:
+         a placeholder now, the real header over it afterwards *)
+      write_string (snapshot_magic ^ String.make Journal.frame_overhead '\000');
+      (* each element State writes into [buf] is moved on into [piece],
+         which is written whenever it is full: one piece and the
+         longest element are all the payload this holds *)
+      let buf = Buffer.create 4096 and piece = Bytes.create piece_bytes in
+      let fill = ref 0 and len = ref 0 and crc = ref 0 in
+      let write_piece () =
+        (* the string view lives only for this call, and the piece is
+           not written to meanwhile *)
+        crc := Crc32.update !crc (Bytes.unsafe_to_string piece) 0 !fill;
+        len := !len + !fill;
+        write_all piece 0 !fill;
+        fill := 0
+      in
+      let move () =
+        let n = Buffer.length buf in
+        let rec from off =
+          if off < n then begin
+            let k = min (n - off) (piece_bytes - !fill) in
+            Buffer.blit buf off piece !fill k;
+            fill := !fill + k;
+            if !fill = piece_bytes then write_piece ();
+            from (off + k)
+          end
+        in
+        from 0;
+        Buffer.clear buf
+      in
+      State.stream_snapshot st buf ~flush:move;
+      write_piece ();
+      ignore (Unix.lseek fd (String.length snapshot_magic) Unix.SEEK_SET);
+      write_string (Journal.frame_header ~len:!len ~crc:!crc);
       Unix.fsync fd);
   Unix.rename tmp (dir // snapshot_file);
   fsync_dir dir
@@ -155,9 +195,10 @@ let snapshot t =
   Journal.reset t.journal;
   t.journal_records <- 0
 
-(* Durability first, then visibility: the record hits the journal (and
-   the platters) before the in-memory state moves.  Faults.Crash from
-   the append propagates with the state untouched — exactly the dying
+(* Durability first, then visibility: the record hits the journal
+   before the in-memory state moves, and [sync] puts it on the platters
+   before any reply that depends on it leaves.  Faults.Crash from the
+   append propagates with the state untouched — exactly the dying
    process's view. *)
 let commit ?(fsync = true) t record =
   match State.apply_record t.state record with
@@ -168,6 +209,8 @@ let commit ?(fsync = true) t record =
     t.journal_records <- t.journal_records + 1;
     if t.journal_records >= t.snapshot_every then snapshot t;
     Ok ()
+
+let sync t = Journal.sync t.journal
 
 let journal_bytes t = Journal.bytes t.journal
 let close t = Journal.close t.journal

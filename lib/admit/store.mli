@@ -1,11 +1,24 @@
 (** The durable store: a directory with [snapshot.bin] + [journal.wal]
     and the commit/snapshot/recover choreography between them.
 
-    The invariant the whole PR hangs on: after [kill -9] at any byte
-    boundary, {!open_dir} recovers exactly the last acknowledged state
-    — a torn trailing journal record is truncated, interior corruption
-    is refused with a diagnostic, and a snapshot/journal overlap
-    replays as no-ops. *)
+    The recovery invariant: after [kill -9] at any byte boundary,
+    {!open_dir} recovers the last acknowledged state plus a prefix of
+    the batch in flight — the records {!commit}ted since the last
+    {!sync}, none of whose replies was sent.  Each recovered record
+    keeps its never-sent reply under its request id, so a retry by id
+    gets the stored bytes and nothing is applied twice.  A torn
+    trailing journal record is truncated, interior corruption is
+    refused with a diagnostic, and a snapshot/journal overlap replays
+    as no-ops.
+
+    A power loss during the batch's fsync is weaker than [kill -9]: the
+    disk may keep any subset of the pages not yet synced, so any record
+    of the batch can be damaged, not only the last.  Damage in the
+    final record reads as a torn tail and is truncated; damage with
+    intact records after it is refused by the scan as interior
+    corruption, naming the record and offset.  Every record from that
+    offset on belongs to the unacknowledged batch, so truncating the
+    journal there recovers the acknowledged state. *)
 
 type t
 
@@ -35,15 +48,30 @@ val open_dir :
 val state : t -> State.t
 
 val commit : ?fsync:bool -> t -> State.record -> (unit, string) result
-(** Journal the record (fsync'd by default), then apply it to the
-    in-memory state; rotates the snapshot when due.  Raises
-    {!Faults.Crash} if the injected fault plan fires mid-append — the
-    in-memory state is untouched in that case, mirroring the dying
-    process.  [~fsync:false] is for benchmark bulk-loading only. *)
+(** Journal the record, then apply it to the in-memory state; rotates
+    the snapshot when due (the rotation keeps its own fsyncs, and the
+    snapshot holds the records not yet synced).  With [~fsync:true],
+    the default, the record is fsync'd before [commit] returns; with
+    [~fsync:false] it waits for the next {!sync}, which is how the
+    daemon commits a batch.  Raises {!Faults.Crash} if the injected
+    fault plan fires mid-append — the in-memory state is untouched in
+    that case, mirroring the dying process. *)
+
+val sync : t -> unit
+(** Fsync the journal records committed since the last sync, once;
+    nothing when there are none.  Nothing that depends on those records
+    may be acknowledged before [sync] returns.  Raises {!Faults.Crash}
+    (the batch-fsync fault) or [Unix.Unix_error]; either way the
+    in-memory state is then ahead of the disk, and the store must not
+    be used again. *)
 
 val snapshot : t -> unit
 (** Force a snapshot now: write [snapshot.bin] atomically
-    (tmp + fsync + rename + dir fsync), then reset the journal. *)
+    (tmp + fsync + rename + dir fsync), then reset the journal.  The
+    payload is streamed in fixed-size pieces with the frame header
+    written last, so the write holds one piece, not the whole state;
+    the file is [magic ^ Journal.frame (State.to_snapshot_string s)]
+    byte for byte. *)
 
 val journal_bytes : t -> int
 val close : t -> unit

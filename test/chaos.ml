@@ -16,7 +16,13 @@
    - After_append: the record is durable but the reply was lost —
      recovered state = reference + exactly that one record, with the
      never-delivered reply stored under the request id (the lost-reply
-     case rid dedup exists for).
+     case rid dedup exists for);
+   - any crash inside a batch ([config.batches]: seeded batches of 2–8
+     lines through [handle_lines], and the [torn_sync] site at the
+     batch's fsync): recovered state = reference + a prefix of the
+     batch's admitted mutations, each with its never-sent reply stored
+     under its id; retrying those ids returns the stored bytes and
+     applies nothing twice.
 
    Independently, every verdict the daemon emits (admit decisions,
    query, what-if) is compared field-for-field against a from-scratch
@@ -46,6 +52,7 @@ type config = {
   analyzer : Core.Analyzer.t;
   fpga_area : int;
   snapshot_every : int;
+  batches : bool;  (* drive [handle_lines] in batches of 2–8 lines, not [handle_line] *)
 }
 
 type stats = {
@@ -60,7 +67,8 @@ type stats = {
   verdicts_checked : int;  (* verdicts compared against from-scratch analysis *)
 }
 
-let default_spec = { Faults.torn_append = 60; fsync_fail = 40; crash_after_append = 80 }
+let default_spec =
+  { Faults.torn_append = 60; fsync_fail = 40; crash_after_append = 80; torn_sync = 0 }
 
 let default ~analyzer ~fpga_area =
   {
@@ -71,6 +79,7 @@ let default ~analyzer ~fpga_area =
     analyzer;
     fpga_area;
     snapshot_every = 32;
+    batches = false;
   }
 
 let ( let* ) = Result.bind
@@ -160,6 +169,55 @@ let check_verdict cfg ~what ~tasks reply =
 let reply_admitted reply =
   match json_field reply "admitted" with Some (Json.Bool b) -> b | _ -> false
 
+let accepts cfg tasks =
+  Core.Verdict.accepted
+    (cfg.analyzer.Core.Analyzer.decide ~fpga_area:cfg.fpga_area (Model.Taskset.of_list tasks))
+
+let rid_of id = Json.to_string (Json.String id)
+
+(* the taskset an admitted mutation leaves *)
+let after st = function
+  | State.Add task -> State.tasks st @ [ task ]
+  | State.Remove name -> List.filter (fun t -> t.Model.Task.name <> name) (State.tasks st)
+
+(* what was in flight when an injected crash ended a lifetime *)
+type in_flight =
+  | Line of Faults.fate * string * State.op  (* [handle_line]'s mutation: how it died, id, op *)
+  | Batch of (string * State.op * string) list  (* the batch's mutation lines: id, op, line *)
+
+(* The state a crash inside a batch may leave: the reference plus a
+   prefix of the batch's admitted mutations, each with its reply under
+   its id.  Walking the batch's mutation lines in order: a line whose
+   id the state already answers is a retry and applies nothing; an add
+   the analyzer refuses at its place was rejected; any other line was
+   admitted, and the recovered state holds it unless it lies past the
+   cut, after which it may hold none. *)
+let batch_prefix cfg ~reference ~recovered mutations =
+  List.fold_left
+    (fun acc (id, op, _) ->
+      let* expected, cut = acc in
+      let rid = rid_of id in
+      let admitted =
+        match op with State.Remove _ -> true | State.Add _ -> accepts cfg (after expected op)
+      in
+      if Option.is_some (State.reply_for expected rid) || not admitted then acc
+      else
+        match State.reply_for recovered rid with
+        | None -> Ok (expected, true)
+        | Some _ when cut ->
+          Error (Printf.sprintf "recovery kept batch mutation %s after a lost one" id)
+        | Some reply ->
+          let* () =
+            check_verdict cfg ~what:"recovered batch mutation" ~tasks:(after expected op) reply
+          in
+          let* st =
+            State.apply_record expected
+              { State.seq = State.seq expected + 1; rid = Some rid; op; reply }
+          in
+          Ok (st, false))
+    (Ok (reference, false)) mutations
+  |> Result.map fst
+
 let reply_is_error reply =
   match json_field reply "kind" with Some (Json.String "error") -> true | _ -> false
 
@@ -196,8 +254,10 @@ let run ~dir cfg =
   let bump f = stats := f !stats in
   (* acknowledged state, rebuilt from replies the "client" actually saw *)
   let reference = ref State.empty in
-  (* (fate, id, op) of the mutation in flight at the last crash *)
+  (* what was in flight at the last crash *)
   let pending = ref None in
+  (* acknowledged mutations (id, op, line), for batch retries *)
+  let acked = ref [] in
   let apply_ack ~id ~op reply =
     match
       State.apply_record !reference
@@ -218,8 +278,9 @@ let run ~dir cfg =
     bump (fun s -> { s with replayed = s.replayed + recovery.Store.replayed });
     let* expected =
       match !pending with
-      | None | Some ((Faults.Torn | Faults.Lost), _, _) -> Ok !reference
-      | Some (Faults.After_append, id, op) -> (
+      | None | Some (Line ((Faults.Torn | Faults.Lost), _, _)) -> Ok !reference
+      | Some (Batch mutations) -> batch_prefix cfg ~reference:!reference ~recovered mutations
+      | Some (Line (Faults.After_append, id, op)) -> (
         (* durable but unacknowledged: the recovered state must contain
            it, with the never-delivered reply stored under the id *)
         let rid = Json.to_string (Json.String id) in
@@ -239,6 +300,29 @@ let run ~dir cfg =
            (String.concat ";" (State.names recovered)))
     else begin
       reference := recovered;
+      (* a recovered batch mutation retried by id gets its stored,
+         never-sent reply, and nothing is applied twice *)
+      let* () =
+        match !pending with
+        | Some (Batch mutations) ->
+          List.fold_left
+            (fun acc (id, op, line) ->
+              let* () = acc in
+              match State.reply_for recovered (rid_of id) with
+              | None -> Ok ()
+              | Some stored ->
+                if not (List.exists (fun (i, _, _) -> i = id) !acked) then
+                  acked := (id, op, line) :: !acked;
+                let retry = Daemon.handle_line d line in
+                bump (fun s -> { s with dedup_hits = s.dedup_hits + 1 });
+                if retry <> stored then
+                  Error (Printf.sprintf "recovered id %s retried: %s, stored %s" id retry stored)
+                else if not (State.equal (Daemon.state d) recovered) then
+                  Error (Printf.sprintf "recovered id %s retried: applied twice" id)
+                else Ok ())
+            (Ok ()) mutations
+        | None | Some (Line _) -> Ok ()
+      in
       pending := None;
       (* the recovered verdict must match from-scratch analysis *)
       let reply = Daemon.handle_line d query_line in
@@ -264,7 +348,7 @@ let run ~dir cfg =
              let line = add_line ~id task in
              match Daemon.handle_line d line with
              | exception Faults.Crash (fate, _) ->
-               pending := Some (fate, id, State.Add task);
+               pending := Some (Line (fate, id, State.Add task));
                result := Ok (`Crashed fate)
              | reply ->
                if reply_is_error reply then
@@ -306,7 +390,7 @@ let run ~dir cfg =
              let id = fresh_id gen in
              match Daemon.handle_line d (remove_line ~id name) with
              | exception Faults.Crash (fate, _) ->
-               pending := Some (fate, id, State.Remove name);
+               pending := Some (Line (fate, id, State.Remove name));
                result := Ok (`Crashed fate)
              | reply ->
                if reply_is_error reply then
@@ -362,6 +446,112 @@ let run ~dir cfg =
      with Failure msg -> result := Error msg);
     !result
   in
+  (* One batch: 2–8 lines drawn from the reference as it stands before
+     the batch, since no reply comes back before the batch's fsync:
+     adds of fresh tasks, removes of distinct residents, what-ifs
+     dropping a resident not removed earlier in the batch, queries, and
+     retries of acknowledged mutations or of a mutation earlier in the
+     same batch.  The replies are then checked in order against the
+     reference as it grows, and the daemon's state against the
+     reference at the end. *)
+  let drive_batch d =
+    let size = 2 + Rng.int gen.rng 7 in
+    bump (fun s -> { s with ops = s.ops + size });
+    let residents = ref (State.names !reference) in
+    let mutations = ref [] in
+    let mutation id op line =
+      mutations := (id, op, line) :: !mutations;
+      `Mutation (id, op, line)
+    in
+    let pick l = List.nth l (Rng.int gen.rng (List.length l)) in
+    let draw () =
+      let roll = Rng.int gen.rng 100 in
+      if roll < 40 then begin
+        let task = fresh_task gen ~fpga_area:cfg.fpga_area in
+        let id = fresh_id gen in
+        mutation id (State.Add task) (add_line ~id task)
+      end
+      else if roll < 60 && !residents <> [] then begin
+        let name = pick !residents in
+        residents := List.filter (fun n -> n <> name) !residents;
+        let id = fresh_id gen in
+        mutation id (State.Remove name) (remove_line ~id name)
+      end
+      else if roll < 70 && (!acked <> [] || !mutations <> []) then begin
+        let from_batch = !acked = [] || (!mutations <> [] && Rng.bool gen.rng) in
+        let id, op, line = pick (if from_batch then !mutations else !acked) in
+        mutation id op line
+      end
+      else if roll < 85 then begin
+        let task = fresh_task gen ~fpga_area:cfg.fpga_area in
+        let drop = if !residents <> [] && Rng.bool gen.rng then [ pick !residents ] else [] in
+        `What_if (task, drop)
+      end
+      else `Query
+    in
+    let lines = List.init size (fun _ -> draw ()) in
+    let text = function
+      | `Mutation (_, _, line) -> line
+      | `What_if (task, drop) -> what_if_line ~add:[ task ] ~drop
+      | `Query -> query_line
+    in
+    match Daemon.handle_lines d (Array.of_list (List.map text lines)) with
+    | exception Faults.Crash (fate, _) ->
+      pending := Some (Batch (List.rev !mutations));
+      Ok (`Crashed fate)
+    | replies ->
+      let check (line, reply) =
+        let* () =
+          if reply_is_error reply then Error (Printf.sprintf "batch line errored: %s" reply)
+          else Ok ()
+        in
+        match line with
+        | `Mutation (id, op, line) -> (
+          match State.reply_for !reference (rid_of id) with
+          | Some stored ->
+            bump (fun s -> { s with dedup_hits = s.dedup_hits + 1 });
+            if reply = stored then Ok ()
+            else Error (Printf.sprintf "retry of %s returned %s, stored %s" id reply stored)
+          | None ->
+            bump (fun s -> { s with verdicts_checked = s.verdicts_checked + 1 });
+            let* () = check_verdict cfg ~what:"batch mutation" ~tasks:(after !reference op) reply in
+            if reply_admitted reply then begin
+              bump (fun s -> { s with admitted = s.admitted + 1 });
+              apply_ack ~id ~op reply;
+              acked := (id, op, line) :: !acked
+            end
+            else bump (fun s -> { s with rejected = s.rejected + 1 });
+            Ok ())
+        | `What_if (task, drop) ->
+          bump (fun s -> { s with verdicts_checked = s.verdicts_checked + 1 });
+          let tasks =
+            List.filter (fun t -> not (List.mem t.Model.Task.name drop)) (State.tasks !reference)
+            @ [ task ]
+          in
+          check_verdict cfg ~what:"batch what-if" ~tasks reply
+        | `Query ->
+          bump (fun s -> { s with verdicts_checked = s.verdicts_checked + 1 });
+          check_verdict cfg ~what:"batch query" ~tasks:(State.tasks !reference) reply
+      in
+      let* () =
+        List.fold_left
+          (fun acc pair ->
+            let* () = acc in
+            check pair)
+          (Ok ())
+          (List.combine lines (Array.to_list replies))
+      in
+      if State.equal (Daemon.state d) !reference then Ok `Completed
+      else Error "the daemon's state after a batch differs from the acknowledged replies"
+  in
+  let drive_batches d =
+    let goal = (!stats).ops + cfg.ops_per_cycle in
+    let rec go () =
+      if (!stats).ops >= goal then Ok `Completed
+      else match drive_batch d with Ok `Completed -> go () | r -> r
+    in
+    go ()
+  in
   let rec cycle i =
     if i > cfg.cycles then Ok ()
     else begin
@@ -371,7 +561,7 @@ let run ~dir cfg =
       let outcome =
         match check_recovery d recovery with
         | Error _ as e -> e
-        | Ok () -> drive d
+        | Ok () -> if cfg.batches then drive_batches d else drive d
       in
       Daemon.close d;
       match outcome with

@@ -2,13 +2,16 @@
    journal's torn-tail/corrupt-interior recovery policy (exhaustively,
    at every byte boundary of the last record), state/record codecs and
    idempotent replay, snapshot rotation through the store, the
-   daemon's verdict byte-identity against a from-scratch analyzer run,
-   request-id dedup, a cold replay of a 10^4-record journal, four
-   fixed-seed chaos runs, random and byte-mutated lines, none of which
-   may raise, answer other than one line, journal a rejection, or
-   answer other bytes than test/admit_reference.ml, and a seeded
-   stream of well-formed ops at admit-churn's scale held to that
-   reference byte for byte. *)
+   streamed snapshot (its memory, its frame's diagnostics, its bytes
+   against the tree printer's), the daemon's verdict byte-identity
+   against a from-scratch analyzer run, request-id dedup, a cold replay
+   of a 10^4-record journal, six fixed-seed chaos runs (two of them in
+   batches), random and byte-mutated lines, none of which may raise,
+   answer other than one line, journal a rejection, or answer other
+   bytes than test/admit_reference.ml, a seeded stream of well-formed
+   ops at admit-churn's scale held to that reference byte for byte,
+   one line at a time and in batches, and the fsyncs group commit
+   makes. *)
 
 open Core_helpers
 
@@ -310,6 +313,185 @@ let store_refuses_unusable_dir () =
   refused "regular file" file "Not a directory";
   refused "missing parent" (dir // "missing" // "sub") "No such file or directory"
 
+(* --- snapshot: streamed out, checked in place --- *)
+
+let snapshot_magic = "REDFSNP\x01"
+
+let open_store ?snapshot_every dir =
+  match Admit.Store.open_dir ?snapshot_every ~dir () with
+  | Ok (st, recovery) -> (st, recovery)
+  | Error msg -> Alcotest.failf "open_dir: %s" msg
+
+let commit_all st records =
+  List.iter
+    (fun (r : Admit.State.record) ->
+      match Admit.Store.commit ~fsync:false st r with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "commit %d: %s" r.Admit.State.seq msg)
+    records
+
+(* [n] records flipping one task in and out, each with [reply i] *)
+let flip_records n reply =
+  List.init n (fun i ->
+      let seq = i + 1 in
+      {
+        Admit.State.seq;
+        rid = Some (Printf.sprintf "\"m%d\"" seq);
+        op =
+          (if seq mod 2 = 1 then Admit.State.Add (task "flip" "1" "9" "9" 1)
+           else Admit.State.Remove "flip");
+        reply = reply seq;
+      })
+
+(* Writing a snapshot holds a piece of it at a time, never the whole
+   payload: over 4 MB of replies raise the heap's high-water mark by
+   less than the payload's size (a payload printed whole from a tree
+   into a doubling buffer and copied out raises it by about 2.6 times
+   its size here).  Runs before the suite's large allocations, since
+   the mark only rises. *)
+let snapshot_memory () =
+  with_temp_dir "snapmem" @@ fun dir ->
+  let st, _ = open_store ~snapshot_every:max_int dir in
+  Fun.protect ~finally:(fun () -> Admit.Store.close st) @@ fun () ->
+  let reply seq =
+    Printf.sprintf {|{"accepted":true,"checks":"%s","id":"m%d"}|}
+      (String.concat "" (List.init 140 (fun i -> Printf.sprintf "task \"%d\" at %d, " i seq)))
+      seq
+  in
+  (* the commits' garbage is compacted away as it comes, so the mark
+     starts near the state's own size *)
+  List.iteri
+    (fun i r ->
+      commit_all st [ r ];
+      if i mod 100 = 99 then Gc.compact ())
+    (flip_records 1400 reply);
+  let top_bytes () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)
+  in
+  let before = top_bytes () in
+  Admit.Store.snapshot st;
+  let raised = top_bytes () - before in
+  let payload =
+    (Unix.stat (dir // "snapshot.bin")).Unix.st_size
+    - String.length snapshot_magic - Admit.Journal.frame_overhead
+  in
+  check_bool (Printf.sprintf "a payload over 4 MB (%d bytes)" payload) true (payload > 4_000_000);
+  if raised >= payload then
+    Alcotest.failf "writing a %d-byte snapshot raised the heap's high-water mark by %d bytes"
+      payload raised
+
+(* each way the snapshot's frame can be wrong keeps its diagnostic *)
+let snapshot_frame_errors () =
+  with_temp_dir "snapframe" @@ fun dir ->
+  let path = dir // "snapshot.bin" in
+  let payload = Admit.State.to_snapshot_string Admit.State.empty in
+  let framed = Admit.Journal.frame payload in
+  let refused what contents want =
+    write_file path contents;
+    match Admit.Store.open_dir ~dir () with
+    | Ok (st, _) ->
+      Admit.Store.close st;
+      Alcotest.failf "%s: opened" what
+    | Error msg -> check_str what want msg
+  in
+  let len = String.length payload in
+  refused "bad magic" ("REDFSNP\x02" ^ framed) (path ^ ": not a redf snapshot (bad magic)");
+  refused "short frame"
+    (snapshot_magic ^ String.sub framed 0 (Admit.Journal.frame_overhead - 1))
+    (path ^ ": not a redf snapshot (bad magic)");
+  refused "length mismatch" (snapshot_magic ^ framed ^ "}")
+    (Printf.sprintf
+       "%s: framed record length mismatch (header says %d, %d bytes follow) — corrupt snapshot"
+       path len (len + 1));
+  let damaged = String.mapi (fun i c -> if i = len - 2 then 'X' else c) payload in
+  refused "CRC mismatch"
+    (snapshot_magic ^ String.sub framed 0 Admit.Journal.frame_overhead ^ damaged)
+    (Printf.sprintf "%s: CRC mismatch (stored %08x, computed %08x) — corrupt snapshot" path
+       (Admit.Crc32.string payload) (Admit.Crc32.string damaged));
+  write_file path (snapshot_magic ^ framed);
+  let st, recovery = open_store dir in
+  Admit.Store.close st;
+  check_int "the intact frame opens" 0 recovery.Admit.Store.snapshot_seq
+
+(* strings a JSON printer must escape or pass through: quotes,
+   backslashes, control bytes, any byte, UTF-8 *)
+let awkward =
+  QCheck2.Gen.(
+    oneof
+      [
+        string_size ~gen:char (int_range 0 12);
+        oneofl [ "q\"uote"; "back\\slash"; "ctl\001\031\n\t"; "caf\xc3\xa9"; "\xe2\x82\xac"; "" ];
+      ])
+
+(* a state's history: adds of awkwardly named tasks and removes of
+   residents, with awkward ids (or none) and replies, and in half the
+   histories one reply longer than a 64 KiB piece of the streamed
+   snapshot *)
+let history =
+  let open QCheck2.Gen in
+  let step reply =
+    tup5 bool (opt awkward) reply awkward
+      (quad (int_range 1 50) (int_range 0 50) (int_range 0 50) (int_range 1 100))
+  in
+  let long_reply =
+    map2
+      (fun s k -> String.concat "" (List.init k (fun _ -> s ^ "\"\\\n")))
+      awkward (int_range 22_000 30_000)
+  in
+  let* n = frequency [ (3, int_range 0 20); (2, int_range 20 400); (1, int_range 1000 3000) ] in
+  let* steps = list_repeat n (step awkward) in
+  let* long = opt (step long_reply) in
+  let* at = int_range 0 n in
+  return
+    (List.filteri (fun i _ -> i < at) steps
+    @ Option.to_list long
+    @ List.filteri (fun i _ -> i >= at) steps)
+
+let records_of_history steps =
+  let residents = ref [] in
+  List.mapi
+    (fun i (remove, rid, reply, name, (c, d, p, a)) ->
+      let seq = i + 1 in
+      let op =
+        match !residents with
+        | _ :: _ as live when remove ->
+          let victim = List.nth live (seq mod List.length live) in
+          residents := List.filter (fun n -> n <> victim) live;
+          Admit.State.Remove victim
+        | _ ->
+          let name = Printf.sprintf "%s#%d" name seq in
+          residents := name :: !residents;
+          Admit.State.Add
+            (Model.Task.make ~name ~exec:(Model.Time.of_ticks c)
+               ~deadline:(Model.Time.of_ticks (c + d))
+               ~period:(Model.Time.of_ticks (c + d + p))
+               ~area:a ())
+      in
+      { Admit.State.seq; rid; op; reply })
+    steps
+
+(* The file the store writes is the magic and the frame of the tree
+   printer's bytes, and reopening the directory reads it back *)
+let snapshot_streamed =
+  qtest ~count:40 "streamed snapshot = framed tree bytes, and reads back" history (fun steps ->
+      with_temp_dir "snapstream" @@ fun dir ->
+      let st, _ = open_store ~snapshot_every:max_int dir in
+      let state =
+        Fun.protect ~finally:(fun () -> Admit.Store.close st) @@ fun () ->
+        commit_all st (records_of_history steps);
+        Admit.Store.snapshot st;
+        Admit.Store.state st
+      in
+      let file = In_channel.with_open_bin (dir // "snapshot.bin") In_channel.input_all in
+      let want = snapshot_magic ^ Admit.Journal.frame (Admit.State.to_snapshot_string state) in
+      if not (String.equal file want) then
+        QCheck2.Test.fail_reportf "snapshot file differs: %d bytes, want %d" (String.length file)
+          (String.length want);
+      let st, recovery = open_store dir in
+      Admit.Store.close st;
+      recovery.Admit.Store.replayed = 0 && Admit.State.equal state (Admit.Store.state st))
+
 (* --- daemon: verdicts, dedup, recovery --- *)
 
 let line fields = Wire.Json.to_string (Wire.Json.Obj fields)
@@ -563,8 +745,13 @@ let escaped_names = [| "q\"uote"; "back\\slash"; "tab\tname"; "new\nline"; "ctl\
    order and a cache hit is remapped; and retries by id of acknowledged
    and of rejected mutations.  After each op the replies, the seq and
    the journal size must agree, and at the end the journal and snapshot
-   files. *)
-let churn_matches_reference () =
+   files.
+
+   [batched] drives the daemon through [handle_lines] in seeded batches
+   of 1–8 lines, the reference still one line at a time; the replies
+   must agree, the seq and journal size after each batch, and the files
+   at the end. *)
+let churn ~batched () =
   let module Json = Wire.Json in
   with_temp_dir "churn" @@ fun dir ->
   let snapshot_every = 128 in
@@ -603,7 +790,7 @@ let churn_matches_reference () =
         ("A", Json.Int a);
       ]
   in
-  let residents () = Admit.State.names (Admit.Daemon.state d) in
+  let residents () = Admit.State.names (Admit_reference.state r) in
   let absent () = List.filter (fun (n, _, _, _, _) -> not (List.mem n (residents ()))) pool in
   let resident_tasks () = List.filter (fun (n, _, _, _, _) -> List.mem n (residents ())) pool in
   let ids = ref 0 in
@@ -617,22 +804,42 @@ let churn_matches_reference () =
   let tally = Hashtbl.create 16 in
   let sent_as what = Option.value ~default:0 (Hashtbl.find_opt tally what) in
   let sent = ref 0 in
-  let send what fields =
-    let line = line fields in
-    Hashtbl.replace tally what (sent_as what + 1);
-    incr sent;
-    let got = Admit.Daemon.handle_line d line in
-    let want = Admit_reference.handle_line r line in
-    if not (String.equal got want) then
-      Alcotest.failf "op %d (%s) %s:\n  got  %s\n  want %s" !sent what line got want;
+  (* the lines the daemon has not seen yet: (op number, what, line, the
+     reference's reply), newest first *)
+  let queued = ref [] in
+  let sizes = Random.State.make [| 33 |] in
+  let batch = ref 1 in
+  let flush () =
+    let lines = List.rev !queued in
+    queued := [];
+    let got =
+      if batched then
+        Admit.Daemon.handle_lines d (Array.of_list (List.map (fun (_, _, l, _) -> l) lines))
+      else Array.of_list (List.map (fun (_, _, l, _) -> Admit.Daemon.handle_line d l) lines)
+    in
+    List.iteri
+      (fun i (n, what, line, want) ->
+        if not (String.equal got.(i) want) then
+          Alcotest.failf "op %d (%s) %s:\n  got  %s\n  want %s" n what line got.(i) want)
+      lines;
+    let n, what, line, _ = List.hd (List.rev lines) in
     let agree thing a b =
-      if a <> b then Alcotest.failf "op %d (%s) %s: %s differs" !sent what line thing
+      if a <> b then Alcotest.failf "op %d (%s) %s: %s differs" n what line thing
     in
     agree "seq" (Admit.State.seq (Admit.Daemon.state d)) (Admit.State.seq (Admit_reference.state r));
     agree "the journal size"
       (Admit.Store.journal_bytes (Admit.Daemon.store d))
       (Admit.Store.journal_bytes (Admit_reference.store r));
-    got
+    if batched then batch := 1 + Random.State.int sizes 8
+  in
+  let send what fields =
+    let line = line fields in
+    Hashtbl.replace tally what (sent_as what + 1);
+    incr sent;
+    let want = Admit_reference.handle_line r line in
+    queued := (!sent, what, line, want) :: !queued;
+    if List.length !queued >= !batch then flush ();
+    want
   in
   (* every mutation line sent, acknowledged or not *)
   let acknowledged = ref [] and unacknowledged = ref [] in
@@ -725,6 +932,7 @@ let churn_matches_reference () =
       ("add wide", 10); ("add overload", 10); ("retry acknowledged", 20); ("retry rejected", 10);
     ];
   check_bool "at least 1,000 ops" true (!sent >= 1000);
+  if !queued <> [] then flush ();
   let read sub file =
     let path = dir // sub // file in
     if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
@@ -733,17 +941,75 @@ let churn_matches_reference () =
   check_str "journal file" (read "reference" "journal.wal") (read "daemon" "journal.wal");
   check_str "snapshot file" (read "reference" "snapshot.bin") (read "daemon" "snapshot.bin")
 
-(* The chaos harness (test/chaos.ml) on four fixed runs: a short one
+(* Group commit, counted: a batch with several admitted mutations
+   fsyncs the journal once, a batch that journals nothing (reads,
+   rejections, retries) not at all, and [handle_line] once per admitted
+   mutation. *)
+let group_commit_fsyncs () =
+  let module Json = Wire.Json in
+  let fsyncs = Obs.Counter.make ~det:false "admit.journal.fsyncs" in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  with_daemon "fsyncs" (fun _dir d ->
+      let counted f =
+        let before = Obs.Counter.value fsyncs in
+        let replies = f () in
+        (Obs.Counter.value fsyncs - before, replies)
+      in
+      let admitted reply = field reply "admitted" = Some (Json.Bool true) in
+      let add i = add_line ~id:(Json.Int i) (Printf.sprintf "g%d" i) "0.1" "10" "10" 1 in
+      let query = line [ ("op", Json.String "query") ] in
+      let n, replies =
+        counted (fun () -> Admit.Daemon.handle_lines d [| add 1; query; add 2; add 3 |])
+      in
+      check_bool "three admitted" true
+        (admitted replies.(0) && admitted replies.(2) && admitted replies.(3));
+      check_int "a batch of three admitted mutations fsyncs once" 1 n;
+      let n, replies =
+        counted (fun () ->
+            Admit.Daemon.handle_lines d
+              [|
+                query;
+                line [ ("op", Json.String "what-if"); ("drop", Json.List [ Json.String "g1" ]) ];
+                add_line ~id:(Json.Int 9) "wide" "1" "4" "4" 101;
+                add 2;
+              |])
+      in
+      check_bool "the wide add rejected" true
+        (field replies.(2) "admitted" = Some (Json.Bool false));
+      check_str "the retry answered from the journal" (Admit.Daemon.handle_line d (add 2))
+        replies.(3);
+      check_int "a batch that journals nothing fsyncs not at all" 0 n;
+      let one l = fst (counted (fun () -> Admit.Daemon.handle_line d l)) in
+      check_int "handle_line: an add" 1 (one (add 4));
+      check_int "handle_line: a remove" 1
+        (one
+           (line
+              [ ("op", Json.String "remove-task"); ("id", Json.Int 5); ("name", Json.String "g4") ]));
+      check_int "handle_line: a query" 0 (one query);
+      check_int "handle_line: a rejected add" 0
+        (one (add_line ~id:(Json.Int 6) "wide" "1" "4" "4" 101));
+      check_int "seq" 5 (Admit.State.seq (Admit.Daemon.state d)))
+
+(* The chaos harness (test/chaos.ml) on six fixed runs: a short one
    at A(H) = 10, two 50-lifetime runs at A(H) = 100 (the default fault
-   mix, and a heavier one), and a 12-lifetime run.  Each row pins the
-   run's stats, so a change in the traffic the harness drives, or in
-   what recovery replays, fails the row even when no invariant breaks. *)
+   mix, and a heavier one), a 12-lifetime run, and two 50-lifetime runs
+   in batches through [handle_lines] (the default mix plus torn batch
+   fsyncs, and torn batch fsyncs alone with a rotation every 4 records,
+   so rotations fall inside batches).  Each row pins the run's stats,
+   so a change in the traffic the harness drives, or in what recovery
+   replays, fails the row even when no invariant breaks. *)
 let chaos_rows =
   let at_100 = { (Chaos.default ~analyzer ~fpga_area:100) with Chaos.snapshot_every = 1024 } in
   let heavy =
     match Admit.Faults.parse_spec "torn=120,fsync=80,after-append=120" with
     | Ok spec -> spec
     | Error msg -> failwith msg
+  in
+  let batch_spec = { Chaos.default_spec with Admit.Faults.torn_sync = 60 } in
+  let torn_syncs =
+    { Admit.Faults.torn_append = 0; fsync_fail = 0; crash_after_append = 0; torn_sync = 150 }
   in
   let stats cycles crashes torn_recoveries replayed ops admitted rejected dedup_hits
       verdicts_checked =
@@ -768,6 +1034,12 @@ let chaos_rows =
       { at_100 with Chaos.seed = 1234; spec = heavy },
       stats 50 50 26 3624 438 120 127 9 439 );
     ("seed 42", { at_100 with Chaos.seed = 42; cycles = 12 }, stats 12 12 7 382 165 51 52 10 166);
+    ( "batches, seed 11",
+      { at_100 with Chaos.seed = 11; batches = true; spec = batch_spec },
+      stats 50 46 16 4005 836 134 176 157 556 );
+    ( "batches rotating every 4, torn syncs only, seed 5",
+      { at_100 with Chaos.seed = 5; batches = true; spec = torn_syncs; snapshot_every = 4 },
+      stats 50 35 35 55 1305 308 330 194 1004 );
   ]
 
 let chaos_smoke () =
@@ -813,6 +1085,10 @@ let () =
         [
           Alcotest.test_case "recovers after rotation" `Quick store_recovers_after_rotation;
           Alcotest.test_case "refuses an unusable dir" `Quick store_refuses_unusable_dir;
+          Alcotest.test_case "snapshot written a piece at a time" `Quick snapshot_memory;
+          Alcotest.test_case "snapshot frame errors keep their messages" `Quick
+            snapshot_frame_errors;
+          snapshot_streamed;
         ] );
       ( "daemon",
         [
@@ -821,6 +1097,8 @@ let () =
           Alcotest.test_case "replays a 10^4-record journal" `Quick daemon_replays_long_journal;
           Alcotest.test_case "chaos smoke" `Quick chaos_smoke;
           Alcotest.test_case "hostile lines" `Quick admit_fuzz;
-          Alcotest.test_case "churn matches the reference" `Quick churn_matches_reference;
+          Alcotest.test_case "churn matches the reference" `Quick (churn ~batched:false);
+          Alcotest.test_case "churn in batches matches the reference" `Quick (churn ~batched:true);
+          Alcotest.test_case "one fsync per batch that journals" `Quick group_commit_fsyncs;
         ] );
     ]
