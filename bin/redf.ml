@@ -950,8 +950,9 @@ let batch_cmd =
           ~doc:
             "On a lost connection, reconnect and re-send only the unanswered suffix of the \
              batch, up to $(docv) times, with exponential backoff (from $(b,--backoff-ms)) and \
-             jitter. Requests that already got a response are never re-sent; re-sent admit \
-             mutations are deduplicated server-side by request id.")
+             jitter. Requests that already got a response are never re-sent; a re-sent admit \
+             mutation is never applied twice, and gets its original reply back if its request id \
+             is among the daemon's last $(b,--dedup-window) mutations.")
   in
   let backoff_ms_arg =
     Arg.(
@@ -979,9 +980,10 @@ let batch_cmd =
 (* --- admit --- *)
 
 let admit_cmd =
-  let run dir analyzer fpga_area transport snapshot_every faults metrics () =
+  let run dir analyzer fpga_area transport snapshot_every dedup_window faults metrics () =
     let fpga_area = positive "--fpga-area" fpga_area in
     let snapshot_every = positive "--snapshot-every" snapshot_every in
+    let dedup_window = positive "--dedup-window" dedup_window in
     let transport = transport () in
     let analyzer = ok 2 (Core.Analyzer.of_name analyzer) in
     (* the plan seed is fixed: a spec fires identically on every run *)
@@ -990,7 +992,7 @@ let admit_cmd =
     in
     with_metrics metrics @@ fun () ->
     let daemon, recovery =
-      ok 1 (Admit.Daemon.create ?faults ~snapshot_every ~analyzer ~fpga_area ~dir ())
+      ok 1 (Admit.Daemon.create ?faults ~snapshot_every ~dedup_window ~analyzer ~fpga_area ~dir ())
     in
     Printf.eprintf "admit: %s: recovered seq %d, %d tasks (%d journal records replayed%s)\n%!" dir
       (Admit.State.seq (Admit.Daemon.state daemon))
@@ -1055,6 +1057,15 @@ let admit_cmd =
             "Rewrite the snapshot and reset the journal after $(docv) journaled mutations \
              (bounds both journal growth and replay time).")
   in
+  let dedup_window_arg =
+    Arg.(
+      value & opt int Admit.Store.default_dedup_window
+      & info [ "dedup-window" ] ~docv:"N"
+          ~doc:
+            "Keep the reply bytes of the last $(docv) mutations for retries by request id. An \
+             older id keeps only the seq it was applied at: its retry is answered with the error \
+             $(b,reply expired (seq S)) and is not applied again.")
+  in
   verb "admit" ~doc:"Run the crash-safe online admission-control daemon"
     ~description:
       "Holds a live device model (one analyzer, one FPGA area) and the admitted taskset, and \
@@ -1067,14 +1078,15 @@ let admit_cmd =
        acknowledged state, plus possibly some mutations of the batch in flight, whose replies \
        were never sent (a torn trailing record from a mid-write crash is truncated; a corrupt \
        interior record is refused with a diagnostic). Replies to mutations are stored under \
-       their request $(b,id), so a client \
-       retrying after a lost reply gets the original bytes back instead of a double apply. \
+       their request $(b,id), so a client retrying after a lost reply gets the original bytes \
+       back instead of a double apply, within the last $(b,--dedup-window) mutations; an older \
+       id is still never applied twice, and its retry gets $(b,reply expired (seq S)). \
        Serves stdin/stdout, or $(b,--socket) and/or $(b,--listen), over the same event loop as \
        $(b,redf serve); under overload, mutations are shed only at twice the read-query \
        threshold."
     Term.(
       const run $ dir_arg $ analyzer_arg $ area_arg $ transport_term $ snapshot_every_arg
-      $ faults_arg $ metrics_arg)
+      $ dedup_window_arg $ faults_arg $ metrics_arg)
 
 (* --- bench-core --- *)
 

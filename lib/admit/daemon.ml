@@ -34,8 +34,9 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let create ?faults ?snapshot_every ?(cache_capacity = 4096) ~analyzer ~fpga_area ~dir () =
-  let* store, recovery = Store.open_dir ?faults ?snapshot_every ~dir () in
+let create ?faults ?snapshot_every ?dedup_window ?(cache_capacity = 4096) ~analyzer ~fpga_area
+    ~dir () =
+  let* store, recovery = Store.open_dir ?faults ?snapshot_every ?dedup_window ~dir () in
   let delta = Cache.Delta.of_tasks (State.tasks (Store.state store)) in
   let cache =
     Cache.Verdicts.create_rendered ~metrics_prefix:"admit_cache" ~capacity:cache_capacity ()
@@ -197,14 +198,16 @@ let reply t ?id ?admitted ?names ~op ~seq ~tasks verdict =
 
 (* --- handlers --- *)
 
-let dedup t id =
-  match id with None -> None | Some id -> State.reply_for (state t) (Json.to_string id)
-
 let answer ?id = function Ok reply -> reply | Error msg -> Protocol.error_response ?id msg
 
-(* a retried mutation id gets its journaled reply back, unapplied *)
+(* a retried mutation id gets its journaled reply back, or past the
+   dedup window the seq it was applied at, and is never applied again *)
 let mutation t ~id attempt =
-  match dedup t id with Some stored -> stored | None -> answer ?id (attempt ())
+  match Option.map (fun id -> State.lookup (state t) (Json.to_string id)) id with
+  | Some (State.Stored reply) -> reply
+  | Some (State.Expired seq) ->
+    Protocol.error_response ?id (Printf.sprintf "reply expired (seq %d)" seq)
+  | Some State.Unknown | None -> answer ?id (attempt ())
 
 (* journal an admitted mutation with its reply, then apply it; the
    batch's one fsync comes in [handle_lines] *)

@@ -27,8 +27,12 @@
     per batch of lines {e before} any reply of the batch, with the
     reply bytes stored under the request [id]: a retried mutation whose
     reply was lost gets the stored bytes back and is never applied
-    twice.  Rejected mutations are not journaled — rejection is
-    deterministic and a retry re-evaluates identically.
+    twice.  The bytes are kept for the last [dedup_window] mutations
+    ({!Store.default_dedup_window}); a retry of an older id is answered
+    with the error [reply expired (seq S)], S the seq it was applied
+    at, and is not applied either.  Rejected mutations are not
+    journaled — rejection is deterministic and a retry re-evaluates
+    identically.
 
     Handlers are serial: the journal orders mutations. *)
 
@@ -37,6 +41,7 @@ type t
 val create :
   ?faults:Faults.t ->
   ?snapshot_every:int ->
+  ?dedup_window:int ->
   ?cache_capacity:int ->
   analyzer:Core.Analyzer.t ->
   fpga_area:int ->

@@ -3,7 +3,9 @@
 
 (* The admission daemon's durable state: the admitted taskset (in
    admission order, names unique), the mutation sequence number, and
-   the request-id -> reply map that makes retried mutations idempotent.
+   the request-id index that makes retried mutations idempotent: the
+   replies of the last [window] mutations, and only id -> seq for the
+   ids before them.
 
    Purely functional: Store applies acknowledged mutations to it, the
    chaos harness replays the same ops onto a reference copy, and the
@@ -16,7 +18,14 @@
    be byte comparisons. *)
 
 module Json = Wire.Json
-module Replies = Map.Make (String)
+module Ids = Map.Make (String)
+
+(* (seq, rid) of the window's replies, oldest first: what expires next *)
+module Recent = Set.Make (struct
+  type t = int * string
+
+  let compare (a, r) (b, s) = match Int.compare a b with 0 -> String.compare r s | c -> c
+end)
 
 type op = Add of Model.Task.t | Remove of string
 
@@ -25,24 +34,82 @@ type record = { seq : int; rid : string option; op : op; reply : string }
 type t = {
   seq : int;  (* of the last applied mutation; 0 = pristine *)
   tasks : (string * Model.Task.t) list;  (* admission order *)
-  replies : string Replies.t;  (* rid -> acknowledged reply, for dedup *)
+  window : int;  (* a reply is kept while its seq > seq - window *)
+  replies : (int * string) Ids.t;  (* rid -> (seq, acknowledged reply), inside the window *)
+  recent : Recent.t;  (* the same entries, by seq *)
+  expired : int Ids.t;  (* rid -> seq, past the window *)
 }
 
-let empty = { seq = 0; tasks = []; replies = Replies.empty }
+let empty =
+  {
+    seq = 0;
+    tasks = [];
+    window = max_int;
+    replies = Ids.empty;
+    recent = Recent.empty;
+    expired = Ids.empty;
+  }
+
 let seq t = t.seq
 let tasks t = List.map snd t.tasks
 let names t = List.map fst t.tasks
 let size t = List.length t.tasks
 let mem t name = List.mem_assoc name t.tasks
-let reply_for t rid = Replies.find_opt rid t.replies
 
+type retry = Stored of string | Expired of int | Unknown
+
+let lookup t rid =
+  match Ids.find_opt rid t.replies with
+  | Some (_, reply) -> Stored reply
+  | None -> ( match Ids.find_opt rid t.expired with Some seq -> Expired seq | None -> Unknown)
+
+let reply_for t rid = Option.map snd (Ids.find_opt rid t.replies)
+let stored_replies t = Ids.cardinal t.replies
+let expired_ids t = Ids.cardinal t.expired
+
+(* the window is a setting, not state: two states that hold the same
+   entries are equal whatever window each will keep from here on *)
 let equal a b =
   a.seq = b.seq
   && List.length a.tasks = List.length b.tasks
   && List.for_all2
        (fun (na, ta) (nb, tb) -> na = nb && Model.Task.equal ta tb)
        a.tasks b.tasks
-  && Replies.equal String.equal a.replies b.replies
+  && Ids.equal (fun (s, r) (s', r') -> s = s' && String.equal r r') a.replies b.replies
+  && Ids.equal Int.equal a.expired b.expired
+
+(* --- the window --- *)
+
+(* move every reply whose seq left the window to the id -> seq index *)
+let rec expire t =
+  match Recent.min_elt_opt t.recent with
+  | Some ((s, rid) as oldest) when s <= t.seq - t.window ->
+    expire
+      {
+        t with
+        replies = Ids.remove rid t.replies;
+        recent = Recent.remove oldest t.recent;
+        expired = Ids.add rid s t.expired;
+      }
+  | Some _ | None -> t
+
+let with_dedup_window n t = expire { t with window = max 1 n }
+
+(* an id stored again replaces what it had: the daemon never does this
+   (a known id is answered, not applied), but a replay must not leave
+   one id in two places *)
+let remember rid seq reply t =
+  let recent =
+    match Ids.find_opt rid t.replies with
+    | Some (s, _) -> Recent.remove (s, rid) t.recent
+    | None -> t.recent
+  in
+  {
+    t with
+    replies = Ids.add rid (seq, reply) t.replies;
+    recent = Recent.add (seq, rid) recent;
+    expired = Ids.remove rid t.expired;
+  }
 
 (* --- application --- *)
 
@@ -67,12 +134,9 @@ let apply_record t (r : record) =
   else
     Result.map
       (fun applied ->
-        let replies =
-          match r.rid with
-          | None -> applied.replies
-          | Some rid -> Replies.add rid r.reply applied.replies
-        in
-        { applied with seq = r.seq; replies })
+        let applied = { applied with seq = r.seq } in
+        expire
+          (match r.rid with None -> applied | Some rid -> remember rid r.seq r.reply applied))
       (apply_op t r.op)
 
 (* --- task codec (exact ticks; the journal's internal shape) --- *)
@@ -158,7 +222,12 @@ let record_of_string s =
 
 let record_to_string r = Json.to_string (record_to_json r)
 
-(* --- snapshot codec --- *)
+(* --- snapshot codec ---
+
+   v2 (the one written): {"expired":[[rid,seq]…],"replies":[[rid,seq,reply]…],
+   "seq":N,"tasks":[task…]}, entries in id order.  v1 (read only):
+   {"replies":[[rid,reply]…],"seq":N,"tasks":[…]}; its replies carry no
+   seq, so each counts as the snapshot's seq N, the last it can have. *)
 
 let to_snapshot_json t =
   Json.Obj
@@ -167,70 +236,47 @@ let to_snapshot_json t =
       ("tasks", Json.List (List.map (fun (_, task) -> task_to_json task) t.tasks));
       ( "replies",
         Json.List
-          (Replies.fold
-             (fun rid reply acc -> Json.List [ Json.String rid; Json.String reply ] :: acc)
+          (Ids.fold
+             (fun rid (seq, reply) acc ->
+               Json.List [ Json.String rid; Json.Int seq; Json.String reply ] :: acc)
              t.replies []
           |> List.rev) );
+      ( "expired",
+        Json.List
+          (Ids.fold
+             (fun rid seq acc -> Json.List [ Json.String rid; Json.Int seq ] :: acc)
+             t.expired []
+          |> List.rev) );
     ]
-
-let of_snapshot_json json =
-  let* seq =
-    match Json.member "seq" json with
-    | Some (Json.Int n) when n >= 0 -> Ok n
-    | _ -> Error "snapshot: \"seq\": expected a non-negative integer"
-  in
-  let* task_objs =
-    match Json.member "tasks" json with
-    | Some (Json.List l) -> Ok l
-    | _ -> Error "snapshot: \"tasks\": expected an array"
-  in
-  let* tasks =
-    List.fold_left
-      (fun acc tj ->
-        let* acc = acc in
-        let* task = task_of_json tj in
-        Ok ((task.Model.Task.name, task) :: acc))
-      (Ok []) task_objs
-    |> Result.map List.rev
-  in
-  let* replies =
-    match Json.member "replies" json with
-    | Some (Json.List l) ->
-      List.fold_left
-        (fun acc entry ->
-          let* acc = acc in
-          match entry with
-          | Json.List [ Json.String rid; Json.String reply ] -> Ok (Replies.add rid reply acc)
-          | _ -> Error "snapshot: \"replies\": expected [rid, reply] string pairs")
-        (Ok Replies.empty) l
-    | _ -> Error "snapshot: \"replies\": expected an array"
-  in
-  Ok { seq; tasks; replies }
-
-let of_snapshot_string s =
-  match Json.of_string s with
-  | Error msg -> Error ("snapshot: malformed JSON: " ^ msg)
-  | Ok json -> of_snapshot_json json
 
 let to_snapshot_string t = Json.to_string (to_snapshot_json t)
 
 (* [to_snapshot_string]'s bytes without its tree: the keys in the order
-   [Json.to_string] sorts them into, and each element, a reply pair or
-   a task, handed on by [flush] as soon as it is written *)
+   [Json.to_string] sorts them into, and each element, an expired id, a
+   reply entry or a task, handed on by [flush] as soon as it is
+   written *)
 let stream_snapshot t buf ~flush =
-  Buffer.add_string buf {|{"replies":[|};
-  ignore
-    (Replies.fold
-       (fun rid reply first ->
-         if not first then Buffer.add_char buf ',';
-         Buffer.add_char buf '[';
-         Json.add_string buf rid;
-         Buffer.add_char buf ',';
-         Json.add_string buf reply;
-         Buffer.add_char buf ']';
-         flush ();
-         false)
-       t.replies true);
+  let first = ref true in
+  let entry rid seq reply =
+    if not !first then Buffer.add_char buf ',';
+    first := false;
+    Buffer.add_char buf '[';
+    Json.add_string buf rid;
+    Buffer.add_char buf ',';
+    Json.add buf (Json.Int seq);
+    Option.iter
+      (fun reply ->
+        Buffer.add_char buf ',';
+        Json.add_string buf reply)
+      reply;
+    Buffer.add_char buf ']';
+    flush ()
+  in
+  Buffer.add_string buf {|{"expired":[|};
+  Ids.iter (fun rid seq -> entry rid seq None) t.expired;
+  Buffer.add_string buf {|],"replies":[|};
+  first := true;
+  Ids.iter (fun rid (seq, reply) -> entry rid seq (Some reply)) t.replies;
   Buffer.add_string buf {|],"seq":|};
   Json.add buf (Json.Int t.seq);
   Buffer.add_string buf {|,"tasks":[|};
@@ -242,3 +288,93 @@ let stream_snapshot t buf ~flush =
     t.tasks;
   Buffer.add_string buf "]}";
   flush ()
+
+(* Decoding reads the payload in one scan on Json's cursor, building no
+   tree of it: each member is read into what the state keeps, an entry
+   or a task at a time, and the diagnostics are those of a tree read,
+   judged in the same order (seq, tasks, replies, expired) once the
+   scan is done. *)
+
+let bad_seq = "snapshot: \"seq\": expected a non-negative integer"
+let bad_tasks = "snapshot: \"tasks\": expected an array"
+let bad_replies = "snapshot: \"replies\": expected an array"
+let bad_expired = "snapshot: \"expired\": expected an array"
+let snapshot_keys = [ "expired"; "replies"; "seq"; "tasks" ]
+
+let of_snapshot_string ?(version = 2) ?pos payload =
+  let v1 = version = 1 in
+  let seq = ref None and tasks = ref (Error bad_tasks) in
+  let replies = ref (Error bad_replies) in
+  let expired = ref (if v1 then Ok Ids.empty else Error bad_expired) in
+  let seen = ref [] in
+  (* an array read into [into], each entry (a small value of its own)
+     kept by [add] or refused with [bad]; anything but an array leaves
+     [into]'s error *)
+  let entries c into ~bad add =
+    if Json.peek c <> '[' then ignore (Json.value c)
+    else
+      into :=
+        Json.fold_items c
+          (fun acc ->
+            let entry = Json.value c in
+            match acc with Ok m -> Option.to_result ~none:bad (add entry m) | Error _ -> acc)
+          (Ok Ids.empty)
+  in
+  let member c () key =
+    if List.mem key !seen then ignore (Json.value c)
+    else begin
+      seen := key :: !seen;
+      match key with
+      | "seq" -> (
+        match Json.peek c with
+        | '-' | '0' .. '9' -> seq := Some (Json.int c)
+        | _ -> ignore (Json.value c))
+      | "tasks" ->
+        if Json.peek c <> '[' then ignore (Json.value c)
+        else
+          tasks :=
+            Json.fold_items c
+              (fun acc ->
+                let json = Json.value c in
+                let* acc = acc in
+                let* task = task_of_json json in
+                Ok ((task.Model.Task.name, task) :: acc))
+              (Ok [])
+            |> Result.map List.rev
+      | "replies" when v1 ->
+        (* seq 0 until the snapshot's own seq is read, after the scan *)
+        entries c replies ~bad:"snapshot: \"replies\": expected [rid, reply] string pairs"
+          (fun entry m ->
+            match entry with
+            | Json.List [ Json.String rid; Json.String reply ] -> Some (Ids.add rid (0, reply) m)
+            | _ -> None)
+      | "replies" ->
+        entries c replies ~bad:"snapshot: \"replies\": expected [rid, seq, reply] entries"
+          (fun entry m ->
+            match entry with
+            | Json.List [ Json.String rid; Json.Int seq; Json.String reply ] ->
+              Some (Ids.add rid (seq, reply) m)
+            | _ -> None)
+      | "expired" when not v1 ->
+        entries c expired ~bad:"snapshot: \"expired\": expected [rid, seq] entries"
+          (fun entry m ->
+            match entry with
+            | Json.List [ Json.String rid; Json.Int seq ] -> Some (Ids.add rid seq m)
+            | _ -> None)
+      | _ -> ignore (Json.value c)
+    end
+  in
+  let scan c =
+    if Json.peek c = '{' then Json.fold_members ~intern:snapshot_keys c (member c) ()
+    else ignore (Json.value c)
+  in
+  match Json.decode ?pos payload scan with
+  | Error msg -> Error ("snapshot: malformed JSON: " ^ msg)
+  | Ok () ->
+    let* seq = match !seq with Some n when n >= 0 -> Ok n | _ -> Error bad_seq in
+    let* tasks = !tasks in
+    let* replies = !replies in
+    let* expired = !expired in
+    let replies = if v1 then Ids.map (fun (_, reply) -> (seq, reply)) replies else replies in
+    let recent = Ids.fold (fun rid (s, _) acc -> Recent.add (s, rid) acc) replies Recent.empty in
+    Ok { seq; tasks; window = max_int; replies; recent; expired }

@@ -24,8 +24,10 @@
 
 let journal_file = "journal.wal"
 let snapshot_file = "snapshot.bin"
-let snapshot_magic = "REDFSNP\x01"
+let snapshot_magic = "REDFSNP\x02"
+let v1_magic = "REDFSNP\x01"  (* read, never written *)
 let default_snapshot_every = 1024
+let default_dedup_window = 1024
 
 type t = {
   dir : string;
@@ -63,29 +65,32 @@ let fsync_dir dir =
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
 (* the snapshot is one CRC-framed canonical-JSON state under its own
-   magic; rename makes it atomic, so unlike the journal any damage here
-   is corruption, never a torn write — refuse loudly.  The frame is
-   checked where it lies in the file, and only the payload is copied
-   out, for the parser. *)
+   magic, which names its version; rename makes it atomic, so unlike
+   the journal any damage here is corruption, never a torn write —
+   refuse loudly.  The frame is checked, and the payload decoded, where
+   they lie in the file's bytes. *)
 let load_snapshot path =
   match read_file path with
   | None -> Ok None
   | Some contents ->
     let magic_len = String.length snapshot_magic in
-    if
-      String.length contents < magic_len + Journal.frame_overhead
-      || not (String.starts_with ~prefix:snapshot_magic contents)
-    then Error (Printf.sprintf "%s: not a redf snapshot (bad magic)" path)
-    else
-      let* len =
+    let version =
+      if String.starts_with ~prefix:snapshot_magic contents then Some 2
+      else if String.starts_with ~prefix:v1_magic contents then Some 1
+      else None
+    in
+    match version with
+    | Some version when String.length contents >= magic_len + Journal.frame_overhead ->
+      let* _len =
         Result.map_error
           (fun msg -> Printf.sprintf "%s: %s — corrupt snapshot" path msg)
           (Journal.framed_at contents magic_len)
       in
       let* st =
-        State.of_snapshot_string (String.sub contents (magic_len + Journal.frame_overhead) len)
+        State.of_snapshot_string ~version ~pos:(magic_len + Journal.frame_overhead) contents
       in
       Ok (Some st)
+    | Some _ | None -> Error (Printf.sprintf "%s: not a redf snapshot (bad magic)" path)
 
 (* the payload goes to disk in pieces of this many bytes *)
 let piece_bytes = 65536
@@ -154,7 +159,8 @@ let replay base payloads =
    parent, no permission) is refused like a corrupt journal *)
 let unusable dir e = Error (Printf.sprintf "%s: %s" dir (Unix.error_message e))
 
-let open_dir ?(faults = Faults.none) ?(snapshot_every = default_snapshot_every) ~dir () =
+let open_dir ?(faults = Faults.none) ?(snapshot_every = default_snapshot_every)
+    ?(dedup_window = default_dedup_window) ~dir () =
   let* () =
     match Unix.mkdir dir 0o755 with
     | () -> Ok ()
@@ -163,7 +169,9 @@ let open_dir ?(faults = Faults.none) ?(snapshot_every = default_snapshot_every) 
   in
   let journal_path = dir // journal_file in
   let* snapshot = load_snapshot (dir // snapshot_file) in
-  let base = Option.value snapshot ~default:State.empty in
+  let base =
+    State.with_dedup_window dedup_window (Option.value snapshot ~default:State.empty)
+  in
   let* scan = Journal.scan ~path:journal_path in
   let* st, replayed = replay base scan.Journal.records in
   let* journal =

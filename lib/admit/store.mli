@@ -33,17 +33,26 @@ val default_snapshot_every : int
     when [open_dir] is given none, and [redf admit --snapshot-every]'s
     default. *)
 
+val default_dedup_window : int
+(** 1024: the mutations whose replies the state keeps
+    ({!State.with_dedup_window}) when [open_dir] is given none, and
+    [redf admit --dedup-window]'s default. *)
+
 val open_dir :
   ?faults:Faults.t ->
   ?snapshot_every:int ->
+  ?dedup_window:int ->
   dir:string ->
   unit ->
   (t * recovery, string) result
 (** Create [dir] if needed, run recovery, open the journal for
     appending.  [snapshot_every] (default {!default_snapshot_every})
-    is the journal record count that triggers snapshot rotation.  A directory that cannot be
-    created or cannot hold the journal is an [Error "DIR: reason"],
-    like a corrupt journal. *)
+    is the journal record count that triggers snapshot rotation;
+    [dedup_window] (default {!default_dedup_window}) windows the
+    recovered state, snapshot and replayed records alike.  A v1
+    snapshot ([REDFSNP\x01]) is read as well as the v2 one written
+    ([REDFSNP\x02]).  A directory that cannot be created or cannot hold
+    the journal is an [Error "DIR: reason"], like a corrupt journal. *)
 
 val state : t -> State.t
 
@@ -71,7 +80,7 @@ val snapshot : t -> unit
     payload is streamed in fixed-size pieces with the frame header
     written last, so the write holds one piece, not the whole state;
     the file is [magic ^ Journal.frame (State.to_snapshot_string s)]
-    byte for byte. *)
+    byte for byte, with the v2 magic [REDFSNP\x02]. *)
 
 val journal_bytes : t -> int
 val close : t -> unit

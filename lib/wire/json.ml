@@ -149,43 +149,54 @@ let string_in c intern =
     interned intern s start (c.pos - start - 1)
   end
   else begin
-    (* an escape (or no closing quote): decode from here on *)
-    let buf = Buffer.create (c.pos - start + 16) in
-    Buffer.add_substring buf s start (c.pos - start);
-    let rec go () =
+    (* an escape (or no closing quote): count the bytes the decode
+       gives (each escape gives one), then decode into a string of that
+       size, so a long escaped string is allocated once.  The count
+       stops at the end of the text; a malformed string fails in the
+       decode, where it always did, before writing past the count. *)
+    let rec decoded j k =
+      if j >= n || String.unsafe_get s j = '"' then k
+      else if String.unsafe_get s j = '\\' then
+        decoded (j + if j + 1 < n && String.unsafe_get s (j + 1) = 'u' then 6 else 2) (k + 1)
+      else decoded (j + 1) (k + 1)
+    in
+    let out = Bytes.create (decoded c.pos (c.pos - start)) in
+    Bytes.blit_string s start out 0 (c.pos - start);
+    let rec go k =
       if c.pos >= n then fail c "unterminated string";
       let ch = s.[c.pos] in
       c.pos <- c.pos + 1;
-      if ch = '"' then Buffer.contents buf
+      if ch = '"' then Bytes.unsafe_to_string out
       else if ch = '\\' then begin
         if c.pos >= n then fail c "bad escape";
         let e = s.[c.pos] in
         c.pos <- c.pos + 1;
-        (match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           if c.pos + 4 > n then fail c "bad \\u escape";
-           let hex = String.sub s c.pos 4 in
-           c.pos <- c.pos + 4;
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
+        let ch =
+          match e with
+          | '"' | '\\' | '/' -> e
+          | 'n' -> '\n'
+          | 't' -> '\t'
+          | 'r' -> '\r'
+          | 'b' -> '\b'
+          | 'f' -> '\012'
+          | 'u' -> (
+            if c.pos + 4 > n then fail c "bad \\u escape";
+            let hex = String.sub s c.pos 4 in
+            c.pos <- c.pos + 4;
+            match int_of_string_opt ("0x" ^ hex) with
+            | Some code when code < 0x80 -> Char.chr code
             | Some _ | None -> fail c "unsupported \\u escape (ASCII only)")
-         | _ -> fail c "unknown escape");
-        go ()
+          | _ -> fail c "unknown escape"
+        in
+        Bytes.set out k ch;
+        go (k + 1)
       end
       else begin
-        Buffer.add_char buf ch;
-        go ()
+        Bytes.set out k ch;
+        go (k + 1)
       end
     in
-    go ()
+    go (c.pos - start)
   end
 
 let string c = string_in c []
@@ -273,8 +284,8 @@ let rec value c =
   | '-' | '0' .. '9' -> Int (int c)
   | _ -> fail c "expected a value"
 
-let decode text f =
-  let c = { text; len = String.length text; pos = 0 } in
+let decode ?(pos = 0) text f =
+  let c = { text; len = String.length text; pos } in
   match
     let v = f c in
     skip_ws c;
@@ -282,7 +293,7 @@ let decode text f =
     v
   with
   | v -> Ok v
-  | exception Fail (at, msg) -> Error (Printf.sprintf "at offset %d: %s" at msg)
+  | exception Fail (at, msg) -> Error (Printf.sprintf "at offset %d: %s" (at - pos) msg)
 
 let of_string s = decode s value
 

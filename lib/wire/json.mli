@@ -49,11 +49,13 @@ val of_string : string -> (t, string) result
 
 type cursor
 
-val decode : string -> (cursor -> 'a) -> ('a, string) result
+val decode : ?pos:int -> string -> (cursor -> 'a) -> ('a, string) result
 (** [decode text f] runs [f] on a cursor at the start of [text], then
     requires nothing but whitespace after what [f] consumed.  A syntax
     error anywhere is [Error "at offset N: why"], as in {!of_string},
-    whatever [f] had read before it. *)
+    whatever [f] had read before it.  With [~pos] the document is the
+    suffix of [text] from [pos], read in place, and [N] counts from
+    [pos]. *)
 
 val peek : cursor -> char
 (** The first byte of the next value, after whitespace; ['\000'] at

@@ -24,6 +24,12 @@
      under its id; retrying those ids returns the stored bytes and
      applies nothing twice.
 
+   The reference keeps the daemon's dedup window
+   ([config.dedup_window]), so it knows which ids a retry finds stored
+   and which expired, and at which seq: a retried id inside the window
+   must get its stored bytes, one past it [reply expired (seq S)], and
+   neither may apply anything, across crashes and recoveries too.
+
    Independently, every verdict the daemon emits (admit decisions,
    query, what-if) is compared field-for-field against a from-scratch
    [analyzer.decide] on the taskset the harness knows that verdict
@@ -52,6 +58,7 @@ type config = {
   analyzer : Core.Analyzer.t;
   fpga_area : int;
   snapshot_every : int;
+  dedup_window : int;
   batches : bool;  (* drive [handle_lines] in batches of 2–8 lines, not [handle_line] *)
 }
 
@@ -63,7 +70,8 @@ type stats = {
   ops : int;  (* protocol lines driven *)
   admitted : int;
   rejected : int;
-  dedup_hits : int;  (* duplicate-id retries answered without re-applying *)
+  dedup_hits : int;  (* duplicate-id retries answered with the stored bytes *)
+  expired_hits : int;  (* retries past the dedup window, answered with the expired error *)
   verdicts_checked : int;  (* verdicts compared against from-scratch analysis *)
 }
 
@@ -79,6 +87,7 @@ let default ~analyzer ~fpga_area =
     analyzer;
     fpga_area;
     snapshot_every = 32;
+    dedup_window = Store.default_dedup_window;
     batches = false;
   }
 
@@ -175,6 +184,12 @@ let accepts cfg tasks =
 
 let rid_of id = Json.to_string (Json.String id)
 
+(* the daemon's answer to a retry of [id], applied at [seq], once its
+   reply has left the dedup window *)
+let expired_reply id seq =
+  Printf.sprintf {|{"error":"reply expired (seq %d)","id":%s,"kind":"error","schema_version":1}|}
+    seq (rid_of id)
+
 (* the taskset an admitted mutation leaves *)
 let after st = function
   | State.Add task -> State.tasks st @ [ task ]
@@ -200,21 +215,25 @@ let batch_prefix cfg ~reference ~recovered mutations =
       let admitted =
         match op with State.Remove _ -> true | State.Add _ -> accepts cfg (after expected op)
       in
-      if Option.is_some (State.reply_for expected rid) || not admitted then acc
+      if State.lookup expected rid <> State.Unknown || not admitted then acc
       else
-        match State.reply_for recovered rid with
-        | None -> Ok (expected, true)
-        | Some _ when cut ->
+        let recovered_as reply =
+          State.apply_record expected
+            { State.seq = State.seq expected + 1; rid = Some rid; op; reply }
+          |> Result.map (fun st -> (st, false))
+        in
+        match State.lookup recovered rid with
+        | State.Unknown -> Ok (expected, true)
+        | State.Stored _ | State.Expired _ when cut ->
           Error (Printf.sprintf "recovery kept batch mutation %s after a lost one" id)
-        | Some reply ->
+        | State.Stored reply ->
           let* () =
             check_verdict cfg ~what:"recovered batch mutation" ~tasks:(after expected op) reply
           in
-          let* st =
-            State.apply_record expected
-              { State.seq = State.seq expected + 1; rid = Some rid; op; reply }
-          in
-          Ok (st, false))
+          recovered_as reply
+        (* its reply already left the window, so the batch's later
+           mutations must expire it from [expected] too *)
+        | State.Expired _ -> recovered_as "")
     (Ok (reference, false)) mutations
   |> Result.map fst
 
@@ -228,8 +247,8 @@ let reply_is_error reply =
    is a violation of the recovery invariant. *)
 let open_daemon ?faults ~first ~dir cfg =
   match
-    Daemon.create ?faults ~snapshot_every:cfg.snapshot_every ~analyzer:cfg.analyzer
-      ~fpga_area:cfg.fpga_area ~dir ()
+    Daemon.create ?faults ~snapshot_every:cfg.snapshot_every ~dedup_window:cfg.dedup_window
+      ~analyzer:cfg.analyzer ~fpga_area:cfg.fpga_area ~dir ()
   with
   | Ok opened -> Ok opened
   | Error msg when first -> raise (Setup msg)
@@ -248,12 +267,13 @@ let run ~dir cfg =
         admitted = 0;
         rejected = 0;
         dedup_hits = 0;
+        expired_hits = 0;
         verdicts_checked = 0;
       }
   in
   let bump f = stats := f !stats in
   (* acknowledged state, rebuilt from replies the "client" actually saw *)
-  let reference = ref State.empty in
+  let reference = ref (State.with_dedup_window cfg.dedup_window State.empty) in
   (* what was in flight at the last crash *)
   let pending = ref None in
   (* acknowledged mutations (id, op, line), for batch retries *)
@@ -301,22 +321,32 @@ let run ~dir cfg =
     else begin
       reference := recovered;
       (* a recovered batch mutation retried by id gets its stored,
-         never-sent reply, and nothing is applied twice *)
+         never-sent reply (or, past the window, the expired error), and
+         nothing is applied twice *)
       let* () =
         match !pending with
         | Some (Batch mutations) ->
           List.fold_left
             (fun acc (id, op, line) ->
               let* () = acc in
-              match State.reply_for recovered (rid_of id) with
+              let want =
+                match State.lookup recovered (rid_of id) with
+                | State.Unknown -> None
+                | State.Stored stored ->
+                  bump (fun s -> { s with dedup_hits = s.dedup_hits + 1 });
+                  Some stored
+                | State.Expired seq ->
+                  bump (fun s -> { s with expired_hits = s.expired_hits + 1 });
+                  Some (expired_reply id seq)
+              in
+              match want with
               | None -> Ok ()
-              | Some stored ->
+              | Some want ->
                 if not (List.exists (fun (i, _, _) -> i = id) !acked) then
                   acked := (id, op, line) :: !acked;
                 let retry = Daemon.handle_line d line in
-                bump (fun s -> { s with dedup_hits = s.dedup_hits + 1 });
-                if retry <> stored then
-                  Error (Printf.sprintf "recovered id %s retried: %s, stored %s" id retry stored)
+                if retry <> want then
+                  Error (Printf.sprintf "recovered id %s retried: %s, want %s" id retry want)
                 else if not (State.equal (Daemon.state d) recovered) then
                   Error (Printf.sprintf "recovered id %s retried: applied twice" id)
                 else Ok ())
@@ -500,19 +530,24 @@ let run ~dir cfg =
       pending := Some (Batch (List.rev !mutations));
       Ok (`Crashed fate)
     | replies ->
+      let answered reply =
+        if reply_is_error reply then Error (Printf.sprintf "batch line errored: %s" reply)
+        else Ok ()
+      in
       let check (line, reply) =
-        let* () =
-          if reply_is_error reply then Error (Printf.sprintf "batch line errored: %s" reply)
-          else Ok ()
-        in
         match line with
         | `Mutation (id, op, line) -> (
-          match State.reply_for !reference (rid_of id) with
-          | Some stored ->
+          match State.lookup !reference (rid_of id) with
+          | State.Stored stored ->
             bump (fun s -> { s with dedup_hits = s.dedup_hits + 1 });
             if reply = stored then Ok ()
             else Error (Printf.sprintf "retry of %s returned %s, stored %s" id reply stored)
-          | None ->
+          | State.Expired seq ->
+            bump (fun s -> { s with expired_hits = s.expired_hits + 1 });
+            if reply = expired_reply id seq then Ok ()
+            else Error (Printf.sprintf "retry of %s past the window returned %s" id reply)
+          | State.Unknown ->
+            let* () = answered reply in
             bump (fun s -> { s with verdicts_checked = s.verdicts_checked + 1 });
             let* () = check_verdict cfg ~what:"batch mutation" ~tasks:(after !reference op) reply in
             if reply_admitted reply then begin
@@ -523,6 +558,7 @@ let run ~dir cfg =
             else bump (fun s -> { s with rejected = s.rejected + 1 });
             Ok ())
         | `What_if (task, drop) ->
+          let* () = answered reply in
           bump (fun s -> { s with verdicts_checked = s.verdicts_checked + 1 });
           let tasks =
             List.filter (fun t -> not (List.mem t.Model.Task.name drop)) (State.tasks !reference)
@@ -530,6 +566,7 @@ let run ~dir cfg =
           in
           check_verdict cfg ~what:"batch what-if" ~tasks reply
         | `Query ->
+          let* () = answered reply in
           bump (fun s -> { s with verdicts_checked = s.verdicts_checked + 1 });
           check_verdict cfg ~what:"batch query" ~tasks:(State.tasks !reference) reply
       in
@@ -583,6 +620,6 @@ let run ~dir cfg =
 let pp_stats fmt s =
   Format.fprintf fmt
     "cycles %d  crashes %d  torn recoveries %d  records replayed %d  ops %d  admitted %d  \
-     rejected %d  dedup hits %d  verdicts checked %d"
+     rejected %d  dedup hits %d  expired hits %d  verdicts checked %d"
     s.cycles s.crashes s.torn_recoveries s.replayed s.ops s.admitted s.rejected s.dedup_hits
-    s.verdicts_checked
+    s.expired_hits s.verdicts_checked

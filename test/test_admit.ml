@@ -3,10 +3,13 @@
    at every byte boundary of the last record), state/record codecs and
    idempotent replay, snapshot rotation through the store, the
    streamed snapshot (its memory, its frame's diagnostics, its bytes
-   against the tree printer's), the daemon's verdict byte-identity
-   against a from-scratch analyzer run, request-id dedup, a cold replay
-   of a 10^4-record journal, six fixed-seed chaos runs (two of them in
-   batches), random and byte-mutated lines, none of which may raise,
+   against the tree printer's), the snapshot decoder's memory, the
+   dedup window's counts, the daemon's verdict byte-identity
+   against a from-scratch analyzer run, request-id dedup inside and
+   past the dedup window, a v1 snapshot kept from before the window, a
+   cold replay of a 10^4-record journal, seven fixed-seed chaos runs
+   (three of them in batches, one past a window of 8), random and
+   byte-mutated lines, none of which may raise,
    answer other than one line, journal a rejection, or answer other
    bytes than test/admit_reference.ml, a seeded stream of well-formed
    ops at admit-churn's scale held to that reference byte for byte,
@@ -315,10 +318,10 @@ let store_refuses_unusable_dir () =
 
 (* --- snapshot: streamed out, checked in place --- *)
 
-let snapshot_magic = "REDFSNP\x01"
+let snapshot_magic = "REDFSNP\x02"
 
-let open_store ?snapshot_every dir =
-  match Admit.Store.open_dir ?snapshot_every ~dir () with
+let open_store ?snapshot_every ?dedup_window dir =
+  match Admit.Store.open_dir ?snapshot_every ?dedup_window ~dir () with
   | Ok (st, recovery) -> (st, recovery)
   | Error msg -> Alcotest.failf "open_dir: %s" msg
 
@@ -351,7 +354,7 @@ let flip_records n reply =
    the mark only rises. *)
 let snapshot_memory () =
   with_temp_dir "snapmem" @@ fun dir ->
-  let st, _ = open_store ~snapshot_every:max_int dir in
+  let st, _ = open_store ~snapshot_every:max_int ~dedup_window:1400 dir in
   Fun.protect ~finally:(fun () -> Admit.Store.close st) @@ fun () ->
   let reply seq =
     Printf.sprintf {|{"accepted":true,"checks":"%s","id":"m%d"}|}
@@ -381,6 +384,260 @@ let snapshot_memory () =
     Alcotest.failf "writing a %d-byte snapshot raised the heap's high-water mark by %d bytes"
       payload raised
 
+(* Opening a snapshot decodes it in one scan, in place in the file's
+   bytes and building no tree: a v1 snapshot of over 4 MB of escaped
+   replies allocates less than 2.7 times its payload and raises the
+   heap's high-water mark by less than 1.65 times it (2.28–2.34 and
+   1.39–1.49 here; a tree decoder over a copy of the payload allocates
+   3.08 and raises 1.80, with the same string decoding).  The file is
+   written a piece at a time, so the test holds no copy of it, and the
+   case runs before the snapshot write's, whose state raises the mark
+   further. *)
+let snapshot_decode_memory () =
+  with_temp_dir "snapdecode" @@ fun dir ->
+  let n = 1400 in
+  let reply i =
+    Printf.sprintf {|{"accepted":true,"checks":"%s","id":"m%d"}|}
+      (String.concat "" (List.init 140 (fun k -> Printf.sprintf "task \"%d\" at %d, " k i)))
+      i
+  in
+  (* the v1 printer's bytes, one element at a time *)
+  let piece i =
+    if i = 0 then {|{"replies":[|}
+    else if i > n then Printf.sprintf {|],"seq":%d,"tasks":[]}|} n
+    else begin
+      let buf = Buffer.create 4096 in
+      if i > 1 then Buffer.add_char buf ',';
+      Buffer.add_char buf '[';
+      Wire.Json.add_string buf (Printf.sprintf "\"m%d\"" i);
+      Buffer.add_char buf ',';
+      Wire.Json.add_string buf (reply i);
+      Buffer.add_char buf ']';
+      Buffer.contents buf
+    end
+  in
+  let len = ref 0 and crc = ref 0 in
+  for i = 0 to n + 1 do
+    let p = piece i in
+    len := !len + String.length p;
+    crc := Admit.Crc32.update !crc p 0 (String.length p)
+  done;
+  Out_channel.with_open_bin (dir // "snapshot.bin") (fun oc ->
+      output_string oc "REDFSNP\x01";
+      output_string oc (Admit.Journal.frame_header ~len:!len ~crc:!crc);
+      for i = 0 to n + 1 do
+        output_string oc (piece i)
+      done);
+  let payload = !len in
+  check_bool (Printf.sprintf "a payload over 4 MB (%d bytes)" payload) true (payload > 4_000_000);
+  Gc.compact ();
+  let top_bytes () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)
+  in
+  let before = top_bytes () and allocated = Gc.allocated_bytes () in
+  let st, recovery = open_store dir in
+  let allocated = Gc.allocated_bytes () -. allocated and raised = top_bytes () - before in
+  Admit.Store.close st;
+  check_int "the snapshot's seq" n recovery.Admit.Store.snapshot_seq;
+  check_int "every v1 reply kept" n (Admit.State.stored_replies (Admit.Store.state st));
+  if allocated >= 2.7 *. float payload then
+    Alcotest.failf "opening a %d-byte snapshot allocated %.0f bytes" payload allocated;
+  if float raised >= 1.65 *. float payload then
+    Alcotest.failf "opening a %d-byte snapshot raised the heap's high-water mark by %d bytes"
+      payload raised
+
+(* The tree decoder the cursor scan replaced, kept as its reference:
+   [Json.of_string], then [Json.member] per field (the first occurrence
+   of a key counting), the fields judged in turn.  A state it accepts
+   is given as the v2 text the state prints. *)
+let reference_snapshot ~version payload =
+  let module J = Wire.Json in
+  let module M = Map.Make (String) in
+  let ( let* ) = Result.bind in
+  let int_field json key =
+    match J.member key json with
+    | Some (J.Int n) -> Ok n
+    | _ -> Error (Printf.sprintf "task: %S: expected an integer" key)
+  in
+  let task json =
+    let* name =
+      match J.member "name" json with
+      | Some (J.String s) -> Ok s
+      | _ -> Error "task: \"name\": expected a string"
+    in
+    let* c = int_field json "C" in
+    let* d = int_field json "D" in
+    let* t = int_field json "T" in
+    let* a = int_field json "A" in
+    let tick = Model.Time.of_ticks in
+    match Model.Task.make ~name ~exec:(tick c) ~deadline:(tick d) ~period:(tick t) ~area:a () with
+    | _ ->
+      Ok
+        (J.Obj
+           [ ("name", J.String name); ("C", J.Int c); ("D", J.Int d); ("T", J.Int t); ("A", J.Int a) ])
+    | exception Invalid_argument msg -> Error (Printf.sprintf "task %S: %s" name msg)
+  in
+  let entries json key ~bad entry =
+    match J.member key json with
+    | Some (J.List l) ->
+      List.fold_left
+        (fun acc e ->
+          let* m = acc in
+          match entry e with Some (rid, v) -> Ok (M.add rid v m) | None -> Error bad)
+        (Ok M.empty) l
+    | _ -> Error (Printf.sprintf "snapshot: %S: expected an array" key)
+  in
+  let listed f m = J.List (List.rev (M.fold (fun rid v acc -> f rid v :: acc) m [])) in
+  match J.of_string payload with
+  | Error msg -> Error ("snapshot: malformed JSON: " ^ msg)
+  | Ok json ->
+    let* seq =
+      match J.member "seq" json with
+      | Some (J.Int n) when n >= 0 -> Ok n
+      | _ -> Error "snapshot: \"seq\": expected a non-negative integer"
+    in
+    let* tasks =
+      match J.member "tasks" json with
+      | Some (J.List l) ->
+        List.fold_left
+          (fun acc tj ->
+            let* acc = acc in
+            let* t = task tj in
+            Ok (t :: acc))
+          (Ok []) l
+        |> Result.map List.rev
+      | _ -> Error "snapshot: \"tasks\": expected an array"
+    in
+    let* replies =
+      if version = 1 then
+        entries json "replies" ~bad:"snapshot: \"replies\": expected [rid, reply] string pairs"
+          (function J.List [ J.String rid; J.String r ] -> Some (rid, (seq, r)) | _ -> None)
+      else
+        entries json "replies" ~bad:"snapshot: \"replies\": expected [rid, seq, reply] entries"
+          (function J.List [ J.String rid; J.Int s; J.String r ] -> Some (rid, (s, r)) | _ -> None)
+    in
+    let* expired =
+      if version = 1 then Ok M.empty
+      else
+        entries json "expired" ~bad:"snapshot: \"expired\": expected [rid, seq] entries"
+          (function J.List [ J.String rid; J.Int s ] -> Some (rid, s) | _ -> None)
+    in
+    Ok
+      (J.to_string
+         (J.Obj
+            [
+              ("expired", listed (fun rid s -> J.List [ J.String rid; J.Int s ]) expired);
+              ( "replies",
+                listed (fun rid (s, r) -> J.List [ J.String rid; J.Int s; J.String r ]) replies );
+              ("seq", J.Int seq);
+              ("tasks", J.List tasks);
+            ]))
+
+(* snapshot payloads of either version, well-formed or not: members
+   dropped, repeated, reordered or of the wrong kind, entries of the
+   wrong shape, tasks missing a field or breaking a rule, any JSON
+   spelling, then in a quarter of them a byte mutated *)
+let snapshot_payloads =
+  let open QCheck2.Gen in
+  let module J = Wire.Json in
+  let junk = oneofl [ J.Null; J.Int 5; J.String "x"; J.List []; J.Obj []; J.Bool true ] in
+  let rid = map (fun s -> J.String s) (oneofl [ {|"a"|}; "7"; {|"q\"x"|}; "" ]) in
+  let reply = map (fun s -> J.String s) (oneofl [ ""; {|{"k":1}|}; "r\n" ]) in
+  let seq = map (fun n -> J.Int n) (frequency [ (8, oneofl [ 0; 3; 9 ]); (1, return (-1)) ]) in
+  let pair = map2 (fun r x -> J.List [ r; x ]) rid reply in
+  let triple = map3 (fun r s x -> J.List [ r; s; x ]) rid seq reply in
+  let entry ~shape =
+    frequency
+      [
+        (12, shape);
+        (1, map2 (fun r s -> J.List [ r; s ]) rid seq);
+        (1, oneof [ pair; triple ]);
+        (1, junk);
+        (1, map (fun l -> J.List l) (list_size (int_range 0 4) (oneof [ junk; rid; seq ])));
+      ]
+  in
+  let task =
+    let field = oneof [ map (fun n -> J.Int n) (oneofl [ 1000; 5000; 0; -2 ]); junk ] in
+    frequency
+      [
+        ( 8,
+          map2
+            (fun (c, d, t) a ->
+              J.Obj
+                [
+                  ("name", J.String "t"); ("C", J.Int c); ("D", J.Int d); ("T", J.Int t); ("A", J.Int a);
+                ])
+            (QCheck2.Gen.triple
+               (oneofl [ 1000; 2500 ])
+               (oneofl [ 5000; 2000 ])
+               (oneofl [ 5000; 7000 ]))
+            (frequency [ (6, oneofl [ 1; 3 ]); (1, return 0) ]) );
+        ( 1,
+          map2
+            (fun name fields -> J.Obj (("name", name) :: List.combine [ "C"; "D"; "T"; "A" ] fields))
+            (oneof [ map (fun s -> J.String s) (oneofl [ "u"; "" ]); junk ])
+            (list_repeat 4 field) );
+        (1, junk);
+      ]
+  in
+  let array g = map (fun l -> J.List l) (list_size (int_range 0 3) g) in
+  let member ~version key =
+    let good =
+      match key with
+      | "seq" -> seq
+      | "tasks" -> array task
+      | "expired" -> array (entry ~shape:(map2 (fun r s -> J.List [ r; s ]) rid seq))
+      | _ -> array (entry ~shape:(if version = 1 then pair else triple))
+    in
+    map (fun v -> (key, v)) (frequency [ (12, good); (1, junk) ])
+  in
+  let members ~version =
+    let* present =
+      flatten_l
+        (List.map
+           (fun k ->
+             map
+               (fun keep -> if keep then Some k else None)
+               (frequency [ (12, return true); (1, return false) ]))
+           [ "expired"; "replies"; "seq"; "tasks" ])
+    in
+    let* fields = flatten_l (List.map (member ~version) (List.filter_map Fun.id present)) in
+    let* extra =
+      list_size
+        (frequency [ (3, return 0); (1, int_range 1 2) ])
+        (oneofl [ "seq"; "tasks"; "replies"; "expired"; "other" ] >>= member ~version)
+    in
+    shuffle_l (fields @ extra)
+  in
+  let* version = oneofl [ 1; 2 ] in
+  let* text =
+    frequency
+      [
+        (12, members ~version >>= fun m -> Wire_gen.json_text (J.Obj m));
+        (1, junk >>= Wire_gen.json_text);
+      ]
+  in
+  let* text = frequency [ (3, return text); (1, Wire_gen.mutate text) ] in
+  let* prefix = oneofl [ ""; "REDFSNP\x02\000\001\002\003\004\005\006\007" ] in
+  return (version, prefix, text)
+
+(* the cursor decoder, in place after any prefix, gives the tree
+   decoder's state or its diagnostic, offsets counted from the payload *)
+let snapshot_decode_diagnostics =
+  qtest ~count:1000 "snapshot decode == tree decode, diagnostics included" snapshot_payloads
+    (fun (version, prefix, text) ->
+      let got =
+        Admit.State.of_snapshot_string ~version ~pos:(String.length prefix) (prefix ^ text)
+        |> Result.map Admit.State.to_snapshot_string
+      in
+      let want = reference_snapshot ~version text in
+      if got <> want then
+        QCheck2.Test.fail_reportf "v%d %S:\n  got  %s\n  want %s" version text
+          (match got with Ok s | Error s -> s)
+          (match want with Ok s | Error s -> s);
+      true)
+
 (* each way the snapshot's frame can be wrong keeps its diagnostic *)
 let snapshot_frame_errors () =
   with_temp_dir "snapframe" @@ fun dir ->
@@ -396,7 +653,7 @@ let snapshot_frame_errors () =
     | Error msg -> check_str what want msg
   in
   let len = String.length payload in
-  refused "bad magic" ("REDFSNP\x02" ^ framed) (path ^ ": not a redf snapshot (bad magic)");
+  refused "bad magic" ("REDFSNP\x03" ^ framed) (path ^ ": not a redf snapshot (bad magic)");
   refused "short frame"
     (snapshot_magic ^ String.sub framed 0 (Admit.Journal.frame_overhead - 1))
     (path ^ ": not a redf snapshot (bad magic)");
@@ -472,11 +729,14 @@ let records_of_history steps =
     steps
 
 (* The file the store writes is the magic and the frame of the tree
-   printer's bytes, and reopening the directory reads it back *)
+   printer's bytes, and reopening the directory reads it back, under a
+   dedup window from one mutation to more than any history here *)
 let snapshot_streamed =
-  qtest ~count:40 "streamed snapshot = framed tree bytes, and reads back" history (fun steps ->
+  qtest ~count:40 "streamed snapshot = framed tree bytes, and reads back"
+    QCheck2.Gen.(pair history (oneofl [ 1; 2; 7; 64; 1024; 4096 ]))
+    (fun (steps, dedup_window) ->
       with_temp_dir "snapstream" @@ fun dir ->
-      let st, _ = open_store ~snapshot_every:max_int dir in
+      let st, _ = open_store ~snapshot_every:max_int ~dedup_window dir in
       let state =
         Fun.protect ~finally:(fun () -> Admit.Store.close st) @@ fun () ->
         commit_all st (records_of_history steps);
@@ -488,9 +748,45 @@ let snapshot_streamed =
       if not (String.equal file want) then
         QCheck2.Test.fail_reportf "snapshot file differs: %d bytes, want %d" (String.length file)
           (String.length want);
-      let st, recovery = open_store dir in
+      let st, recovery = open_store ~dedup_window dir in
       Admit.Store.close st;
       recovery.Admit.Store.replayed = 0 && Admit.State.equal state (Admit.Store.state st))
+
+(* After K mutations, far more than the window W, the state holds the
+   replies of the last W and only id -> seq for the K - W before them,
+   and the snapshot carries exactly those entries *)
+let window_counts () =
+  List.iter
+    (fun w ->
+      with_temp_dir "window" @@ fun dir ->
+      let k = (4 * w) + 3 in
+      let st, _ = open_store ~snapshot_every:max_int ~dedup_window:w dir in
+      Fun.protect ~finally:(fun () -> Admit.Store.close st) @@ fun () ->
+      commit_all st (flip_records k (Printf.sprintf "ok-%d"));
+      let state = Admit.Store.state st in
+      let what = Printf.sprintf "W = %d: %s" w in
+      check_int (what "replies held") w (Admit.State.stored_replies state);
+      check_int (what "expired ids") (k - w) (Admit.State.expired_ids state);
+      let lookup seq = Admit.State.lookup state (Printf.sprintf "\"m%d\"" seq) in
+      check_bool (what "the oldest reply kept") true
+        (lookup (k - w + 1) = Admit.State.Stored (Printf.sprintf "ok-%d" (k - w + 1)));
+      check_bool (what "the newest expired id") true (lookup (k - w) = Admit.State.Expired (k - w));
+      check_bool (what "the first id") true (lookup 1 = Admit.State.Expired 1);
+      Admit.Store.snapshot st;
+      let file = In_channel.with_open_bin (dir // "snapshot.bin") In_channel.input_all in
+      let header = String.length snapshot_magic + Admit.Journal.frame_overhead in
+      let payload = String.sub file header (String.length file - header) in
+      let entries key =
+        match Wire.Json.of_string payload with
+        | Ok json -> (
+          match Wire.Json.member key json with
+          | Some (Wire.Json.List l) -> List.length l
+          | _ -> Alcotest.failf "no %S array" key)
+        | Error msg -> Alcotest.fail msg
+      in
+      check_int (what "reply entries in the snapshot") w (entries "replies");
+      check_int (what "expired entries in the snapshot") (k - w) (entries "expired"))
+    [ 1; 64; 1024 ]
 
 (* --- daemon: verdicts, dedup, recovery --- *)
 
@@ -584,6 +880,132 @@ let daemon_dedup_and_recovery () =
   check_int "one record replayed" 1 recovery.Admit.Store.replayed;
   check_str "dedup across restart" first (Admit.Daemon.handle_line d req);
   check_int "still one task" 1 (Admit.State.size (Admit.Daemon.state d));
+  Admit.Daemon.close d
+
+(* Past the dedup window a retried id gets [reply expired (seq S)],
+   echoing its id, and is applied no more than inside it: in the batch
+   that applies it, after a restart, after a snapshot carries the
+   window, and when a smaller window is chosen at the next start *)
+let daemon_dedup_window () =
+  with_temp_dir "window" @@ fun dir ->
+  let open_daemon dedup_window =
+    match Admit.Daemon.create ~dedup_window ~analyzer ~fpga_area:100 ~dir () with
+    | Error msg -> Alcotest.failf "daemon create: %s" msg
+    | Ok (d, _) -> d
+  in
+  let add i =
+    let name = Printf.sprintf "w%d" i in
+    add_line ~id:(Wire.Json.String name) name "1" "10" "10" 1
+  in
+  let expired i seq =
+    Printf.sprintf {|{"error":"reply expired (seq %d)","id":"w%d","kind":"error","schema_version":1}|}
+      seq i
+  in
+  let d = open_daemon 2 in
+  let first = Admit.Daemon.handle_lines d [| add 1; add 2; add 3; add 1; add 3 |] in
+  check_str "w1 past the window" (expired 1 1) first.(3);
+  check_str "w3 inside it" first.(2) first.(4);
+  let journal = Admit.Store.journal_bytes (Admit.Daemon.store d) in
+  let unchanged what =
+    check_int (what ^ ": seq") 3 (Admit.State.seq (Admit.Daemon.state d));
+    check_int (what ^ ": tasks") 3 (Admit.State.size (Admit.Daemon.state d))
+  in
+  let retries what d =
+    check_str (what ^ ": w1") (expired 1 1) (Admit.Daemon.handle_line d (add 1));
+    check_str (what ^ ": w2") first.(1) (Admit.Daemon.handle_line d (add 2));
+    check_str (what ^ ": w3") first.(2) (Admit.Daemon.handle_line d (add 3));
+    unchanged what
+  in
+  retries "retried" d;
+  check_int "nothing journaled" journal (Admit.Store.journal_bytes (Admit.Daemon.store d));
+  Admit.Daemon.close d;
+  let d = open_daemon 2 in
+  retries "after a restart" d;
+  Admit.Store.snapshot (Admit.Daemon.store d);
+  Admit.Daemon.close d;
+  let d = open_daemon 2 in
+  retries "from the snapshot" d;
+  Admit.Daemon.close d;
+  let d = open_daemon 1 in
+  check_str "window 1: w2" (expired 2 2) (Admit.Daemon.handle_line d (add 2));
+  check_str "window 1: w3" first.(2) (Admit.Daemon.handle_line d (add 3));
+  unchanged "window 1";
+  Admit.Daemon.close d
+
+(* A v1 snapshot (test/snapshot_v1.bin, written by the v1 printer after
+   eight mutations: six adds and two removes, seven of them with ids)
+   opens to its tasks and seq; its replies, which carry no seq, count
+   as the snapshot's seq 8: stored bytes while inside the window, then
+   [reply expired (seq 8)], and never applied again, through a restart
+   and the v2 snapshot that replaces it *)
+let v1_snapshot_opens () =
+  with_temp_dir "v1" @@ fun dir ->
+  let fixture = In_channel.with_open_bin "snapshot_v1.bin" In_channel.input_all in
+  write_file (dir // "snapshot.bin") fixture;
+  let v1_replies =
+    let header = String.length "REDFSNP\x01" + Admit.Journal.frame_overhead in
+    match Wire.Json.of_string (String.sub fixture header (String.length fixture - header)) with
+    | Ok json -> (
+      match Wire.Json.member "replies" json with
+      | Some (Wire.Json.List l) ->
+        List.map
+          (function
+            | Wire.Json.List [ Wire.Json.String rid; Wire.Json.String reply ] -> (rid, reply)
+            | _ -> Alcotest.fail "a v1 reply pair")
+          l
+      | _ -> Alcotest.fail "no v1 replies")
+    | Error msg -> Alcotest.fail msg
+  in
+  check_int "seven v1 replies" 7 (List.length v1_replies);
+  let open_daemon () =
+    match Admit.Daemon.create ~dedup_window:2 ~analyzer ~fpga_area:100 ~dir () with
+    | Error msg -> Alcotest.failf "daemon create: %s" msg
+    | Ok (d, recovery) -> (d, recovery)
+  in
+  (* a retry names no task it could add: only its id is looked up *)
+  let retry d rid =
+    Admit.Daemon.handle_line d (Printf.sprintf {|{"op":"remove-task","id":%s,"name":"a"}|} rid)
+  in
+  (* the v1 snapshot's four tasks, then the adds made here *)
+  let state what d ~seq =
+    check_int (what ^ ": seq") seq (Admit.State.seq (Admit.Daemon.state d));
+    Alcotest.(check (list string)) (what ^ ": tasks")
+      ([ "c"; "d"; "e"; "f" ] @ if seq > 8 then [ "g1"; "g2" ] else [])
+      (Admit.State.names (Admit.Daemon.state d))
+  in
+  let d, recovery = open_daemon () in
+  check_int "the v1 snapshot's seq" 8 recovery.Admit.Store.snapshot_seq;
+  state "opened" d ~seq:8;
+  List.iter (fun (rid, reply) -> check_str ("stored " ^ rid) reply (retry d rid)) v1_replies;
+  state "retried inside the window" d ~seq:8;
+  List.iter
+    (fun name ->
+      let reply =
+        Admit.Daemon.handle_line d (add_line ~id:(Wire.Json.String name) name "1" "10" "10" 1)
+      in
+      check_bool ("admitted " ^ name) true (field reply "admitted" = Some (Wire.Json.Bool true)))
+    [ "g1"; "g2" ];
+  let expired what d =
+    List.iter
+      (fun (rid, _) ->
+        let reply = retry d rid in
+        check_bool (what ^ ": expired " ^ rid) true
+          (field reply "error" = Some (Wire.Json.String "reply expired (seq 8)")
+          && Option.map Wire.Json.to_string (field reply "id") = Some rid))
+      v1_replies;
+    state what d ~seq:10
+  in
+  expired "past the window" d;
+  Admit.Daemon.close d;
+  let d, _ = open_daemon () in
+  expired "after a restart" d;
+  Admit.Store.snapshot (Admit.Daemon.store d);
+  Admit.Daemon.close d;
+  check_bool "rewritten as v2" true
+    (String.starts_with ~prefix:snapshot_magic
+       (In_channel.with_open_bin (dir // "snapshot.bin") In_channel.input_all));
+  let d, _ = open_daemon () in
+  expired "from the v2 snapshot" d;
   Admit.Daemon.close d
 
 let daemon_replays_long_journal () =
@@ -992,14 +1414,17 @@ let group_commit_fsyncs () =
         (one (add_line ~id:(Json.Int 6) "wide" "1" "4" "4" 101));
       check_int "seq" 5 (Admit.State.seq (Admit.Daemon.state d)))
 
-(* The chaos harness (test/chaos.ml) on six fixed runs: a short one
+(* The chaos harness (test/chaos.ml) on seven fixed runs: a short one
    at A(H) = 10, two 50-lifetime runs at A(H) = 100 (the default fault
-   mix, and a heavier one), a 12-lifetime run, and two 50-lifetime runs
-   in batches through [handle_lines] (the default mix plus torn batch
-   fsyncs, and torn batch fsyncs alone with a rotation every 4 records,
-   so rotations fall inside batches).  Each row pins the run's stats,
-   so a change in the traffic the harness drives, or in what recovery
-   replays, fails the row even when no invariant breaks. *)
+   mix, and a heavier one), a 12-lifetime run, and three 50-lifetime
+   runs in batches through [handle_lines] (the default mix plus torn
+   batch fsyncs; torn batch fsyncs alone with a rotation every 4
+   records, so rotations fall inside batches; and the default mix plus
+   torn batch fsyncs under a dedup window of 8 mutations with a
+   rotation every 5, so most retries reach ids past the window, from
+   earlier lifetimes too).  Each row pins the run's stats, so a change
+   in the traffic the harness drives, or in what recovery replays,
+   fails the row even when no invariant breaks. *)
 let chaos_rows =
   let at_100 = { (Chaos.default ~analyzer ~fpga_area:100) with Chaos.snapshot_every = 1024 } in
   let heavy =
@@ -1011,8 +1436,8 @@ let chaos_rows =
   let torn_syncs =
     { Admit.Faults.torn_append = 0; fsync_fail = 0; crash_after_append = 0; torn_sync = 150 }
   in
-  let stats cycles crashes torn_recoveries replayed ops admitted rejected dedup_hits
-      verdicts_checked =
+  let stats ?(expired_hits = 0) cycles crashes torn_recoveries replayed ops admitted rejected
+      dedup_hits verdicts_checked =
     {
       Chaos.cycles;
       crashes;
@@ -1022,6 +1447,7 @@ let chaos_rows =
       admitted;
       rejected;
       dedup_hits;
+      expired_hits;
       verdicts_checked;
     }
   in
@@ -1040,6 +1466,16 @@ let chaos_rows =
     ( "batches rotating every 4, torn syncs only, seed 5",
       { at_100 with Chaos.seed = 5; batches = true; spec = torn_syncs; snapshot_every = 4 },
       stats 50 35 35 55 1305 308 330 194 1004 );
+    ( "batches past a dedup window of 8, rotating every 5, seed 3",
+      {
+        at_100 with
+        Chaos.seed = 3;
+        batches = true;
+        spec = batch_spec;
+        snapshot_every = 5;
+        dedup_window = 8;
+      },
+      stats ~expired_hits:118 50 42 15 119 1059 172 267 80 742 );
   ]
 
 let chaos_smoke () =
@@ -1085,15 +1521,20 @@ let () =
         [
           Alcotest.test_case "recovers after rotation" `Quick store_recovers_after_rotation;
           Alcotest.test_case "refuses an unusable dir" `Quick store_refuses_unusable_dir;
+          Alcotest.test_case "snapshot read without a tree" `Quick snapshot_decode_memory;
           Alcotest.test_case "snapshot written a piece at a time" `Quick snapshot_memory;
           Alcotest.test_case "snapshot frame errors keep their messages" `Quick
             snapshot_frame_errors;
           snapshot_streamed;
+          snapshot_decode_diagnostics;
+          Alcotest.test_case "the window holds the last W replies" `Quick window_counts;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "verdict byte-identity" `Quick daemon_verdict_byte_identity;
           Alcotest.test_case "dedup and recovery" `Quick daemon_dedup_and_recovery;
+          Alcotest.test_case "retries past the dedup window" `Quick daemon_dedup_window;
+          Alcotest.test_case "a v1 snapshot opens" `Quick v1_snapshot_opens;
           Alcotest.test_case "replays a 10^4-record journal" `Quick daemon_replays_long_journal;
           Alcotest.test_case "chaos smoke" `Quick chaos_smoke;
           Alcotest.test_case "hostile lines" `Quick admit_fuzz;
