@@ -259,8 +259,8 @@ let oracle_check config analyzers ts =
         let what =
           match refutation with
           | Exact.Approx.Refuted_at { at; demand; supply } ->
-            Format.asprintf "approx refutes feasibility (h(%a) = %d > %d column-ticks)" Time.pp at
-              demand supply
+            Format.asprintf "approx refutes feasibility (h(%a) = %a > %a column-ticks)" Time.pp at
+              Bignum.pp demand Bignum.pp supply
           | Exact.Approx.Refuted_overload { us } ->
             Format.asprintf "approx refutes feasibility (US = %s exceeds the device area)"
               (Rat.to_string us)

@@ -7,21 +7,25 @@ let implicit_note = "DP assumes implicit deadlines (D = T)"
 let plus_one_note = "US(Gamma) vs (A(H)-Amax+1)(1-UT_k)+US_k"
 let original_note = "US(Gamma) vs (A(H)-Amax)(1-UT_k)+US_k"
 
-module Fast = Dp_ranged.Make (Ticks.Checked)
-module Wide = Dp_ranged.Make (Ticks.Wide)
-
-(* The range check of dp_checks.ml.  With M the largest tick, A the
-   larger of A(H) and Amax, and L = lcm(T_i):
+(* The range check of dp_checks.ml.  With A the larger of A(H) and
+   Amax, L = lcm(T_i) and c = max(1, max_i ceil(C_i / T_i)), so that
+   C_i <= c T_i and |T_i - C_i| <= c T_i:
    - the partial lcms and the cofactors L / T_i are at most L;
-   - each A_i C_i (L / T_i) is at most A M L, so U <= N A M L;
+   - A_i C_i <= A c T_i, and A_i C_i (L / T_i) <= A c L, so
+     U <= N A c L;
    - a <= A(H) - Amax + 1 <= A, so |r_k| <= a |T_k - C_k| + A_k C_k
-     <= 2 A M, and |r_k (L / T_k)| <= 2 A M L;
+     <= 2 A c T_k, and |r_k (L / T_k)| <= 2 A c L;
    - [ratio] divides these by their gcd.
-   So every intermediate is at most (N + 2) A M L. *)
+   So every intermediate is at most (N + 2) A c L.  Each ceiling is
+   C / T, plus one where C mod T > 0: C + T - 1 could wrap. *)
 let bound ~fpga_area (cols : Columns.t) =
-  let open Ticks.Checked in
   let a = max fpga_area (Array.fold_left max 0 cols.area) in
-  mul (mul (of_int (cols.n + 2)) a) (mul (Ticks.max_tick cols) (Ticks.lcm cols.period))
+  let c = ref 1 in
+  for i = 0 to cols.n - 1 do
+    let ci = cols.exec.(i) and ti = cols.period.(i) in
+    c := max !c ((ci / ti) + if ci mod ti > 0 then 1 else 0)
+  done;
+  Ticks.Checked.(mul (mul (cols.n + 2) a) (mul !c (Ticks.lcm cols.period)))
 
 let decide_one ~test_name ~plus_one ~fpga_area ts =
   let cols = Columns.of_taskset ts in
@@ -35,7 +39,7 @@ let decide_one ~test_name ~plus_one ~fpga_area ts =
     Verdict.make ~test_name
       ~checks:
         (Ticks.run ~bound:(bound ~fpga_area) ~native:(Dp_ranged.Native.checks ~a ~note)
-           ~fast:(Fast.checks ~a ~note) ~wide:(Wide.checks ~a ~note) cols)
+           ~wide:(Dp_ranged.Wide.checks ~a ~note) cols)
   end
 
 let decide ~fpga_area ts =

@@ -17,8 +17,9 @@
     Both sides are ratios of int ticks: [US(Gamma)] is one numerator
     over [lcm(T_i)], computed once per taskset, and each check
     compares it with the bound's numerator by cross-multiplying, over
-    plain ints where the range check [(N + 2) A M L] fits, else over
-    checked ints or, where one would overflow, {!Bignum} ({!Ticks}). *)
+    plain ints where the range check [(N + 2) A c L] fits
+    ([c = max(1, max_i ceil(C_i / T_i))]), else over {!Bignum}
+    ({!Ticks}). *)
 
 val applicable : Model.Taskset.t -> bool
 (** All deadlines implicit. *)

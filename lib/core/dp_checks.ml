@@ -1,5 +1,5 @@
-(* DP's checks over I : Ticks.INT, compiled as Dp_ranged.Make and
-   Dp_ranged.Native (lib/core/dune); dp.ml bounds their intermediates.
+(* DP's checks over I : Ticks.INT, compiled as Dp_ranged.Native and
+   Dp_ranged.Wide (lib/core/dune); dp.ml bounds their intermediates.
 
    US(Gamma) = U / L with L = lcm(T_i) and U = sum A_i C_i (L / T_i),
    once per taskset.  Check k's bound is r_k / T_k with

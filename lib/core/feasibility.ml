@@ -1,4 +1,5 @@
-let exclusive ~fpga_area (a : Model.Task.t) (b : Model.Task.t) = a.area + b.area > fpga_area
+(* a.area + b.area > A(H), without the sum, which can wrap *)
+let exclusive ~fpga_area (a : Model.Task.t) (b : Model.Task.t) = a.area > fpga_area - b.area
 
 (* utilization C/T: the long-run fraction of time the task must hold the
    device under any schedule.  Density C/min(D,T) would be wrong here —

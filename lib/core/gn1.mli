@@ -30,8 +30,8 @@
     [k] accumulates its lhs as one numerator over [lcm(D_1..D_N)]
     (computed once per taskset), compares numerators, and normalizes
     the printed lhs once.  The arithmetic runs over plain ints where
-    the range check [M (M + A + 1) + N A L] fits, else over checked
-    ints or, where one would overflow, {!Bignum} ({!Ticks}). *)
+    the range check [M (M + A + 1) + max(A, sum_i A_i) L] fits, else
+    over {!Bignum} ({!Ticks}). *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
 

@@ -1,5 +1,5 @@
-(* GN1's checks over I : Ticks.INT, compiled as Gn1_ranged.Make and
-   Gn1_ranged.Native (lib/core/dune); gn1.ml bounds their
+(* GN1's checks over I : Ticks.INT, compiled as Gn1_ranged.Native and
+   Gn1_ranged.Wide (lib/core/dune); gn1.ml bounds their
    intermediates.
 
    Every term of check k is a ratio of ticks over D_i or D_k, so the

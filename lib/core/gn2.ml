@@ -6,9 +6,6 @@ let wider_note = "a task is wider than the FPGA"
    test (each evaluation is an O(N) beta sweep) *)
 let m_lambda_evals = Obs.Counter.make "core.gn2.lambda_evals"
 
-module Fast = Gn2_ranged.Make (Ticks.Checked)
-module Wide = Gn2_ranged.Make (Ticks.Wide)
-
 (* The range check of gn2_checks.ml.  With M the largest tick and A
    the larger of A(H) and Amax:
    - a candidate p/q has p, q <= M; the products that order candidates
@@ -27,7 +24,7 @@ module Wide = Gn2_ranged.Make (Ticks.Wide)
 let bound ~fpga_area (cols : Columns.t) =
   let open Ticks.Checked in
   let a = max fpga_area (Array.fold_left max 0 cols.area) and m = Ticks.max_tick cols in
-  add (mul (mul (of_int (cols.n + 2)) a) (mul m (mul m m))) (mul cols.n m)
+  add (mul (mul (cols.n + 2) a) (mul m (mul m m))) (mul cols.n m)
 
 let decide_one ~fpga_area ts =
   let test_name = "GN2" in
@@ -35,11 +32,10 @@ let decide_one ~fpga_area ts =
   if Array.fold_left max 0 cols.Columns.area > fpga_area then
     Verdict.reject_all_n ~test_name ~note:wider_note cols.Columns.n
   else begin
-    (* counted once the decide has succeeded, so an overflowing
-       checked run adds nothing *)
+    (* both paths evaluate the same candidates *)
     let checks, evals =
       Ticks.run ~bound:(bound ~fpga_area) ~native:(Gn2_ranged.Native.checks ~fpga_area)
-        ~fast:(Fast.checks ~fpga_area) ~wide:(Wide.checks ~fpga_area) cols
+        ~wide:(Gn2_ranged.Wide.checks ~fpga_area) cols
     in
     Obs.Counter.add m_lambda_evals evals;
     Verdict.make ~test_name ~checks

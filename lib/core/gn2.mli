@@ -36,8 +36,7 @@
     the tie-break, and for the lhs a check prints (in checked ints
     where [lcm(T_i)] and the numerator fit).  The arithmetic runs over
     plain ints where the range check [(N + 2) A M^3 + N M] fits, else
-    over checked ints or, where one would overflow, {!Bignum}
-    ({!Ticks}).
+    over {!Bignum} ({!Ticks}).
     The [core.gn2.lambda_evals] counter counts the candidates
     evaluated. *)
 

@@ -1,5 +1,5 @@
-(* GN2's checks over I : Ticks.INT, compiled as Gn2_ranged.Make and
-   Gn2_ranged.Native (lib/core/dune); gn2.ml bounds their
+(* GN2's checks over I : Ticks.INT, compiled as Gn2_ranged.Native and
+   Gn2_ranged.Wide (lib/core/dune); gn2.ml bounds their
    intermediates.
 
    Check k at a candidate lambda = p/q, a reduced ratio of ticks.  With

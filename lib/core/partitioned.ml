@@ -35,7 +35,8 @@ let first_fit_decreasing ?(test = Density) ~fpga_area ts =
     match into plan.partitions with
     | Some partitions -> { plan with partitions }
     | None ->
-      if used_width plan + task.area <= fpga_area && tasks_feasible test [ task ] then
+      (* the free width, which cannot wrap where a sum of widths could *)
+      if task.area <= fpga_area - used_width plan && tasks_feasible test [ task ] then
         {
           plan with
           partitions =

@@ -18,18 +18,10 @@ end
 let rec euclid a b = if b = 0 then a else euclid b (a mod b)
 
 module Checked = struct
-  type t = int
-
-  let of_int x = x
-
   (* the sum overflowed iff it has neither operand's sign *)
   let add a b =
     let s = a + b in
     if (a lxor s) land (b lxor s) < 0 then raise Overflow else s
-
-  let sub a b =
-    let s = a - b in
-    if (a lxor b) land (a lxor s) < 0 then raise Overflow else s
 
   (* |a| < 2^31 and |b| < 2^31, or one below 2^16 and the other below
      2^46, keep |a b| below 2^62 without a division; [abs min_int] is
@@ -46,14 +38,11 @@ module Checked = struct
 
   (* a non-negative dividend over a positive divisor cannot overflow *)
   let div a b = a / b
-  let compare = Int.compare
 
   let gcd a b =
     if a = min_int || b = min_int then raise Overflow;
     euclid (abs a) (abs b)
 
-  let to_int x = x
-  let to_bignum = Bignum.of_int
   let ratio = Rat.of_ints
 end
 
@@ -98,23 +87,15 @@ let max_tick (cols : Model.Taskset.Columns.t) =
 
 let lcm ticks = Array.fold_left (fun l x -> Checked.mul (l / euclid l x) x) 1 ticks
 
-(* the path that finished each decide *)
+(* the path that runs each decide *)
 let m_native = Obs.Counter.make "core.ticks.native"
-let m_checked = Obs.Counter.make "core.ticks.checked"
 let m_wide = Obs.Counter.make "core.ticks.wide"
 
-let run ~bound ~native ~fast ~wide x =
+let run ~bound ~native ~wide x =
   match bound x with
   | (_ : int) ->
-    let r = native x in
     Obs.Counter.incr m_native;
-    r
-  | exception Overflow -> (
-    match fast x with
-    | r ->
-      Obs.Counter.incr m_checked;
-      r
-    | exception Overflow ->
-      let r = wide x in
-      Obs.Counter.incr m_wide;
-      r)
+    native x
+  | exception Overflow ->
+    Obs.Counter.incr m_wide;
+    wide x

@@ -4,28 +4,24 @@
     ({!Model.Taskset.Columns}), and every bound of DP, GN1 and GN2 is a
     ratio of sums of products of times, so each comparison a decide
     makes can be settled over the integers.  A decide is written once,
-    against a module [I : INT], and compiled three ways: over
-    {!Native} plain ints, over native ints whose every operation is
-    overflow-checked ({!Checked}), and over {!Bignum} ({!Wide}).
-    {!run} picks the path:
+    against a module [I : INT], and compiled two ways: over {!Native}
+    plain ints and over {!Bignum} ({!Wide}).  {!run} picks the path:
 
     - {e native}, when the analyzer's range check — one expression in
       {!Checked} ints over the largest tick, the largest area, N and,
       for DP and GN1, an lcm — evaluates without overflow.  Each
-      analyzer derives its bound beside its instances ([dp.ml],
+      analyzer derives its bound beside its range check ([dp.ml],
       [gn1.ml], [gn2.ml]): every intermediate of the pass is at most
       that value, so no plain-int operation can wrap;
-    - {e checked} otherwise;
-    - {e wide}, a rerun of the whole decide, when a checked operation
-      would have overflowed.
+    - {e wide} otherwise.
 
     Nothing wraps and nothing is a float.  The det counters
-    [core.ticks.native], [core.ticks.checked] and [core.ticks.wide]
-    count decides by the path that finished them.  The text of each
-    decide ([dp_checks.ml], [gn1_checks.ml], [gn2_checks.ml]) becomes
-    a functor [Make] and a plain-int instance [Native] in one
-    generated module ([lib/core/dune]); check-src's [exact-arith] rule
-    keeps every other module in [lib/] from naming {!Native}. *)
+    [core.ticks.native] and [core.ticks.wide] count decides by the
+    path that ran them.  The text of each decide ([dp_checks.ml],
+    [gn1_checks.ml], [gn2_checks.ml]) becomes the two structs [Native]
+    and [Wide] of one generated module ([lib/core/dune]); check-src's
+    [exact-arith] rule keeps every other module in [lib/] from naming
+    {!Native}. *)
 
 exception Overflow
 (** Raised by {!Checked} where the exact result does not fit in an
@@ -58,9 +54,23 @@ module type INT = sig
       gcd. *)
 end
 
-module Checked : INT with type t = int
-(** Native ints.  @raise Overflow wherever the exact result leaves the
-    [int] range. *)
+(** Native ints that never wrap: the arithmetic of the range checks
+    (the analyzers' and [Exact.Approx]'s), of {!lcm} and of GN2's
+    printed lhs.
+    Each operation raises {!Overflow} wherever its exact result leaves
+    the [int] range. *)
+module Checked : sig
+  val add : int -> int -> int
+  val mul : int -> int -> int
+
+  val div : int -> int -> int
+  (** Of a non-negative dividend by a positive divisor. *)
+
+  val gcd : int -> int -> int
+  (** Of the absolute values. *)
+
+  val ratio : int -> int -> Rat.t
+end
 
 (** Plain ints: every operation is a primitive the compiler inlines,
     and none checks for overflow.  Only a decide's generated
@@ -92,11 +102,9 @@ val lcm : int array -> int
 (** The lcm of positive ticks, 1 for none.  @raise Overflow where it
     leaves the [int] range. *)
 
-val run : bound:('a -> int) -> native:('a -> 'b) -> fast:('a -> 'b) -> wide:('a -> 'b) -> 'a -> 'b
-(** [run ~bound ~native ~fast ~wide x] is [native x] when [bound x]
-    returns (the range check held: no intermediate of [native x]
-    exceeds the value it computes in {!Checked} ints); otherwise
-    [fast x], or [wide x] when [fast x] raises {!Overflow}.  All three
-    must compute the same function.  It adds one to
-    [core.ticks.native], [core.ticks.checked] or [core.ticks.wide],
-    after the path that finished. *)
+val run : bound:('a -> int) -> native:('a -> 'b) -> wide:('a -> 'b) -> 'a -> 'b
+(** [run ~bound ~native ~wide x] is [native x] when [bound x] returns
+    (the range check held: no intermediate of [native x] exceeds the
+    value it computes in {!Checked} ints), and [wide x] when it raises
+    {!Overflow}.  Both must compute the same function.  It adds one to
+    [core.ticks.native] or [core.ticks.wide], for the path it runs. *)

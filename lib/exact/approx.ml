@@ -15,13 +15,18 @@ let area_demand ts ~at =
     (fun acc (task : Model.Task.t) ->
       let d = Time.ticks task.Model.Task.deadline and p = Time.ticks task.Model.Task.period in
       if t < d then acc
-      else acc + ((((t - d) / p) + 1) * Time.ticks task.Model.Task.exec * task.Model.Task.area))
-    0 (Taskset.to_list ts)
+      else
+        Bignum.add acc
+          (Bignum.mul
+             (Bignum.of_int (((t - d) / p) + 1))
+             (Bignum.mul (Bignum.of_int (Time.ticks task.Model.Task.exec)) (Bignum.of_int task.Model.Task.area))))
+    Bignum.zero (Taskset.to_list ts)
 
-(* same integer recurrence over the columnar views: the point scans below
-   evaluate h at O(n + log horizon) points, so the per-point list
-   traversal (and its closure) is the dominant cost; test_columns.ml pins
-   this against {!area_demand} *)
+(* the same recurrence over the columnar views, in plain ints: the
+   point scans below evaluate h at O(n + log horizon) points, so the
+   per-point list traversal (and its closure) is the dominant cost.
+   Exact where {!native_below} holds; test_columns.ml pins this against
+   {!area_demand} *)
 let area_demand_cols (cols : Taskset.Columns.t) ~at_ticks =
   let t = at_ticks in
   let acc = ref 0 in
@@ -32,9 +37,28 @@ let area_demand_cols (cols : Taskset.Columns.t) ~at_ticks =
   done;
   !acc
 
+(* whether the plain-int scan is exact at every point up to the
+   horizon: every product and partial sum of {!area_demand_cols}, and
+   A(H) t, is non-decreasing in t, so evaluating them once at the
+   horizon in checked ints covers every point below it *)
+let native_below (cols : Taskset.Columns.t) ~fpga_area horizon =
+  let open Core.Ticks.Checked in
+  match
+    ignore (mul fpga_area horizon);
+    let acc = ref 0 in
+    for i = 0 to cols.Taskset.Columns.n - 1 do
+      let d = cols.Taskset.Columns.deadline.(i) and p = cols.Taskset.Columns.period.(i) in
+      if horizon >= d then
+        acc :=
+          add !acc (mul (mul (((horizon - d) / p) + 1) cols.Taskset.Columns.exec.(i)) cols.Taskset.Columns.area.(i))
+    done
+  with
+  | () -> true
+  | exception Core.Ticks.Overflow -> false
+
 type outcome =
   | Accepted of { horizon : Time.t; points : int; partial : bool }
-  | Refuted_at of { at : Time.t; demand : int; supply : int }
+  | Refuted_at of { at : Time.t; demand : Bignum.t; supply : Bignum.t }
   | Refuted_overload of { us : Rat.t }
 
 (* any violation of h(t) <= A t lies at or below
@@ -51,7 +75,7 @@ let slack_bound ~fpga_area ts =
            (fun (task : Model.Task.t) ->
              let p = Time.ticks task.Model.Task.period in
              Rat.mul
-               (Rat.of_int (task.Model.Task.area * Time.ticks task.Model.Task.exec))
+               (Rat.mul (Rat.of_int task.Model.Task.area) (Rat.of_int (Time.ticks task.Model.Task.exec)))
                (Rat.of_ints (p - Time.ticks task.Model.Task.deadline) p))
            (Taskset.to_list ts))
     in
@@ -100,8 +124,8 @@ let analyze ?(eps = default_eps) ?(horizon_cap = default_horizon_cap) ~fpga_area
     let hyper_bound =
       match Taskset.hyperperiod ~cap:horizon_cap ts with
       | Taskset.Finite h ->
-        let b = Time.ticks h + dmax in
-        if b <= cap then Some b else None
+        (* H <= cap, so the remainder cannot wrap where H + D_max could *)
+        if dmax <= cap - Time.ticks h then Some (Time.ticks h + dmax) else None
       | Taskset.Exceeds_cap -> None
     in
     let slack =
@@ -118,22 +142,34 @@ let analyze ?(eps = default_eps) ?(horizon_cap = default_horizon_cap) ~fpga_area
     let points = check_points ~eps ~horizon ts in
     Obs.Counter.add m_points (List.length points);
     let cols = Taskset.Columns.of_taskset ts in
+    (* Some (h(t), A(H) t) where the demand exceeds the supply at t *)
+    let violation =
+      if native_below cols ~fpga_area horizon then fun p ->
+        let demand = area_demand_cols cols ~at_ticks:p and supply = fpga_area * p in
+        if demand > supply then Some (Bignum.of_int demand, Bignum.of_int supply) else None
+      else fun p ->
+        let demand = area_demand ts ~at:(Time.of_ticks p)
+        and supply = Bignum.mul (Bignum.of_int fpga_area) (Bignum.of_int p) in
+        if Bignum.compare demand supply > 0 then Some (demand, supply) else None
+    in
     let rec scan = function
       | [] -> Accepted { horizon = Time.of_ticks horizon; points = List.length points; partial }
-      | p :: rest ->
-        let demand = area_demand_cols cols ~at_ticks:p in
-        let supply = fpga_area * p in
-        if demand > supply then Refuted_at { at = Time.of_ticks p; demand; supply }
-        else scan rest
+      | p :: rest -> (
+        match violation p with
+        | Some (demand, supply) -> Refuted_at { at = Time.of_ticks p; demand; supply }
+        | None -> scan rest)
     in
     scan points
 
 (* max h(t)/t over the checked points, in columns: the verdict's
    taskset-level lhs against rhs = A(H) *)
-let demand_ratio cols points =
-  List.fold_left
-    (fun acc p -> Rat.max acc (Rat.of_ints (area_demand_cols cols ~at_ticks:p) p))
-    Rat.zero points
+let demand_ratio ~fpga_area ~horizon ts points =
+  let cols = Taskset.Columns.of_taskset ts in
+  let h_over_t =
+    if native_below cols ~fpga_area horizon then fun p -> Rat.of_ints (area_demand_cols cols ~at_ticks:p) p
+    else fun p -> Rat.make (area_demand ts ~at:(Time.of_ticks p)) (Bignum.of_int p)
+  in
+  List.fold_left (fun acc p -> Rat.max acc (h_over_t p)) Rat.zero points
 
 let verdict ~eps ~name ~fpga_area ts =
   if not (Taskset.fits ts ~fpga_area) then
@@ -150,21 +186,19 @@ let verdict ~eps ~name ~fpga_area ts =
              any scheduler)"
             (Rat.to_string us) fpga_area )
       | Refuted_at { at; demand; supply = _ } ->
+        let h_over_t = Rat.make demand (Bignum.of_int (Time.ticks at)) in
         ( false,
-          Rat.of_ints demand (Time.ticks at),
+          h_over_t,
           Printf.sprintf
             "area demand exceeds supply at t=%s: h(t)/t = %s columns > A(H) = %d; REJECT is \
              exact (necessary criterion violated, infeasible under any scheduler)"
-            (Time.to_string at)
-            (Rat.to_string (Rat.of_ints demand (Time.ticks at)))
-            fpga_area )
+            (Time.to_string at) (Rat.to_string h_over_t) fpga_area )
       | Accepted { horizon; points; partial } ->
         let lhs =
           if points = 0 then Rat.zero
           else
-            demand_ratio
-              (Taskset.Columns.of_taskset ts)
-              (check_points ~eps ~horizon:(Time.ticks horizon) ts)
+            let horizon = Time.ticks horizon in
+            demand_ratio ~fpga_area ~horizon ts (check_points ~eps ~horizon ts)
         in
         ( true,
           lhs,

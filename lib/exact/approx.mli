@@ -34,21 +34,26 @@
 val default_eps : Rat.t
 (** [1/10] — the registered [approx\[1/10\]] instance's ε. *)
 
-val area_demand : Model.Taskset.t -> at:Model.Time.t -> int
-(** [h(at)] in column-ticks, exact integer arithmetic. *)
+val area_demand : Model.Taskset.t -> at:Model.Time.t -> Bignum.t
+(** [h(at)] in column-ticks, exactly. *)
 
 val area_demand_cols : Model.Taskset.Columns.t -> at_ticks:int -> int
-(** {!area_demand} over the columnar views, used by the point scans;
-    [area_demand_cols (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)
-    = area_demand ts ~at] (pinned by test_columns.ml). *)
+(** {!area_demand} over the columnar views in plain ints, used by the
+    point scans; wherever [h(at)] fits in an [int],
+    [Bignum.of_int (area_demand_cols (Columns.of_taskset ts)
+    ~at_ticks:(Time.ticks at)) = area_demand ts ~at] (pinned by
+    test_columns.ml).  A scan runs it only after one range check at
+    its horizon, and runs {!area_demand} where that check fails. *)
 
 type outcome =
   | Accepted of { horizon : Model.Time.t; points : int; partial : bool }
       (** no violation at any test point; [partial] flags a horizon
           truncated at the cap (the band then covers the prefix only) *)
-  | Refuted_at of { at : Model.Time.t; demand : int; supply : int }
-      (** [h(at) = demand > supply = A(H) * at] column-ticks: infeasible
-          under any scheduler; the earliest violated test point *)
+  | Refuted_at of { at : Model.Time.t; demand : Bignum.t; supply : Bignum.t }
+      (** [h(at) = demand > supply = A(H) * at] column-ticks, compared
+          exactly (in plain ints where both fit at the horizon, in
+          {!Bignum} otherwise): infeasible under any scheduler; the
+          earliest violated test point *)
   | Refuted_overload of { us : Rat.t }
       (** [US > A(H)]: long-run overload, infeasible *)
 

@@ -261,8 +261,9 @@ let step st ~now =
       match st.contiguous with
       | None ->
         (* migrating mode: the total free area suffices (the paper's fit
-           criterion under unrestricted migration + defragmentation) *)
-        !used + Job.area j <= st.cfg.fpga_area
+           criterion under unrestricted migration + defragmentation);
+           used <= A(H), so the free area cannot wrap where a sum could *)
+        Job.area j <= st.cfg.fpga_area - !used
       | Some placer -> place st placer i
     in
     st.running.(i) <- run;
@@ -281,6 +282,7 @@ let step st ~now =
   assert (Time.(next > now));
   (* the segment's statistics *)
   let dt = Time.ticks (Time.sub next now) in
+  (* exact while A(H) * elapsed fits an int (engine.mli) *)
   st.busy_column_ticks <- st.busy_column_ticks + (occupied * dt);
   st.segments_recorded <- st.segments_recorded + 1;
   if !waiting > 0 then begin

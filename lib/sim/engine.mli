@@ -64,7 +64,12 @@ type stats = {
       (** time actually simulated: the full horizon, or less when the
           run stopped early at a deadline miss — the denominator for
           any per-time average over this result *)
-  busy_column_ticks : int;  (** integral of occupied area over time, in column-ticks *)
+  busy_column_ticks : int;
+      (** integral of occupied area over time, in column-ticks: at most
+          [A(H) * elapsed_ticks], and exact while that fits an int.  A
+          device wider than [max_int / elapsed_ticks] columns (about
+          4.6e12 over a 1,000-unit run) can wrap it, and
+          {!average_busy_area} with it; no analysis reads it *)
   contended_ticks : int;  (** total time with a non-empty waiting queue *)
   min_busy_when_contended : int option;
       (** minimum occupied area over contended time; [None] if never contended *)

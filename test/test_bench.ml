@@ -114,11 +114,7 @@ let verdicts () =
    a decide is: DP at n=8 takes microseconds, so its row decides far
    more often than any fixed cap on calls would let it *)
 let row_decides_for_its_time () =
-  let counters =
-    List.map
-      (fun name -> Obs.Counter.make name)
-      [ "core.ticks.native"; "core.ticks.checked"; "core.ticks.wide" ]
-  in
+  let counters = List.map (fun name -> Obs.Counter.make name) [ "core.ticks.native"; "core.ticks.wide" ] in
   Obs.reset ();
   Obs.set_enabled true;
   let rows =

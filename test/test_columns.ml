@@ -249,14 +249,9 @@ let prop_time_scaling =
 (* --- the range check: the plain-int path and the exact paths agree
    on both sides of every bound --- *)
 
-type path = Native | Checked | Wide
+type path = Native | Wide
 
-let path_counters =
-  [
-    (Native, Obs.Counter.make "core.ticks.native");
-    (Checked, Obs.Counter.make "core.ticks.checked");
-    (Wide, Obs.Counter.make "core.ticks.wide");
-  ]
+let path_counters = [ (Native, Obs.Counter.make "core.ticks.native"); (Wide, Obs.Counter.make "core.ticks.wide") ]
 
 (* [counted]'s bytes and lambda_evals, and the path that finished the
    decide (None when it was rejected before any arithmetic) *)
@@ -271,7 +266,7 @@ let observed decide ~fpga_area ts =
   (seen, path)
 
 (* the largest k in [0, kmax] with [native k], for a predicate that
-   holds up to some k and fails above it *)
+   holds up to some k and fails above it; kmax may be max_int *)
 let threshold native kmax =
   let rec go lo hi =
     if hi - lo <= 1 then lo
@@ -280,26 +275,76 @@ let threshold native kmax =
       if native mid then go mid hi else go lo mid
     end
   in
-  go 0 (kmax + 1)
+  if native kmax then kmax else go 0 kmax
 
-(* [case_gen]'s sets, or sets whose C, D and T are any ticks up to 20
-   units (C > D and C > T included); half of the draws have implicit
+(* every A_i and A(H) times j *)
+let scale_areas j (ts, fpga_area) =
+  ( Model.Taskset.of_list
+      (List.map (fun (task : Model.Task.t) -> { task with area = task.area * j }) (Model.Taskset.to_list ts)),
+    fpga_area * j )
+
+(* [case_gen]'s sets, sets whose C, D and T are any ticks up to 20
+   units (C > D and C > T included, and C up to 20000 T), or sets of
+   up to 12 tasks whose ticks are all 1 or 2, where a bound's area
+   terms outweigh its tick terms; half of the draws have implicit
    deadlines, so DP reaches its arithmetic too *)
+let free_task ~c ~d ~t ~area =
+  QCheck2.Gen.(
+    let* c = c and* d = d and* t = t and* area = area in
+    return (Model.Task.make ~exec:(Time.of_ticks c) ~deadline:(Time.of_ticks d) ~period:(Time.of_ticks t) ~area ()))
+
+let tiny_tick = QCheck2.Gen.int_range 1 2
+
 let ranged_case_gen =
   QCheck2.Gen.(
-    let free_task =
-      let tick = int_range 1 20_000 in
-      let* c = tick and* d = tick and* t = tick and* area = int_range 1 12 in
-      return
-        (Model.Task.make ~exec:(Time.of_ticks c) ~deadline:(Time.of_ticks d) ~period:(Time.of_ticks t) ~area ())
-    in
-    let free_case = pair (list_size (int_range 1 7) free_task >>= taskset_of_tasks) area_gen in
-    let* ts, fpga_area = frequency [ (2, case_gen); (1, free_case) ] and* implicit = bool in
+    let free_case n task = pair (list_size (int_range 1 n) task >>= taskset_of_tasks) area_gen in
+    let tick = int_range 1 20_000 and area = int_range 1 12 in
+    let* ts, fpga_area =
+      frequency
+        [
+          (2, case_gen);
+          (1, free_case 7 (free_task ~c:tick ~d:tick ~t:(frequency [ (2, tick); (1, int_range 1 20) ]) ~area));
+          (1, free_case 12 (free_task ~c:tiny_tick ~d:tiny_tick ~t:tiny_tick ~area));
+        ]
+    and* implicit = bool in
     let implicit_deadlines ts =
       Model.Taskset.of_list
         (List.map (fun (task : Model.Task.t) -> { task with deadline = task.period }) (Model.Taskset.to_list ts))
     in
     return ((if implicit then implicit_deadlines ts else ts), fpga_area))
+
+(* [ranged_case_gen]'s sets, or 6 to 12 tasks as wide as the device
+   with ticks 1 or 2, whose sum of the A_i outweighs A(H) as much as
+   that: GN1's lhs numerator then leaves the int range where A(H) L
+   does not.  Every area and A(H) is scaled by one j, so that the area
+   terms cross the int range as well as the ticks: the largest j at
+   which every area fits an int, a j drawn between 2 and that, or the
+   least j at which the sum of the A_i reaches 2^63, where a plain-int
+   sum of the scaled areas wraps to nearly 0 *)
+let area_scaled_case_gen =
+  QCheck2.Gen.(
+    let crowd =
+      let* fpga_area = area_gen in
+      list_size (int_range 6 12) (free_task ~c:tiny_tick ~d:tiny_tick ~t:tiny_tick ~area:(return fpga_area))
+      >>= taskset_of_tasks
+      >|= fun ts -> (ts, fpga_area)
+    in
+    let* ts, fpga_area = frequency [ (3, ranged_case_gen); (1, crowd) ]
+    and* area_scale =
+      frequency [ (1, return `Largest); (1, int_range 1 60 >|= fun s -> `Shift s); (2, return `Wrap) ]
+    in
+    let area = (Columns.of_taskset ts).area in
+    let largest = max_int / max fpga_area (Array.fold_left max 0 area) in
+    let j =
+      match area_scale with
+      | `Largest -> largest
+      | `Shift s -> max 2 (largest lsr s)
+      | `Wrap ->
+        (* (max_int / W + 1) W >= 2^62 for W = sum A_i *)
+        let w = Array.fold_left ( + ) 0 area in
+        min largest (2 * ((max_int / w) + 1))
+    in
+    return (scale_areas j (ts, fpga_area)))
 
 (* Every time scaled by k: the bounds grow with k, so each analyzer
    takes its plain-int path up to a threshold k* and not above it.
@@ -332,26 +377,36 @@ let range_check () =
     | Some p -> Hashtbl.replace met (name, p = Native) ()
     | None -> ()
   in
-  QCheck2.Test.check_exn ~rand:(Random.State.make [| 31 |])
-    (QCheck2.Test.make ~count:100 ~name:"plain-int and exact paths agree across each bound"
-       ~print:(fun (ts, fpga_area) -> Format.asprintf "%a on A(H) = %d" Model.Taskset.pp ts fpga_area)
-       ranged_case_gen (agree_across_bounds ~tally));
+  List.iter
+    (fun (name, gen) ->
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 31 |])
+        (QCheck2.Test.make ~count:100 ~name
+           ~print:(fun (ts, fpga_area) -> Format.asprintf "%a on A(H) = %d" Model.Taskset.pp ts fpga_area)
+           gen (agree_across_bounds ~tally)))
+    [
+      ("plain-int and exact paths agree across each bound", ranged_case_gen);
+      ("... and with every area scaled toward the int range", area_scaled_case_gen);
+    ];
   List.iter
     (fun (name, _, _) ->
       Alcotest.(check bool) (name ^ ": a native decide") true (Hashtbl.mem met (name, true));
-      Alcotest.(check bool) (name ^ ": a checked or wide decide") true (Hashtbl.mem met (name, false)))
+      Alcotest.(check bool) (name ^ ": a wide decide") true (Hashtbl.mem met (name, false)))
     analyzers
 
 (* serve-miss's request stream (perfbench): fresh tasksets of 4-8
-   tasks from the unconstrained generator on A(H) = 100.  GN2's bound
-   holds on every one, so each decide takes the plain-int path *)
+   tasks from the unconstrained generator on A(H) = 100.  DP's, GN1's
+   and GN2's bounds hold on every one, so each decide takes the
+   plain-int path *)
 let serve_miss_native () =
   let rng = Rng.create ~seed:1 in
   for _ = 1 to 300 do
     let profile = Model.Generator.unconstrained ~n:(Rng.int_incl rng 4 8) in
     let ts = Model.Generator.draw rng { profile with Model.Generator.fpga_area = 100 } in
-    let _, path = observed Core.Gn2.decide ~fpga_area:100 ts in
-    if path <> Some Native then Alcotest.failf "GN2 left the plain-int path on %a" Model.Taskset.pp ts
+    List.iter
+      (fun (name, decide) ->
+        let _, path = observed decide ~fpga_area:100 ts in
+        if path <> Some Native then Alcotest.failf "%s left the plain-int path on %a" name Model.Taskset.pp ts)
+      [ ("DP", Core.Dp.decide); ("GN1", Core.Gn1.decide); ("GN2", Core.Gn2.decide) ]
   done
 
 (* --- approx: columnar demand scan == record scan --- *)
@@ -361,8 +416,9 @@ let prop_approx_demand =
     QCheck2.Gen.(pair taskset_gen (int_range 0 30))
     (fun (ts, at_units) ->
       let at = Time.of_units at_units in
-      Exact.Approx.area_demand_cols (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)
-      = Exact.Approx.area_demand ts ~at)
+      Bignum.equal
+        (Bignum.of_int (Exact.Approx.area_demand_cols (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)))
+        (Exact.Approx.area_demand ts ~at))
 
 (* --- Analyzer.decide_all == mapping decide --- *)
 
@@ -425,7 +481,8 @@ let () =
       ( "range check",
         [
           Alcotest.test_case "plain-int and exact paths agree across each bound" `Quick range_check;
-          Alcotest.test_case "GN2 decides serve-miss's stream in plain ints" `Quick serve_miss_native;
+          Alcotest.test_case "GN2 decides serve-miss's stream in plain ints, as do DP and GN1" `Quick
+            serve_miss_native;
         ] );
       ("batch == single bytes", [ prop_decide_all_ident; prop_cache_batch_ident ]);
     ]

@@ -214,8 +214,8 @@ let oracle_rejects_infeasible () =
   match Exact.Approx.analyze ~fpga_area:4 demand with
   | Exact.Approx.Refuted_at { at; demand = d; supply } ->
     Core_helpers.check_time "refutation instant" (Time.of_units 2) at;
-    Alcotest.(check int) "demand column-ticks" (2 * 2 * Time.scale * 3) d;
-    Alcotest.(check int) "supply column-ticks" (4 * 2 * Time.scale) supply
+    Core_helpers.check_bignum "demand column-ticks" (Bignum.of_int (2 * 2 * Time.scale * 3)) d;
+    Core_helpers.check_bignum "supply column-ticks" (Bignum.of_int (4 * 2 * Time.scale)) supply
   | _ -> Alcotest.fail "expected an area-demand refutation"
 
 (* the oracle's conclusion must agree with the primitives it is built
@@ -303,6 +303,104 @@ let oracle_jobs_deterministic () =
   | Exact.Oracle.Unschedulable (Exact.Oracle.Offset_miss _) -> ()
   | _ -> Alcotest.fail "expected the sub-grid witness offsets to refute"
 
+(* --- area scaling --- *)
+
+(* every A_i times k *)
+let scale_areas k t =
+  Model.Taskset.of_list
+    (List.map (fun (task : Model.Task.t) -> { task with area = task.area * k }) (Model.Taskset.to_list t))
+
+(* what scaling every A_i and A(H) by one k must keep: the accepted flag
+   of NEC, the oracle under both policies, approx and both partitioned
+   tests, and the first miss (task and time) of each simulated policy *)
+let area_invariants ~fpga_area t =
+  Exact.Registry.ensure ();
+  let accepts name =
+    match Core.Analyzer.of_name name with
+    | Ok a -> Core.Analyzer.accepts a ~fpga_area t
+    | Error e -> Alcotest.fail e
+  in
+  let first_miss policy =
+    let cfg = Sim.Engine.default_config ~fpga_area ~policy in
+    match (Sim.Engine.run { cfg with Sim.Engine.horizon = Time.of_units 24 } t).Sim.Engine.outcome with
+    | Sim.Engine.No_miss -> None
+    | Sim.Engine.Miss m -> Some (m.Sim.Engine.task_index, Time.ticks m.Sim.Engine.at)
+  in
+  ( List.map accepts [ "NEC"; "exact"; "exact-fkf"; "approx[1/10]" ]
+    @ List.map
+        (fun test -> Core.Partitioned.accepts ~test ~fpga_area t)
+        [ Core.Partitioned.Density; Core.Partitioned.Demand_bound ],
+    List.map first_miss [ Sim.Policy.edf_nf; Sim.Policy.edf_fkf ] )
+
+(* each test compares areas only with sums and multiples of areas, so
+   scaling them all, and A(H), by 2, 7 or the largest k at which A(H)
+   still fits an int changes no decision: the largest k is where a
+   plain-int sum of two areas wraps *)
+let prop_area_scaling =
+  let gen =
+    QCheck2.Gen.(
+      let* fpga_area = int_range 2 10 in
+      let* tasks =
+        list_size (int_range 2 3)
+          (let* t_units = oneofl [ 2; 3; 4 ] in
+           let* d_units = int_range 1 t_units in
+           let* c_units = int_range 1 d_units in
+           let* area = int_range 1 fpga_area in
+           return
+             (Model.Task.make ~exec:(Time.of_units c_units) ~deadline:(Time.of_units d_units)
+                ~period:(Time.of_units t_units) ~area ()))
+      in
+      return (Model.Taskset.of_list tasks, fpga_area))
+  in
+  Core_helpers.qtest ~count:100 "scaling every area by 2, 7 or max_int / A(H) keeps every decision" gen
+    (fun (t, fpga_area) ->
+      let want = area_invariants ~fpga_area t in
+      List.for_all
+        (fun k -> area_invariants ~fpga_area:(fpga_area * k) (scale_areas k t) = want)
+        [ 2; 7; max_int / fpga_area ])
+
+(* three sets whose areas fill most of the int range: each decided
+   differently from its small twin while a sum of two areas wrapped
+   in plain ints (the simulator's free area, NEC's exclusion, the
+   partitioned fit) or approx's demand and supply did *)
+let wrap_reproductions () =
+  let pair (c, d, t) (c', d', t') a = ts [ ("a", c, d, t, a); ("b", c', d', t', a) ] in
+  let short = ("0.001", "0.001", "0.002") and long = ("0.499", "1", "1") and heavy = ("0.6", "1", "1") in
+  let full = 2305843009213693952 in
+  let fullwidth = pair short short and supply = pair short long and exclusive = pair heavy heavy in
+  let decisions = Alcotest.(pair (list bool) (list (option (pair int int)))) in
+  List.iter
+    (fun (name, set, (a, fpga_area), (a', twin_area)) ->
+      Alcotest.check decisions name
+        (area_invariants ~fpga_area:twin_area (set a'))
+        (area_invariants ~fpga_area (set a)))
+    [
+      ("full-width pair", fullwidth, (full, full), (10, 10));
+      ("supply pair", supply, (full, full), (1000, 1000));
+      ("exclusive pair", exclusive, (2767011611056432742, max_int), (6, 10));
+    ];
+  (* the decisions the wrapped sums got wrong; the flags are NEC, exact,
+     exact-fkf, approx, partitioned density and demand bound *)
+  Alcotest.check decisions
+    "full-width pair: only NEC accepts; the second job misses at t=0.001"
+    ([ true; false; false; false; false; false ], [ Some (1, 1); Some (1, 1) ])
+    (area_invariants ~fpga_area:full (fullwidth full));
+  Alcotest.(check (list bool)) "supply pair: approx accepts"
+    [ true ] [ List.nth (fst (area_invariants ~fpga_area:full (supply full))) 3 ];
+  Alcotest.(check (list bool)) "exclusive pair: NEC, exact and partitioned density reject" [ false; false; false ]
+    (let flags, _ = area_invariants ~fpga_area:max_int (exclusive 2767011611056432742) in
+     [ List.nth flags 0; List.nth flags 1; List.nth flags 4 ]);
+  (* a deadline near max_int ticks: H + D_max wrapped negative, and
+     approx checked no point at all *)
+  let wide = 1_000_000_000_000_000 in
+  let two_full_width d = ts [ ("a", "1", "1", "10", wide); ("b", "1", "1", "10", wide); ("c", "1", d, "10", 1) ] in
+  List.iter
+    (fun d ->
+      match Exact.Approx.analyze ~fpga_area:wide (two_full_width d) with
+      | Exact.Approx.Refuted_at { at; _ } -> Core_helpers.check_time ("refuted at t=1, D_c = " ^ d) (Time.of_units 1) at
+      | _ -> Alcotest.failf "approx accepts two full-width jobs due at t=1 (D_c = %s)" d)
+    [ "100"; "4611686018427387" ]
+
 (* --- registry --- *)
 
 let registry_resolution () =
@@ -362,5 +460,8 @@ let () =
           prop_oracle_matches_exhaustive;
           prop_approx_reject_implies_oracle_reject;
         ] );
+      ( "scaling",
+        [ prop_area_scaling; Alcotest.test_case "wrap reproductions decide as their twins" `Quick wrap_reproductions ]
+      );
       ("registry", [ Alcotest.test_case "name resolution" `Quick registry_resolution ]);
     ]
