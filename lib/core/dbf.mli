@@ -1,49 +1,70 @@
-(** Demand-bound functions and exact uniprocessor EDF analysis.
+(** The processor-demand criterion, weighted by area: the one demand
+    test behind the partitioned baseline's [Demand_bound] mode and
+    [approx\[EPS\]] ([Exact.Approx]).
 
-    Inside one partition of Danne & Platzner's partitioned scheme
-    (Section 7 / [10]) execution is serialized, so schedulability reduces
-    to uniprocessor EDF, which is decided {e exactly} by the
-    processor-demand criterion (Baruah/Rosier/Howell):
+    The device supplies at most [A(H)] column-units per time unit, so
+    for the synchronous release
 
-    {v forall t > 0:  dbf(t) <= t
-       dbf(t) = sum_i max(0, floor((t - D_i)/T_i) + 1) * C_i v}
+    {v h(t) = sum_i dbf_i(t) * C_i * A_i  <=  A(H) * t   for every t > 0
+       dbf_i(t) = max(0, floor((t - D_i)/T_i) + 1) v}
 
-    Only the absolute-deadline instants up to a bounded horizon need
-    checking.  For [UT < 1] the busy-period / Baruah bound
+    is necessary for schedulability under every scheduler.  With one
+    column and every [A_i = 1] it is Baruah/Rosier/Howell's exact
+    test of uniprocessor EDF: inside one partition of Danne &
+    Platzner's partitioned scheme (Section 7 / [10]) execution is
+    serialized, so that is what decides a partition.
 
-    {v  t* = max_i(T_i - D_i) * UT / (1 - UT)  v}
+    Only points up to a horizon need checking: the least of [H + D_max]
+    and the slack bound [S / (A(H) - US)] with
+    [S = sum_i A_i C_i max(0, T_i - D_i) / T_i] (when [US < A(H)]; it
+    holds since [h(t) <= US * t + S]), each where it is at most the
+    cap.  Where neither is, the cap is the horizon and the answer
+    covers that prefix only.
 
-    caps the horizon (together with the hyper-period); for [UT = 1] the
-    hyper-period alone suffices for synchronous periodic sets.
+    Every value is exact: [h] runs in plain ints where one range check
+    at the horizon shows that [h] and [A(H) * t] fit an int there,
+    which covers every point below it since both grow with [t], and in
+    {!Bignum} otherwise. *)
 
-    This is strictly tighter than the density test
-    [sum C_i/min(D_i,T_i) <= 1] used as the quick partition check: a
-    constrained-deadline set can fail density yet satisfy the demand
-    criterion at every point. *)
+val demand : Model.Taskset.Columns.t -> at_ticks:int -> Bignum.t
+(** [h(at)] in column-ticks, exactly. *)
 
-val demand : Model.Taskset.t -> at:Model.Time.t -> Model.Time.t
-(** [dbf(at)]: the cumulative execution demand of jobs released at or
-    after 0 with absolute deadline at most [at] (synchronous release). *)
+val demand_native : Model.Taskset.Columns.t -> at_ticks:int -> int
+(** {!demand} in plain ints: equal to it wherever [h(at)] fits an
+    [int] (pinned by test_columns.ml).  {!test} runs it only behind
+    its range check. *)
 
-val check_points : ?horizon_cap:Model.Time.t -> Model.Taskset.t -> Model.Time.t list
-(** The absolute deadlines in [(0, horizon]] at which the criterion must
-    be evaluated, where the horizon is the minimum of the hyper-period,
-    the Baruah bound (when [UT < 1]) and [horizon_cap] (default 10^4
-    time units).  Sorted ascending. *)
+type points =
+  | Every_deadline  (** every absolute deadline: the exact test *)
+  | Geometric of Rat.t
+      (** every task's first absolute deadline, then a geometric tail
+          with ratio [1 + eps] up to the horizon.  Consecutive points
+          are at most a factor [1 + eps] or one tick apart and [h]
+          only steps at deadlines, so passing them certifies
+          [h(t) <= (1 + eps) * A(H) * t] for every [t] up to the
+          horizon, at [O(n + log_{1+eps}(horizon))] points.  [eps]
+          must be positive. *)
 
 type result =
-  | Schedulable
-  | Overloaded  (** [UT > 1]: trivially infeasible on one processor *)
-  | Demand_exceeds of { at : Model.Time.t; demand : Model.Time.t }
-  | Horizon_truncated
-      (** no violation found, but the exact horizon exceeded the cap, so
-          the answer is only "no violation up to the cap" *)
+  | Accepted of { horizon : Model.Time.t; points : int; partial : bool }
+      (** no violation at any of the [points] test points up to
+          [horizon]; [partial] flags a horizon cut at the cap, which
+          certifies the prefix only *)
+  | Refuted_at of { at : Model.Time.t; demand : Bignum.t; supply : Bignum.t }
+      (** [h(at) = demand > supply = A(H) * at] column-ticks at the
+          earliest violated test point: infeasible under any
+          scheduler *)
+  | Refuted_overload of { us : Rat.t }  (** [US > A(H)]: long-run overload, infeasible *)
 
-val uniprocessor_edf : ?horizon_cap:Model.Time.t -> Model.Taskset.t -> result
-(** Exact EDF schedulability of the taskset on one processor (areas are
-    ignored). *)
+val test : ?horizon_cap:Model.Time.t -> points -> fpga_area:int -> Model.Taskset.t -> result
+(** The criterion on [A(H) = fpga_area] at [points] up to the horizon;
+    [horizon_cap] defaults to 10^4 time units. *)
 
-val schedulable : ?horizon_cap:Model.Time.t -> Model.Taskset.t -> bool
-(** [uniprocessor_edf] returned [Schedulable]. *)
+val peak : points -> fpga_area:int -> horizon:Model.Time.t -> Model.Taskset.t -> Rat.t
+(** The largest [h(t)/t] over the test points up to [horizon] (an
+    {!Accepted} horizon of {!test}); 0 where there are none. *)
 
-val pp_result : Format.formatter -> result -> unit
+val schedulable : Model.Taskset.t -> bool
+(** Exact EDF schedulability on one processor: {!test} at
+    [Every_deadline] with one column and every [A_i = 1] accepts, and
+    its horizon is not partial. *)

@@ -409,16 +409,14 @@ let serve_miss_native () =
       [ ("DP", Core.Dp.decide); ("GN1", Core.Gn1.decide); ("GN2", Core.Gn2.decide) ]
   done
 
-(* --- approx: columnar demand scan == record scan --- *)
+(* --- approx's h(t) (Core.Dbf): plain ints == Bignum --- *)
 
 let prop_approx_demand =
   qtest ~count:500 "approx: area_demand_cols == area_demand"
     QCheck2.Gen.(pair taskset_gen (int_range 0 30))
     (fun (ts, at_units) ->
-      let at = Time.of_units at_units in
-      Bignum.equal
-        (Bignum.of_int (Exact.Approx.area_demand_cols (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)))
-        (Exact.Approx.area_demand ts ~at))
+      let cols = Columns.of_taskset ts and at_ticks = Time.ticks (Time.of_units at_units) in
+      Bignum.equal (Bignum.of_int (Core.Dbf.demand_native cols ~at_ticks)) (Core.Dbf.demand cols ~at_ticks))
 
 (* --- Analyzer.decide_all == mapping decide --- *)
 

@@ -9,34 +9,38 @@ let ts = Core_helpers.taskset
 
 (* --- demand bound function --- *)
 
+(* the uniprocessor test: one column, every A_i = 1 *)
+let uniprocessor ?horizon_cap t = Core.Dbf.test ?horizon_cap Core.Dbf.Every_deadline ~fpga_area:1 t
+
 let dbf_values () =
+  let units u = Bignum.of_int (Time.ticks (Time.of_units u)) in
+  let dbf t at = Core.Dbf.demand (Model.Taskset.Columns.of_taskset t) ~at_ticks:(Time.ticks (Time.of_units at)) in
   let t = ts [ ("a", "2", "5", "5", 1) ] in
-  Core_helpers.check_time "dbf before D" Time.zero (Core.Dbf.demand t ~at:(Time.of_units 4));
-  Core_helpers.check_time "dbf at D" (Time.of_units 2) (Core.Dbf.demand t ~at:(Time.of_units 5));
-  Core_helpers.check_time "dbf mid" (Time.of_units 2) (Core.Dbf.demand t ~at:(Time.of_units 9));
-  Core_helpers.check_time "dbf second job" (Time.of_units 4)
-    (Core.Dbf.demand t ~at:(Time.of_units 10));
+  Core_helpers.check_bignum "dbf before D" Bignum.zero (dbf t 4);
+  Core_helpers.check_bignum "dbf at D" (units 2) (dbf t 5);
+  Core_helpers.check_bignum "dbf mid" (units 2) (dbf t 9);
+  Core_helpers.check_bignum "dbf second job" (units 4) (dbf t 10);
   let two = ts [ ("a", "2", "2", "4", 1); ("b", "2", "3", "4", 1) ] in
-  Core_helpers.check_time "dbf both deadlines" (Time.of_units 4)
-    (Core.Dbf.demand two ~at:(Time.of_units 3))
+  Core_helpers.check_bignum "dbf both deadlines" (units 4) (dbf two 3)
 
 let dbf_full_utilization () =
   (* implicit deadlines, UT = 1: EDF is optimal, must be schedulable *)
   let t = ts [ ("a", "2", "4", "4", 1); ("b", "2", "4", "4", 1) ] in
   check_bool "UT = 1 schedulable" true (Core.Dbf.schedulable t);
   let over = ts [ ("a", "3", "4", "4", 1); ("b", "2", "4", "4", 1) ] in
-  check_bool "UT > 1 overloaded" true (Core.Dbf.uniprocessor_edf over = Core.Dbf.Overloaded)
+  match uniprocessor over with
+  | Core.Dbf.Refuted_overload { us } -> Core_helpers.check_rat "UT > 1 overloaded" (Rat.of_ints 5 4) us
+  | _ -> Alcotest.fail "expected an overload"
 
 let dbf_constrained_violation () =
   (* dbf(3) = 4 > 3 *)
   let t = ts [ ("a", "2", "2", "4", 1); ("b", "2", "3", "4", 1) ] in
-  match Core.Dbf.uniprocessor_edf t with
-  | Core.Dbf.Demand_exceeds { at; demand } ->
+  match uniprocessor t with
+  | Core.Dbf.Refuted_at { at; demand; supply } ->
     Core_helpers.check_time "violation instant" (Time.of_units 3) at;
-    Core_helpers.check_time "demand" (Time.of_units 4) demand
-  | other ->
-    Alcotest.failf "expected a demand violation, got %s"
-      (Format.asprintf "%a" Core.Dbf.pp_result other)
+    Core_helpers.check_bignum "demand" (Bignum.of_int (Time.ticks (Time.of_units 4))) demand;
+    Core_helpers.check_bignum "supply" (Bignum.of_int (Time.ticks (Time.of_units 3))) supply
+  | _ -> Alcotest.fail "expected a demand violation"
 
 let dbf_beats_density () =
   (* density = 1/1 + 4/8 = 1.5 rejects; the demand criterion proves the
@@ -49,18 +53,25 @@ let dbf_beats_density () =
 
 let dbf_check_points () =
   let t = ts [ ("a", "1", "1", "10", 1); ("b", "4", "8", "10", 1) ] in
-  let points = Core.Dbf.check_points t in
-  (* Baruah horizon: S = 1*9/10 + 4*2/10 = 1.7, UT = 0.5 -> 3.4;
-     horizon = max(3.4, Dmax 8) = 8, so points are {1, 8} *)
-  Alcotest.(check (list string)) "points" [ "1"; "8" ] (List.map Time.to_string points)
+  (* slack horizon: S = 1*9/10 + 4*2/10 = 1.7, UT = 0.5 -> 3.4, below
+     H + D_max = 18; the one deadline up to 3.4 is a's at 1 *)
+  match uniprocessor t with
+  | Core.Dbf.Accepted { horizon; points; partial } ->
+    Alcotest.(check (triple string int bool)) "horizon, points, partial" ("3.4", 1, false)
+      (Time.to_string horizon, points, partial)
+  | _ -> Alcotest.fail "expected an acceptance"
 
 let dbf_truncation () =
   let t = ts [ ("a", "1", "1", "10", 1); ("b", "4", "8", "10", 1) ] in
   check_bool "tiny cap truncates" true
-    (Core.Dbf.uniprocessor_edf ~horizon_cap:(Time.of_units 1) t = Core.Dbf.Horizon_truncated)
+    (match uniprocessor ~horizon_cap:(Time.of_units 1) t with
+     | Core.Dbf.Accepted { partial; _ } -> partial
+     | Core.Dbf.Refuted_at _ | Core.Dbf.Refuted_overload _ -> false)
 
 (* the demand criterion agrees with simulation on one "processor"
-   (width-1 tasks on a 1-column device) for exact-horizon cases *)
+   (width-1 tasks on a 1-column device) for exact-horizon cases; one
+   column serializes every job, so deadlines past the period keep the
+   simulation an exact reference *)
 let prop_dbf_matches_simulation =
   let gen =
     QCheck2.Gen.(
@@ -68,17 +79,19 @@ let prop_dbf_matches_simulation =
         (let* t_units = oneofl [ 2; 4; 5; 8 ] in
          let period = Model.Time.of_units t_units in
          let* c = int_range 1 (Model.Time.ticks period) in
-         let* d_frac = int_range 5 10 in
+         let* d_frac = int_range 5 20 in
          let deadline = Model.Time.of_ticks (Model.Time.ticks period * d_frac / 10) in
          let exec = Model.Time.of_ticks (min c (Model.Time.ticks deadline)) in
          return (Model.Task.make ~exec ~deadline ~period ~area:1 ()))
       >|= Model.Taskset.of_list)
   in
   Core_helpers.qtest ~count:300 "dbf = uniprocessor EDF simulation" gen (fun t ->
-      match Core.Dbf.uniprocessor_edf t with
-      | Core.Dbf.Horizon_truncated -> true (* inconclusive *)
+      match uniprocessor t with
+      | Core.Dbf.Accepted { partial = true; _ } -> true (* inconclusive *)
+      | Core.Dbf.Refuted_overload _ when not (Model.Taskset.all_constrained_deadline t) ->
+        true (* UT > 1 misses, but past D > T the first miss can lie far beyond H + D_max *)
       | verdict ->
-        let accepted = verdict = Core.Dbf.Schedulable in
+        let accepted = match verdict with Core.Dbf.Accepted _ -> true | _ -> false in
         let hyper =
           match Model.Taskset.hyperperiod t with
           | Model.Taskset.Finite h -> h
@@ -401,6 +414,93 @@ let wrap_reproductions () =
       | _ -> Alcotest.failf "approx accepts two full-width jobs due at t=1 (D_c = %s)" d)
     [ "100"; "4611686018427387" ]
 
+(* --- deadlines past the period --- *)
+
+(* examples/tasksets/long_deadline_triple.csv: c's slack T - D is
+   negative and counts as 0; counted, it would cancel a's and b's,
+   shrink the horizon to 0 and accept two full-width jobs due at t=1 *)
+let approx_long_deadline () =
+  let t = ts [ ("a", "1", "1", "10", 10); ("b", "1", "1", "10", 10); ("c", "1", "200", "10", 1) ] in
+  match Exact.Approx.analyze ~fpga_area:10 t with
+  | Exact.Approx.Refuted_at { at; demand; supply } ->
+    Core_helpers.check_time "refutation instant" (Time.of_units 1) at;
+    Core_helpers.check_bignum "demand column-ticks" (Bignum.of_int (2 * 10 * Time.scale)) demand;
+    Core_helpers.check_bignum "supply column-ticks" (Bignum.of_int (10 * Time.scale)) supply
+  | _ -> Alcotest.fail "expected an area-demand refutation at t=1"
+
+(* [count] sets of 1-4 tasks from a fixed seed: periods of 1-5 units,
+   areas 1-10, one deadline in three from [T, 20T] and the rest from
+   [T/4, T], C <= min(D, T) *)
+let long_deadline_sets ~seed ~count =
+  let rng = Rng.create ~seed in
+  List.init count (fun _ ->
+      Model.Taskset.of_list
+        (List.init (Rng.int_incl rng 1 4) (fun _ ->
+             let p = Time.ticks (Time.of_units (Rng.int_incl rng 1 5)) in
+             let d = if Rng.int rng 3 = 0 then Rng.int_incl rng p (20 * p) else Rng.int_incl rng (p / 4) p in
+             let c = Rng.int_incl rng 1 (min d p) in
+             Model.Task.make ~exec:(Time.of_ticks c) ~deadline:(Time.of_ticks d) ~period:(Time.of_ticks p)
+               ~area:(Rng.int_incl rng 1 10) ())))
+
+(* h(t) = sum_i dbf_i(t) C_i A_i in column-ticks, straight from the
+   definition, and every absolute deadline up to H + D_max: past it no
+   violation of h(t) <= A t appears first, since h(t + H) - A (t + H)
+   <= h(t) - A t wherever US <= A *)
+let brute_demand ~area tasks t =
+  List.fold_left
+    (fun acc (task : Model.Task.t) ->
+      let d = Time.ticks task.deadline and p = Time.ticks task.period in
+      if t < d then acc else acc + (((t - d) / p) + 1) * Time.ticks task.exec * area task)
+    0 tasks
+
+let deadlines_to_h_plus_dmax tasks =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let ticks field = List.map (fun task -> Time.ticks (field task)) tasks in
+  let hyper = List.fold_left (fun acc p -> acc / gcd acc p * p) 1 (ticks (fun task -> task.Model.Task.period)) in
+  let last = hyper + List.fold_left max 0 (ticks (fun task -> task.Model.Task.deadline)) in
+  List.concat_map
+    (fun (task : Model.Task.t) ->
+      let d = Time.ticks task.deadline and p = Time.ticks task.period in
+      List.init (((last - d) / p) + 1) (fun k -> d + (k * p)))
+    tasks
+
+(* approx[1/10] on A(H) = 10: an ACCEPT without [partial] holds the
+   band h(t) <= (1 + eps) A(H) t at every absolute deadline, and a
+   REJECT at t is a true violation h(t) > A(H) t *)
+let approx_long_deadline_band () =
+  let fpga_area = 10 in
+  List.iter
+    (fun t ->
+      let tasks = Model.Taskset.to_list t and area (task : Model.Task.t) = task.area in
+      let fail what = Alcotest.failf "approx[1/10] %s on %a" what Model.Taskset.pp t in
+      match Exact.Approx.analyze ~fpga_area t with
+      | Exact.Approx.Accepted { partial = true; _ } -> ()
+      | Exact.Approx.Accepted { partial = false; _ } ->
+        List.iter
+          (fun at -> if 10 * brute_demand ~area tasks at > 11 * fpga_area * at then fail "accepts outside its band")
+          (deadlines_to_h_plus_dmax tasks)
+      | Exact.Approx.Refuted_at { at; demand; _ } ->
+        let h = brute_demand ~area tasks (Time.ticks at) in
+        if not (Bignum.equal demand (Bignum.of_int h) && h > fpga_area * Time.ticks at) then
+          fail "refutes where h(t) <= A(H) t"
+      | Exact.Approx.Refuted_overload { us } ->
+        if Rat.compare us (Rat.of_int fpga_area) <= 0 then fail "calls an overload where US <= A(H)")
+    (long_deadline_sets ~seed:3 ~count:3000)
+
+(* the uniprocessor test: exact, so it accepts exactly where UT <= 1 and
+   dbf(t) <= t at every absolute deadline *)
+let dbf_long_deadline_exact () =
+  List.iter
+    (fun t ->
+      let tasks = Model.Taskset.to_list t in
+      let brute =
+        Rat.compare (Model.Taskset.time_utilization t) Rat.one <= 0
+        && List.for_all (fun at -> brute_demand ~area:(fun _ -> 1) tasks at <= at) (deadlines_to_h_plus_dmax tasks)
+      in
+      if Core.Dbf.schedulable t <> brute then
+        Alcotest.failf "Dbf.schedulable says %b, brute force %b on %a" (not brute) brute Model.Taskset.pp t)
+    (long_deadline_sets ~seed:4 ~count:3000)
+
 (* --- registry --- *)
 
 let registry_resolution () =
@@ -459,6 +559,13 @@ let () =
           Alcotest.test_case "deterministic for any jobs" `Quick oracle_jobs_deterministic;
           prop_oracle_matches_exhaustive;
           prop_approx_reject_implies_oracle_reject;
+        ] );
+      ( "deadlines",
+        [
+          Alcotest.test_case "approx refutes the long-deadline triple at t=1" `Quick approx_long_deadline;
+          Alcotest.test_case "approx: ACCEPT band and REJECT against brute-force h(t)" `Quick
+            approx_long_deadline_band;
+          Alcotest.test_case "dbf: schedulable = brute-force dbf(t) <= t" `Quick dbf_long_deadline_exact;
         ] );
       ( "scaling",
         [ prop_area_scaling; Alcotest.test_case "wrap reproductions decide as their twins" `Quick wrap_reproductions ]
